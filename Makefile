@@ -45,13 +45,13 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## bench-smoke: one-iteration dd + batch + session benchmarks, captured as
+## bench-smoke: one-iteration dd + cnum + batch + session benchmarks, captured as
 ## the raw go-test JSON stream (BENCH_dd.json) and parsed by
 ## scripts/benchsummary into the stable-schema BENCH_summary.json
 ## (benchmark -> ns/op, allocs/op, custom metrics) that bench-check gates on
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Gate|Session|Channel' -benchtime 100ms -count 5 -benchmem -json \
-		./internal/dd ./internal/sim ./internal/density > BENCH_dd.json
+	$(GO) test -run '^$$' -bench 'Gate|Session|Channel|Lookup' -benchtime 100ms -count 5 -benchmem -json \
+		./internal/dd ./internal/cnum ./internal/sim ./internal/density > BENCH_dd.json
 	$(GO) test -run '^$$' -bench 'Batch' -benchtime 1x -count 3 -benchmem -json \
 		./internal/batch >> BENCH_dd.json
 	$(GO) test -run '^$$' -bench 'Frontier' -benchtime 1x -count 3 -benchmem -json \

@@ -351,9 +351,17 @@ func (j *ClusterJob) Cancel(ctx context.Context) (*JobStatus, error) {
 // Because the replacement job re-executes from the start, already-delivered
 // data events are suppressed by sequence number; the terminal status event is
 // always delivered. fn errors abort the stream and are returned verbatim.
+//
+// The returned envelope comes from the backend that sent the terminal event,
+// never through failover: if that backend dies before answering, Stream
+// returns the terminal event's own status rather than a resubmitted job.
 func (j *ClusterJob) Stream(ctx context.Context, fn func(Event) error) (*JobStatus, error) {
 	seen := int64(-1) // highest data-event seq delivered to fn
+	var final Event   // the terminal status event
 	wfn := func(e Event) error {
+		if e.Type == EventStatus {
+			final = e
+		}
 		if e.Type != EventStatus && e.Seq <= seen {
 			return nil // duplicate from a post-failover re-execution
 		}
@@ -368,7 +376,11 @@ func (j *ClusterJob) Stream(ctx context.Context, fn func(Event) error) (*JobStat
 		cl, id, _ := j.current()
 		terminal, err := cl.streamOnce(ctx, id, &cursor, wfn)
 		if terminal {
-			return j.Status(ctx)
+			st, err := cl.Status(ctx, id)
+			if err != nil {
+				st = &JobStatus{ID: id, Status: final.Status, Error: final.Error}
+			}
+			return j.decorate(st), nil
 		}
 		if err == nil {
 			err = fmt.Errorf("client: stream for %s ended without a terminal event", j.ID())

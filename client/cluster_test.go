@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,12 +27,39 @@ type killableBackend struct {
 	hs     *httptest.Server
 	srv    *serve.Server
 	killed atomic.Bool
+	// killAfterFrames, when positive, is an injected crash point: the
+	// backend dies from inside its next event stream right after that many
+	// SSE frames have been flushed to the client, so the kill lands
+	// mid-stream, before the terminal event, on every run.
+	killAfterFrames atomic.Int32
 }
 
 func (kb *killableBackend) kill() {
 	kb.killed.Store(true)
 	kb.hs.CloseClientConnections()
 }
+
+// frameKiller wraps an event stream's ResponseWriter to fire the injected
+// crash point. The server writes each SSE frame with a single Write.
+type frameKiller struct {
+	http.ResponseWriter
+	kb   *killableBackend
+	left int32
+}
+
+func (f *frameKiller) Write(p []byte) (int, error) {
+	if f.kb.killed.Load() {
+		panic(http.ErrAbortHandler)
+	}
+	n, err := f.ResponseWriter.Write(p)
+	if f.left--; f.left == 0 {
+		f.Flush()
+		f.kb.kill()
+	}
+	return n, err
+}
+
+func (f *frameKiller) Flush() { f.ResponseWriter.(http.Flusher).Flush() }
 
 func startKillableBackends(t *testing.T, n int) []*killableBackend {
 	t.Helper()
@@ -44,6 +70,9 @@ func startKillableBackends(t *testing.T, n int) []*killableBackend {
 		kb.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if kb.killed.Load() {
 				panic(http.ErrAbortHandler)
+			}
+			if n := kb.killAfterFrames.Load(); n > 0 && strings.HasSuffix(r.URL.Path, "/events") {
+				w = &frameKiller{ResponseWriter: w, kb: kb, left: n}
 			}
 			inner.ServeHTTP(w, r)
 		}))
@@ -206,8 +235,6 @@ func TestClusterStreamResumesOnFailoverTarget(t *testing.T) {
 	cc := newTestCluster(t, backends)
 	ctx := context.Background()
 
-	// A wide inline circuit keeps the job running long enough that the kill
-	// lands mid-stream.
 	req := JobRequest{Qubits: 4, Shots: 4}
 	for i := 0; i < 400; i++ {
 		req.Gates = append(req.Gates, GateSpec{Name: "h", Target: i % 4})
@@ -217,22 +244,20 @@ func TestClusterStreamResumesOnFailoverTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary := job.Backend()
+	// The owner dies once its stream has delivered the first event.
+	for i, name := range cc.names {
+		if name == primary {
+			backends[i].killAfterFrames.Store(1)
+		}
+	}
 
 	var events []Event
 	var sawTerminal bool
-	killOnce := sync.OnceFunc(func() {
-		for i, name := range cc.names {
-			if name == primary {
-				backends[i].kill()
-			}
-		}
-	})
 	final, err := job.Stream(ctx, func(e Event) error {
 		events = append(events, e)
 		if e.Type == EventStatus {
 			sawTerminal = true
 		}
-		killOnce()
 		return nil
 	})
 	if err != nil {
@@ -247,6 +272,9 @@ func TestClusterStreamResumesOnFailoverTarget(t *testing.T) {
 	if !sawTerminal {
 		t.Error("terminal status event never delivered")
 	}
+	if len(events) < 2 || events[0].Type == EventStatus {
+		t.Fatalf("the dead owner delivered no data event before the failover (%d events)", len(events))
+	}
 	// Failover must not replay data events: sequence numbers of non-status
 	// events are strictly increasing across the backend switch.
 	last := int64(-1)
@@ -259,8 +287,40 @@ func TestClusterStreamResumesOnFailoverTarget(t *testing.T) {
 		}
 		last = e.Seq
 	}
-	if last < 0 {
-		t.Error("no data events delivered at all")
+}
+
+// TestClusterStreamReturnsTerminalStatusWhenOwnerDies kills the owner after
+// its terminal event has arrived but before Stream returns. The job is over,
+// so Stream must report the terminal status it was sent, not fail over into
+// a resubmitted, non-terminal job.
+func TestClusterStreamReturnsTerminalStatusWhenOwnerDies(t *testing.T) {
+	backends := startKillableBackends(t, 2)
+	cc := newTestCluster(t, backends)
+	ctx := context.Background()
+
+	job, err := cc.Submit(ctx, JobRequest{QASM: clusterQASM, Shots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := job.Backend()
+	final, err := job.Stream(ctx, func(e Event) error {
+		if e.Type == EventStatus {
+			for i, name := range cc.names {
+				if name == primary {
+					backends[i].kill()
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if final.Status != StatusDone {
+		t.Fatalf("final status %q, want %q from the terminal event", final.Status, StatusDone)
+	}
+	if job.Backend() != primary || !strings.HasPrefix(final.ID, primary+idSep) {
+		t.Errorf("Stream resubmitted the finished job: owner %q, status id %q", job.Backend(), final.ID)
 	}
 }
 

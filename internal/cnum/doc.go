@@ -7,13 +7,15 @@
 // complex-number tables of Zulehner, Hillmich, and Wille ("How to efficiently
 // handle complex values? Implementing decision diagrams for quantum
 // computing", ICCAD 2019): values are bucketed on a tolerance grid and looked
-// up before insertion.
+// up before insertion, probing the neighbouring cells so values straddling a
+// cell edge still unify.
 //
-// The cell map is split into shards. Per-manager tables (NewTable) are
-// single-goroutine and skip all locking; NewSharedTable enables per-shard
-// locks so many goroutines can intern concurrently against one table.
-// Lookup/hit counters are atomic in both modes, and the batch engine's
-// per-worker managers each own an unshared table, so nothing is shared hot.
+// The grid lives in one flat, power-of-two, open-addressed slot array with
+// linear probing, kept at most half full. A slot holds a 32-bit fingerprint
+// of the cell hash and the value's position in the table's value list; it
+// holds no pointer, so the garbage collector never scans it. Each DD manager
+// owns its own table and uses it from one goroutine, so the table takes no
+// locks and its counters are plain fields.
 //
 // Every interned Value carries a stable 64-bit hash derived from its
 // tolerance-grid cell (Value.Hash): equal weights hash equally in every

@@ -1,10 +1,6 @@
 package cnum
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // DefaultTolerance is the grid spacing used to decide when two floating-point
 // complex values are considered the same weight. It matches the order of
@@ -16,29 +12,20 @@ const DefaultTolerance = 1e-10
 type cellKey struct{ re, im int64 }
 
 const (
-	// numShards splits the cell map so a shared table contends on per-shard
-	// locks instead of one global lock. Must be a power of two. Per-manager
-	// (unshared) tables use the same sharding with the locks compiled out of
-	// the hot path, so both modes run the same interning policy.
-	numShards = 8
+	// initialSlots is the slot count of a fresh table: room for 512 values
+	// before the first growth. Must be a power of two.
+	initialSlots = 1024
 	// valueChunk is the number of Values allocated per arena chunk.
 	valueChunk = 1024
 )
 
-// tableShard is one slice of the cell map. The trailing pad keeps shards on
-// separate cache lines so per-shard locks in shared mode do not false-share.
-type tableShard struct {
-	mu    sync.Mutex
-	cells map[cellKey]*Value
-	_     [40]byte
-}
-
-// shardOf selects a shard from well-mixed high multiply bits, so neighbouring
-// cells spread across shards.
-func shardOf(k cellKey) int {
-	h := uint64(k.re)*0x9E3779B97F4A7C15 ^ uint64(k.im)*0xC6A4A7935BD1E995
-	return int(h >> (64 - 3)) // top log2(numShards) bits
-}
+// slot is one entry of the open-addressed cell array. fp is the high half of
+// the value's cell hash; ref is its position in Table.vals plus one, so the
+// zero slot is empty. Slots hold no pointers, so the garbage collector never
+// scans the array. The cell itself is not stored: every interned value lies
+// in the cell it is filed under, so a fingerprint match is confirmed by
+// re-deriving key(v.Re, v.Im).
+type slot struct{ fp, ref uint32 }
 
 // cellHash derives the canonical Value hash from the grid cell alone. Two
 // tables at the same tolerance therefore assign equal hashes to equal
@@ -51,15 +38,18 @@ func cellHash(k cellKey) uint64 {
 }
 
 // Table interns complex values on a tolerance grid. The zero value is not
-// usable; construct with NewTable (single-goroutine, the per-manager default)
-// or NewSharedTable (per-shard locking for concurrent interning). Stats
-// counters are atomic in both modes, so observers may read them while another
-// goroutine interns.
+// usable; construct with NewTable. A table belongs to one goroutine (each DD
+// manager owns its own), so it takes no locks.
 type Table struct {
-	tol    float64
-	shared bool
+	tol float64
 
-	shards [numShards]tableShard
+	// slots is a power-of-two open-addressed array indexed by cell hash,
+	// probed linearly and kept at most half full. vals lists the interned
+	// values in interning order, Zero and One first. Values are never removed
+	// one by one (only Reset empties the table), so there are no tombstones.
+	slots []slot
+	mask  uint64
+	vals  []*Value
 
 	// Canonical values. Zero and One are used pervasively by the DD engine
 	// for pointer-identity fast paths; Reset keeps their pointer identity.
@@ -69,42 +59,28 @@ type Table struct {
 	// Value arena: values are allocated from retained chunks and harvested
 	// onto a free list by Reset, so steady-state interning after a Reset
 	// allocates nothing.
-	arenaMu   sync.Mutex // guards chunk/chunkNext/free in shared mode
 	chunk     []Value
 	chunkNext int
 	free      []*Value
 
-	lookups atomic.Int64
-	misses  atomic.Int64 // lookups that interned a new value
-	size    atomic.Int64
-	peak    atomic.Int64
+	lookups int64
+	misses  int64 // lookups that interned a new value
+	peak    int
 }
 
-// NewTable returns a single-goroutine table with DefaultTolerance.
+// NewTable returns a table with DefaultTolerance.
 func NewTable() *Table { return NewTableTol(DefaultTolerance) }
 
-// NewTableTol returns a single-goroutine table with the given tolerance.
-// tol must be positive.
-func NewTableTol(tol float64) *Table { return newTable(tol, false) }
-
-// NewSharedTable returns a table safe for concurrent Lookup from multiple
-// goroutines, using per-shard locks; it has DefaultTolerance. Per-cell
-// canonicalization (same cell ⇒ same pointer) holds under concurrency;
-// cross-cell tolerance snapping is best-effort when two goroutines intern
-// values straddling a cell boundary at the same moment, so bit-level
-// reproducibility guarantees require the per-manager unshared tables.
-func NewSharedTable() *Table { return NewSharedTableTol(DefaultTolerance) }
-
-// NewSharedTableTol is NewSharedTable with an explicit tolerance.
-func NewSharedTableTol(tol float64) *Table { return newTable(tol, true) }
-
-func newTable(tol float64, shared bool) *Table {
+// NewTableTol returns a table with the given tolerance. tol must be positive.
+func NewTableTol(tol float64) *Table {
 	if tol <= 0 {
 		panic("cnum: tolerance must be positive")
 	}
-	t := &Table{tol: tol, shared: shared}
-	for i := range t.shards {
-		t.shards[i].cells = make(map[cellKey]*Value, 128)
+	t := &Table{
+		tol:   tol,
+		slots: make([]slot, initialSlots),
+		mask:  initialSlots - 1,
+		vals:  make([]*Value, 0, initialSlots/2),
 	}
 	t.Zero = t.Lookup(0)
 	t.One = t.Lookup(1)
@@ -115,19 +91,18 @@ func newTable(tol float64, shared bool) *Table {
 func (t *Table) Tolerance() float64 { return t.tol }
 
 // Size returns the number of currently interned values.
-func (t *Table) Size() int { return int(t.size.Load()) }
+func (t *Table) Size() int { return len(t.vals) }
 
 // Peak returns the high-water mark of Size since the table was created or
 // last Reset, so per-job table pressure stays observable when managers are
 // reused across jobs.
-func (t *Table) Peak() int { return int(t.peak.Load()) }
+func (t *Table) Peak() int { return t.peak }
 
 // Stats returns lookup and hit counters. Both counters are monotonic over
 // the table lifetime (Reset does not rewind them), so callers measuring one
-// run take deltas. Safe to call concurrently with lookups on shared tables.
+// run take deltas.
 func (t *Table) Stats() (lookups, hits int64) {
-	l := t.lookups.Load()
-	return l, l - t.misses.Load()
+	return t.lookups, t.lookups - t.misses
 }
 
 func (t *Table) key(re, im float64) cellKey {
@@ -158,7 +133,7 @@ func (t *Table) Lookup(c complex128) *Value {
 
 // LookupFloat is Lookup for separate real/imaginary parts.
 func (t *Table) LookupFloat(re, im float64) *Value {
-	t.lookups.Add(1)
+	t.lookups++
 	// Canonicalize signed zeros so -0.0 and +0.0 intern identically.
 	if re == 0 {
 		re = 0
@@ -167,18 +142,27 @@ func (t *Table) LookupFloat(re, im float64) *Value {
 		im = 0
 	}
 	k := t.key(re, im)
-	s := &t.shards[shardOf(k)]
-	if t.shared {
-		s.mu.Lock()
-		v, ok := s.cells[k]
-		s.mu.Unlock()
-		if ok {
-			return v
-		}
-	} else if v, ok := s.cells[k]; ok {
+	if v := t.find(k); v != nil {
 		return v
 	}
 	return t.lookupSlow(k, re, im)
+}
+
+// find returns the value filed under cell k, or nil.
+func (t *Table) find(k cellKey) *Value {
+	h := cellHash(k)
+	fp := uint32(h >> 32)
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		s := t.slots[i]
+		if s.ref == 0 {
+			return nil
+		}
+		if s.fp == fp {
+			if v := t.vals[s.ref-1]; t.key(v.Re, v.Im) == k {
+				return v
+			}
+		}
+	}
 }
 
 // lookupSlow handles the exact-cell miss: neighbour probing, canonical
@@ -191,16 +175,8 @@ func (t *Table) lookupSlow(k cellKey, re, im float64) *Value {
 			if dr == 0 && di == 0 {
 				continue
 			}
-			nk := cellKey{k.re + dr, k.im + di}
-			ns := &t.shards[shardOf(nk)]
-			if t.shared {
-				ns.mu.Lock()
-			}
-			v, ok := ns.cells[nk]
-			if t.shared {
-				ns.mu.Unlock()
-			}
-			if ok && math.Abs(v.Re-re) <= t.tol && math.Abs(v.Im-im) <= t.tol {
+			v := t.find(cellKey{k.re + dr, k.im + di})
+			if v != nil && math.Abs(v.Re-re) <= t.tol && math.Abs(v.Im-im) <= t.tol {
 				return v
 			}
 		}
@@ -219,38 +195,38 @@ func (t *Table) lookupSlow(k cellKey, re, im float64) *Value {
 	}
 	v := t.allocValue()
 	*v = Value{Re: re, Im: im, hash: cellHash(k)}
-	s := &t.shards[shardOf(k)]
-	if t.shared {
-		s.mu.Lock()
-		if w, ok := s.cells[k]; ok {
-			// Another goroutine interned this cell between our probe and the
-			// insert; keep the winner and recycle our candidate.
-			s.mu.Unlock()
-			t.freeValue(v)
-			return w
-		}
-		s.cells[k] = v
-		s.mu.Unlock()
-	} else {
-		s.cells[k] = v
-	}
-	t.misses.Add(1)
-	sz := t.size.Add(1)
-	for {
-		p := t.peak.Load()
-		if sz <= p || t.peak.CompareAndSwap(p, sz) {
-			break
-		}
-	}
+	t.insert(v)
+	t.misses++
 	return v
+}
+
+// insert files v, whose cell is known to be absent, doubling the slot array
+// and refiling every value once the table passes half load.
+func (t *Table) insert(v *Value) {
+	t.vals = append(t.vals, v)
+	if 2*len(t.vals) > len(t.slots) {
+		t.slots = make([]slot, 2*len(t.slots))
+		t.mask = uint64(len(t.slots) - 1)
+		for i, w := range t.vals {
+			t.place(w.hash, uint32(i+1))
+		}
+	} else {
+		t.place(v.hash, uint32(len(t.vals)))
+	}
+	t.peak = max(t.peak, len(t.vals))
+}
+
+// place files ref in the first empty slot of hash's probe sequence.
+func (t *Table) place(hash uint64, ref uint32) {
+	i := hash & t.mask
+	for t.slots[i].ref != 0 {
+		i = (i + 1) & t.mask
+	}
+	t.slots[i] = slot{fp: uint32(hash >> 32), ref: ref}
 }
 
 // allocValue hands out a Value from the free list or the current chunk.
 func (t *Table) allocValue() *Value {
-	if t.shared {
-		t.arenaMu.Lock()
-		defer t.arenaMu.Unlock()
-	}
 	if n := len(t.free); n > 0 {
 		v := t.free[n-1]
 		t.free = t.free[:n-1]
@@ -265,37 +241,21 @@ func (t *Table) allocValue() *Value {
 	return v
 }
 
-func (t *Table) freeValue(v *Value) {
-	if t.shared {
-		t.arenaMu.Lock()
-		defer t.arenaMu.Unlock()
-	}
-	t.free = append(t.free, v)
-}
-
 // Reset empties the table, harvesting every interned value (except the
 // canonical Zero and One, whose pointer identity survives) onto the arena
-// free list so subsequent interning reuses their memory. Lookup/hit counters
-// keep accumulating; Peak restarts at the post-reset size so it reports
-// per-epoch pressure. The caller must guarantee quiescence: Reset must not
-// race with Lookup, even on shared tables.
+// free list so subsequent interning reuses their memory. The slot array
+// keeps its size. Lookup/hit counters keep accumulating; Peak restarts at
+// the post-reset size so it reports per-epoch pressure.
 func (t *Table) Reset() {
-	for i := range t.shards {
-		s := &t.shards[i]
-		for _, v := range s.cells {
-			if v == t.Zero || v == t.One {
-				continue
-			}
-			t.free = append(t.free, v)
-		}
-		clear(s.cells)
-	}
-	zk := t.key(0, 0)
-	ok := t.key(1, 0)
-	t.shards[shardOf(zk)].cells[zk] = t.Zero
-	t.shards[shardOf(ok)].cells[ok] = t.One
-	t.size.Store(2)
-	t.peak.Store(2)
+	// vals[0] and vals[1] are Zero and One: they are interned first, both
+	// by NewTableTol and below.
+	t.free = append(t.free, t.vals[2:]...)
+	clear(t.vals[2:])
+	t.vals = t.vals[:0]
+	clear(t.slots)
+	t.peak = 0
+	t.insert(t.Zero)
+	t.insert(t.One)
 }
 
 // Trim releases the arena free list and spare chunk capacity to the garbage

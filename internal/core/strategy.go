@@ -139,13 +139,24 @@ func NewFidelityDriven(finalFidelity, roundFidelity float64) *FidelityDriven {
 // Name implements Strategy.
 func (s *FidelityDriven) Name() string { return "fidelity-driven" }
 
-// MaxRounds returns ⌊log_{f_round}(f_final)⌋, the largest round count that
-// keeps the guaranteed product fidelity above f_final (Section IV-C).
+// MaxRounds returns ⌊log_{f_round}(f_final)⌋, the largest round count k with
+// f_round^k ≥ f_final, which keeps the guaranteed product fidelity above
+// f_final (Section IV-C). The quotient of logarithms only seeds an integer
+// search on f_round^k itself, whose comparison forgives a few ulps, so an
+// f_final that is an exact power of f_round (0.81 = 0.9²) gets every round.
 func (s *FidelityDriven) MaxRounds() int {
 	if s.RoundFidelity >= 1 {
 		return 0
 	}
-	return int(math.Floor(math.Log(s.FinalFidelity) / math.Log(s.RoundFidelity)))
+	floor := s.FinalFidelity * (1 - 0x1p-50)
+	k := max(0, int(math.Log(s.FinalFidelity)/math.Log(s.RoundFidelity)))
+	for k > 0 && math.Pow(s.RoundFidelity, float64(k)) < floor {
+		k--
+	}
+	for math.Pow(s.RoundFidelity, float64(k+1)) >= floor {
+		k++
+	}
+	return k
 }
 
 // Init implements Strategy.

@@ -79,6 +79,35 @@ func TestFidelityDrivenMaxRounds(t *testing.T) {
 	}
 }
 
+// TestFidelityDrivenMaxRoundsTable pins MaxRounds on f_final values that are
+// exact powers of f_round, where the quotient of logarithms lands a hair
+// below the integer (0.81 / 0.9 read 1.9999999999999998) and f_round^k may
+// be an ulp below f_final, next to the paper's settings and the edges.
+func TestFidelityDrivenMaxRoundsTable(t *testing.T) {
+	for _, tc := range []struct {
+		final, round float64
+		want         int
+	}{
+		{0.5, 0.9, 6},
+		{0.5, 0.99, 68},
+		{0.5, 0.71, 2},
+		{0.81, 0.9, 2},
+		{0.729, 0.9, 3},
+		{0.9025, 0.95, 2},
+		{0.857375, 0.95, 3},
+		{0.970299, 0.99, 3},
+		{0.25, 0.5, 2},
+		{0.9, 0.9, 1},
+		{0.95, 0.9, 0},
+		{1, 0.9, 0},
+		{0.5, 1, 0},
+	} {
+		if got := NewFidelityDriven(tc.final, tc.round).MaxRounds(); got != tc.want {
+			t.Error(tc.final, tc.round, got, tc.want)
+		}
+	}
+}
+
 func TestFidelityDrivenValidation(t *testing.T) {
 	if err := NewFidelityDriven(0, 0.9).Init(10, nil); err == nil {
 		t.Error("zero final fidelity accepted")

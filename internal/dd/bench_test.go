@@ -136,3 +136,43 @@ func BenchmarkGateCleanupCycle(b *testing.B) {
 		_ = e
 	}
 }
+
+// BenchmarkGateLevel applies a Hadamard to the top qubit and to qubit 0 of a
+// 16-qubit state (a random 12-qubit state under |+⟩ on the top four), caches
+// cleared every iteration. Below its target a gate is the identity, so the
+// top-level gate touches a handful of nodes while the level-0 gate walks the
+// whole state.
+func BenchmarkGateLevel(b *testing.B) {
+	const n, low = 16, 12
+	rng := rand.New(rand.NewSource(5))
+	vec := make([]complex128, 1<<n)
+	for i := 0; i < 1<<low; i++ {
+		vec[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	for i := 1 << low; i < len(vec); i++ {
+		vec[i] = vec[i&(1<<low-1)]
+	}
+	h := [4]complex128{
+		complex(1/math.Sqrt2, 0), complex(1/math.Sqrt2, 0),
+		complex(1/math.Sqrt2, 0), complex(-1/math.Sqrt2, 0),
+	}
+	for _, tc := range []struct {
+		name   string
+		target int
+	}{{"top", n - 1}, {"level0", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := New()
+			state, err := m.FromAmplitudes(vec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			op := m.MakeGateDD(n, h, tc.target)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ClearCaches()
+				state = m.MulVec(op, state)
+			}
+		})
+	}
+}

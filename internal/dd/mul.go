@@ -2,7 +2,9 @@ package dd
 
 // MulVec applies the operation DD op to the state DD v (matrix-vector
 // multiplication), the core simulation step of Section II-A performed
-// directly on decision diagrams.
+// directly on decision diagrams. Below a gate's lowest target or control the
+// operation is the cached identity, and the state's sub-DD there is returned
+// as is instead of being walked and rebuilt.
 func (m *Manager) MulVec(op MEdge, v VEdge) VEdge {
 	if m.IsMZero(op) || m.IsVZero(v) {
 		return m.VZero()
@@ -23,6 +25,9 @@ func (m *Manager) mulVecNodes(mn *MNode, vn *VNode) VEdge {
 	}
 	if mn.Var != vn.Var {
 		panic("dd: MulVec level mismatch")
+	}
+	if int(mn.Var)+1 < len(m.idChain) && m.idChain[mn.Var+1].N == mn {
+		return VEdge{W: m.CN.One, N: vn}
 	}
 	if res, ok := m.mulLookup(mn, vn); ok {
 		return res

@@ -107,7 +107,7 @@ func main() {
 	// The multi-worker BatchRun configurations measure parallel scaling,
 	// which depends on ambient machine load no calibration can correct, so
 	// the gate covers the Batch engine through its serial configuration.
-	match := flag.String("match", `Gate|Session|Channel|BatchRun/workers1$`, "regexp selecting the gated benchmarks")
+	match := flag.String("match", `Gate|Session|Channel|Lookup|BatchRun/workers1$`, "regexp selecting the gated benchmarks")
 	minScaling := flag.Float64("min-scaling", 2.5, "required BatchRun workers1/workers4 ns/op speedup; skipped below 4 CPUs (0 disables)")
 	minAllocFactor := flag.Float64("min-alloc-factor", 5, "required allocs/op and B/op reduction of BatchRun/workers4_arena vs workers4 (0 disables)")
 	clusterPath := flag.String("cluster", "", "BENCH_cluster.json from cmd/loadgen to gate (check mode; empty skips the cluster gate)")
