@@ -197,18 +197,15 @@ type (
 	// options, or fill the struct directly.
 	BatchOptions = batch.Options
 	// BatchOption is one functional batch option (WithWorkers,
-	// WithReuseManagers, WithArena, …), accepted by BatchRun.
+	// WithBaseSeed, WithJobTimeout, …), accepted by BatchRun.
 	BatchOption = batch.Option
 	// BatchResult aggregates a finished batch.
 	BatchResult = batch.Result
-	// BatchArenaConfig sizes the per-worker memory arenas used when
-	// managers are reused (WithArena).
-	BatchArenaConfig = batch.ArenaConfig
 	// BatchObserver receives batch-lifecycle events (per-job start/done,
 	// per-worker summaries) on the worker goroutines.
 	BatchObserver = batch.Observer
-	// BatchWorkerStats aggregates one worker's jobs, busy time, and arena
-	// occupancy (BatchResult.PerWorker, pool state snapshots).
+	// BatchWorkerStats aggregates one worker's jobs and busy time
+	// (BatchResult.PerWorker, pool state snapshots).
 	BatchWorkerStats = batch.WorkerStats
 )
 
@@ -262,26 +259,18 @@ func Serve(ctx context.Context, addr string, cfg ServeConfig, grace time.Duratio
 }
 
 // BatchRun fans independent simulation jobs out across a worker pool, one
-// DD manager per worker, configured by functional options:
+// fresh DD manager per job, configured by functional options:
 //
 //	res, err := repro.BatchRun(ctx, jobs,
-//		repro.WithWorkers(4),
-//		repro.WithArena(repro.BatchArenaConfig{PrewarmNodes: 1 << 16}))
+//		repro.WithWorkers(4), repro.WithJobTimeout(time.Minute))
 //
 // Seeding is deterministic per job (derived from the base seed and the job
 // index), cancellation is context-based, and per-job deadlines are
 // supported. Results are ordered by job index and are bit-identical for any
-// worker count and manager-reuse mode (timing fields aside).
+// worker count (timing fields aside). A job's final state is readable only
+// in its BatchJob.Finalize hook; the returned results no longer hold it.
 func BatchRun(ctx context.Context, jobs []BatchJob, opts ...BatchOption) (*BatchResult, error) {
 	return batch.Run(ctx, jobs, batch.NewOptions(opts...))
-}
-
-// BatchRunOptions is BatchRun taking the underlying options struct.
-//
-// Deprecated: use BatchRun with functional options, or NewBatchOptions to
-// build the struct.
-func BatchRunOptions(ctx context.Context, jobs []BatchJob, opts BatchOptions) (*BatchResult, error) {
-	return batch.Run(ctx, jobs, opts)
 }
 
 // NewBatchOptions folds functional batch options into a BatchOptions value,
@@ -299,14 +288,6 @@ func WithBaseSeed(seed int64) BatchOption { return batch.WithBaseSeed(seed) }
 // WithJobTimeout bounds every job's simulation (BatchJob.Timeout overrides
 // it per job).
 func WithJobTimeout(d time.Duration) BatchOption { return batch.WithJobTimeout(d) }
-
-// WithReuseManagers keeps one DD manager per worker, reset between jobs:
-// warm memory, bit-identical results.
-func WithReuseManagers() BatchOption { return batch.WithReuseManagers() }
-
-// WithArena enables manager reuse with explicit arena sizing (pre-warmed
-// node pools, bounded retention across batches).
-func WithArena(cfg BatchArenaConfig) BatchOption { return batch.WithArena(cfg) }
 
 // WithBatchObserver wires a batch-lifecycle observer into the run.
 func WithBatchObserver(obs BatchObserver) BatchOption { return batch.WithObserver(obs) }

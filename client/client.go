@@ -55,7 +55,7 @@ type (
 	// Stats is the GET /v1/stats body.
 	Stats = serve.Stats
 	// PoolState is the worker-pool snapshot in Stats, including per-worker
-	// utilization and arena occupancy.
+	// utilization.
 	PoolState = batch.PoolState
 	// PoolWorkerState is one worker's entry in PoolState.PerWorker.
 	PoolWorkerState = batch.PoolWorkerState

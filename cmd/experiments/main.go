@@ -14,7 +14,6 @@
 //	experiments -verbose       # append DD memory-system stats (per-cache
 //	                           # hits/misses/evictions, pool and weight-table
 //	                           # pressure) from a representative run
-//	experiments -reuse         # recycle pooled DD memory across sweep jobs
 //	experiments -seed 42       # pin per-job measurement seeds
 //
 // The report header carries the resolved worker count and seed, so every
@@ -44,11 +43,10 @@ func main() {
 	scale := flag.String("scale", benchtab.PresetSmall, "preset: small, medium, or paper")
 	parallel := flag.Int("parallel", 1, "simulation workers for Table I and the sweeps (0 = one per CPU)")
 	verbose := flag.Bool("verbose", false, "append DD memory-system statistics (per-cache hits/misses/evictions, node pool, weight table)")
-	reuse := flag.Bool("reuse", false, "keep one DD manager per worker across sweep jobs, resetting it between jobs (results stay bit-identical; warm jobs run out of retained pool memory)")
 	seed := flag.Int64("seed", 0, "base seed for per-job measurement seeds")
 	flag.Parse()
 	workers := benchtab.Workers(*parallel)
-	runOpts := benchtab.RunOptions{Parallel: workers, Reuse: *reuse, BaseSeed: *seed}
+	runOpts := benchtab.RunOptions{Parallel: workers, BaseSeed: *seed}
 
 	// The header carries the resolved worker count and seed so every number
 	// in a published report is reproducible from the report itself.

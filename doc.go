@@ -24,13 +24,14 @@
 //	// res.Final is the state DD; sample or inspect amplitudes via s.M.
 //
 // Batch simulation: the paper's tables and hyper-parameter sweeps are many
-// independent runs, and BatchRun fans them out across a worker pool (one DD
-// manager per worker) with deterministic per-job seeding, context
+// independent runs, and BatchRun fans them out across a worker pool (one
+// fresh DD manager per job) with deterministic per-job seeding, context
 // cancellation, and per-job deadlines. Results are bit-identical for any
-// worker count and manager-reuse mode, timing fields aside:
+// worker count, timing fields aside; a job's final state is readable in its
+// Finalize hook, after which the engine drops the job's manager:
 //
 //	res, err := repro.BatchRun(ctx, jobs,
-//		repro.WithWorkers(4), repro.WithReuseManagers())
+//		repro.WithWorkers(4), repro.WithBaseSeed(42))
 //
 // The same engine backs Table1Suite.RunMemoryDrivenBatch /
 // RunFidelityDrivenBatch and the benchtab sweep drivers; the table1 and

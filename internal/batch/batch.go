@@ -11,6 +11,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cnum"
 	"repro/internal/core"
+	"repro/internal/dd"
 	"repro/internal/sim"
 )
 
@@ -43,13 +44,12 @@ type Job struct {
 	// Options.Deadline wins over both.
 	Timeout time.Duration
 	// Finalize, when non-nil, runs on the worker goroutine immediately
-	// after the simulation finishes (on success and on failure alike),
-	// while the worker's DD manager is still exclusively owned by this job.
-	// This is the only safe place to post-process a result when managers
-	// are reused: r.Result.Manager (when r.Result is non-nil) is valid for
-	// sampling or fidelity computations here, but may be recycled as soon
-	// as Finalize returns. Mutations to r are reflected in the reported
-	// JobResult.
+	// after the simulation finishes (on success and on failure alike).
+	// It is the only place to post-process the final state: r.Result.Manager,
+	// Final and Density (when r.Result is non-nil) are valid for sampling or
+	// fidelity computations here, and the engine clears them as soon as
+	// Finalize returns, so a retained result never pins its DD manager.
+	// Mutations to r are reflected in the reported JobResult.
 	Finalize func(r *JobResult)
 }
 
@@ -63,7 +63,8 @@ type JobResult struct {
 	Worker int
 	// Seed is the measurement seed the run actually used.
 	Seed int64
-	// Result is the simulation result, nil on error.
+	// Result is the simulation result, nil on error. Its Manager, Final
+	// and Density are cleared once Job.Finalize returns.
 	Result *sim.Result
 	// Elapsed is the wall-clock time the job occupied its worker,
 	// including failed and timed-out attempts (zero for jobs that never
@@ -120,22 +121,6 @@ type Options struct {
 	// JobTimeout bounds every job's simulation (Job.Timeout overrides it
 	// per job). Zero means no limit.
 	JobTimeout time.Duration
-	// ReuseManagers keeps one manager per worker alive across that
-	// worker's jobs instead of building a fresh one per job. Between jobs
-	// the worker resets the manager (sim.Simulator.Reset), so later jobs
-	// allocate from warm node pools, cache backings, and the interned-weight
-	// arena instead of growing them from scratch. Reset restores bit-level
-	// reproducibility: every job's result is bit-identical to a run on a
-	// fresh manager regardless of worker count or job-to-worker assignment.
-	// The remaining trade-off is lifetime, not accuracy: a job's
-	// Result.Final is only valid until its worker starts the next job, so
-	// post-processing must happen in Job.Finalize.
-	ReuseManagers bool
-	// Arena sizes the per-worker memory arenas used when ReuseManagers is
-	// set (ignored otherwise); see ArenaConfig. Workers draw reset
-	// simulators from a process-wide arena at batch start and return them
-	// at batch end, so consecutive batches share warm memory.
-	Arena ArenaConfig
 	// Observer, when non-nil, receives batch-lifecycle events: per-job
 	// start/done on the job's worker, and one WorkerStats summary per
 	// worker. See Observer for the concurrency contract.
@@ -191,32 +176,16 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			var s *sim.Simulator
-			if opts.ReuseManagers {
-				s = acquireSim(opts.Arena)
-				defer releaseSim(s, opts.Arena)
-			}
 			ws := &res.PerWorker[worker] // workers only touch their own entry
-			first := true
 			for idx := range idxCh {
-				if s != nil && !first {
-					// Reset — not merely recycle — so the next job replays
-					// bit-identically to a fresh manager while reusing the
-					// pools, cache backings, and weight arena.
-					s.Reset()
-				}
-				first = false
 				if opts.Observer != nil {
 					opts.Observer.OnJobStart(worker, idx, jobs[idx].Name)
 				}
-				jr := runJob(ctx, worker, idx, jobs[idx], opts, s)
+				jr := runJob(ctx, worker, idx, jobs[idx], opts)
+				finalize(&jr, jobs[idx].Finalize)
 				res.Jobs[idx] = jr // each index is written exactly once
 				ws.Jobs++
 				ws.Busy += jr.Elapsed
-				if s != nil {
-					ws.ArenaNodes = s.M.Pool().Capacity
-					ws.ArenaWeights = s.M.CN.Size()
-				}
 				if opts.Observer != nil {
 					opts.Observer.OnJobDone(worker, jr)
 				}
@@ -265,13 +234,10 @@ dispatch:
 	return res, cause
 }
 
-// runJob executes one job on the worker's simulator (or a fresh one when
-// managers are not reused).
-func runJob(ctx context.Context, worker, idx int, job Job, opts Options, s *sim.Simulator) (jr JobResult) {
-	if job.Finalize != nil {
-		defer func() { job.Finalize(&jr) }()
-	}
-	jr = JobResult{Index: idx, Name: job.Name, Worker: worker}
+// runJob executes one job on a fresh simulator. The caller passes the
+// outcome through finalize.
+func runJob(ctx context.Context, worker, idx int, job Job, opts Options) JobResult {
+	jr := JobResult{Index: idx, Name: job.Name, Worker: worker}
 	if err := context.Cause(ctx); err != nil {
 		jr.Err = err
 		return jr
@@ -303,13 +269,21 @@ func runJob(ctx context.Context, worker, idx int, job Job, opts Options, s *sim.
 	if job.Observer != nil {
 		o.Observer = job.Observer
 	}
-	if s == nil {
-		s = sim.New()
-	}
 	begin := time.Now()
-	jr.Result, jr.Err = s.Run(job.Circuit, o)
+	jr.Result, jr.Err = sim.New().Run(job.Circuit, o)
 	jr.Elapsed = time.Since(begin)
 	return jr
+}
+
+// finalize runs a job's Finalize hook, then drops the result's references
+// to its manager, so the manager becomes garbage as soon as the job ends.
+func finalize(jr *JobResult, hook func(*JobResult)) {
+	if hook != nil {
+		hook(jr)
+	}
+	if r := jr.Result; r != nil {
+		r.Manager, r.Final, r.Density = nil, dd.VEdge{}, nil
+	}
 }
 
 // Seed derives the measurement seed for the job at the given index from a

@@ -319,16 +319,6 @@ func TestNilContextDefaultsToBackground(t *testing.T) {
 	}
 }
 
-func TestReuseManagersCompletes(t *testing.T) {
-	res, err := Run(context.Background(), approxJobs(6), Options{Workers: 2, ReuseManagers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 6 {
-		t.Fatalf("completed = %d, want 6", res.Completed)
-	}
-}
-
 // TestStressMoreJobsThanWorkers floods a small pool; run under -race this
 // doubles as the engine's data-race stress test (CI runs go test -race).
 func TestStressMoreJobsThanWorkers(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package batch fans independent simulation jobs out across a pool of
-// worker goroutines. Each worker owns one sim.Simulator — DD managers are
-// not goroutine-safe, so a manager is never shared between workers.
+// worker goroutines. Every job runs on its own fresh sim.Simulator — DD
+// managers are not goroutine-safe, so a manager is never shared.
 //
 // Two execution shapes share one Job type and one determinism contract:
 //
@@ -15,15 +15,15 @@
 // The engine guarantees determinism: a job's outcome depends only on its
 // circuit, its options, and the seed derived from the base seed and the
 // job (or submission) index — never on the worker it lands on or the
-// worker count. By default every job runs on a fresh manager; with
-// ReuseManagers each worker keeps one manager and resets it between jobs,
-// reusing its node pools, cache backings, and interned-weight arena. Reset
-// restores the manager to a bit-level fresh state, so in both modes node
-// identities, value-table contents, and therefore every reported metric
-// are bit-identical between a serial (one-worker) and a parallel run; only
-// wall-clock timing fields differ. The one reuse trade-off is lifetime: a
-// job's Result.Final is only valid inside Job.Finalize, which runs on the
-// worker before the manager is reset for the next job.
+// worker count. Node identities, value-table contents, and therefore every
+// reported metric are bit-identical between a serial (one-worker) and a
+// parallel run; only wall-clock timing fields differ.
+//
+// A job's DD manager lives exactly as long as the job. Job.Finalize runs on
+// the worker right after the simulation and is the one place to sample or
+// compare the final state; when it returns, the engine clears the result's
+// Manager, Final and Density, so neither a returned Result nor a retained
+// Handle keeps a finished job's decision diagrams in memory.
 //
 // Cancellation is cooperative and two-level: the batch context (or a
 // Handle's Cancel) stops dispatch of not-yet-started jobs and aborts

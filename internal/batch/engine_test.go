@@ -13,8 +13,7 @@ import (
 )
 
 // snapshotJobs builds approximation jobs whose Finalize captures the full
-// final-state amplitude vector while the worker's manager is still owned by
-// the job — the only safe place to sample when managers are reused.
+// final-state amplitude vector — the only place the final state is valid.
 func snapshotJobs(n, qubits int, vecs [][]complex128) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
@@ -36,26 +35,16 @@ func snapshotJobs(n, qubits int, vecs [][]complex128) []Job {
 	return jobs
 }
 
-// TestBitIdenticalAcrossWorkersAndReuse is the engine's central determinism
-// claim: every job's full amplitude vector (and every deterministic result
-// field) is bit-identical — no tolerance — across worker counts 1/2/4 and
-// across fresh-manager vs reused-manager execution, because reused managers
-// are Reset to a bit-level fresh state between jobs.
-func TestBitIdenticalAcrossWorkersAndReuse(t *testing.T) {
+// TestBitIdenticalAcrossWorkers is the engine's central determinism claim:
+// every job's full amplitude vector (and every deterministic result field)
+// is bit-identical — no tolerance — across worker counts 1/2/4.
+func TestBitIdenticalAcrossWorkers(t *testing.T) {
 	const nJobs, qubits = 8, 7
 	type mode struct {
 		name    string
 		workers int
-		reuse   bool
-		arena   ArenaConfig
 	}
-	modes := []mode{
-		{"serial_fresh", 1, false, ArenaConfig{}},
-		{"workers4_fresh", 4, false, ArenaConfig{}},
-		{"serial_reuse", 1, true, ArenaConfig{}},
-		{"workers2_reuse", 2, true, ArenaConfig{}},
-		{"workers4_arena", 4, true, ArenaConfig{PrewarmNodes: 4096, MaxRetainedNodes: 1 << 20}},
-	}
+	modes := []mode{{"serial", 1}, {"workers2", 2}, {"workers4", 4}}
 
 	var refVecs [][]complex128
 	var refKeys []jobKey
@@ -63,7 +52,7 @@ func TestBitIdenticalAcrossWorkersAndReuse(t *testing.T) {
 		vecs := make([][]complex128, nJobs)
 		jobs := snapshotJobs(nJobs, qubits, vecs)
 		res, err := Run(context.Background(), jobs, Options{
-			Workers: md.workers, BaseSeed: 42, ReuseManagers: md.reuse, Arena: md.arena,
+			Workers: md.workers, BaseSeed: 42,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", md.name, err)
@@ -130,7 +119,7 @@ func (r *batchRecorder) OnWorkerDone(worker int, ws WorkerStats) {
 func TestBatchObserverAndPerWorkerStats(t *testing.T) {
 	rec := &batchRecorder{}
 	res, err := Run(context.Background(), approxJobs(10), NewOptions(
-		WithWorkers(2), WithBaseSeed(7), WithReuseManagers(), WithObserver(rec),
+		WithWorkers(2), WithBaseSeed(7), WithObserver(rec),
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +138,6 @@ func TestBatchObserverAndPerWorkerStats(t *testing.T) {
 		if ws != rec.workers[w] {
 			t.Errorf("worker %d: result stats %+v != observer stats %+v", w, ws, rec.workers[w])
 		}
-		if ws.Jobs > 0 && (ws.ArenaNodes == 0 || ws.ArenaWeights == 0) {
-			t.Errorf("worker %d ran %d jobs but reports empty arena: %+v", w, ws.Jobs, ws)
-		}
 		jobs += ws.Jobs
 		busy += ws.Busy
 	}
@@ -168,25 +154,15 @@ func TestNewOptionsFoldsBatchOptions(t *testing.T) {
 		WithWorkers(3),
 		WithBaseSeed(11),
 		WithJobTimeout(time.Second),
-		WithArena(ArenaConfig{PrewarmNodes: 100, MaxRetainedNodes: 200}),
 	)
 	if o.Workers != 3 || o.BaseSeed != 11 || o.JobTimeout != time.Second {
 		t.Errorf("options not applied: %+v", o)
 	}
-	if !o.ReuseManagers {
-		t.Error("WithArena must imply ReuseManagers")
-	}
-	if o.Arena.PrewarmNodes != 100 || o.Arena.MaxRetainedNodes != 200 {
-		t.Errorf("arena config not applied: %+v", o.Arena)
-	}
 }
 
 // TestTypedSentinels pins the errors.Is contract of the pool's typed errors,
-// including the deprecated ErrPoolClosed alias and the default cancel cause.
+// including the default cancel cause.
 func TestTypedSentinels(t *testing.T) {
-	if !errors.Is(ErrPoolClosed, ErrShutdown) {
-		t.Error("ErrPoolClosed must alias ErrShutdown")
-	}
 	p := NewPool(PoolOptions{Workers: 1, QueueDepth: 1})
 	slow := Job{Name: "slow", Circuit: gen.RandomCliffordT(14, 100000, 1)}
 	h1, err := p.Submit(slow)
@@ -228,7 +204,7 @@ func TestTypedSentinels(t *testing.T) {
 }
 
 func TestPoolStatePerWorker(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 2, ReuseManagers: true, Arena: ArenaConfig{PrewarmNodes: 2048}})
+	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
 	handles := make([]*Handle, 6)
 	for i := range handles {
@@ -259,9 +235,6 @@ func TestPoolStatePerWorker(t *testing.T) {
 			}
 			if ws.Utilization <= 0 || ws.Utilization > 1 {
 				t.Errorf("worker %d utilization %v outside (0, 1]", w, ws.Utilization)
-			}
-			if ws.ArenaNodes == 0 || ws.ArenaWeights == 0 {
-				t.Errorf("worker %d reports empty arena in reuse mode: %+v", w, ws.WorkerStats)
 			}
 		}
 	}

@@ -33,25 +33,6 @@ func WithJobTimeout(d time.Duration) Option {
 	return func(o *Options) { o.JobTimeout = d }
 }
 
-// WithReuseManagers keeps one DD manager per worker alive across that
-// worker's jobs, resetting (not discarding) it between jobs: warm node pools,
-// cache backings, and the interned-weight arena carry over, cutting steady-
-// state allocation to near zero while results stay bit-identical to fresh
-// managers (see Options.ReuseManagers).
-func WithReuseManagers() Option {
-	return func(o *Options) { o.ReuseManagers = true }
-}
-
-// WithArena enables manager reuse with explicit arena sizing: workers draw
-// pre-warmed simulators from a process-wide arena and return them after the
-// batch, so consecutive BatchRun calls share warm memory too.
-func WithArena(cfg ArenaConfig) Option {
-	return func(o *Options) {
-		o.ReuseManagers = true
-		o.Arena = cfg
-	}
-}
-
 // WithObserver wires a batch-lifecycle observer (per-job start/done and
 // per-worker summaries) into the run.
 func WithObserver(obs Observer) Option {
@@ -62,19 +43,6 @@ func WithObserver(obs Observer) Option {
 // job finishes.
 func WithProgress(fn func(done, total int, r JobResult)) Option {
 	return func(o *Options) { o.Progress = fn }
-}
-
-// ArenaConfig sizes the per-worker memory arenas used when managers are
-// reused. The zero value is valid: no pre-warming, unbounded retention.
-type ArenaConfig struct {
-	// PrewarmNodes pre-allocates about this many DD node slots in a fresh
-	// worker simulator before its first job, so even the first job builds
-	// against warm chunks instead of growing the pools incrementally.
-	PrewarmNodes int
-	// MaxRetainedNodes caps the node-pool capacity a simulator may keep when
-	// it is returned to the arena after a batch; above the cap its pools are
-	// trimmed back to zero (the GC reclaims the chunks). Zero means no cap.
-	MaxRetainedNodes int
 }
 
 // Observer receives batch-lifecycle events. Methods are invoked on worker
@@ -100,11 +68,4 @@ type WorkerStats struct {
 	// Busy is the summed wall-clock time of those jobs; dividing by the
 	// batch WallTime (or pool uptime) gives the worker's utilization.
 	Busy time.Duration
-	// ArenaNodes is the node-slot capacity of the worker's retained manager
-	// arena — warm memory later jobs allocate from — sampled after its last
-	// job. Zero when managers are not reused (each job got a fresh manager).
-	ArenaNodes int
-	// ArenaWeights is the interned complex-weight count of the worker's
-	// retained weight-table arena, sampled with ArenaNodes.
-	ArenaWeights int
 }

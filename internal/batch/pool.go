@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Typed pool errors. Submit returns the first two; the third is the default
@@ -27,11 +25,6 @@ var (
 	ErrCanceled = errors.New("batch: job canceled")
 )
 
-// ErrPoolClosed is the former name of ErrShutdown.
-//
-// Deprecated: use ErrShutdown.
-var ErrPoolClosed = ErrShutdown
-
 // PoolOptions configures an open-ended worker pool.
 type PoolOptions struct {
 	// Workers is the worker-goroutine count; values ≤ 0 select
@@ -49,15 +42,6 @@ type PoolOptions struct {
 	// JobTimeout bounds every job's simulation unless the job carries its
 	// own Timeout. Zero means no limit.
 	JobTimeout time.Duration
-	// ReuseManagers keeps one DD manager per worker alive across jobs,
-	// resetting it between jobs so warm pooled memory is reused while
-	// results stay bit-identical to fresh managers (see Options.
-	// ReuseManagers). A job's Result.Final is then only valid inside
-	// Job.Finalize.
-	ReuseManagers bool
-	// Arena sizes the per-worker memory arenas when ReuseManagers is set;
-	// see ArenaConfig.
-	Arena ArenaConfig
 }
 
 // Pool is the open-ended counterpart of Run: instead of executing one closed
@@ -67,9 +51,9 @@ type PoolOptions struct {
 //
 // The determinism contract matches Run: a job's outcome depends only on its
 // circuit, its options, and the seed derived from PoolOptions.BaseSeed and
-// its submission index — never on which worker runs it, in either manager
-// mode (ReuseManagers resets workers' managers between jobs, which keeps
-// results bit-identical while reusing their memory).
+// its submission index — never on which worker runs it. As in Run, every
+// job gets a fresh manager that its Handle stops referencing once
+// Job.Finalize returns.
 type Pool struct {
 	opts    PoolOptions
 	workers int
@@ -100,11 +84,9 @@ type Pool struct {
 // two workers' hot counters on one line makes those updates contend
 // (false sharing) even though they touch disjoint fields.
 type workerCounters struct {
-	jobs         atomic.Int64
-	busyNanos    atomic.Int64
-	arenaNodes   atomic.Int64
-	arenaWeights atomic.Int64
-	_            [32]byte
+	jobs      atomic.Int64
+	busyNanos atomic.Int64
+	_         [48]byte
 }
 
 // Handle tracks one submitted job through the pool.
@@ -149,41 +131,29 @@ func NewPool(opts PoolOptions) *Pool {
 
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
-	var s *sim.Simulator
-	if p.opts.ReuseManagers {
-		s = acquireSim(p.opts.Arena)
-		defer releaseSim(s, p.opts.Arena)
-	}
 	wc := &p.perWorker[id]
-	first := true
 	opts := Options{
 		BaseSeed:   p.opts.BaseSeed,
 		JobTimeout: p.opts.JobTimeout,
 	}
 	for h := range p.queue {
 		p.queued.Add(-1)
-		if s != nil && !first {
-			// Reset — not merely recycle — so the next job replays
-			// bit-identically to a fresh manager on warm memory, as the
-			// closed-batch worker loop does.
-			s.Reset()
-		}
-		first = false
 		h.started.Store(true)
 		p.running.Add(1)
-		h.res = runJob(h.ctx, id, h.index, h.job, opts, s)
+		jr := runJob(h.ctx, id, h.index, h.job, opts)
+		// Count the job before Finalize runs: a Finalize hook may publish
+		// the outcome (the simulation service marks the job done there),
+		// and a caller that sees it must find the job in State too.
 		wc.jobs.Add(1)
-		wc.busyNanos.Add(int64(h.res.Elapsed))
-		if s != nil {
-			wc.arenaNodes.Store(int64(s.M.Pool().Capacity))
-			wc.arenaWeights.Store(int64(s.M.CN.Size()))
-		}
+		wc.busyNanos.Add(int64(jr.Elapsed))
+		p.running.Add(-1)
+		p.finished.Add(1)
+		finalize(&jr, h.job.Finalize)
+		h.res = jr
 		// Release the job context: this detaches it from the pool context's
 		// children (it would otherwise stay registered — and leak — for the
 		// pool's lifetime). The job is over, so the cause is never observed.
 		h.cancel(context.Canceled)
-		p.running.Add(-1)
-		p.finished.Add(1)
 		close(h.done)
 	}
 }
@@ -309,12 +279,7 @@ func (p *Pool) State() PoolState {
 		wc := &p.perWorker[i]
 		busy := time.Duration(wc.busyNanos.Load())
 		st.PerWorker[i] = PoolWorkerState{
-			WorkerStats: WorkerStats{
-				Jobs:         int(wc.jobs.Load()),
-				Busy:         busy,
-				ArenaNodes:   int(wc.arenaNodes.Load()),
-				ArenaWeights: int(wc.arenaWeights.Load()),
-			},
+			WorkerStats: WorkerStats{Jobs: int(wc.jobs.Load()), Busy: busy},
 		}
 		if uptime > 0 {
 			st.PerWorker[i].Utilization = float64(busy) / float64(uptime)

@@ -96,8 +96,8 @@ func TestPoolQueueFullAndClosed(t *testing.T) {
 		t.Fatalf("queued job after cancel: %+v, %v", jr, err)
 	}
 	p.Close()
-	if _, err := p.Submit(poolJob(4)); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("submit after close: err %v, want ErrPoolClosed", err)
+	if _, err := p.Submit(poolJob(4)); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("submit after close: err %v, want ErrShutdown", err)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestPoolJobTimeout(t *testing.T) {
 }
 
 func TestPoolFinalizeRunsOnWorkerWithLiveManager(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 2, ReuseManagers: true})
+	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
 	handles := make([]*Handle, 6)
 	probs := make([]float64, len(handles))
@@ -154,8 +154,8 @@ func TestPoolFinalizeRunsOnWorkerWithLiveManager(t *testing.T) {
 		job := Job{
 			Name:    "ghz",
 			Circuit: gen.GHZ(5),
-			// With ReuseManagers the final state is only valid here, on the
-			// worker, before the next job recycles the pools.
+			// The final state is only valid here, on the worker: the pool
+			// drops the manager once Finalize returns.
 			Finalize: func(r *JobResult) {
 				if r.Err != nil || r.Result == nil {
 					return

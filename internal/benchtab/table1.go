@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/batch"
@@ -90,17 +89,10 @@ type RunOptions struct {
 	Parallel int
 	// BaseSeed derives per-job measurement seeds.
 	BaseSeed int64
-	// Reuse keeps one DD manager per worker across jobs, resetting it
-	// between jobs (batch.Options.ReuseManagers). Rows stay bit-identical
-	// for every worker count — Reset restores a bit-level fresh manager —
-	// while warm jobs run out of retained pool memory. Suites with
-	// SampleTrue ignore it: the true-fidelity column compares final states
-	// after the batch, and a reused manager's states are invalidated once
-	// its worker moves on.
-	Reuse bool
 	// Progress, when non-nil, receives (done, total) after each finished
 	// simulation job (exact references and approximate runs; the optional
-	// true-fidelity re-runs are not counted).
+	// true-fidelity re-runs, which run inside their exact reference's job,
+	// are not counted).
 	Progress func(done, total int)
 }
 
@@ -122,7 +114,7 @@ func (o RunOptions) workers() int {
 }
 
 func (o RunOptions) batchOptions() batch.Options {
-	bo := batch.Options{BaseSeed: o.BaseSeed, Workers: o.workers(), ReuseManagers: o.Reuse}
+	bo := batch.Options{BaseSeed: o.BaseSeed, Workers: o.workers()}
 	if o.Progress != nil {
 		p := o.Progress
 		bo.Progress = func(done, total int, _ batch.JobResult) { p(done, total) }
@@ -139,45 +131,41 @@ func (s Suite) RunMemoryDriven() ([]Row, error) {
 // one job per exact reference and per (circuit, f_round) configuration.
 func (s Suite) RunMemoryDrivenBatch(ctx context.Context, opts RunOptions) ([]Row, error) {
 	var jobs []batch.Job
-	circuits := make([]*circuit.Circuit, len(s.Supremacy))
 	exactIdx := make([]int, len(s.Supremacy))
-	approxIdx := make([][]int, len(s.Supremacy))
+	trueFid := make([][]float64, len(s.Supremacy))
 	for i, cs := range s.Supremacy {
 		circ, err := cs.Config.Generate()
 		if err != nil {
 			return nil, err
 		}
-		circuits[i] = circ
+		strategies := make([]func() core.Strategy, len(cs.Frounds))
+		for j, fround := range cs.Frounds {
+			strategies[j] = memoryStrategy(cs, fround)
+		}
 		exactIdx[i] = len(jobs)
+		trueFid[i] = make([]float64, len(cs.Frounds))
 		jobs = append(jobs, batch.Job{
 			Name: cs.Config.Name() + "/exact", Circuit: circ, Timeout: s.Timeout,
+			Finalize: s.sampleTrue(ctx, circ, strategies, trueFid[i]),
 		})
-		approxIdx[i] = make([]int, len(cs.Frounds))
 		for j, fround := range cs.Frounds {
-			approxIdx[i][j] = len(jobs)
 			jobs = append(jobs, batch.Job{
 				Name:        fmt.Sprintf("%s/fround=%g", cs.Config.Name(), fround),
 				Circuit:     circ,
 				Timeout:     s.Timeout,
-				NewStrategy: memoryStrategy(cs, fround),
+				NewStrategy: strategies[j],
 			})
 		}
 	}
 
-	bo := opts.batchOptions()
-	if s.SampleTrue {
-		bo.ReuseManagers = false // sampleTrue reads Final states post-batch
-	}
-	bres, err := batch.Run(ctx, jobs, bo)
+	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
 	if err != nil {
 		return nil, err
 	}
 
 	rows := make([]Row, 0, len(jobs)-len(s.Supremacy))
-	rowIdx := make([][]int, len(s.Supremacy))
 	for i, cs := range s.Supremacy {
 		exact := bres.Jobs[exactIdx[i]]
-		rowIdx[i] = make([]int, len(cs.Frounds))
 		for j, fround := range cs.Frounds {
 			row := Row{
 				Approach: "memory-driven",
@@ -186,25 +174,8 @@ func (s Suite) RunMemoryDrivenBatch(ctx context.Context, opts RunOptions) ([]Row
 				RoundFid: fround,
 			}
 			fillExact(&row, exact.Result, exact.Err)
-			fillApprox(&row, bres.Jobs[approxIdx[i][j]])
-			rowIdx[i][j] = len(rows)
+			fillApprox(&row, bres.Jobs[exactIdx[i]+1+j], trueFid[i][j])
 			rows = append(rows, row)
-		}
-	}
-
-	if s.SampleTrue {
-		err := s.sampleTrue(ctx, opts, rows, len(s.Supremacy), func(i int) (batch.JobResult, []sampleRerun) {
-			cs := s.Supremacy[i]
-			reruns := make([]sampleRerun, len(cs.Frounds))
-			for j, fround := range cs.Frounds {
-				reruns[j] = sampleRerun{
-					row: rowIdx[i][j], circuit: circuits[i], newStrategy: memoryStrategy(cs, fround),
-				}
-			}
-			return bres.Jobs[exactIdx[i]], reruns
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 	return rows, nil
@@ -220,8 +191,7 @@ func (s Suite) RunFidelityDriven() ([]Row, error) {
 func (s Suite) RunFidelityDrivenBatch(ctx context.Context, opts RunOptions) ([]Row, error) {
 	var jobs []batch.Job
 	insts := make([]*shor.Instance, len(s.Shor))
-	circuits := make([]*circuit.Circuit, len(s.Shor))
-	strategies := make([]func() core.Strategy, len(s.Shor))
+	trueFid := make([][]float64, len(s.Shor))
 	for i, cs := range s.Shor {
 		inst, err := shor.NewInstance(cs.N, cs.A)
 		if err != nil {
@@ -229,24 +199,23 @@ func (s Suite) RunFidelityDrivenBatch(ctx context.Context, opts RunOptions) ([]R
 		}
 		insts[i] = inst
 		circ := inst.BuildCircuit()
-		circuits[i] = circ
-		strategies[i] = fidelityStrategy(cs, inst.IQFTBoundaries(circ))
+		strategy := fidelityStrategy(cs, inst.IQFTBoundaries(circ))
+		trueFid[i] = make([]float64, 1)
 		jobs = append(jobs,
-			batch.Job{Name: inst.Name() + "/exact", Circuit: circ, Timeout: s.Timeout},
+			batch.Job{
+				Name: inst.Name() + "/exact", Circuit: circ, Timeout: s.Timeout,
+				Finalize: s.sampleTrue(ctx, circ, []func() core.Strategy{strategy}, trueFid[i]),
+			},
 			batch.Job{
 				Name:        fmt.Sprintf("%s/fround=%g", inst.Name(), cs.RoundFidelity),
 				Circuit:     circ,
 				Timeout:     s.Timeout,
-				NewStrategy: strategies[i],
+				NewStrategy: strategy,
 			},
 		)
 	}
 
-	bo := opts.batchOptions()
-	if s.SampleTrue {
-		bo.ReuseManagers = false // sampleTrue reads Final states post-batch
-	}
-	bres, err := batch.Run(ctx, jobs, bo)
+	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -261,19 +230,8 @@ func (s Suite) RunFidelityDrivenBatch(ctx context.Context, opts RunOptions) ([]R
 			RoundFid: cs.RoundFidelity,
 		}
 		fillExact(&row, exact.Result, exact.Err)
-		fillApprox(&row, bres.Jobs[2*i+1])
+		fillApprox(&row, bres.Jobs[2*i+1], trueFid[i][0])
 		rows = append(rows, row)
-	}
-
-	if s.SampleTrue {
-		err := s.sampleTrue(ctx, opts, rows, len(s.Shor), func(i int) (batch.JobResult, []sampleRerun) {
-			return bres.Jobs[2*i], []sampleRerun{
-				{row: i, circuit: circuits[i], newStrategy: strategies[i]},
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	return rows, nil
 }
@@ -296,55 +254,39 @@ func fidelityStrategy(cs ShorCase, locations []int) func() core.Strategy {
 	}
 }
 
-// sampleRerun is one approximate re-run inside an exact run's manager, so
-// the two final states can be compared for the TrueFidelity column.
-type sampleRerun struct {
-	row         int // index into rows
-	circuit     *circuit.Circuit
-	newStrategy func() core.Strategy
-}
-
-// sampleTrue fills the TrueFidelity column: for each case whose exact
-// reference succeeded, the approximate configurations are re-run inside the
-// exact run's manager (each exact job owns a dedicated manager, so cases
-// proceed in parallel; re-runs within a case share a manager and run
-// sequentially on one goroutine). A re-run that fails on its own merely
-// leaves the -1 sentinel in place, but context cancellation is returned so
-// callers never mistake an interrupted sampling phase for a finished one.
-func (s Suite) sampleTrue(ctx context.Context, opts RunOptions, rows []Row, cases int, plan func(i int) (batch.JobResult, []sampleRerun)) error {
-	sem := make(chan struct{}, opts.workers())
-	var wg sync.WaitGroup
-	for i := 0; i < cases; i++ {
-		exact, reruns := plan(i)
-		if exact.Err != nil {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			simr := &sim.Simulator{M: exact.Result.Manager}
-			for _, r := range reruns {
-				if rows[r.row].ApproxFailed != "" {
-					continue
-				}
-				approx2, err := simr.Run(r.circuit, sim.Options{
-					Strategy: r.newStrategy(),
-					Deadline: s.deadline(),
-					Context:  ctx,
-					// The exact final state must survive this run's node-pool
-					// sweeps for the fidelity comparison below.
-					KeepAlive: []dd.VEdge{exact.Result.Final},
-				})
-				if err == nil {
-					rows[r.row].TrueFidelity = simr.M.Fidelity(exact.Result.Final, approx2.Final)
-				}
-			}
-		}()
+// sampleTrue returns the Finalize hook of an exact reference job when the
+// suite samples true fidelities (nil otherwise). Inside the exact run's
+// manager, it re-runs each approximate configuration in order and stores
+// its fidelity against the exact final state in out (-1 when the exact run
+// or the re-run fails). fillApprox copies a value into its row only when
+// the row's own approximate job succeeded.
+func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, strategies []func() core.Strategy, out []float64) func(*batch.JobResult) {
+	for j := range out {
+		out[j] = -1
 	}
-	wg.Wait()
-	return context.Cause(ctx)
+	if !s.SampleTrue {
+		return nil
+	}
+	return func(jr *batch.JobResult) {
+		if jr.Err != nil {
+			return
+		}
+		exact := jr.Result
+		simr := &sim.Simulator{M: exact.Manager}
+		for j, newStrategy := range strategies {
+			approx, err := simr.Run(c, sim.Options{
+				Strategy: newStrategy(),
+				Deadline: s.deadline(),
+				Context:  ctx,
+				// The exact final state must survive this run's node-pool
+				// sweeps for the fidelity comparison below.
+				KeepAlive: []dd.VEdge{exact.Final},
+			})
+			if err == nil {
+				out[j] = simr.M.Fidelity(exact.Final, approx.Final)
+			}
+		}
+	}
 }
 
 func (s Suite) deadline() time.Time {
@@ -363,7 +305,7 @@ func fillExact(row *Row, exact *sim.Result, err error) {
 	row.ExactTime = exact.Runtime
 }
 
-func fillApprox(row *Row, jr batch.JobResult) {
+func fillApprox(row *Row, jr batch.JobResult, trueFid float64) {
 	if jr.Err != nil {
 		row.ApproxFailed = jr.Err.Error()
 		return
@@ -374,7 +316,7 @@ func fillApprox(row *Row, jr batch.JobResult) {
 	row.ApproxTime = approx.Runtime
 	row.FinalFid = approx.EstimatedFidelity
 	row.FidBound = approx.FidelityBound
-	row.TrueFidelity = -1
+	row.TrueFidelity = trueFid
 }
 
 // Validate sanity-checks a suite configuration.

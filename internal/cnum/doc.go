@@ -22,9 +22,9 @@
 // table at the same tolerance, independent of interning order. The dd
 // package combines these with node ids to key its unique tables and compute
 // caches, keeping all hashing independent of pointer values and therefore
-// deterministic across runs, worker counts, and manager reuse. Values are
-// allocated from retained chunks; Reset harvests them onto a free list so a
-// reused manager's interning runs allocation-free at steady state. The table
-// also tracks lookup/hit counters and a per-epoch peak size (Stats, Peak),
-// which sim surfaces per run as weight-table pressure.
+// deterministic across runs and worker counts. Values are allocated in
+// chunks and live as long as their table: a table only grows, and a DD
+// manager with its table is dropped whole when its job ends. The table also
+// tracks lookup/hit counters (Stats), which sim surfaces per run as
+// weight-table pressure.
 package cnum

@@ -15,7 +15,7 @@ const (
 	// initialSlots is the slot count of a fresh table: room for 512 values
 	// before the first growth. Must be a power of two.
 	initialSlots = 1024
-	// valueChunk is the number of Values allocated per arena chunk.
+	// valueChunk is the number of Values allocated per chunk.
 	valueChunk = 1024
 )
 
@@ -31,7 +31,7 @@ type slot struct{ fp, ref uint32 }
 // tables at the same tolerance therefore assign equal hashes to equal
 // weights regardless of interning order — the "canonical-hash bridge" that
 // keeps DD node hashes, and hence every downstream structure, bit-identical
-// across fresh, reused, and per-worker managers.
+// across managers and worker counts.
 func cellHash(k cellKey) uint64 {
 	h := Mix64(uint64(k.re) ^ 0x9E3779B97F4A7C15)
 	return Mix64(h + uint64(k.im))
@@ -45,27 +45,22 @@ type Table struct {
 
 	// slots is a power-of-two open-addressed array indexed by cell hash,
 	// probed linearly and kept at most half full. vals lists the interned
-	// values in interning order, Zero and One first. Values are never removed
-	// one by one (only Reset empties the table), so there are no tombstones.
+	// values in interning order, Zero and One first. Values are never
+	// removed, so there are no tombstones.
 	slots []slot
 	mask  uint64
 	vals  []*Value
 
 	// Canonical values. Zero and One are used pervasively by the DD engine
-	// for pointer-identity fast paths; Reset keeps their pointer identity.
+	// for pointer-identity fast paths.
 	Zero *Value
 	One  *Value
 
-	// Value arena: values are allocated from retained chunks and harvested
-	// onto a free list by Reset, so steady-state interning after a Reset
-	// allocates nothing.
+	// Values are allocated in chunks of valueChunk.
 	chunk     []Value
 	chunkNext int
-	free      []*Value
 
 	lookups int64
-	misses  int64 // lookups that interned a new value
-	peak    int
 }
 
 // NewTable returns a table with DefaultTolerance.
@@ -90,19 +85,15 @@ func NewTableTol(tol float64) *Table {
 // Tolerance returns the table tolerance.
 func (t *Table) Tolerance() float64 { return t.tol }
 
-// Size returns the number of currently interned values.
+// Size returns the number of interned values. A table never shrinks, so
+// this is also its high-water mark.
 func (t *Table) Size() int { return len(t.vals) }
 
-// Peak returns the high-water mark of Size since the table was created or
-// last Reset, so per-job table pressure stays observable when managers are
-// reused across jobs.
-func (t *Table) Peak() int { return t.peak }
-
 // Stats returns lookup and hit counters. Both counters are monotonic over
-// the table lifetime (Reset does not rewind them), so callers measuring one
-// run take deltas.
+// the table lifetime, so callers measuring one run take deltas.
 func (t *Table) Stats() (lookups, hits int64) {
-	return t.lookups, t.lookups - t.misses
+	// Every miss interned exactly one value, and values are never removed.
+	return t.lookups, t.lookups - int64(len(t.vals))
 }
 
 func (t *Table) key(re, im float64) cellKey {
@@ -196,7 +187,6 @@ func (t *Table) lookupSlow(k cellKey, re, im float64) *Value {
 	v := t.allocValue()
 	*v = Value{Re: re, Im: im, hash: cellHash(k)}
 	t.insert(v)
-	t.misses++
 	return v
 }
 
@@ -213,7 +203,6 @@ func (t *Table) insert(v *Value) {
 	} else {
 		t.place(v.hash, uint32(len(t.vals)))
 	}
-	t.peak = max(t.peak, len(t.vals))
 }
 
 // place files ref in the first empty slot of hash's probe sequence.
@@ -225,13 +214,8 @@ func (t *Table) place(hash uint64, ref uint32) {
 	t.slots[i] = slot{fp: uint32(hash >> 32), ref: ref}
 }
 
-// allocValue hands out a Value from the free list or the current chunk.
+// allocValue hands out the next Value of the current chunk.
 func (t *Table) allocValue() *Value {
-	if n := len(t.free); n > 0 {
-		v := t.free[n-1]
-		t.free = t.free[:n-1]
-		return v
-	}
 	if t.chunkNext == len(t.chunk) {
 		t.chunk = make([]Value, valueChunk)
 		t.chunkNext = 0
@@ -239,33 +223,6 @@ func (t *Table) allocValue() *Value {
 	v := &t.chunk[t.chunkNext]
 	t.chunkNext++
 	return v
-}
-
-// Reset empties the table, harvesting every interned value (except the
-// canonical Zero and One, whose pointer identity survives) onto the arena
-// free list so subsequent interning reuses their memory. The slot array
-// keeps its size. Lookup/hit counters keep accumulating; Peak restarts at
-// the post-reset size so it reports per-epoch pressure.
-func (t *Table) Reset() {
-	// vals[0] and vals[1] are Zero and One: they are interned first, both
-	// by NewTableTol and below.
-	t.free = append(t.free, t.vals[2:]...)
-	clear(t.vals[2:])
-	t.vals = t.vals[:0]
-	clear(t.slots)
-	t.peak = 0
-	t.insert(t.Zero)
-	t.insert(t.One)
-}
-
-// Trim releases the arena free list and spare chunk capacity to the garbage
-// collector. Only meaningful right after Reset (when no interned value
-// outside Zero/One pins a chunk); the batch arena uses it to cap per-worker
-// retained memory.
-func (t *Table) Trim() {
-	t.free = nil
-	t.chunk = nil
-	t.chunkNext = 0
 }
 
 // Mix64 is the SplitMix64 finalizer: a cheap bijective mixer whose output

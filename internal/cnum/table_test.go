@@ -223,58 +223,3 @@ func TestCanonicalHashBridge(t *testing.T) {
 		t.Error("canonical constants hash differently across tables")
 	}
 }
-
-// TestResetKeepsCanonicalPointersAndRecyclesMemory: Reset must preserve
-// Zero/One pointer identity, restore a logically fresh table, and serve
-// subsequent interning from the harvested free list.
-func TestResetReusesValues(t *testing.T) {
-	tb := NewTable()
-	zero, one := tb.Zero, tb.One
-	for i := 0; i < 100; i++ {
-		tb.LookupFloat(float64(i)/7, float64(-i)/13)
-	}
-	if tb.Size() <= 2 {
-		t.Fatal("setup interned nothing")
-	}
-	peakBefore := tb.Peak()
-	tb.Reset()
-	if tb.Zero != zero || tb.One != one {
-		t.Fatal("Reset changed canonical pointers")
-	}
-	if tb.Size() != 2 {
-		t.Fatalf("Size after Reset = %d, want 2", tb.Size())
-	}
-	if tb.Peak() != 2 {
-		t.Fatalf("Peak after Reset = %d, want 2", tb.Peak())
-	}
-	if len(tb.free) == 0 {
-		t.Fatal("Reset harvested no values onto the free list")
-	}
-	if tb.Lookup(0) != zero || tb.Lookup(1) != one {
-		t.Fatal("canonical constants not interned after Reset")
-	}
-	// Re-interning must pop the free list, not grow the chunk.
-	freeBefore := len(tb.free)
-	v := tb.Lookup(complex(0.25, 0.75))
-	if len(tb.free) != freeBefore-1 {
-		t.Errorf("Lookup after Reset did not reuse a pooled value (free %d -> %d)", freeBefore, len(tb.free))
-	}
-	if v.Complex() != complex(0.25, 0.75) {
-		t.Errorf("recycled value holds %v", v.Complex())
-	}
-	if tb.Peak() < peakBefore {
-		// Peak restarted; just exercise the accessor for the grown epoch.
-		if tb.Peak() != 3 {
-			t.Errorf("Peak after one post-reset interning = %d, want 3", tb.Peak())
-		}
-	}
-	// Trim right after a fresh Reset releases the arena.
-	tb.Reset()
-	tb.Trim()
-	if len(tb.free) != 0 || tb.chunk != nil {
-		t.Error("Trim left arena memory retained")
-	}
-	if tb.Lookup(complex(0.1, 0.2)) == nil {
-		t.Error("Lookup after Trim failed")
-	}
-}

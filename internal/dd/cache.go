@@ -88,155 +88,65 @@ func cacheHash(vals ...uint64) uint64 {
 
 // growCache reports whether a cache of the given size should double, based
 // on the misses it accumulated since its last resize. Resizes rehash live
-// entries into the doubled window (see the grow* funcs) so hot results
+// entries into the doubled array (see the grow* funcs) so hot results
 // survive the growth.
 func growCache(size, max int, misses, missMark uint64) bool {
 	return size < max && misses-missMark > uint64(cacheGrowMissFactor*size)
 }
 
-// Cache growth over retained backing arrays. Each cache is the prefix window
-// back[:n]; doubling extends the window in place when the backing is already
-// big enough (a reused manager re-growing after Reset) and allocates a bigger
-// backing only the first time a size is reached. The in-place rehash is safe
-// because with power-of-two sizes an entry at index i moves to i or i+n —
-// never onto an unprocessed live slot — and anything stale left in the upper
-// half is dead by generation.
-
+// growAdd and its siblings below double a cache, rehashing its live entries
+// into the new array in index order (a later entry wins a collision), so
+// growth replays identically on every run.
 func (m *Manager) growAdd() {
-	old := len(m.addCache)
-	n := 2 * old
-	if n > len(m.addBack) {
-		m.addBack = make([]addEntry, n)
-		for i := range m.addCache {
-			if e := &m.addCache[i]; e.gen == m.cacheGen {
-				m.addBack[cacheHash(e.a.id, e.b.id, e.r.Hash())&uint64(n-1)] = *e
-			}
-		}
-		m.addCache = m.addBack
-		return
-	}
-	nc := m.addBack[:n]
-	mask := uint64(n - 1)
-	for i := 0; i < old; i++ {
-		e := &nc[i]
-		if e.gen != m.cacheGen {
-			continue
-		}
-		if idx := cacheHash(e.a.id, e.b.id, e.r.Hash()) & mask; int(idx) != i {
-			nc[idx] = *e
-			e.gen = 0
+	nc := make([]addEntry, 2*len(m.addCache))
+	mask := uint64(len(nc) - 1)
+	for i := range m.addCache {
+		if e := &m.addCache[i]; e.gen == m.cacheGen {
+			nc[cacheHash(e.a.id, e.b.id, e.r.Hash())&mask] = *e
 		}
 	}
 	m.addCache = nc
 }
 
 func (m *Manager) growMAdd() {
-	old := len(m.maddCache)
-	n := 2 * old
-	if n > len(m.maddBack) {
-		m.maddBack = make([]maddEntry, n)
-		for i := range m.maddCache {
-			if e := &m.maddCache[i]; e.gen == m.cacheGen {
-				m.maddBack[cacheHash(e.a.id, e.b.id, e.r.Hash())&uint64(n-1)] = *e
-			}
-		}
-		m.maddCache = m.maddBack
-		return
-	}
-	nc := m.maddBack[:n]
-	mask := uint64(n - 1)
-	for i := 0; i < old; i++ {
-		e := &nc[i]
-		if e.gen != m.cacheGen {
-			continue
-		}
-		if idx := cacheHash(e.a.id, e.b.id, e.r.Hash()) & mask; int(idx) != i {
-			nc[idx] = *e
-			e.gen = 0
+	nc := make([]maddEntry, 2*len(m.maddCache))
+	mask := uint64(len(nc) - 1)
+	for i := range m.maddCache {
+		if e := &m.maddCache[i]; e.gen == m.cacheGen {
+			nc[cacheHash(e.a.id, e.b.id, e.r.Hash())&mask] = *e
 		}
 	}
 	m.maddCache = nc
 }
 
 func (m *Manager) growMul() {
-	old := len(m.mulCache)
-	n := 2 * old
-	if n > len(m.mulBack) {
-		m.mulBack = make([]mulEntry, n)
-		for i := range m.mulCache {
-			if e := &m.mulCache[i]; e.gen == m.cacheGen {
-				m.mulBack[cacheHash(e.m.id, e.v.id)&uint64(n-1)] = *e
-			}
-		}
-		m.mulCache = m.mulBack
-		return
-	}
-	nc := m.mulBack[:n]
-	mask := uint64(n - 1)
-	for i := 0; i < old; i++ {
-		e := &nc[i]
-		if e.gen != m.cacheGen {
-			continue
-		}
-		if idx := cacheHash(e.m.id, e.v.id) & mask; int(idx) != i {
-			nc[idx] = *e
-			e.gen = 0
+	nc := make([]mulEntry, 2*len(m.mulCache))
+	mask := uint64(len(nc) - 1)
+	for i := range m.mulCache {
+		if e := &m.mulCache[i]; e.gen == m.cacheGen {
+			nc[cacheHash(e.m.id, e.v.id)&mask] = *e
 		}
 	}
 	m.mulCache = nc
 }
 
 func (m *Manager) growMM() {
-	old := len(m.mmCache)
-	n := 2 * old
-	if n > len(m.mmBack) {
-		m.mmBack = make([]mmEntry, n)
-		for i := range m.mmCache {
-			if e := &m.mmCache[i]; e.gen == m.cacheGen {
-				m.mmBack[cacheHash(e.a.id, e.b.id)&uint64(n-1)] = *e
-			}
-		}
-		m.mmCache = m.mmBack
-		return
-	}
-	nc := m.mmBack[:n]
-	mask := uint64(n - 1)
-	for i := 0; i < old; i++ {
-		e := &nc[i]
-		if e.gen != m.cacheGen {
-			continue
-		}
-		if idx := cacheHash(e.a.id, e.b.id) & mask; int(idx) != i {
-			nc[idx] = *e
-			e.gen = 0
+	nc := make([]mmEntry, 2*len(m.mmCache))
+	mask := uint64(len(nc) - 1)
+	for i := range m.mmCache {
+		if e := &m.mmCache[i]; e.gen == m.cacheGen {
+			nc[cacheHash(e.a.id, e.b.id)&mask] = *e
 		}
 	}
 	m.mmCache = nc
 }
 
 func (m *Manager) growIP() {
-	old := len(m.ipCache)
-	n := 2 * old
-	if n > len(m.ipBack) {
-		m.ipBack = make([]ipEntry, n)
-		for i := range m.ipCache {
-			if e := &m.ipCache[i]; e.gen == m.cacheGen {
-				m.ipBack[cacheHash(e.a.id, e.b.id)&uint64(n-1)] = *e
-			}
-		}
-		m.ipCache = m.ipBack
-		return
-	}
-	nc := m.ipBack[:n]
-	mask := uint64(n - 1)
-	for i := 0; i < old; i++ {
-		e := &nc[i]
-		if e.gen != m.cacheGen {
-			continue
-		}
-		if idx := cacheHash(e.a.id, e.b.id) & mask; int(idx) != i {
-			nc[idx] = *e
-			e.gen = 0
+	nc := make([]ipEntry, 2*len(m.ipCache))
+	mask := uint64(len(nc) - 1)
+	for i := range m.ipCache {
+		if e := &m.ipCache[i]; e.gen == m.cacheGen {
+			nc[cacheHash(e.a.id, e.b.id)&mask] = *e
 		}
 	}
 	m.ipCache = nc

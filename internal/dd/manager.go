@@ -23,23 +23,13 @@ type Manager struct {
 	mPool   mNodePool
 
 	// Bounded compute caches (see cache.go), invalidated as a whole by
-	// bumping cacheGen. Each cache is a window into its retained backing
-	// array (addCache = addBack[:n]): growth reslices and rehashes in place
-	// once the backing has reached a cache's max, and Reset shrinks the
-	// window back to the initial size without releasing the backing, so a
-	// reused manager re-grows its caches allocation-free. The missMark
-	// fields record each cache's miss count at its last resize, driving the
-	// grow-under-pressure policy.
+	// bumping cacheGen. The missMark fields record each cache's miss count
+	// at its last resize, driving the grow-under-pressure policy.
 	addCache     []addEntry
 	maddCache    []maddEntry
 	mulCache     []mulEntry
 	mmCache      []mmEntry
 	ipCache      []ipEntry
-	addBack      []addEntry
-	maddBack     []maddEntry
-	mulBack      []mulEntry
-	mmBack       []mmEntry
-	ipBack       []ipEntry
 	addMissMark  uint64
 	maddMissMark uint64
 	mulMissMark  uint64
@@ -87,75 +77,19 @@ func New() *Manager { return NewWithTable(cnum.NewTable()) }
 // NewWithTable returns a Manager using the given complex table.
 func NewWithTable(cn *cnum.Table) *Manager {
 	m := &Manager{
-		CN:       cn,
-		addBack:  make([]addEntry, cacheInitialSize),
-		maddBack: make([]maddEntry, cacheInitialSize),
-		mulBack:  make([]mulEntry, cacheInitialSize),
-		mmBack:   make([]mmEntry, cacheInitialSize),
-		ipBack:   make([]ipEntry, cacheInitialSize),
-		cacheGen: 1,
-		gcGen:    1,
+		CN:        cn,
+		addCache:  make([]addEntry, cacheInitialSize),
+		maddCache: make([]maddEntry, cacheInitialSize),
+		mulCache:  make([]mulEntry, cacheInitialSize),
+		mmCache:   make([]mmEntry, cacheInitialSize),
+		ipCache:   make([]ipEntry, cacheInitialSize),
+		cacheGen:  1,
+		gcGen:     1,
 	}
-	m.addCache = m.addBack
-	m.maddCache = m.maddBack
-	m.mulCache = m.mulBack
-	m.mmCache = m.mmBack
-	m.ipCache = m.ipBack
 	m.vTerminal = &VNode{id: m.newID(), Var: TerminalVar}
 	m.mTerminal = &MNode{id: m.newID(), Var: TerminalVar}
 	m.idChain = []MEdge{{W: cn.One, N: m.mTerminal}}
 	return m
-}
-
-// Reset returns the manager to the logical state of a freshly constructed
-// one while retaining every allocation it has accumulated: node-pool chunks,
-// unique-table bucket arrays, compute-cache backing arrays, and the weight
-// table's value arena all survive and are reused by subsequent operations.
-// The batch engine calls this between jobs when managers are reused, so warm
-// jobs run allocation-free at steady state.
-//
-// Reset is deterministic-equivalent to construction: the node id counter
-// restarts after the terminals, the compute caches shrink to their initial
-// logical size (cache geometry influences interning order, so it must match
-// a fresh manager's), and the weight table keeps only its canonical Zero and
-// One — with cell-derived value hashes, every hash, bucket choice, and
-// normalization decision replays exactly as on a fresh manager. All edges
-// from before the Reset become invalid. Lifetime stats counters are not
-// rewound.
-func (m *Manager) Reset() {
-	m.idChain = m.idChain[:1]
-	m.ResetOrder()
-	m.Cleanup(nil, nil) // sweeps every node; bumps cacheGen and rebases miss marks
-	m.CN.Reset()
-	m.addCache = m.addBack[:cacheInitialSize]
-	m.maddCache = m.maddBack[:cacheInitialSize]
-	m.mulCache = m.mulBack[:cacheInitialSize]
-	m.mmCache = m.mmBack[:cacheInitialSize]
-	m.ipCache = m.ipBack[:cacheInitialSize]
-	m.nextID = 2 // terminals keep ids 1 and 2; the next node gets 3, as in New
-}
-
-// Prewarm pre-allocates pooled node capacity (split across vector and matrix
-// pools) so a worker's first jobs run against warm chunks instead of growing
-// them mid-run. Prewarming is purely physical — it changes no logical state.
-func (m *Manager) Prewarm(nodes int) {
-	if nodes <= 0 {
-		return
-	}
-	// States dominate operations by roughly this split in the batch
-	// workloads; exactness is irrelevant, both pools keep growing on demand.
-	m.vPool.prewarm(nodes * 3 / 4)
-	m.mPool.prewarm(nodes / 4)
-}
-
-// TrimPools releases the node pools' free lists and the weight table's value
-// arena to the garbage collector. It is only safe when no live nodes exist —
-// in practice, immediately after Reset — and exists so the batch arena can
-// cap how much memory an idle worker retains.
-func (m *Manager) TrimPools() {
-	m.vPool.dropFree()
-	m.mPool.dropFree()
-	m.CN.Trim()
 }
 
 func (m *Manager) newID() uint64 {

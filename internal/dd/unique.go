@@ -226,33 +226,6 @@ func (p *vNodePool) release(n *VNode) {
 	p.freeCount++
 }
 
-// prewarm grows the free list to at least n nodes by allocating chunks up
-// front, so a fresh worker's first job builds against warm memory.
-func (p *vNodePool) prewarm(n int) {
-	for p.freeCount < n {
-		if p.next == len(p.cur) {
-			p.cur = make([]VNode, poolChunk)
-			p.next = 0
-		}
-		node := &p.cur[p.next]
-		p.next++
-		p.allocated++
-		p.release(node)
-	}
-}
-
-// dropFree hands the free list and the current chunk back to the garbage
-// collector. Only safe when no live nodes reference the chunks — i.e. right
-// after a full sweep with no roots (Manager.Reset) — since free-list nodes
-// interleave with live ones inside chunks otherwise.
-func (p *vNodePool) dropFree() {
-	p.allocated -= p.freeCount
-	p.freeCount = 0
-	p.free = nil
-	p.cur = nil
-	p.next = 0
-}
-
 type mNodePool struct {
 	cur       []MNode
 	next      int
@@ -284,25 +257,4 @@ func (p *mNodePool) release(n *MNode) {
 	n.next = p.free
 	p.free = n
 	p.freeCount++
-}
-
-func (p *mNodePool) prewarm(n int) {
-	for p.freeCount < n {
-		if p.next == len(p.cur) {
-			p.cur = make([]MNode, poolChunk)
-			p.next = 0
-		}
-		node := &p.cur[p.next]
-		p.next++
-		p.allocated++
-		p.release(node)
-	}
-}
-
-func (p *mNodePool) dropFree() {
-	p.allocated -= p.freeCount
-	p.freeCount = 0
-	p.free = nil
-	p.cur = nil
-	p.next = 0
 }

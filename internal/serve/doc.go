@@ -33,8 +33,10 @@
 //
 // Job execution, cancellation, deadlines, and seeding all delegate to
 // batch.Pool; response payloads are assembled in the job's Finalize hook on
-// the worker goroutine, the only point where the final state DD is
-// guaranteed valid when managers are reused. Each job carries a bounded
+// the worker goroutine, the only point where the final state DD is valid:
+// the pool drops each job's DD manager once Finalize returns, so a finished
+// job held in the registry costs its payload, not its decision diagrams.
+// Each job carries a bounded
 // event ring (Config.EventBufferSize) fed by the simulation Observer on the
 // worker — appends never block on consumers, slow or reconnecting SSE
 // readers see an explicit dropped-count gap instead. The public client

@@ -135,7 +135,7 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 	// and would silently change meaning) and with permutation gates (their
 	// payloads address DD levels directly). Runs without a reordering
 	// strategy restore the identity order so results stay reproducible when
-	// managers are reused across jobs.
+	// one simulator runs several circuits in sequence.
 	// fail releases the derived deadline timer on an init error exit.
 	fail := func(err error) error {
 		if cancel != nil {
@@ -190,7 +190,7 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 
 	// Invalidate the simulator's retained gate cache: stale operation DDs
 	// from an earlier run can never leak in, but the signature slots (and
-	// the slice capacity) survive across jobs on a reused manager.
+	// the slice capacity) survive across runs on one simulator.
 	s.clearGateCache()
 
 	*ses = Session{
@@ -349,7 +349,7 @@ func (ses *Session) Finish() (*Result, error) {
 	res.DDStats = m.Stats()
 	endLookups, endHits := m.CN.Stats()
 	res.WeightTable = WeightTableStats{
-		Peak:    m.CN.Peak(),
+		Peak:    m.CN.Size(),
 		Lookups: endLookups - ses.startLookups,
 		Hits:    endHits - ses.startHits,
 	}

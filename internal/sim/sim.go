@@ -75,10 +75,14 @@ var ErrDeadlineExceeded = errors.New("sim: deadline exceeded")
 // Result reports a finished simulation.
 type Result struct {
 	// Manager owns the final state; callers use it to sample, compute
-	// amplitudes, or compare fidelities.
+	// amplitudes, or compare fidelities. For batch and pool jobs, Manager,
+	// Final and Density are valid only inside Job.Finalize: the engine
+	// clears all three when Finalize returns, so a retained result does
+	// not pin its manager.
 	Manager *dd.Manager
 	// Final is the final state DD (statevector backend; the zero value on
-	// the density backend, where Density holds the final state).
+	// the density backend, where Density holds the final state). For batch
+	// and pool jobs it is valid only inside Job.Finalize.
 	Final dd.VEdge
 	// Backend is the representation the run executed under.
 	Backend Backend
@@ -87,7 +91,8 @@ type Result struct {
 	Noise *NoiseModel
 	// Density is the final density matrix (density backend only). Like
 	// Final, it is owned by Manager and stays valid only until the next
-	// run on the same manager recycles its nodes.
+	// run on the same manager recycles its nodes (for batch and pool jobs,
+	// only inside Job.Finalize).
 	Density *density.State
 	// Purity is Tr ρ² of the final density matrix (density backend only;
 	// 1 for a pure state, 2⁻ⁿ for the maximally mixed state).
@@ -152,8 +157,8 @@ type Result struct {
 
 // WeightTableStats describes cnum.Table pressure during one simulation run.
 type WeightTableStats struct {
-	// Peak is the table's lifetime high-water interned-value count as of
-	// the end of the run (per-run when the manager is fresh).
+	// Peak is the table's interned-value count at the end of the run; a
+	// table never shrinks, so this is its high-water mark.
 	Peak int
 	// Lookups and Hits count table probes during this run only.
 	Lookups, Hits int64
@@ -173,14 +178,12 @@ func (w WeightTableStats) HitRatio() float64 {
 type Simulator struct {
 	M *dd.Manager
 
-	// Gate-DD cache. sigSlots maps gate signatures to slots and survives
-	// Reset — the signature strings are allocated once per distinct gate
-	// over the simulator's lifetime, not once per job. gateDDs holds the
-	// per-epoch operation DDs (an edge with a nil node is unbuilt);
-	// invalidation (session start/end, Reset, reorder passes) zeroes the
-	// slice without touching the map, so warm jobs rebuild gate DDs out of
-	// pooled nodes with zero cache-key churn. Sessions on one simulator are
-	// sequential by contract, so sharing the cache is safe.
+	// Gate-DD cache. sigSlots maps gate signatures to slots, so each
+	// signature string is allocated once per distinct gate over the
+	// simulator's lifetime. gateDDs holds the per-epoch operation DDs (an
+	// edge with a nil node is unbuilt); invalidation (session start/end,
+	// reorder passes) zeroes the slice without touching the map. Sessions on
+	// one simulator are sequential by contract, so sharing the cache is safe.
 	sigSlots map[string]int
 	gateDDs  []dd.MEdge
 	// sigBuf is the reusable gate-signature buffer; slot lookups go through
@@ -195,20 +198,8 @@ func New() *Simulator { return &Simulator{M: dd.New()} }
 
 // Recycle sweeps the manager's node pools with no roots, returning every
 // node built by previous runs to the free lists for reuse. Edges from
-// earlier Results (including Result.Final) become invalid; Reset is the
-// stronger variant that also restores bit-level reproducibility.
+// earlier Results (including Result.Final) become invalid.
 func (s *Simulator) Recycle() { s.M.Cleanup(nil, nil) }
-
-// Reset restores the simulator to a logically fresh state while keeping its
-// accumulated memory (node pools, cache backings, interned-weight arena) for
-// reuse: the next run behaves bit-identically to one on a brand-new
-// Simulator, but allocates almost nothing. Edges from earlier Results become
-// invalid. The batch engine calls this between jobs when managers are
-// reused.
-func (s *Simulator) Reset() {
-	s.M.Reset()
-	s.clearGateCache()
-}
 
 // clearGateCache invalidates every cached operation DD while keeping the
 // signature-to-slot map (and its interned key strings) intact.
