@@ -23,7 +23,7 @@ BENCH_CLUSTER_THRESHOLD ?= 0.25
 # measured when the gate landed (PR 8); cover-check fails below this floor.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build test race bench bench-smoke bench-check bench-baseline bench-cluster bench-cluster-baseline examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check ci
+.PHONY: all build test race bench bench-smoke bench-check bench-baseline bench-cluster bench-cluster-baseline examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check perfbench-check ci
 
 all: build
 
@@ -171,5 +171,11 @@ simd-smoke:
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
+## perfbench-check: vet and test the benchmark module (perfbench/ is its
+## own Go module, so build/vet/race above never compile it, yet it imports
+## this module's batch, sim and serve APIs)
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## ci: everything the pipeline runs, in order
-ci: fmt-check vet doc-lint build examples race fuzz-smoke cover-check atlas-check simd-smoke cluster-smoke
+ci: fmt-check vet doc-lint build examples race fuzz-smoke cover-check atlas-check simd-smoke cluster-smoke perfbench-check

@@ -40,12 +40,8 @@ type (
 	MEdge = dd.MEdge
 	// Simulator runs circuits on a DD manager.
 	Simulator = sim.Simulator
-	// Options configures a simulation run; build one with NewOptions and
-	// the With… functional options, or fill the struct directly.
+	// Options configures a simulation run; the zero value runs exact.
 	Options = sim.Options
-	// SimOption is one functional simulation option (WithStrategy,
-	// WithObserver, WithDeadline, …).
-	SimOption = sim.Option
 	// Session is a resumable gate-level simulation: Step/StepN/Seek
 	// through the circuit, inspect State between gates, Abort early, or
 	// Finish for the Result. Run is a loop over a Session.
@@ -177,11 +173,9 @@ type (
 	// Table1Row is one Table I line.
 	Table1Row = benchtab.Row
 	// Table1RunOptions configures suite execution (worker count, seeds,
-	// progress); accepted by Table1Suite.RunMemoryDrivenBatch and
-	// RunFidelityDrivenBatch.
+	// progress); accepted by Table1Suite.RunMemoryDriven and
+	// RunFidelityDriven.
 	Table1RunOptions = benchtab.RunOptions
-	// SweepOptions configures the hyper-parameter sweep drivers.
-	SweepOptions = benchtab.SweepOptions
 	// QASMProgram is a parsed OpenQASM 2.0 program.
 	QASMProgram = qasm.Program
 )
@@ -192,13 +186,9 @@ type (
 	BatchJob = batch.Job
 	// BatchJobResult is the outcome of one batch job.
 	BatchJobResult = batch.JobResult
-	// BatchOptions is the underlying representation of a batch
-	// configuration; build one with NewBatchOptions and the batch With…
-	// options, or fill the struct directly.
+	// BatchOptions configures a batch (workers, base seed, job timeout,
+	// observer, progress).
 	BatchOptions = batch.Options
-	// BatchOption is one functional batch option (WithWorkers,
-	// WithBaseSeed, WithJobTimeout, …), accepted by BatchRun.
-	BatchOption = batch.Option
 	// BatchResult aggregates a finished batch.
 	BatchResult = batch.Result
 	// BatchObserver receives batch-lifecycle events (per-job start/done,
@@ -259,43 +249,18 @@ func Serve(ctx context.Context, addr string, cfg ServeConfig, grace time.Duratio
 }
 
 // BatchRun fans independent simulation jobs out across a worker pool, one
-// fresh DD manager per job, configured by functional options:
+// fresh DD manager per job:
 //
 //	res, err := repro.BatchRun(ctx, jobs,
-//		repro.WithWorkers(4), repro.WithJobTimeout(time.Minute))
+//		repro.BatchOptions{Workers: 4, JobTimeout: time.Minute})
 //
 // Seeding is deterministic per job (derived from the base seed and the job
 // index), cancellation is context-based, and per-job deadlines are
 // supported. Results are ordered by job index and are bit-identical for any
 // worker count (timing fields aside). A job's final state is readable only
 // in its BatchJob.Finalize hook; the returned results no longer hold it.
-func BatchRun(ctx context.Context, jobs []BatchJob, opts ...BatchOption) (*BatchResult, error) {
-	return batch.Run(ctx, jobs, batch.NewOptions(opts...))
-}
-
-// NewBatchOptions folds functional batch options into a BatchOptions value,
-// for APIs that take the struct.
-func NewBatchOptions(opts ...BatchOption) BatchOptions { return batch.NewOptions(opts...) }
-
-// Functional batch options, re-exported from internal/batch.
-
-// WithWorkers sets the batch worker-pool size (≤ 0 selects GOMAXPROCS).
-func WithWorkers(n int) BatchOption { return batch.WithWorkers(n) }
-
-// WithBaseSeed sets the base seed per-job measurement seeds derive from.
-func WithBaseSeed(seed int64) BatchOption { return batch.WithBaseSeed(seed) }
-
-// WithJobTimeout bounds every job's simulation (BatchJob.Timeout overrides
-// it per job).
-func WithJobTimeout(d time.Duration) BatchOption { return batch.WithJobTimeout(d) }
-
-// WithBatchObserver wires a batch-lifecycle observer into the run.
-func WithBatchObserver(obs BatchObserver) BatchOption { return batch.WithObserver(obs) }
-
-// WithBatchProgress registers a serialized progress callback invoked after
-// each job finishes.
-func WithBatchProgress(fn func(done, total int, r BatchJobResult)) BatchOption {
-	return batch.WithProgress(fn)
+func BatchRun(ctx context.Context, jobs []BatchJob, opts BatchOptions) (*BatchResult, error) {
+	return batch.Run(ctx, jobs, opts)
 }
 
 // BatchSeed returns the measurement seed the batch engine derives for the
@@ -308,72 +273,26 @@ func NewCircuit(n int, name string) *Circuit { return circuit.New(n, name) }
 // NewSimulator returns a simulator with a fresh DD manager.
 func NewSimulator() *Simulator { return sim.New() }
 
-// Run simulates the circuit on a fresh simulator under functional options:
+// Run simulates the circuit on a fresh simulator:
 //
-//	res, err := repro.Run(c, repro.WithStrategy(repro.NewFidelityDriven(0.8, 0.95)),
-//		repro.WithSeed(7))
+//	res, err := repro.Run(c, repro.Options{
+//		Strategy: repro.NewFidelityDriven(0.8, 0.95), MeasurementSeed: 7})
 //
 // For repeated runs sharing one DD manager, use NewSimulator and
-// Simulator.Run with NewOptions.
-func Run(c *Circuit, opts ...SimOption) (*Result, error) {
-	return sim.New().Run(c, sim.NewOptions(opts...))
+// Simulator.Run.
+func Run(c *Circuit, opts Options) (*Result, error) {
+	return sim.New().Run(c, opts)
 }
 
 // NewSession starts a resumable gate-level simulation on a fresh simulator:
 // step, observe, and steer it mid-run, then Finish for the Result. Sessions
 // on a shared manager come from Simulator.NewSession.
-func NewSession(c *Circuit, opts ...SimOption) (*Session, error) {
-	return sim.NewSession(c, sim.NewOptions(opts...))
+func NewSession(c *Circuit, opts Options) (*Session, error) {
+	return sim.NewSession(c, opts)
 }
 
-// NewOptions folds functional options into an Options value, for APIs that
-// take the struct (Simulator.Run, RunAndCompare, BatchJob.Options).
-func NewOptions(opts ...SimOption) Options { return sim.NewOptions(opts...) }
-
-// Functional simulation options, re-exported from internal/sim.
-
-// WithStrategy selects the approximation strategy (a fresh, unshared
-// instance — strategies are stateful per run).
-func WithStrategy(s Strategy) SimOption { return sim.WithStrategy(s) }
-
-// WithObserver wires a lifecycle-event observer into the run.
-func WithObserver(o Observer) SimOption { return sim.WithObserver(o) }
-
-// WithDeadline aborts the run once the deadline passes (checked between
-// gates); the error wraps sim.ErrDeadlineExceeded.
-func WithDeadline(t time.Time) SimOption { return sim.WithDeadline(t) }
-
-// WithTimeout is WithDeadline relative to now.
-func WithTimeout(d time.Duration) SimOption { return sim.WithTimeout(d) }
-
-// WithContext cancels the run between gates once ctx is done.
-func WithContext(ctx context.Context) SimOption { return sim.WithContext(ctx) }
-
-// WithSeed seeds mid-circuit measurement and reset outcomes.
-func WithSeed(seed int64) SimOption { return sim.WithSeed(seed) }
-
-// WithInitialState starts from the basis state |b⟩ instead of |0…0⟩.
-func WithInitialState(b uint64) SimOption { return sim.WithInitialState(b) }
-
-// WithSizeHistory records the DD size after every gate in
-// Result.SizeHistory.
-func WithSizeHistory() SimOption { return sim.WithSizeHistory() }
-
-// WithKeepAlive protects states from earlier runs on the same manager
-// across this run's node-pool sweeps.
-func WithKeepAlive(edges ...VEdge) SimOption { return sim.WithKeepAlive(edges...) }
-
-// WithBackend selects the state representation (BackendDensity for exact
-// noisy simulation; the default is BackendStatevector).
-func WithBackend(b Backend) SimOption { return sim.WithBackend(b) }
-
-// WithNoise applies the noise channel after every gate: exactly on the
-// density backend, as one sampled quantum trajectory on the statevector
-// backend.
-func WithNoise(n NoiseModel) SimOption { return sim.WithNoise(n) }
-
 // RegisterStrategy makes a custom approximation strategy constructible by
-// name — usable in-process (NewStrategyByName, WithStrategy) and over the
+// name — usable in-process (NewStrategyByName, Options.Strategy) and over the
 // simulation service's HTTP API (JobRequest.Strategy/StrategyParams). See
 // core.RegisterStrategy for the registry contract.
 func RegisterStrategy(name string, factory StrategyFactory) error {

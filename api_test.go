@@ -307,7 +307,7 @@ func TestFacadeBatchRun(t *testing.T) {
 		}
 	}
 	res, err := repro.BatchRun(context.Background(), jobs,
-		repro.WithWorkers(3), repro.WithBaseSeed(5))
+		repro.BatchOptions{Workers: 3, BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestCustomStrategyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.Run(circ, repro.WithStrategy(strat))
+	res, err := repro.Run(circ, repro.Options{Strategy: strat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,11 +464,11 @@ func TestCustomStrategyEndToEnd(t *testing.T) {
 
 func TestFacadeSessionStepping(t *testing.T) {
 	circ := repro.QFTCircuit(8)
-	ref, err := repro.Run(circ)
+	ref, err := repro.Run(circ, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ses, err := repro.NewSession(circ)
+	ses, err := repro.NewSession(circ, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func Example_sessionObserver() {
 	c.H(1)
 	c.CX(1, 0)
 
-	ses, err := repro.NewSession(c, repro.WithObserver(printRounds{}))
+	ses, err := repro.NewSession(c, repro.Options{Observer: printRounds{}})
 	if err != nil {
 		panic(err)
 	}
@@ -554,8 +554,8 @@ func TestFacadeReplaceStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.Run(c, repro.WithStrategy(
-		repro.NewReorder(repro.ReorderPolicy{Static: "scored"}, byName)))
+	res, err := repro.Run(c, repro.Options{
+		Strategy: repro.NewReorder(repro.ReorderPolicy{Static: "scored"}, byName)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 package repro
 
 // Benchmark harness regenerating the paper's evaluation (Table I) and the
-// supporting ablations. Every benchmark corresponds to an experiment in
-// DESIGN.md's experiment index; EXPERIMENTS.md records paper-vs-measured.
+// supporting ablations. Every benchmark corresponds to a section (E1–E13)
+// of the cmd/experiments report; the README's strategy guidance records
+// what the measurements showed.
 //
 // The default (small) preset keeps `go test -bench=.` in the minutes range;
 // run `go run ./cmd/table1 -scale medium|paper` for larger instances.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -322,12 +324,13 @@ func BenchmarkTable1SmallPresetFull(b *testing.B) {
 	suite.Supremacy = suite.Supremacy[:1]
 	suite.Shor = suite.Shor[:2]
 	suite.SampleTrue = false
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := suite.RunMemoryDriven(); err != nil {
+		if _, err := suite.RunMemoryDriven(ctx, benchtab.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := suite.RunFidelityDriven(); err != nil {
+		if _, err := suite.RunFidelityDriven(ctx, benchtab.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

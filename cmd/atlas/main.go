@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"go/format"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -32,11 +31,7 @@ func main() {
 	jsonPath := flag.String("json", "BENCH_atlas.json", "machine-readable sweep output path")
 	flag.Parse()
 
-	workers := *parallel
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	atlas, err := benchtab.SweepAtlas(context.Background(), benchtab.RunOptions{Parallel: workers, BaseSeed: 1})
+	atlas, err := benchtab.SweepAtlas(context.Background(), benchtab.RunOptions{Parallel: benchtab.Workers(*parallel), BaseSeed: 1})
 	if err != nil {
 		fatal(err)
 	}

@@ -1,10 +1,10 @@
-// Command experiments regenerates the measured data behind EXPERIMENTS.md:
-// Table I (both halves) at the chosen scale, the hyper-parameter sweeps
-// (E8/E9), the paper's worked examples (E3/E7), the Lemma 1 / fidelity
-// tracking validation (E6), and the noisy-fidelity comparison of the
-// density-matrix backend against quantum-trajectory sampling (E12), and the
-// approximability-atlas winner table behind serving's strategy=auto (E13),
-// as one markdown report on stdout.
+// Command experiments regenerates the measured data behind the README's
+// strategy guidance as one markdown report on stdout: Table I (both halves)
+// at the chosen scale, the hyper-parameter sweeps (E8/E9), the paper's
+// worked examples (E3/E7), the Lemma 1 / fidelity tracking validation (E6),
+// the noisy-fidelity comparison of the density-matrix backend against
+// quantum-trajectory sampling (E12), and the approximability-atlas winner
+// table behind serving's strategy=auto (E13).
 //
 // Usage:
 //
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 
 	"repro/internal/benchtab"
 	"repro/internal/circuit"
@@ -90,10 +91,23 @@ func paperExamples() error {
 	fmt.Printf("Fig. 1b DD: %d nodes (maximally shared; paper draws 6)\n", dd.CountVNodes(fig1))
 	fmt.Printf("Example 4:  amplitude(|011⟩) = %v (paper: −1/√10 = %.6f)\n",
 		m.Amplitude(fig1, 0b011, 3), -s)
-	contribs := core.Contributions(m, fig1)
+	// Contributions is a map; print it sorted by variable, then value, so
+	// the report is byte-stable.
+	type contribution struct {
+		v int
+		c float64
+	}
+	var contribs []contribution
+	for n, c := range core.Contributions(m, fig1) {
+		contribs = append(contribs, contribution{int(n.Var), c})
+	}
+	sort.Slice(contribs, func(i, j int) bool {
+		a, b := contribs[i], contribs[j]
+		return a.v < b.v || a.v == b.v && a.c < b.c
+	})
 	fmt.Println("Example 7:  contributions per node:")
-	for n, c := range contribs {
-		fmt.Printf("  q%d: %.3f\n", n.Var, c)
+	for _, c := range contribs {
+		fmt.Printf("  q%d: %.3f\n", c.v, c.c)
 	}
 	approx, rep, err := core.ApproximateToFidelity(m, fig1, 0.7)
 	if err != nil {
@@ -115,11 +129,11 @@ func table1(scale string, opts benchtab.RunOptions) error {
 		return err
 	}
 	ctx := context.Background()
-	mem, err := suite.RunMemoryDrivenBatch(ctx, opts)
+	mem, err := suite.RunMemoryDriven(ctx, opts)
 	if err != nil {
 		return err
 	}
-	fid, err := suite.RunFidelityDrivenBatch(ctx, opts)
+	fid, err := suite.RunFidelityDriven(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -127,13 +141,13 @@ func table1(scale string, opts benchtab.RunOptions) error {
 	return nil
 }
 
-func thresholdSweep(opts benchtab.SweepOptions) error {
+func thresholdSweep(opts benchtab.RunOptions) error {
 	cfg := supremacy.Config{Rows: 3, Cols: 4, Depth: 16, Seed: 0}
 	c, err := cfg.Generate()
 	if err != nil {
 		return err
 	}
-	points, err := benchtab.SweepThresholdBatch(context.Background(), c,
+	points, err := benchtab.SweepThreshold(context.Background(), c,
 		[]int{256, 512, 1024, 2048, 4096}, 0.975, 1.05, opts)
 	if err != nil {
 		return err
@@ -142,7 +156,7 @@ func thresholdSweep(opts benchtab.SweepOptions) error {
 	return nil
 }
 
-func orderingSweep(opts benchtab.SweepOptions) error {
+func orderingSweep(opts benchtab.RunOptions) error {
 	cfg := supremacy.Config{Rows: 3, Cols: 4, Depth: 12, Seed: 0}
 	sup, err := cfg.Generate()
 	if err != nil {
@@ -163,12 +177,12 @@ func orderingSweep(opts benchtab.SweepOptions) error {
 	return nil
 }
 
-func roundTradeoff(opts benchtab.SweepOptions) error {
+func roundTradeoff(opts benchtab.RunOptions) error {
 	inst, err := shor.NewInstance(33, 5)
 	if err != nil {
 		return err
 	}
-	points, err := benchtab.SweepRoundFidelityBatch(context.Background(), inst,
+	points, err := benchtab.SweepRoundFidelity(context.Background(), inst,
 		[]float64{0.51, 0.71, 0.8, 0.9, 0.95, 0.99}, 0.5, opts)
 	if err != nil {
 		return err
@@ -177,7 +191,7 @@ func roundTradeoff(opts benchtab.SweepOptions) error {
 	return nil
 }
 
-func replaceFrontier(opts benchtab.SweepOptions) error {
+func replaceFrontier(opts benchtab.RunOptions) error {
 	circs, err := benchtab.FrontierCircuits()
 	if err != nil {
 		return err

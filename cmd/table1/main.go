@@ -62,7 +62,7 @@ func main() {
 	if *part == "mem" || *part == "all" {
 		fmt.Fprintf(os.Stderr, "running memory-driven half (%d supremacy cases, %d workers)...\n",
 			len(suite.Supremacy), opts.Parallel)
-		r, err := suite.RunMemoryDrivenBatch(ctx, opts)
+		r, err := suite.RunMemoryDriven(ctx, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -71,7 +71,7 @@ func main() {
 	if *part == "fid" || *part == "all" {
 		fmt.Fprintf(os.Stderr, "running fidelity-driven half (%d Shor cases, %d workers)...\n",
 			len(suite.Shor), opts.Parallel)
-		r, err := suite.RunFidelityDrivenBatch(ctx, opts)
+		r, err := suite.RunFidelityDriven(ctx, opts)
 		if err != nil {
 			fatal(err)
 		}

@@ -11,8 +11,10 @@
 //     circuit block boundaries, guaranteeing a final-fidelity budget.
 //
 // The package re-exports the user-facing API of the internal packages; see
-// README.md for a tour, DESIGN.md for the architecture, and EXPERIMENTS.md
-// for the Table I reproduction.
+// README.md for a tour, docs/ARCHITECTURE.md for the architecture,
+// docs/API.md for the service endpoints, and the table1 and experiments
+// commands for the Table I reproduction. Runs, sessions and batches are
+// configured by one struct each: Options, BatchOptions, Table1RunOptions.
 //
 // Quick start:
 //
@@ -31,11 +33,11 @@
 // Finalize hook, after which the engine drops the job's manager:
 //
 //	res, err := repro.BatchRun(ctx, jobs,
-//		repro.WithWorkers(4), repro.WithBaseSeed(42))
+//		repro.BatchOptions{Workers: 4, BaseSeed: 42})
 //
-// The same engine backs Table1Suite.RunMemoryDrivenBatch /
-// RunFidelityDrivenBatch and the benchtab sweep drivers; the table1 and
-// experiments commands expose it as -parallel N.
+// The same engine backs Table1Suite.RunMemoryDriven / RunFidelityDriven
+// and the benchtab sweep drivers; the table1 and experiments commands
+// expose it as -parallel N.
 //
 // Simulation as a service: NewServer (and the standalone simd command)
 // wraps the batch engine in an asynchronous HTTP/JSON API — submit circuits

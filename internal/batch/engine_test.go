@@ -118,9 +118,9 @@ func (r *batchRecorder) OnWorkerDone(worker int, ws WorkerStats) {
 
 func TestBatchObserverAndPerWorkerStats(t *testing.T) {
 	rec := &batchRecorder{}
-	res, err := Run(context.Background(), approxJobs(10), NewOptions(
-		WithWorkers(2), WithBaseSeed(7), WithObserver(rec),
-	))
+	res, err := Run(context.Background(), approxJobs(10), Options{
+		Workers: 2, BaseSeed: 7, Observer: rec,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,17 +146,6 @@ func TestBatchObserverAndPerWorkerStats(t *testing.T) {
 	}
 	if busy != res.CPUTime {
 		t.Errorf("per-worker busy sums to %v, CPUTime is %v", busy, res.CPUTime)
-	}
-}
-
-func TestNewOptionsFoldsBatchOptions(t *testing.T) {
-	o := NewOptions(
-		WithWorkers(3),
-		WithBaseSeed(11),
-		WithJobTimeout(time.Second),
-	)
-	if o.Workers != 3 || o.BaseSeed != 11 || o.JobTimeout != time.Second {
-		t.Errorf("options not applied: %+v", o)
 	}
 }
 

@@ -2,14 +2,11 @@ package benchtab
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/order"
 	"repro/internal/supremacy"
@@ -176,59 +173,38 @@ func SweepAtlas(ctx context.Context, opts RunOptions) (*Atlas, error) {
 		return nil, err
 	}
 	// Phase 1: exact references, to size the per-class budget grids.
-	exactJobs := make([]batch.Job, len(workloads))
+	exactCells := make([]cell, len(workloads))
 	for i, w := range workloads {
-		exactJobs[i] = batch.Job{Name: "exact/" + w.Class, Circuit: w.Circuit}
+		exactCells[i] = cell{name: "exact/" + w.Class, circuit: w.Circuit}
 	}
-	exactRes, err := batch.Run(ctx, exactJobs, opts.batchOptions())
+	exactRes, err := runAll(ctx, exactCells, opts)
 	if err != nil {
 		return nil, err
 	}
-	exactMax := make([]int, len(workloads))
-	for i, jr := range exactRes.Jobs {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, jr.Err)
-		}
-		exactMax[i] = jr.Result.MaxDDSize
-	}
 
-	// Phase 2: the full grid, one batch job per cell.
-	var jobs []batch.Job
+	// Phase 2: the full grid, one cell per configuration.
+	var grid []cell
 	var configs []atlasConfig
 	var classIdx []int
 	for i, w := range workloads {
-		w := w
-		for _, cfg := range atlasGrid(exactMax[i]) {
-			cfg := cfg
-			jobs = append(jobs, batch.Job{
-				Name:    fmt.Sprintf("%s/%s/%s", w.Class, cfg.strategy, cfg.order),
-				Circuit: w.Circuit,
-				NewStrategy: func() core.Strategy {
-					s, err := core.NewStrategyByName(cfg.registry, json.RawMessage(cfg.params))
-					if err != nil {
-						panic(fmt.Sprintf("benchtab: atlas grid config invalid: %v", err))
-					}
-					return s
-				},
-			})
+		for _, cfg := range atlasGrid(exactRes[i].Result.MaxDDSize) {
+			grid = append(grid, cell{name: fmt.Sprintf("%s/%s/%s", w.Class, cfg.strategy, cfg.order),
+				circuit: w.Circuit, registry: cfg.registry, params: cfg.params})
 			configs = append(configs, cfg)
 			classIdx = append(classIdx, i)
 		}
 	}
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
+	jrs, err := runAll(ctx, grid, opts)
 	if err != nil {
 		return nil, err
 	}
 
 	atlas := &Atlas{}
 	cellsByClass := make([][]AtlasCell, len(workloads))
-	for j, jr := range bres.Jobs {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, jr.Err)
-		}
+	for j, jr := range jrs {
 		i := classIdx[j]
 		res := jr.Result
-		cell := AtlasCell{
+		c := AtlasCell{
 			Class:            workloads[i].Class,
 			Circuit:          workloads[i].Circuit.Name,
 			Strategy:         configs[j].strategy,
@@ -239,11 +215,11 @@ func SweepAtlas(ctx context.Context, opts RunOptions) (*Atlas, error) {
 			FinalDD:          res.FinalDDSize,
 			Rounds:           len(res.Rounds),
 			Fidelity:         res.EstimatedFidelity,
-			ExactMax:         exactMax[i],
+			ExactMax:         exactRes[i].Result.MaxDDSize,
 			Runtime:          res.Runtime,
 		}
-		cellsByClass[i] = append(cellsByClass[i], cell)
-		atlas.Cells = append(atlas.Cells, cell)
+		cellsByClass[i] = append(cellsByClass[i], c)
+		atlas.Cells = append(atlas.Cells, c)
 	}
 	for i, w := range workloads {
 		cells := cellsByClass[i]
@@ -263,7 +239,7 @@ func SweepAtlas(ctx context.Context, opts RunOptions) (*Atlas, error) {
 			Circuit:   w.Circuit.Name,
 			Qubits:    w.Circuit.NumQubits,
 			Gates:     w.Circuit.Len(),
-			ExactMax:  exactMax[i],
+			ExactMax:  exactRes[i].Result.MaxDDSize,
 			Winner:    win,
 			Cells:     len(cells),
 			Dominated: dominated,

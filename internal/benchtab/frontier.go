@@ -33,7 +33,7 @@ type FrontierPoint struct {
 // families at genuinely equal budgets — the delete-vs-replace comparison of
 // arXiv 2507.04335 on this repo's workloads. Budgets larger than the exact
 // final size are skipped (both passes are no-ops there).
-func SweepFrontier(ctx context.Context, circs []*circuit.Circuit, budgets []int, kinds []core.SubstituteKind, opts SweepOptions) ([]FrontierPoint, error) {
+func SweepFrontier(ctx context.Context, circs []*circuit.Circuit, budgets []int, kinds []core.SubstituteKind, opts RunOptions) ([]FrontierPoint, error) {
 	if kinds == nil {
 		kinds = core.DefaultSubstitutes()
 	}
@@ -43,56 +43,43 @@ func SweepFrontier(ctx context.Context, circs []*circuit.Circuit, budgets []int,
 	}
 	replParams := "kinds=" + strings.Join(kindNames, ",")
 
-	perJob := make([][]FrontierPoint, len(circs))
-	errs := make([]error, len(circs))
-	jobs := make([]batch.Job, 0, len(circs))
+	perCircuit := make([][]FrontierPoint, len(circs))
+	cells := make([]cell, len(circs))
 	for i, c := range circs {
-		i, c := i, c
-		jobs = append(jobs, batch.Job{
-			Name:    c.Name,
-			Circuit: c,
-			Finalize: func(r *batch.JobResult) {
-				if r.Err != nil || r.Result == nil {
+		cells[i] = cell{name: c.Name, circuit: c, finalize: func(r *batch.JobResult) {
+			if r.Err != nil {
+				return
+			}
+			m, e := r.Result.Manager, r.Result.Final
+			exact := dd.CountVNodes(e)
+			for _, budget := range budgets {
+				if budget < 1 || budget >= exact {
+					continue
+				}
+				nd, repD, err := core.ApproximateToSize(m, e, budget)
+				if err != nil {
+					r.Err = fmt.Errorf("delete at budget %d: %w", budget, err)
 					return
 				}
-				m, e := r.Result.Manager, r.Result.Final
-				exact := dd.CountVNodes(e)
-				for _, budget := range budgets {
-					if budget < 1 || budget >= exact {
-						continue
-					}
-					nd, repD, err := core.ApproximateToSize(m, e, budget)
-					if err != nil {
-						errs[i] = fmt.Errorf("delete at budget %d: %w", budget, err)
-						return
-					}
-					nr, repR, err := core.ApproximateToSizeReplace(m, e, budget, 0, kinds)
-					if err != nil {
-						errs[i] = fmt.Errorf("replace at budget %d: %w", budget, err)
-						return
-					}
-					perJob[i] = append(perJob[i],
-						FrontierPoint{Circuit: c.Name, Strategy: "delete", Params: fmt.Sprintf("max_nodes=%d", budget),
-							Budget: budget, Size: repD.SizeAfter, Fidelity: m.Fidelity(e, nd), ExactDD: exact},
-						FrontierPoint{Circuit: c.Name, Strategy: "replace", Params: fmt.Sprintf("max_nodes=%d %s", budget, replParams),
-							Budget: budget, Size: repR.SizeAfter, Fidelity: m.Fidelity(e, nr), ExactDD: exact})
+				nr, repR, err := core.ApproximateToSizeReplace(m, e, budget, 0, kinds)
+				if err != nil {
+					r.Err = fmt.Errorf("replace at budget %d: %w", budget, err)
+					return
 				}
-			},
-		})
+				perCircuit[i] = append(perCircuit[i],
+					FrontierPoint{Circuit: c.Name, Strategy: "delete", Params: fmt.Sprintf("max_nodes=%d", budget),
+						Budget: budget, Size: repD.SizeAfter, Fidelity: m.Fidelity(e, nd), ExactDD: exact},
+					FrontierPoint{Circuit: c.Name, Strategy: "replace", Params: fmt.Sprintf("max_nodes=%d %s", budget, replParams),
+						Budget: budget, Size: repR.SizeAfter, Fidelity: m.Fidelity(e, nr), ExactDD: exact})
+			}
+		}}
 	}
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
-	if err != nil {
+	if _, err := runAll(ctx, cells, opts); err != nil {
 		return nil, err
 	}
 	var out []FrontierPoint
-	for i, jr := range bres.Jobs {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, jr.Err)
-		}
-		if errs[i] != nil {
-			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, errs[i])
-		}
-		out = append(out, perJob[i]...)
+	for _, points := range perCircuit {
+		out = append(out, points...)
 	}
 	return out, nil
 }
@@ -131,17 +118,6 @@ func FormatFrontierMarkdown(points []FrontierPoint) string {
 	b.WriteString("|---|---|---|---|---|---|---|\n")
 	for _, p := range points {
 		fmt.Fprintf(&b, "| %s | %s | %s | %d | %d | %.4f | %d |\n",
-			p.Circuit, p.Strategy, p.Params, p.Budget, p.Size, p.Fidelity, p.ExactDD)
-	}
-	return b.String()
-}
-
-// FormatFrontierCSV renders a frontier sweep as CSV.
-func FormatFrontierCSV(points []FrontierPoint) string {
-	var b strings.Builder
-	b.WriteString("circuit,strategy,params,budget,nodes,fidelity,exact_dd\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%s,%s,%d,%d,%.6f,%d\n",
 			p.Circuit, p.Strategy, p.Params, p.Budget, p.Size, p.Fidelity, p.ExactDD)
 	}
 	return b.String()

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/order"
 )
 
@@ -19,7 +17,8 @@ type OrderPoint struct {
 	Circuit string
 	Order   string
 	// Params is the full reorder-strategy configuration behind this row
-	// (ordering plus sift mode), so ordering tables are self-describing.
+	// (registry name plus JSON ordering and sift mode), so ordering tables
+	// are self-describing.
 	Params  string
 	MaxDD   int
 	FinalDD int
@@ -36,46 +35,35 @@ type OrderPoint struct {
 // engine (identity is always included as the baseline, first) and reports
 // nodes saved per ordering. With sift set, each non-identity configuration
 // additionally runs dynamic sifting passes.
-func SweepOrderings(ctx context.Context, circs []*circuit.Circuit, orders []string, sift bool, opts SweepOptions) ([]OrderPoint, error) {
-	names := make([]string, 0, len(orders)+1)
-	names = append(names, order.Identity)
+func SweepOrderings(ctx context.Context, circs []*circuit.Circuit, orders []string, sift bool, opts RunOptions) ([]OrderPoint, error) {
+	names := []string{order.Identity}
 	for _, o := range orders {
 		if o != order.Identity {
 			names = append(names, o)
 		}
 	}
-	var jobs []batch.Job
+	var cells []cell
 	for _, c := range circs {
 		for _, name := range names {
-			name := name
-			jobs = append(jobs, batch.Job{
-				Name:    fmt.Sprintf("%s/%s", c.Name, name),
-				Circuit: c,
-				NewStrategy: func() core.Strategy {
-					return order.NewReorder(core.ReorderPolicy{Static: name, Sift: sift && name != order.Identity}, nil)
-				},
-			})
+			cells = append(cells, cell{name: c.Name + "/" + name, circuit: c, registry: "reorder",
+				params: mustJSON(order.Params{Order: name, Sift: sift && name != order.Identity})})
 		}
 	}
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
+	jrs, err := runAll(ctx, cells, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]OrderPoint, 0, len(bres.Jobs))
+	out := make([]OrderPoint, 0, len(jrs))
 	var identityMax int
-	for i, jr := range bres.Jobs {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, jr.Err)
-		}
+	for i, jr := range jrs {
 		res := jr.Result
 		if i%len(names) == 0 {
 			identityMax = res.MaxDDSize
 		}
-		ci, oi := i/len(names), i%len(names)
 		out = append(out, OrderPoint{
-			Circuit:       circs[ci].Name,
-			Order:         names[oi],
-			Params:        fmt.Sprintf("reorder order=%s sift=%t", names[oi], sift && names[oi] != order.Identity),
+			Circuit:       circs[i/len(names)].Name,
+			Order:         names[i%len(names)],
+			Params:        cells[i].config(),
 			MaxDD:         res.MaxDDSize,
 			FinalDD:       res.FinalDDSize,
 			Runtime:       res.Runtime,
@@ -95,17 +83,6 @@ func FormatOrderMarkdown(points []OrderPoint) string {
 	for _, p := range points {
 		fmt.Fprintf(&b, "| %s | %s | %s | %d | %d | %d | %d | %s |\n",
 			p.Circuit, p.Order, p.Params, p.MaxDD, p.FinalDD, p.NodesSaved, p.SiftPasses, fmtDur(p.Runtime))
-	}
-	return b.String()
-}
-
-// FormatOrderCSV renders an ordering sweep as CSV.
-func FormatOrderCSV(points []OrderPoint) string {
-	var b strings.Builder
-	b.WriteString("circuit,order,params,max_dd,final_dd,nodes_saved,sift_passes,seconds\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%s,%s,%d,%d,%d,%d,%.6f\n",
-			p.Circuit, p.Order, p.Params, p.MaxDD, p.FinalDD, p.NodesSaved, p.SiftPasses, p.Runtime.Seconds())
 	}
 	return b.String()
 }

@@ -18,7 +18,7 @@ func TestSweepOrderings(t *testing.T) {
 	}
 	circs := []*circuit.Circuit{pairs, gen.QFT(6)}
 	points, err := SweepOrderings(context.Background(), circs,
-		[]string{order.Reversed, order.Scored}, false, SweepOptions{})
+		[]string{order.Reversed, order.Scored}, false, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,6 @@ func TestSweepOrderings(t *testing.T) {
 	if !strings.Contains(md, "| pairs | scored |") {
 		t.Fatalf("markdown missing scored row:\n%s", md)
 	}
-	csv := FormatOrderCSV(points)
-	if !strings.Contains(csv, "pairs,scored,") {
-		t.Fatalf("csv missing scored row:\n%s", csv)
-	}
 }
 
 // TestSweepOrderingsParallelMatchesSerial: rows must be identical whether
@@ -68,11 +64,11 @@ func TestSweepOrderingsParallelMatchesSerial(t *testing.T) {
 		pairs.CX(i, i+4)
 	}
 	circs := []*circuit.Circuit{pairs, gen.QFT(5)}
-	serial, err := SweepOrderings(context.Background(), circs, []string{order.Scored}, true, SweepOptions{Parallel: 1})
+	serial, err := SweepOrderings(context.Background(), circs, []string{order.Scored}, true, RunOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepOrderings(context.Background(), circs, []string{order.Scored}, true, SweepOptions{Parallel: 4})
+	par, err := SweepOrderings(context.Background(), circs, []string{order.Scored}, true, RunOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

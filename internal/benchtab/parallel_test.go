@@ -39,8 +39,8 @@ func TestSweepThresholdParallelMatchesSerial(t *testing.T) {
 	thresholds := []int{32, 64, 128}
 	run := func(parallel int) []SweepPoint {
 		t.Helper()
-		points, err := SweepThresholdBatch(context.Background(), c, thresholds, 0.975, 1.1,
-			SweepOptions{Parallel: parallel, BaseSeed: 11})
+		points, err := SweepThreshold(context.Background(), c, thresholds, 0.975, 1.1,
+			RunOptions{Parallel: parallel, BaseSeed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,8 +60,8 @@ func TestSweepRoundFidelityParallelMatchesSerial(t *testing.T) {
 	frounds := []float64{0.71, 0.9, 0.99}
 	run := func(parallel int) []SweepPoint {
 		t.Helper()
-		points, err := SweepRoundFidelityBatch(context.Background(), inst, frounds, 0.5,
-			SweepOptions{Parallel: parallel, BaseSeed: 11})
+		points, err := SweepRoundFidelity(context.Background(), inst, frounds, 0.5,
+			RunOptions{Parallel: parallel, BaseSeed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +78,11 @@ func TestTable1ParallelMatchesSerial(t *testing.T) {
 	run := func(parallel int) []Row {
 		t.Helper()
 		opts := RunOptions{Parallel: parallel, BaseSeed: 3}
-		mem, err := suite.RunMemoryDrivenBatch(context.Background(), opts)
+		mem, err := suite.RunMemoryDriven(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fid, err := suite.RunFidelityDrivenBatch(context.Background(), opts)
+		fid, err := suite.RunFidelityDriven(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +109,8 @@ func TestSweepProgressAndCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls int
-	_, err = SweepThresholdBatch(context.Background(), c, []int{16, 32}, 0.975, 1.1,
-		SweepOptions{Progress: func(done, total int) {
+	_, err = SweepThreshold(context.Background(), c, []int{16, 32}, 0.975, 1.1,
+		RunOptions{Progress: func(done, total int) {
 			calls++
 			if total != 3 { // exact + two thresholds
 				t.Errorf("progress total = %d, want 3", total)
@@ -125,7 +125,7 @@ func TestSweepProgressAndCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = SweepThresholdBatch(ctx, c, []int{16, 32}, 0.975, 1.1, SweepOptions{})
+	_, err = SweepThreshold(ctx, c, []int{16, 32}, 0.975, 1.1, RunOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled sweep returned %v, want context.Canceled", err)
 	}

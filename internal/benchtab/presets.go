@@ -26,29 +26,13 @@ const (
 // same generators, same f_round sweep, same f_final = 0.5 target, thresholds
 // placed at the same fraction (~1/4) of the DD ceiling 2^n, and a gentler
 // threshold growth so the round counts land in the paper's regime at the
-// smaller ceilings (see DESIGN.md substitutions).
+// smaller ceilings.
 func NewSuite(preset string) (Suite, error) {
 	switch preset {
 	case PresetSmall:
 		return Suite{
-			Name: preset,
-			Supremacy: []SupremacyCase{
-				{
-					Config:    supremacy.Config{Rows: 3, Cols: 4, Depth: 16, Seed: 0},
-					Threshold: 1 << 10, Growth: 1.05,
-					Frounds: []float64{0.99, 0.975, 0.95},
-				},
-				{
-					Config:    supremacy.Config{Rows: 3, Cols: 4, Depth: 16, Seed: 1},
-					Threshold: 1 << 10, Growth: 1.05,
-					Frounds: []float64{0.99, 0.975, 0.95},
-				},
-				{
-					Config:    supremacy.Config{Rows: 3, Cols: 4, Depth: 16, Seed: 2},
-					Threshold: 1 << 10, Growth: 1.05,
-					Frounds: []float64{0.99, 0.975, 0.95},
-				},
-			},
+			Name:      preset,
+			Supremacy: supremacyCases(3, 4, 16, 1<<10, 1.05, 0, 1, 2),
 			Shor: []ShorCase{
 				{N: 15, A: 7, FinalFidelity: 0.5, RoundFidelity: 0.9},
 				{N: 21, A: 2, FinalFidelity: 0.5, RoundFidelity: 0.9},
@@ -59,19 +43,8 @@ func NewSuite(preset string) (Suite, error) {
 		}, nil
 	case PresetMedium:
 		return Suite{
-			Name: preset,
-			Supremacy: []SupremacyCase{
-				{
-					Config:    supremacy.Config{Rows: 4, Cols: 4, Depth: 20, Seed: 0},
-					Threshold: 1 << 14, Growth: 1.05,
-					Frounds: []float64{0.99, 0.975, 0.95},
-				},
-				{
-					Config:    supremacy.Config{Rows: 4, Cols: 4, Depth: 20, Seed: 1},
-					Threshold: 1 << 14, Growth: 1.05,
-					Frounds: []float64{0.99, 0.975, 0.95},
-				},
-			},
+			Name:      preset,
+			Supremacy: supremacyCases(4, 4, 20, 1<<14, 1.05, 0, 1),
 			Shor: []ShorCase{
 				{N: 33, A: 5, FinalFidelity: 0.5, RoundFidelity: 0.9},
 				{N: 55, A: 2, FinalFidelity: 0.5, RoundFidelity: 0.9},
@@ -82,24 +55,8 @@ func NewSuite(preset string) (Suite, error) {
 		}, nil
 	case PresetPaper:
 		return Suite{
-			Name: preset,
-			Supremacy: []SupremacyCase{
-				{
-					Config:    supremacy.Config{Rows: 4, Cols: 5, Depth: 15, Seed: 0},
-					Threshold: 1 << 18, Growth: 2,
-					Frounds: []float64{0.99, 0.975, 0.95},
-				},
-				{
-					Config:    supremacy.Config{Rows: 4, Cols: 5, Depth: 15, Seed: 1},
-					Threshold: 1 << 18, Growth: 2,
-					Frounds: []float64{0.99, 0.975, 0.95},
-				},
-				{
-					Config:    supremacy.Config{Rows: 4, Cols: 5, Depth: 15, Seed: 2},
-					Threshold: 1 << 18, Growth: 2,
-					Frounds: []float64{0.99, 0.975, 0.95},
-				},
-			},
+			Name:      preset,
+			Supremacy: supremacyCases(4, 5, 15, 1<<18, 2, 0, 1, 2),
 			Shor: []ShorCase{
 				{N: 33, A: 5, FinalFidelity: 0.5, RoundFidelity: 0.9},
 				{N: 55, A: 2, FinalFidelity: 0.5, RoundFidelity: 0.9},
@@ -116,4 +73,19 @@ func NewSuite(preset string) (Suite, error) {
 		return Suite{}, fmt.Errorf("benchtab: unknown preset %q (want %s|%s|%s)",
 			preset, PresetSmall, PresetMedium, PresetPaper)
 	}
+}
+
+// supremacyCases returns one memory-driven case per seed of a rows×cols
+// grid at the given depth, all sharing one threshold schedule and Table I's
+// f_round sweep.
+func supremacyCases(rows, cols, depth, threshold int, growth float64, seeds ...int64) []SupremacyCase {
+	cases := make([]SupremacyCase, len(seeds))
+	for i, seed := range seeds {
+		cases[i] = SupremacyCase{
+			Config:    supremacy.Config{Rows: rows, Cols: cols, Depth: depth, Seed: seed},
+			Threshold: threshold, Growth: growth,
+			Frounds: []float64{0.99, 0.975, 0.95},
+		}
+	}
+	return cases
 }

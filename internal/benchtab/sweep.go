@@ -6,19 +6,19 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/shor"
 )
 
 // SweepPoint is one configuration of a hyper-parameter sweep (the series
-// behind the paper's hyper-parameter discussion; E8/E9 in DESIGN.md).
+// behind the paper's hyper-parameter discussion; sections E8/E9 of the
+// cmd/experiments report).
 type SweepPoint struct {
 	Label string // swept value, e.g. "threshold=1024" or "fround=0.9"
-	// Params is the full strategy configuration behind this row (strategy
-	// name plus every parameter, not just the swept one), so sweep tables
-	// are self-describing.
+	// Params is the full strategy configuration behind this row (registry
+	// name plus every JSON parameter, not just the swept one), so sweep
+	// tables are self-describing.
 	Params    string
 	Rounds    int
 	MaxDD     int
@@ -29,94 +29,54 @@ type SweepPoint struct {
 	ExactTime time.Duration // exact reference runtime
 }
 
-// SweepOptions configures how a sweep executes; it is the same options
-// type the Table I drivers take. The zero value runs serially, matching
-// the historical behavior of SweepThreshold and SweepRoundFidelity.
-type SweepOptions = RunOptions
-
 // SweepThreshold runs the memory-driven strategy on one circuit across a
-// range of thresholds at fixed f_round (E8), serially.
-func SweepThreshold(c *circuit.Circuit, thresholds []int, fround, growth float64) ([]SweepPoint, error) {
-	return SweepThresholdBatch(context.Background(), c, thresholds, fround, growth, SweepOptions{})
-}
-
-// SweepThresholdBatch is SweepThreshold on the batch engine: the exact
-// reference and every threshold configuration are independent jobs fanned
-// out across opts.Parallel workers, with context cancellation.
-func SweepThresholdBatch(ctx context.Context, c *circuit.Circuit, thresholds []int, fround, growth float64, opts SweepOptions) ([]SweepPoint, error) {
-	jobs := make([]batch.Job, 0, len(thresholds)+1)
-	jobs = append(jobs, batch.Job{Name: "exact", Circuit: c})
-	params := make([]string, 0, len(thresholds))
+// range of thresholds at fixed f_round (E8): the exact reference and every
+// threshold configuration are independent batch jobs.
+func SweepThreshold(ctx context.Context, c *circuit.Circuit, thresholds []int, fround, growth float64, opts RunOptions) ([]SweepPoint, error) {
+	cells := []cell{{name: "exact", circuit: c}}
 	for _, th := range thresholds {
-		jobs = append(jobs, batch.Job{
-			Name:    fmt.Sprintf("threshold=%d", th),
-			Circuit: c,
-			NewStrategy: func() core.Strategy {
-				return &core.MemoryDriven{Threshold: th, RoundFidelity: fround, Growth: growth}
-			},
-		})
-		params = append(params, fmt.Sprintf("memory threshold=%d fround=%g growth=%g", th, fround, growth))
+		cells = append(cells, cell{name: fmt.Sprintf("threshold=%d", th), circuit: c, registry: "memory",
+			params: mustJSON(core.MemoryDrivenParams{Threshold: th, RoundFidelity: fround, Growth: growth})})
 	}
-	return runSweep(ctx, jobs, params, opts)
+	return runSweep(ctx, cells, opts)
 }
 
 // SweepRoundFidelity runs the fidelity-driven strategy on a Shor instance
 // across a range of per-round fidelities at fixed f_final (E9: few
-// aggressive rounds vs many gentle ones), serially.
-func SweepRoundFidelity(inst *shor.Instance, frounds []float64, ffinal float64) ([]SweepPoint, error) {
-	return SweepRoundFidelityBatch(context.Background(), inst, frounds, ffinal, SweepOptions{})
-}
-
-// SweepRoundFidelityBatch is SweepRoundFidelity on the batch engine.
-func SweepRoundFidelityBatch(ctx context.Context, inst *shor.Instance, frounds []float64, ffinal float64, opts SweepOptions) ([]SweepPoint, error) {
+// aggressive rounds vs many gentle ones), approximating at the inverse-QFT
+// block boundaries.
+func SweepRoundFidelity(ctx context.Context, inst *shor.Instance, frounds []float64, ffinal float64, opts RunOptions) ([]SweepPoint, error) {
 	c := inst.BuildCircuit()
-	locations := inst.IQFTBoundaries(c) // shared read-only across jobs
-	jobs := make([]batch.Job, 0, len(frounds)+1)
-	jobs = append(jobs, batch.Job{Name: "exact", Circuit: c})
-	params := make([]string, 0, len(frounds))
+	locations := inst.IQFTBoundaries(c)
+	cells := []cell{{name: "exact", circuit: c}}
 	for _, fr := range frounds {
-		jobs = append(jobs, batch.Job{
-			Name:    fmt.Sprintf("fround=%g", fr),
-			Circuit: c,
-			NewStrategy: func() core.Strategy {
-				strat := core.NewFidelityDriven(ffinal, fr)
-				strat.Locations = locations
-				return strat
-			},
-		})
-		params = append(params, fmt.Sprintf("fidelity fround=%g ffinal=%g locations=%d", fr, ffinal, len(locations)))
+		cells = append(cells, cell{name: fmt.Sprintf("fround=%g", fr), circuit: c, registry: "fidelity",
+			params: mustJSON(core.FidelityDrivenParams{FinalFidelity: ffinal, RoundFidelity: fr, Locations: locations})})
 	}
-	return runSweep(ctx, jobs, params, opts)
+	return runSweep(ctx, cells, opts)
 }
 
-// runSweep executes jobs[0] as the exact reference plus one job per swept
-// configuration and assembles the points in job order; params[i] is the
-// self-describing strategy configuration of jobs[i+1].
-func runSweep(ctx context.Context, jobs []batch.Job, params []string, opts SweepOptions) ([]SweepPoint, error) {
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
+// runSweep runs cells[0] as the exact reference plus one cell per swept
+// configuration and assembles the points in cell order.
+func runSweep(ctx context.Context, cells []cell, opts RunOptions) ([]SweepPoint, error) {
+	jrs, err := runAll(ctx, cells, opts)
 	if err != nil {
 		return nil, err
 	}
-	exact := bres.Jobs[0]
-	if exact.Err != nil {
-		return nil, exact.Err
-	}
-	out := make([]SweepPoint, 0, len(bres.Jobs)-1)
-	for i, jr := range bres.Jobs[1:] {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("benchtab: %s: %w", jr.Name, jr.Err)
-		}
+	exact := jrs[0].Result
+	out := make([]SweepPoint, 0, len(jrs)-1)
+	for i, jr := range jrs[1:] {
 		res := jr.Result
 		out = append(out, SweepPoint{
 			Label:     jr.Name,
-			Params:    params[i],
+			Params:    cells[i+1].config(),
 			Rounds:    len(res.Rounds),
 			MaxDD:     res.MaxDDSize,
 			Runtime:   res.Runtime,
 			FinalFid:  res.EstimatedFidelity,
 			FidBound:  res.FidelityBound,
-			ExactMax:  exact.Result.MaxDDSize,
-			ExactTime: exact.Result.Runtime,
+			ExactMax:  exact.MaxDDSize,
+			ExactTime: exact.Runtime,
 		})
 	}
 	return out, nil
@@ -131,18 +91,6 @@ func FormatSweepMarkdown(points []SweepPoint) string {
 		fmt.Fprintf(&b, "| %s | %s | %d | %d | %s | %.3f | %.3f | %d | %s |\n",
 			p.Label, p.Params, p.Rounds, p.MaxDD, fmtDur(p.Runtime), p.FinalFid, p.FidBound,
 			p.ExactMax, fmtDur(p.ExactTime))
-	}
-	return b.String()
-}
-
-// FormatSweepCSV renders sweep points as CSV.
-func FormatSweepCSV(points []SweepPoint) string {
-	var b strings.Builder
-	b.WriteString("config,params,rounds,max_dd,seconds,f_final,fid_bound,exact_max_dd,exact_seconds\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%.6f,%.6f,%.6f,%d,%.6f\n",
-			p.Label, p.Params, p.Rounds, p.MaxDD, p.Runtime.Seconds(), p.FinalFid, p.FidBound,
-			p.ExactMax, p.ExactTime.Seconds())
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package benchtab
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestSweepThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepThreshold(c, []int{32, 64, 128}, 0.975, 1.1)
+	points, err := SweepThreshold(context.Background(), c, []int{32, 64, 128}, 0.975, 1.1, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSweepRoundFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepRoundFidelity(inst, []float64{0.71, 0.9, 0.95}, 0.5)
+	points, err := SweepRoundFidelity(context.Background(), inst, []float64{0.71, 0.9, 0.95}, 0.5, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +66,12 @@ func TestSweepRoundFidelity(t *testing.T) {
 
 func TestSweepFormatters(t *testing.T) {
 	points := []SweepPoint{{
-		Label: "threshold=64", Params: "memory threshold=64 fround=0.975 growth=1.05",
+		Label: "threshold=64", Params: `memory {"threshold":64,"round_fidelity":0.975,"growth":1.05}`,
 		Rounds: 3, MaxDD: 100, FinalFid: 0.9,
 		FidBound: 0.88, ExactMax: 200,
 	}}
 	md := FormatSweepMarkdown(points)
 	if !strings.Contains(md, "| Params |") || !strings.Contains(md, "threshold=64") || !strings.Contains(md, "| 3 |") {
 		t.Errorf("markdown:\n%s", md)
-	}
-	csv := FormatSweepCSV(points)
-	if !strings.Contains(csv, "threshold=64,memory threshold=64 fround=0.975 growth=1.05,3,100") {
-		t.Errorf("csv:\n%s", csv)
 	}
 }

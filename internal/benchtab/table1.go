@@ -3,7 +3,6 @@ package benchtab
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/batch"
@@ -78,180 +77,94 @@ type Suite struct {
 	SampleTrue bool          // measure true fidelity against the exact state
 }
 
-// RunOptions configures how a suite or sweep executes. The zero value runs
-// serially, matching the historical behavior of the option-less drivers
-// (RunMemoryDriven, RunFidelityDriven, SweepThreshold, SweepRoundFidelity).
-type RunOptions struct {
-	// Parallel is the batch worker count; values ≤ 1 run serially (use
-	// Workers to map a "0 = all CPUs" flag value). Rows are identical for
-	// every worker count (timing columns aside) because each job runs on
-	// a fresh manager with a seed derived from BaseSeed and its index.
-	Parallel int
-	// BaseSeed derives per-job measurement seeds.
-	BaseSeed int64
-	// Progress, when non-nil, receives (done, total) after each finished
-	// simulation job (exact references and approximate runs; the optional
-	// true-fidelity re-runs, which run inside their exact reference's job,
-	// are not counted).
-	Progress func(done, total int)
+// benchmark is one Table I circuit: the exact reference plus one
+// approximate configuration per row. Both halves of the table are lists of
+// benchmarks run by runBenchmarks.
+type benchmark struct {
+	approach, name string
+	qubits         int
+	circuit        *circuit.Circuit
+	rows           []config
 }
 
-// Workers maps a user-facing parallelism flag to a RunOptions.Parallel
-// value: n ≤ 0 selects one worker per CPU, anything else is taken verbatim.
-// The table1 and experiments commands share this for their -parallel flags.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
+// config is one approximate configuration of a benchmark (one table row).
+type config struct {
+	fround           float64
+	registry, params string
 }
 
-func (o RunOptions) workers() int {
-	if o.Parallel <= 1 {
-		return 1
-	}
-	return o.Parallel
-}
-
-func (o RunOptions) batchOptions() batch.Options {
-	bo := batch.Options{BaseSeed: o.BaseSeed, Workers: o.workers()}
-	if o.Progress != nil {
-		p := o.Progress
-		bo.Progress = func(done, total int, _ batch.JobResult) { p(done, total) }
-	}
-	return bo
-}
-
-// RunMemoryDriven produces the memory-driven half of Table I, serially.
-func (s Suite) RunMemoryDriven() ([]Row, error) {
-	return s.RunMemoryDrivenBatch(context.Background(), RunOptions{})
-}
-
-// RunMemoryDrivenBatch produces the memory-driven half on the batch engine:
-// one job per exact reference and per (circuit, f_round) configuration.
-func (s Suite) RunMemoryDrivenBatch(ctx context.Context, opts RunOptions) ([]Row, error) {
-	var jobs []batch.Job
-	exactIdx := make([]int, len(s.Supremacy))
-	trueFid := make([][]float64, len(s.Supremacy))
+// RunMemoryDriven produces the memory-driven half of Table I: one job per
+// exact reference and per (circuit, f_round) configuration.
+func (s Suite) RunMemoryDriven(ctx context.Context, opts RunOptions) ([]Row, error) {
+	benches := make([]benchmark, len(s.Supremacy))
 	for i, cs := range s.Supremacy {
 		circ, err := cs.Config.Generate()
 		if err != nil {
 			return nil, err
 		}
-		strategies := make([]func() core.Strategy, len(cs.Frounds))
-		for j, fround := range cs.Frounds {
-			strategies[j] = memoryStrategy(cs, fround)
+		b := benchmark{approach: "memory-driven", name: cs.Config.Name(), qubits: cs.Config.Qubits(), circuit: circ}
+		for _, fround := range cs.Frounds {
+			b.rows = append(b.rows, config{fround, "memory", mustJSON(core.MemoryDrivenParams{
+				Threshold: cs.Threshold, RoundFidelity: fround, Growth: cs.Growth,
+			})})
 		}
-		exactIdx[i] = len(jobs)
-		trueFid[i] = make([]float64, len(cs.Frounds))
-		jobs = append(jobs, batch.Job{
-			Name: cs.Config.Name() + "/exact", Circuit: circ, Timeout: s.Timeout,
-			Finalize: s.sampleTrue(ctx, circ, strategies, trueFid[i]),
-		})
-		for j, fround := range cs.Frounds {
-			jobs = append(jobs, batch.Job{
-				Name:        fmt.Sprintf("%s/fround=%g", cs.Config.Name(), fround),
-				Circuit:     circ,
-				Timeout:     s.Timeout,
-				NewStrategy: strategies[j],
-			})
-		}
+		benches[i] = b
 	}
-
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]Row, 0, len(jobs)-len(s.Supremacy))
-	for i, cs := range s.Supremacy {
-		exact := bres.Jobs[exactIdx[i]]
-		for j, fround := range cs.Frounds {
-			row := Row{
-				Approach: "memory-driven",
-				Name:     cs.Config.Name(),
-				Qubits:   cs.Config.Qubits(),
-				RoundFid: fround,
-			}
-			fillExact(&row, exact.Result, exact.Err)
-			fillApprox(&row, bres.Jobs[exactIdx[i]+1+j], trueFid[i][j])
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	return s.runBenchmarks(ctx, benches, opts)
 }
 
-// RunFidelityDriven produces the fidelity-driven half of Table I, serially.
-func (s Suite) RunFidelityDriven() ([]Row, error) {
-	return s.RunFidelityDrivenBatch(context.Background(), RunOptions{})
-}
-
-// RunFidelityDrivenBatch produces the fidelity-driven half on the batch
-// engine: one exact and one approximate job per Shor instance.
-func (s Suite) RunFidelityDrivenBatch(ctx context.Context, opts RunOptions) ([]Row, error) {
-	var jobs []batch.Job
-	insts := make([]*shor.Instance, len(s.Shor))
-	trueFid := make([][]float64, len(s.Shor))
+// RunFidelityDriven produces the fidelity-driven half of Table I: one
+// exact and one approximate job per Shor instance, approximating at the
+// inverse-QFT block boundaries.
+func (s Suite) RunFidelityDriven(ctx context.Context, opts RunOptions) ([]Row, error) {
+	benches := make([]benchmark, len(s.Shor))
 	for i, cs := range s.Shor {
 		inst, err := shor.NewInstance(cs.N, cs.A)
 		if err != nil {
 			return nil, err
 		}
-		insts[i] = inst
 		circ := inst.BuildCircuit()
-		strategy := fidelityStrategy(cs, inst.IQFTBoundaries(circ))
-		trueFid[i] = make([]float64, 1)
-		jobs = append(jobs,
-			batch.Job{
-				Name: inst.Name() + "/exact", Circuit: circ, Timeout: s.Timeout,
-				Finalize: s.sampleTrue(ctx, circ, []func() core.Strategy{strategy}, trueFid[i]),
-			},
-			batch.Job{
-				Name:        fmt.Sprintf("%s/fround=%g", inst.Name(), cs.RoundFidelity),
-				Circuit:     circ,
-				Timeout:     s.Timeout,
-				NewStrategy: strategy,
-			},
-		)
+		benches[i] = benchmark{approach: "fidelity-driven", name: inst.Name(), qubits: inst.Qubits, circuit: circ,
+			rows: []config{{cs.RoundFidelity, "fidelity", mustJSON(core.FidelityDrivenParams{
+				FinalFidelity: cs.FinalFidelity, RoundFidelity: cs.RoundFidelity,
+				Locations: inst.IQFTBoundaries(circ),
+			})}}}
 	}
+	return s.runBenchmarks(ctx, benches, opts)
+}
 
-	bres, err := batch.Run(ctx, jobs, opts.batchOptions())
+// runBenchmarks runs each benchmark's exact reference followed by its
+// approximate configurations, in benchmark order, and assembles one row per
+// configuration.
+func (s Suite) runBenchmarks(ctx context.Context, benches []benchmark, opts RunOptions) ([]Row, error) {
+	var cells []cell
+	trueFid := make([][]float64, len(benches))
+	for i, b := range benches {
+		approx := make([]cell, len(b.rows))
+		for j, cfg := range b.rows {
+			approx[j] = cell{name: fmt.Sprintf("%s/fround=%g", b.name, cfg.fround), circuit: b.circuit,
+				registry: cfg.registry, params: cfg.params, timeout: s.Timeout}
+		}
+		trueFid[i] = make([]float64, len(approx))
+		cells = append(cells, cell{name: b.name + "/exact", circuit: b.circuit, timeout: s.Timeout,
+			finalize: s.sampleTrue(ctx, b.circuit, approx, trueFid[i])})
+		cells = append(cells, approx...)
+	}
+	jrs, err := run(ctx, cells, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	rows := make([]Row, 0, len(s.Shor))
-	for i, cs := range s.Shor {
-		exact := bres.Jobs[2*i]
-		row := Row{
-			Approach: "fidelity-driven",
-			Name:     insts[i].Name(),
-			Qubits:   insts[i].Qubits,
-			RoundFid: cs.RoundFidelity,
+	var rows []Row
+	for i, b := range benches {
+		for j, cfg := range b.rows {
+			row := Row{Approach: b.approach, Name: b.name, Qubits: b.qubits, RoundFid: cfg.fround}
+			fillExact(&row, jrs[0])
+			fillApprox(&row, jrs[1+j], trueFid[i][j])
+			rows = append(rows, row)
 		}
-		fillExact(&row, exact.Result, exact.Err)
-		fillApprox(&row, bres.Jobs[2*i+1], trueFid[i][0])
-		rows = append(rows, row)
+		jrs = jrs[1+len(b.rows):]
 	}
 	return rows, nil
-}
-
-func memoryStrategy(cs SupremacyCase, fround float64) func() core.Strategy {
-	return func() core.Strategy {
-		return &core.MemoryDriven{
-			Threshold:     cs.Threshold,
-			RoundFidelity: fround,
-			Growth:        cs.Growth,
-		}
-	}
-}
-
-func fidelityStrategy(cs ShorCase, locations []int) func() core.Strategy {
-	return func() core.Strategy {
-		strat := core.NewFidelityDriven(cs.FinalFidelity, cs.RoundFidelity)
-		strat.Locations = locations
-		return strat
-	}
 }
 
 // sampleTrue returns the Finalize hook of an exact reference job when the
@@ -260,7 +173,7 @@ func fidelityStrategy(cs ShorCase, locations []int) func() core.Strategy {
 // its fidelity against the exact final state in out (-1 when the exact run
 // or the re-run fails). fillApprox copies a value into its row only when
 // the row's own approximate job succeeded.
-func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, strategies []func() core.Strategy, out []float64) func(*batch.JobResult) {
+func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, approx []cell, out []float64) func(*batch.JobResult) {
 	for j := range out {
 		out[j] = -1
 	}
@@ -273,9 +186,9 @@ func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, strategies []
 		}
 		exact := jr.Result
 		simr := &sim.Simulator{M: exact.Manager}
-		for j, newStrategy := range strategies {
-			approx, err := simr.Run(c, sim.Options{
-				Strategy: newStrategy(),
+		for j, a := range approx {
+			res, err := simr.Run(c, sim.Options{
+				Strategy: a.strategy(),
 				Deadline: s.deadline(),
 				Context:  ctx,
 				// The exact final state must survive this run's node-pool
@@ -283,7 +196,7 @@ func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, strategies []
 				KeepAlive: []dd.VEdge{exact.Final},
 			})
 			if err == nil {
-				out[j] = simr.M.Fidelity(exact.Final, approx.Final)
+				out[j] = simr.M.Fidelity(exact.Final, res.Final)
 			}
 		}
 	}
@@ -296,13 +209,13 @@ func (s Suite) deadline() time.Time {
 	return time.Now().Add(s.Timeout)
 }
 
-func fillExact(row *Row, exact *sim.Result, err error) {
-	if err != nil {
+func fillExact(row *Row, jr batch.JobResult) {
+	if jr.Err != nil {
 		row.ExactTimeout = true
 		return
 	}
-	row.ExactMaxDD = exact.MaxDDSize
-	row.ExactTime = exact.Runtime
+	row.ExactMaxDD = jr.Result.MaxDDSize
+	row.ExactTime = jr.Result.Runtime
 }
 
 func fillApprox(row *Row, jr batch.JobResult, trueFid float64) {

@@ -1,7 +1,7 @@
 package benchtab
 
 import (
-	"strings"
+	"context"
 	"testing"
 	"time"
 
@@ -29,7 +29,7 @@ func tinySuite() Suite {
 }
 
 func TestMemoryDrivenHalf(t *testing.T) {
-	rows, err := tinySuite().RunMemoryDriven()
+	rows, err := tinySuite().RunMemoryDriven(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMemoryDrivenHalf(t *testing.T) {
 }
 
 func TestFidelityDrivenHalf(t *testing.T) {
-	rows, err := tinySuite().RunFidelityDriven()
+	rows, err := tinySuite().RunFidelityDriven(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +148,22 @@ func TestFormatters(t *testing.T) {
 			ApproxFailed: "deadline exceeded",
 		},
 	}
-	md := FormatMarkdown(rows)
-	for _, want := range []string{"qsup_2x2_4_0", "shor_629_8", "Timeout", "failed", "0.98", "1.88x"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
+	// Both layouts are pinned byte for byte: an ok row, an exact timeout,
+	// and a failed approximate run (whose remaining cells stay empty).
+	wantMD := "| Approach | Benchmark | Qubits | Exact Max DD | Exact Time | Approx Max DD | Rounds | f_round | Approx Time | f_final | True F | Speed-up |\n" +
+		"|---|---|---|---|---|---|---|---|---|---|---|---|\n" +
+		"| memory-driven | qsup_2x2_4_0 | 4 | 15 | 1.5ms | 10 | 2 | 0.99 | 800µs | 0.980 | 0.981 | 1.88x |\n" +
+		"| fidelity-driven | shor_629_8 | 30 | – | Timeout | 57710 | 5 | 0.9 | 2.00s | 0.596 | – | – |\n" +
+		"| memory-driven | broken | 2 | 0 | 0 | failed: deadline exceeded | | | | | | |\n"
+	if md := FormatMarkdown(rows); md != wantMD {
+		t.Errorf("markdown:\n%s\nwant:\n%s", md, wantMD)
 	}
-	csv := FormatCSV(rows)
-	if lines := strings.Count(csv, "\n"); lines != 4 {
-		t.Errorf("CSV has %d lines, want 4", lines)
-	}
-	if !strings.Contains(csv, "shor_629_8") || !strings.Contains(csv, "true") {
-		t.Errorf("CSV content wrong:\n%s", csv)
+	wantCSV := "approach,benchmark,qubits,exact_max_dd,exact_seconds,exact_timeout,approx_max_dd,rounds,f_round,approx_seconds,f_final,fid_bound,true_fidelity,speedup,error\n" +
+		"memory-driven,qsup_2x2_4_0,4,15,0.001500,false,10,2,0.99,0.000800,0.980000,0.980100,0.981000,1.875,\"\"\n" +
+		"fidelity-driven,shor_629_8,30,0,0.000000,true,57710,5,0.9,2.000000,0.596000,0.590000,-1.000000,0.000,\"\"\n" +
+		"memory-driven,broken,2,0,0.000000,false,0,0,0,0.000000,0.000000,0.000000,0.000000,0.000,\"deadline exceeded\"\n"
+	if csv := FormatCSV(rows); csv != wantCSV {
+		t.Errorf("CSV:\n%s\nwant:\n%s", csv, wantCSV)
 	}
 }
 
@@ -167,7 +171,7 @@ func TestDeadlineProducesTimeoutRow(t *testing.T) {
 	s := tinySuite()
 	s.Timeout = time.Nanosecond // force immediate deadline
 	s.SampleTrue = false
-	rows, err := s.RunFidelityDriven()
+	rows, err := s.RunFidelityDriven(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@
 // the same gate set.
 //
 // Supported: OPENQASM/include headers, qreg/creg declarations, the standard
-// gate set (x y z h s sdg t tdg sx id, rx ry rz p u1 u2 u3 u, cx cz cp cu1
-// ccx swap cswap), barrier (mapped to block boundaries, which steer
+// gate set (x y z h s sdg t tdg sx sxdg id, rx ry rz p u1 u2 u3 u, cx cy
+// cz ch cp cu1 crz ccx ccz swap cswap) plus sy/sydg (√Y, which Export
+// writes for supremacy circuits), barrier (mapped to block boundaries, which steer
 // fidelity-driven approximation placement), measure (recorded but not
 // simulated), and constant parameter expressions with pi, + - * /, unary
 // minus and parentheses.

@@ -81,7 +81,7 @@ func Parse(src, name string) (*Program, error) {
 var gateSpec = map[string]struct{ qubits, params int }{
 	"x": {1, 0}, "y": {1, 0}, "z": {1, 0}, "h": {1, 0}, "s": {1, 0},
 	"sdg": {1, 0}, "t": {1, 0}, "tdg": {1, 0}, "sx": {1, 0}, "sxdg": {1, 0},
-	"id": {1, 0}, "i": {1, 0},
+	"sy": {1, 0}, "sydg": {1, 0}, "id": {1, 0}, "i": {1, 0},
 	"rx": {1, 1}, "ry": {1, 1}, "rz": {1, 1}, "p": {1, 1}, "u1": {1, 1},
 	"u2": {1, 2}, "u3": {1, 3}, "u": {1, 3},
 	"cx": {2, 0}, "cy": {2, 0}, "cz": {2, 0}, "ch": {2, 0},
@@ -116,7 +116,7 @@ func applyOp(c *circuit.Circuit, op operation) error {
 	q := op.qubits
 	pc := func(idx int) dd.Control { return dd.PosControl(q[idx]) }
 	switch op.name {
-	case "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "id", "i":
+	case "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "sy", "sydg", "id", "i":
 		c.Apply(op.name, nil, q[0])
 	case "rx", "ry", "rz", "p", "u1":
 		c.Apply(op.name, op.params, q[0])

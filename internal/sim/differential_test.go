@@ -60,18 +60,18 @@ func TestReplaceBeatsDeleteOnPairs(t *testing.T) {
 	const n = 12
 	c := pairsCircuit(n)
 
-	exact, err := New().Run(c, NewOptions())
+	exact, err := New().Run(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exactVec := exact.Manager.ToVector(exact.Final, n)
 
 	for _, budget := range []int{12, 16, 24, 32, 48} {
-		del, err := New().Run(c, NewOptions(WithStrategy(&sizeDriven{budget: budget})))
+		del, err := New().Run(c, Options{Strategy: &sizeDriven{budget: budget}})
 		if err != nil {
 			t.Fatalf("budget %d delete: %v", budget, err)
 		}
-		rep, err := New().Run(c, NewOptions(WithStrategy(&core.ReplaceDriven{NodeBudget: budget})))
+		rep, err := New().Run(c, Options{Strategy: &core.ReplaceDriven{NodeBudget: budget}})
 		if err != nil {
 			t.Fatalf("budget %d replace: %v", budget, err)
 		}
@@ -99,7 +99,7 @@ func TestReplaceBeatsDeleteOnPairs(t *testing.T) {
 func TestReplaceFrontierDominatesOnFinalState(t *testing.T) {
 	const n = 14
 	c := pairsCircuit(n)
-	exact, err := New().Run(c, NewOptions())
+	exact, err := New().Run(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSamplingMatchesAmplitudesDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := New().Run(tc.circ, NewOptions(WithStrategy(tc.strategy())))
+			res, err := New().Run(tc.circ, Options{Strategy: tc.strategy()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,9 +15,8 @@
 // Options.Observer (core.Observer) streams lifecycle events — per-gate
 // sizes, approximation rounds, node-pool cleanups, completion — to the
 // caller as the run executes; the HTTP service forwards them as per-job SSE
-// streams. Options are built either as a struct literal or with the
-// functional options in options.go (WithStrategy, WithObserver,
-// WithDeadline, ...), which the root package re-exports.
+// streams. Options is a plain struct: callers fill the fields they need,
+// and the zero value runs exact.
 //
 // Runs are interruptible between gates through one unified mechanism: an
 // Options.Deadline derives a context (carrying ErrDeadlineExceeded as its

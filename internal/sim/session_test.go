@@ -389,43 +389,14 @@ func TestObserverOnFinishFiresOnAbortAndError(t *testing.T) {
 	}
 }
 
-func TestFunctionalOptionsBuildOptions(t *testing.T) {
-	strat := &core.MemoryDriven{Threshold: 32, RoundFidelity: 0.95}
-	obs := &countingObserver{}
-	o := NewOptions(
-		WithStrategy(strat),
-		WithObserver(obs),
-		WithSeed(99),
-		WithInitialState(5),
-		WithSizeHistory(),
-		WithCleanupHighWater(1234),
-	)
-	if o.Strategy != core.Strategy(strat) || o.Observer != core.Observer(obs) {
-		t.Error("strategy/observer option not applied")
-	}
-	if o.MeasurementSeed != 99 || o.InitialState != 5 || !o.CollectSizeHistory || o.CleanupHighWater != 1234 {
-		t.Errorf("options not applied: %+v", o)
-	}
-
-	res, err := New().Run(measurementCircuit(5), NewOptions(WithSeed(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New().Run(measurementCircuit(5), Options{MeasurementSeed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "functional-options", ref, res)
-}
-
 func TestSessionDeadlineUnifiedWithContext(t *testing.T) {
 	// Both abort paths flow through the single context check: an expired
 	// deadline surfaces as ErrDeadlineExceeded even when a live Context is
 	// also set.
-	ses, err := NewSession(gen.QFT(8), NewOptions(
-		WithContext(t.Context()),
-		WithDeadline(time.Now().Add(-time.Second)),
-	))
+	ses, err := NewSession(gen.QFT(8), Options{
+		Context:  t.Context(),
+		Deadline: time.Now().Add(-time.Second),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,5 +20,6 @@
 // same structure (four horizontal + four vertical phases, each bond covered
 // once per eight cycles, disjoint bonds within a layer), which preserves the
 // property the DATE'21 paper relies on: minimal redundancy, so the state DD
-// grows toward the 2^n worst case (see DESIGN.md, substitutions).
+// grows toward the 2^n worst case. benchtab.NewSuite documents how the
+// Table I presets scale these grids down.
 package supremacy
