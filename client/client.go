@@ -8,7 +8,7 @@
 //
 //	cl := client.New("http://localhost:8555")
 //	st, err := cl.Submit(ctx, client.JobRequest{QASM: src, Strategy: "memory",
-//		Threshold: 1 << 12, RoundFidelity: 0.99})
+//		StrategyParams: json.RawMessage(`{"threshold":4096,"round_fidelity":0.99}`)})
 //	...
 //	final, err := cl.Wait(ctx, st.ID, 0)       // poll until terminal
 //	res, err := cl.Result(ctx, st.ID)          // typed payload

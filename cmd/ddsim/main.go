@@ -1,26 +1,28 @@
 // Command ddsim simulates a quantum circuit with optional approximation.
 //
 // The circuit comes from an OpenQASM 2.0 file (-qasm) or a builtin generator
-// (-gen). Strategies: none (exact), mem (memory-driven), fid
-// (fidelity-driven), auto (classify the circuit's gate mix and install the
-// committed approximability-atlas winner for its workload class — see
-// docs/ATLAS.md).
+// (-gen). -strategy takes any registered strategy name (exact, memory,
+// fidelity, replace, reorder, ...) with its JSON parameters in -params, the
+// same spelling as the simulation service's strategy and strategy_params
+// fields; auto classifies the circuit's gate mix and installs the committed
+// approximability-atlas winner for its workload class (docs/ATLAS.md).
 //
 // Examples:
 //
 //	ddsim -gen qft:12 -shots 8
 //	ddsim -gen qaoa:10:2:1 -strategy auto
-//	ddsim -gen grover:10:333 -strategy fid -ffinal 0.8 -fround 0.95
-//	ddsim -qasm circuit.qasm -optimize -strategy mem -threshold 4096 -fround 0.99
-//	ddsim -gen qsup:3x4:16 -strategy mem -threshold 1024 -growth 1.05 -trace
+//	ddsim -gen grover:10:333 -strategy fidelity -params '{"final_fidelity":0.8,"round_fidelity":0.95}'
+//	ddsim -qasm circuit.qasm -optimize -strategy memory -params '{"threshold":4096,"round_fidelity":0.99}'
+//	ddsim -gen qsup:3x4:16 -strategy memory -params '{"threshold":1024,"round_fidelity":0.99,"growth":1.05}' -trace
+//	ddsim -gen grover:8:3 -strategy replace -params '{"node_budget":16}'
 //	ddsim -gen ghz:4 -dot out.dot
-//	ddsim -gen qft:12 -order scored -sift
+//	ddsim -gen qft:12 -strategy reorder -params '{"order":"scored","sift":true}'
 //	ddsim -gen qft:6 -noise depolarizing -noise-param p=0.01 -shots 16
 //	ddsim -gen ghz:5 -noise amplitude_damping -noise-param p=0.05 -backend statevector -trace
 //
-// -order installs a static variable ordering (identity, reversed, scored)
-// before simulation; -sift additionally runs dynamic reordering passes when
-// the state DD outgrows -sift-threshold. Both compose with -strategy.
+// reorder installs a static variable ordering (identity, reversed, scored)
+// and, with "sift", dynamic reordering passes; "inner" and "inner_params"
+// name the approximation strategy it wraps.
 //
 // -noise applies a per-qubit, per-gate noise channel (depolarizing,
 // amplitude_damping, dephasing, bit_flip, phase_flip) parameterized by
@@ -49,7 +51,6 @@ import (
 	"repro/internal/dd"
 	"repro/internal/gen"
 	"repro/internal/opt"
-	"repro/internal/order"
 	"repro/internal/qasm"
 	"repro/internal/sim"
 )
@@ -57,20 +58,14 @@ import (
 func main() {
 	qasmPath := flag.String("qasm", "", "OpenQASM 2.0 file to simulate")
 	genSpec := flag.String("gen", "", "builtin generator: qft:N | iqft:N | ghz:N | w:N | grover:N[:marked] | bv:N[:secret] | random:N:GATES[:seed] | qsup:RxC:DEPTH[:seed] | qaoa:N[:P[:seed]] | vqe:N[:L[:topo[:seed]]] | cliffordt:N[:GATES[:TCOUNT[:seed]]]")
-	strategy := flag.String("strategy", "none", "approximation strategy: none, mem, fid, auto")
-	threshold := flag.Int("threshold", 4096, "memory-driven node threshold")
-	growth := flag.Float64("growth", 2, "memory-driven threshold growth factor")
-	fround := flag.Float64("fround", 0.99, "per-round target fidelity")
-	ffinal := flag.Float64("ffinal", 0.5, "fidelity-driven final fidelity bound")
+	strategy := flag.String("strategy", "exact", "registered strategy name ("+strings.Join(core.StrategyNames(), ", ")+") or auto")
+	params := flag.String("params", "", "the strategy's JSON parameters, e.g. '{\"threshold\":4096,\"round_fidelity\":0.99}' for memory")
 	shots := flag.Int("shots", 0, "samples to draw from the final state")
 	seed := flag.Int64("seed", 1, "sampling seed")
 	dotPath := flag.String("dot", "", "write the final state DD in Graphviz format")
 	history := flag.Bool("history", false, "print the per-gate DD size history")
 	trace := flag.Bool("trace", false, "stream per-gate node counts, approximation rounds, and cleanups as they happen")
 	optimize := flag.Bool("optimize", false, "peephole-optimize the circuit before simulating")
-	orderName := flag.String("order", "", "variable ordering: identity, reversed, or scored (empty = identity without the reordering layer)")
-	sift := flag.Bool("sift", false, "enable dynamic sifting passes at the between-gate safe point")
-	siftThreshold := flag.Int("sift-threshold", 0, "state-DD node count that triggers a sifting pass (0 = default)")
 	noiseKind := flag.String("noise", "", "noise channel: depolarizing, amplitude_damping, dephasing, bit_flip, phase_flip (empty = noiseless)")
 	var noiseParams paramFlags
 	flag.Var(&noiseParams, "noise-param", "noise parameter as key=value (p, gamma, seed); repeatable")
@@ -117,44 +112,14 @@ func main() {
 	if len(observers) > 0 {
 		opts.Observer = observers
 	}
-	switch *strategy {
-	case "none":
-	case "mem":
-		opts.Strategy = &core.MemoryDriven{
-			Threshold: *threshold, RoundFidelity: *fround, Growth: *growth,
-		}
-	case "fid":
-		opts.Strategy = core.NewFidelityDriven(*ffinal, *fround)
-	case "auto":
-		// Classify the circuit by gate mix and install the committed
-		// approximability-atlas winner for its workload class — the same
-		// resolution serve applies to strategy=auto submissions.
-		class := gen.Classify(circ)
-		win := atlas.Resolve(class)
-		st, err := core.NewStrategyByName(win.Strategy, json.RawMessage(win.Params))
-		if err != nil {
-			fatal(err)
-		}
-		opts.Strategy = st
-		label := win.Base
-		if win.Params != "" {
-			label += " " + win.Params
-		}
-		fmt.Printf("auto:       class=%s -> %s (order=%s)\n", class, label, win.Order)
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	st, auto, err := newStrategy(*strategy, *params, circ)
+	if err != nil {
+		fatal(err)
 	}
-	if *orderName != "" || *sift {
-		static := *orderName
-		if static == "" {
-			static = order.Identity
-		}
-		opts.Strategy = order.NewReorder(core.ReorderPolicy{
-			Static:        static,
-			Sift:          *sift,
-			SiftThreshold: *siftThreshold,
-		}, opts.Strategy)
+	if auto != "" {
+		fmt.Printf("auto:       %s\n", auto)
 	}
+	opts.Strategy = st
 	opts.Backend = sim.Backend(*backend)
 	if *noiseKind != "" {
 		noise, err := sim.ParseNoise(*noiseKind, noiseParams.m)
@@ -243,6 +208,26 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *dotPath)
 	}
+}
+
+// newStrategy builds the run's strategy from -strategy and -params through
+// the core registry. auto classifies the circuit by gate mix and installs
+// the committed approximability-atlas winner for its workload class — the
+// same resolution the simulation service applies to strategy=auto — and
+// returns a description of that choice; auto picks its own parameters.
+func newStrategy(name, params string, circ *circuit.Circuit) (core.Strategy, string, error) {
+	if name != "auto" {
+		st, err := core.NewStrategyByName(name, json.RawMessage(params))
+		return st, "", err
+	}
+	if params != "" {
+		return nil, "", fmt.Errorf("-strategy auto picks its own parameters; -params may not be set")
+	}
+	class := gen.Classify(circ)
+	win := atlas.Resolve(class)
+	st, err := core.NewStrategyByName(win.Strategy, json.RawMessage(win.Params))
+	label := strings.TrimSpace(win.Base + " " + win.Params)
+	return st, fmt.Sprintf("class=%s -> %s (order=%s)", class, label, win.Order), err
 }
 
 // traceObserver prints every simulation event as it happens.

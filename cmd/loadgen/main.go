@@ -1,7 +1,7 @@
 // Command loadgen is the cluster latency harness: it boots a local simd
 // cluster (simd-router semantics + K backends, all in-process on loopback),
-// drives phase-timed open-loop load sweeps over qubit counts × strategies ×
-// offered RPS under both routing modes, and writes the measured
+// drives phase-timed open-loop load sweeps of exact GHZ jobs over qubit
+// counts at an offered RPS under both routing modes, and writes the measured
 // p50/p95/p99 latency, throughput, and cluster cache hit rates to
 // BENCH_cluster.json (schema bench-cluster/v1), which `make bench-check`
 // gates against the committed bench_cluster_baseline.json.
@@ -9,7 +9,7 @@
 // Usage:
 //
 //	loadgen -out BENCH_cluster.json
-//	loadgen -backends 3 -qubits 4,8 -strategies exact,memory -rps 60 -phase 3s
+//	loadgen -backends 3 -qubits 4,8 -rps 60 -phase 3s
 //
 // See internal/loadgen for the harness and docs/ARCHITECTURE.md for the
 // cluster tier it measures.
@@ -35,9 +35,8 @@ func main() {
 	backends := flag.Int("backends", 2, "number of simd backends behind the router")
 	workers := flag.Int("workers", 1, "worker-pool size per backend")
 	qubits := flag.String("qubits", "4", "comma-separated GHZ circuit widths to sweep")
-	strategies := flag.String("strategies", "exact", "comma-separated strategies to sweep")
 	rps := flag.Float64("rps", 40, "offered submissions per second per phase")
-	phase := flag.Duration("phase", 2*time.Second, "duration of one (route, qubits, strategy) phase")
+	phase := flag.Duration("phase", 2*time.Second, "duration of one (route, qubits) phase")
 	workingSet := flag.Int("working-set", 5, "distinct circuits cycled per phase (keep coprime with -backends)")
 	routes := flag.String("routes", "hash,rr", "routing modes to compare")
 	vnodes := flag.Int("vnodes", 64, "ring points per backend")
@@ -52,7 +51,6 @@ func main() {
 		Backends:   *backends,
 		Workers:    *workers,
 		Qubits:     qs,
-		Strategies: splitList(*strategies),
 		RPS:        *rps,
 		Phase:      *phase,
 		WorkingSet: *workingSet,

@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,12 +43,11 @@ func main() {
 
 	cl := client.New(*addr)
 	job, err := cl.Submit(ctx, client.JobRequest{
-		Name:          "stream-example",
-		QASM:          qasm,
-		Strategy:      "memory",
-		Threshold:     *threshold,
-		RoundFidelity: 0.97,
-		Shots:         16,
+		Name:           "stream-example",
+		QASM:           qasm,
+		Strategy:       "memory",
+		StrategyParams: json.RawMessage(fmt.Sprintf(`{"threshold":%d,"round_fidelity":0.97}`, *threshold)),
+		Shots:          16,
 		// A per-run seed keeps reruns against a long-lived server out of
 		// the content cache — a cache hit would skip the simulation and
 		// leave nothing to stream.

@@ -200,6 +200,49 @@ func TestRoundRobinRotates(t *testing.T) {
 	}
 }
 
+// TestHashRoutingBeatsRoundRobinOnCacheHits replays one fixed submission
+// order against both routing modes. Every job is awaited before the next is
+// sent, so the cache-hit counts depend only on where each submission lands:
+// hash routing pins each circuit to one backend, while round-robin over two
+// backends and an odd working set sends each repeat to the other backend
+// until both caches hold it.
+func TestHashRoutingBeatsRoundRobinOnCacheHits(t *testing.T) {
+	const workingSet, rounds = 5, 4
+	hits := map[string]int64{}
+	for _, route := range []string{RouteHash, RouteRR} {
+		tc := startCluster(t, 2, Config{RouteMode: route})
+		for i := 0; i < workingSet*rounds; i++ {
+			req := serve.JobRequest{QASM: ghzQASM, Shots: 8, Seed: int64(i%workingSet + 1)}
+			resp, body := tc.submit(req)
+			if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s submit %d: HTTP %d: %s", route, i, resp.StatusCode, body)
+			}
+			var st serve.JobStatus
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if final := tc.await(st.ID); final.Status != serve.StatusDone {
+				t.Fatalf("%s job %d ended %q: %s", route, i, final.Status, final.Error)
+			}
+		}
+		code, body := tc.get("/v1/cluster/stats")
+		if code != http.StatusOK {
+			t.Fatalf("%s cluster stats: HTTP %d: %s", route, code, body)
+		}
+		var cs ClusterStats
+		if err := json.Unmarshal(body, &cs); err != nil {
+			t.Fatal(err)
+		}
+		if cs.CacheHits+cs.CacheMisses != workingSet*rounds {
+			t.Fatalf("%s: %d hits + %d misses, want %d lookups", route, cs.CacheHits, cs.CacheMisses, workingSet*rounds)
+		}
+		hits[route] = cs.CacheHits
+	}
+	if hits[RouteHash] <= hits[RouteRR] {
+		t.Errorf("hash routing %d cache hits, round-robin %d: want strictly more", hits[RouteHash], hits[RouteRR])
+	}
+}
+
 func TestUnknownJobIDsAre404(t *testing.T) {
 	tc := startCluster(t, 1, Config{})
 	if code, _ := tc.get("/v1/jobs/job-000001"); code != http.StatusNotFound {
@@ -476,5 +519,10 @@ func TestBadSubmissionsRejectedAtTheRouter(t *testing.T) {
 	resp, body = tc.submit(map[string]any{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty submission: HTTP %d: %s", resp.StatusCode, body)
+	}
+	// Strategy parameters travel only in strategy_params.
+	resp, body = tc.submit(map[string]any{"qasm": ghzQASM, "strategy": "memory", "threshold": 16})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("flat strategy field: HTTP %d: %s", resp.StatusCode, body)
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
@@ -104,11 +106,22 @@ type ReplaceDrivenParams struct {
 	Kinds         []string `json:"kinds,omitempty"`
 }
 
-func decodeParams(params json.RawMessage, into any) error {
+// DecodeParams decodes a strategy's JSON parameters into into, rejecting
+// unknown fields and trailing data so a misspelt key fails instead of
+// silently running with a default. Empty params leave into untouched.
+func DecodeParams(params json.RawMessage, into any) error {
 	if len(params) == 0 {
 		return nil
 	}
-	return json.Unmarshal(params, into)
+	dec := json.NewDecoder(bytes.NewReader(params))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after parameters")
+	}
+	return nil
 }
 
 func init() {
@@ -118,18 +131,22 @@ func init() {
 		}
 	}
 	must(RegisterStrategy("exact", func(params json.RawMessage) (Strategy, error) {
+		// Exact takes no parameters: only empty, null or {} pass.
+		if err := DecodeParams(params, &struct{}{}); err != nil {
+			return nil, err
+		}
 		return Exact{}, nil
 	}))
 	must(RegisterStrategy("memory", func(params json.RawMessage) (Strategy, error) {
 		var p MemoryDrivenParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
 		return &MemoryDriven{Threshold: p.Threshold, RoundFidelity: p.RoundFidelity, Growth: p.Growth}, nil
 	}))
 	must(RegisterStrategy("replace", func(params json.RawMessage) (Strategy, error) {
 		var p ReplaceDrivenParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
 		kinds, err := ParseSubstituteKinds(p.Kinds)
@@ -140,7 +157,7 @@ func init() {
 	}))
 	must(RegisterStrategy("fidelity", func(params json.RawMessage) (Strategy, error) {
 		var p FidelityDrivenParams
-		if err := decodeParams(params, &p); err != nil {
+		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
 		return &FidelityDriven{

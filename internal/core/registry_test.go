@@ -72,6 +72,25 @@ func TestNewStrategyByNameBadParams(t *testing.T) {
 	}
 }
 
+func TestStrategyParamsStrict(t *testing.T) {
+	for _, empty := range []string{``, `null`, `{}`} {
+		if _, err := NewStrategyByName("exact", json.RawMessage(empty)); err != nil {
+			t.Errorf("exact with params %q: %v", empty, err)
+		}
+	}
+	for _, bad := range []string{`{"x":1}`, `[]`, `{} {}`} {
+		if _, err := NewStrategyByName("exact", json.RawMessage(bad)); err == nil {
+			t.Errorf("exact accepted params %s", bad)
+		}
+	}
+	// A misspelt key names itself instead of surfacing as the default it
+	// left in place ("threshold 0 must be positive").
+	_, err := NewStrategyByName("memory", json.RawMessage(`{"threshhold":16}`))
+	if err == nil || !strings.Contains(err.Error(), "threshhold") {
+		t.Errorf("misspelt memory key: %v", err)
+	}
+}
+
 func TestFidelityParamsPlacementControls(t *testing.T) {
 	s, err := NewStrategyByName("fidelity", json.RawMessage(
 		`{"final_fidelity": 0.5, "round_fidelity": 0.9, "locations": [3, 7]}`))

@@ -1,7 +1,7 @@
 // Package loadgen is the cluster latency and throughput harness behind
 // `make bench-cluster`: it boots a local simd cluster (router + K backends
-// on loopback listeners), drives phase-timed open-loop sweeps over qubit
-// counts × strategies × offered request rates, and reports p50/p95/p99
+// on loopback listeners), drives phase-timed open-loop sweeps of exact GHZ
+// jobs over qubit counts at an offered request rate, and reports p50/p95/p99
 // end-to-end job latency, achieved throughput, and per-phase cluster cache
 // hit rate for both routing modes (content-hash affinity and round-robin).
 //

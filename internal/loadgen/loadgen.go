@@ -27,12 +27,9 @@ type Options struct {
 	Workers int
 	// Qubits are the GHZ circuit widths to sweep (default {4}).
 	Qubits []int
-	// Strategies are the simulation strategies to sweep (default {"exact"}).
-	Strategies []string
 	// RPS is the offered submission rate per phase (default 40).
 	RPS float64
-	// Phase is the duration of one (route, qubits, strategy) phase
-	// (default 2s).
+	// Phase is the duration of one (route, qubits) phase (default 2s).
 	Phase time.Duration
 	// WorkingSet is the number of distinct circuits cycled during a phase
 	// (default 5; keep it coprime with Backends so round-robin genuinely
@@ -53,9 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Qubits) == 0 {
 		o.Qubits = []int{4}
-	}
-	if len(o.Strategies) == 0 {
-		o.Strategies = []string{serve.StrategyExact}
 	}
 	if o.RPS <= 0 {
 		o.RPS = 40
@@ -202,7 +196,7 @@ func (lc *LocalCluster) Stats(ctx context.Context) (*cluster.ClusterStats, error
 	return &cs, nil
 }
 
-// Sweep runs the full (route × qubits × strategy) grid and assembles the
+// Sweep runs the full (route × qubits) grid of exact jobs and assembles the
 // Report. Each route gets a freshly booted cluster, so cache hit rates
 // compare routing policy, not cache warm-up order. progress (optional)
 // receives one line per completed phase.
@@ -221,19 +215,17 @@ func Sweep(ctx context.Context, opts Options, progress func(string)) (*Report, e
 		}
 		cl := client.New(lc.URL, client.WithRetries(3, 50*time.Millisecond))
 		for _, q := range o.Qubits {
-			for _, strat := range o.Strategies {
-				run, lats, hits, misses, err := phase(ctx, cl, lc, route, q, strat, o)
-				if err != nil {
-					lc.Close()
-					return nil, err
-				}
-				rep.Runs = append(rep.Runs, run)
-				routeLats[route] = append(routeLats[route], lats...)
-				hm := routeHits[route]
-				routeHits[route] = [2]int64{hm[0] + hits, hm[1] + misses}
-				progress(fmt.Sprintf("loadgen: %-4s q=%d %-8s rps=%g: p50=%.1fms p95=%.1fms p99=%.1fms thr=%.1f/s hit=%.0f%%",
-					route, q, strat, run.OfferedRPS, run.P50MS, run.P95MS, run.P99MS, run.ThroughputRPS, 100*run.CacheHitRate))
+			run, lats, hits, misses, err := phase(ctx, cl, lc, route, q, o)
+			if err != nil {
+				lc.Close()
+				return nil, err
 			}
+			rep.Runs = append(rep.Runs, run)
+			routeLats[route] = append(routeLats[route], lats...)
+			hm := routeHits[route]
+			routeHits[route] = [2]int64{hm[0] + hits, hm[1] + misses}
+			progress(fmt.Sprintf("loadgen: %-4s q=%d %-8s rps=%g: p50=%.1fms p95=%.1fms p99=%.1fms thr=%.1f/s hit=%.0f%%",
+				route, q, run.Strategy, run.OfferedRPS, run.P50MS, run.P95MS, run.P99MS, run.ThroughputRPS, 100*run.CacheHitRate))
 		}
 		lc.Close()
 	}
@@ -251,7 +243,7 @@ func Sweep(ctx context.Context, opts Options, progress func(string)) (*Report, e
 // interval regardless of completions (so queueing shows up as latency, the
 // way it does for real independent clients), each job is driven to a
 // terminal state, and the cache-hit delta is read from the router.
-func phase(ctx context.Context, cl *client.Client, lc *LocalCluster, route string, qubits int, strategy string, o Options) (Run, []time.Duration, int64, int64, error) {
+func phase(ctx context.Context, cl *client.Client, lc *LocalCluster, route string, qubits int, o Options) (Run, []time.Duration, int64, int64, error) {
 	before, err := lc.Stats(ctx)
 	if err != nil {
 		return Run{}, nil, 0, 0, err
@@ -273,7 +265,7 @@ func phase(ctx context.Context, cl *client.Client, lc *LocalCluster, route strin
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for i := 0; i < total; i++ {
-		req := ghzRequest(qubits, strategy, i%o.WorkingSet)
+		req := ghzRequest(qubits, i%o.WorkingSet)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -313,7 +305,7 @@ func phase(ctx context.Context, cl *client.Client, lc *LocalCluster, route strin
 	run := Run{
 		Route:         route,
 		Qubits:        qubits,
-		Strategy:      strategy,
+		Strategy:      serve.StrategyExact,
 		OfferedRPS:    o.RPS,
 		Sent:          total,
 		Completed:     completed,
@@ -331,17 +323,16 @@ func phase(ctx context.Context, cl *client.Client, lc *LocalCluster, route strin
 // ghzRequest builds the working-set circuit: a GHZ ladder on q qubits, made
 // distinct per working-set slot through the seed (which enters the content
 // hash, so each slot is its own cache entry).
-func ghzRequest(q int, strategy string, slot int) client.JobRequest {
+func ghzRequest(q, slot int) client.JobRequest {
 	gates := []serve.GateSpec{{Name: "h", Target: 0}}
 	for i := 1; i < q; i++ {
 		gates = append(gates, serve.GateSpec{Name: "x", Target: i, Controls: []int{i - 1}})
 	}
 	return client.JobRequest{
-		Qubits:   q,
-		Gates:    gates,
-		Shots:    32,
-		Seed:     int64(slot + 1),
-		Strategy: strategy,
+		Qubits: q,
+		Gates:  gates,
+		Shots:  32,
+		Seed:   int64(slot + 1),
 	}
 }
 

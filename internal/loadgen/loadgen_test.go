@@ -18,7 +18,6 @@ func TestSweepMeasuresAffinityAdvantage(t *testing.T) {
 	rep, err := Sweep(ctx, Options{
 		Backends:   2,
 		Qubits:     []int{3},
-		Strategies: []string{"exact"},
 		RPS:        50,
 		Phase:      600 * time.Millisecond,
 		WorkingSet: 5,

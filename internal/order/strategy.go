@@ -83,10 +83,8 @@ type Params struct {
 func init() {
 	err := core.RegisterStrategy("reorder", func(params json.RawMessage) (core.Strategy, error) {
 		var p Params
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &p); err != nil {
-				return nil, err
-			}
+		if err := core.DecodeParams(params, &p); err != nil {
+			return nil, err
 		}
 		if p.Order == "" {
 			p.Order = Identity

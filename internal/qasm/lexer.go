@@ -114,19 +114,3 @@ func isIdentStart(r rune) bool {
 func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 }
-
-// tokenize scans the whole source.
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
-	var out []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
-	}
-}

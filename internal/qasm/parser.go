@@ -20,9 +20,12 @@ type Program struct {
 	Measurements [][2]int
 }
 
+// parser pulls tokens from the lexer one at a time; the grammar needs no
+// lookahead past the current token.
 type parser struct {
-	toks []token
-	pos  int
+	lex    *lexer
+	tok    token
+	lexErr error // first lexing error; the token stream ends there
 
 	qregs  map[string][2]int
 	cregs  map[string][2]int
@@ -43,16 +46,21 @@ type operation struct {
 
 // Parse converts QASM source into a Program.
 func Parse(src, name string) (*Program, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
-	}
 	p := &parser{
-		toks:  toks,
+		lex:   newLexer(src),
 		qregs: map[string][2]int{},
 		cregs: map[string][2]int{},
 	}
-	if err := p.parse(); err != nil {
+	p.advance()
+	err := p.parse()
+	// A lexing error anywhere in the source outranks a parse error.
+	for p.lexErr == nil && !p.atEOF() {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	if err != nil {
 		return nil, err
 	}
 	if p.qCount == 0 {
@@ -155,9 +163,16 @@ func applyOp(c *circuit.Circuit, op operation) error {
 	return nil
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) advance()    { p.pos++ }
-func (p *parser) atEOF() bool { return p.cur().kind == tokEOF }
+func (p *parser) cur() token  { return p.tok }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
+
+func (p *parser) advance() {
+	t, err := p.lex.next()
+	if err != nil {
+		p.lexErr, t = err, token{kind: tokEOF, line: p.lex.line}
+	}
+	p.tok = t
+}
 
 func (p *parser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("qasm: line %d: %s", p.cur().line, fmt.Sprintf(format, args...))

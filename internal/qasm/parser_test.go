@@ -151,6 +151,11 @@ func TestLexerLineTracking(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Errorf("error %v does not point to line 4", err)
 	}
+	// A lexing error anywhere in the source outranks an earlier parse error.
+	_, err = Parse("qreg q[1];\nx q[5];\n\n$", "t")
+	if err == nil || !strings.Contains(err.Error(), "line 4: unexpected character") {
+		t.Errorf("error %v does not report the lexing error on line 4", err)
+	}
 }
 
 func TestParsedCircuitMatchesHandBuilt(t *testing.T) {

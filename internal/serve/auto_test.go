@@ -88,7 +88,7 @@ func TestAutoStrategyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAutoStrategyResolvesEveryClass checks resolveAuto against the
+// TestAutoStrategyResolvesEveryClass checks resolve against the
 // committed table for one representative circuit per workload class.
 func TestAutoStrategyResolvesEveryClass(t *testing.T) {
 	circs := map[string]func() (string, error){
@@ -103,11 +103,7 @@ func TestAutoStrategyResolvesEveryClass(t *testing.T) {
 			t.Fatalf("%s: %v", class, err)
 		}
 		req := JobRequest{QASM: src, Strategy: StrategyAuto}
-		circ, err := resolveCircuit(req)
-		if err != nil {
-			t.Fatalf("%s: %v", class, err)
-		}
-		resolved, err := resolveAuto(req, circ)
+		_, resolved, err := resolve(req)
 		if err != nil {
 			t.Fatalf("%s: %v", class, err)
 		}
@@ -128,10 +124,6 @@ func TestAutoStrategyRejections(t *testing.T) {
 	withParams := base
 	withParams.StrategyParams = json.RawMessage(`{"threshold":64}`)
 	c.submit(withParams, http.StatusBadRequest)
-
-	withFlat := base
-	withFlat.Threshold = 64
-	c.submit(withFlat, http.StatusBadRequest)
 
 	withNoise := base
 	withNoise.Noise = "depolarizing"

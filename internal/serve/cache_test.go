@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -79,8 +80,7 @@ func TestContentHashProperties(t *testing.T) {
 	}
 	strat := base
 	strat.Strategy = StrategyMemory
-	strat.Threshold = 64
-	strat.RoundFidelity = 0.9
+	strat.StrategyParams = json.RawMessage(`{"threshold":64,"round_fidelity":0.9}`)
 	if h(base) == h(strat) {
 		t.Error("strategy must affect the content hash")
 	}
@@ -96,29 +96,11 @@ func TestContentHashProperties(t *testing.T) {
 	if h(base) != h(explicitExact) {
 		t.Error("default strategy and explicit \"exact\" must hash identically")
 	}
-	strayParams := explicitExact
-	strayParams.Threshold = 512
-	strayParams.RoundFidelity = 0.9
-	if h(explicitExact) != h(strayParams) {
-		t.Error("strategy-irrelevant parameters must not affect an exact job's hash")
-	}
-	memDefault := base
-	memDefault.Strategy = StrategyMemory
-	memDefault.Threshold = 64
-	memDefault.RoundFidelity = 0.9
-	memExplicitGrowth := memDefault
-	memExplicitGrowth.Growth = 2
-	if h(memDefault) != h(memExplicitGrowth) {
-		t.Error("omitted growth and the explicit default 2 must hash identically")
-	}
-	fid := base
-	fid.Strategy = StrategyFidelity
-	fid.FinalFidelity = 0.8
-	fid.RoundFidelity = 0.9
-	fidStray := fid
-	fidStray.Threshold = 64
-	fidStray.Growth = 3
-	if h(fid) != h(fidStray) {
-		t.Error("threshold/growth must not affect a fidelity-driven job's hash")
+	for _, empty := range []string{`null`, `{}`} {
+		exactEmpty := explicitExact
+		exactEmpty.StrategyParams = json.RawMessage(empty)
+		if h(explicitExact) != h(exactEmpty) {
+			t.Errorf("exact with params %s must hash like exact without", empty)
+		}
 	}
 }

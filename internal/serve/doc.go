@@ -8,10 +8,11 @@
 //	POST   /v1/jobs             submit a circuit (OpenQASM 2.0 source or an
 //	                            inline gate list) with a per-job
 //	                            approximation strategy — a builtin (exact,
-//	                            memory, fidelity) or any name registered
-//	                            via core.RegisterStrategy, parameterized by
-//	                            flat fields or strategy_params JSON — plus
-//	                            shots, seed, and timeout
+//	                            memory, fidelity, replace, reorder, auto)
+//	                            or any name registered via
+//	                            core.RegisterStrategy, parameterized by
+//	                            strategy_params JSON — plus shots, seed,
+//	                            and timeout
 //	GET    /v1/jobs             list submissions with their statuses
 //	GET    /v1/jobs/{id}        poll one job (result attached when done)
 //	GET    /v1/jobs/{id}/result fetch the raw result payload

@@ -89,9 +89,6 @@ type eventBuffer struct {
 }
 
 func newEventBuffer(capacity int) *eventBuffer {
-	if capacity < 16 {
-		capacity = 16
-	}
 	b := &eventBuffer{ring: make([]Event, capacity)}
 	b.cond = sync.NewCond(&b.mu)
 	return b

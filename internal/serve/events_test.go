@@ -73,8 +73,7 @@ func TestEventsStreamReplaysFinishedJob(t *testing.T) {
 	circ := gen.RandomCliffordT(10, 200, 3)
 	req := inlineRequest("events", circ)
 	req.Strategy = StrategyMemory
-	req.Threshold = 16
-	req.RoundFidelity = 0.97
+	req.StrategyParams = json.RawMessage(`{"threshold":16,"round_fidelity":0.97}`)
 	st := c.submit(req, http.StatusAccepted)
 	if got := c.await(st.ID); got.Status != StatusDone {
 		t.Fatalf("job ended %q: %s", got.Status, got.Error)
@@ -128,8 +127,7 @@ func TestEventsStreamWhileRunning(t *testing.T) {
 	// bounded buffer replays whatever was missed.
 	req := inlineRequest("live-stream", gen.RandomCliffordT(11, 600, 1))
 	req.Strategy = StrategyMemory
-	req.Threshold = 64
-	req.RoundFidelity = 0.95
+	req.StrategyParams = json.RawMessage(`{"threshold":64,"round_fidelity":0.95}`)
 	st := c.submit(req, http.StatusAccepted)
 	// Connect immediately — the stream must deliver live events and then
 	// the terminal status without the client ever polling.
@@ -298,15 +296,6 @@ func TestRegisteredStrategyBadParamsRejected(t *testing.T) {
 	if code, body := c.do("POST", "/v1/jobs", req); code != http.StatusBadRequest {
 		t.Errorf("invalid params: HTTP %d: %s", code, body)
 	}
-
-	// The flat builtin shorthand does not reach registered strategies;
-	// accepting it silently would run with the factory's defaults.
-	flat := inlineRequest("flat-params", gen.QFT(4))
-	flat.Strategy = "trim-every"
-	flat.Threshold = 4096
-	if code, body := c.do("POST", "/v1/jobs", flat); code != http.StatusBadRequest {
-		t.Errorf("flat fields on registered strategy: HTTP %d: %s", code, body)
-	}
 }
 
 func TestStrategyParamsForBuiltins(t *testing.T) {
@@ -319,17 +308,37 @@ func TestStrategyParamsForBuiltins(t *testing.T) {
 		t.Fatalf("job ended %q: %s", got.Status, got.Error)
 	}
 
-	// Mixing the params form with the flat shorthand is ambiguous → 400.
-	req.Threshold = 8
-	if code, body := c.do("POST", "/v1/jobs", req); code != http.StatusBadRequest {
-		t.Errorf("mixed strategy forms: HTTP %d: %s", code, body)
-	}
-
 	// Unknown names list what is registered.
 	bad := inlineRequest("unknown-strategy", gen.QFT(4))
 	bad.Strategy = "does-not-exist"
 	code, body := c.do("POST", "/v1/jobs", bad)
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "memory") {
 		t.Errorf("unknown strategy: HTTP %d: %s", code, body)
+	}
+}
+
+// TestMisspeltStrategyParamsRejected: every builtin factory rejects an
+// unknown parameter key instead of running with its default, both in
+// process and as a 400 at submission.
+func TestMisspeltStrategyParamsRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	cases := []struct{ strategy, params string }{
+		{StrategyExact, `{"threshold":16}`},
+		{StrategyMemory, `{"threshhold":16,"round_fidelity":0.9}`},
+		{StrategyFidelity, `{"final_fidelity":0.8,"round_fidelty":0.9}`},
+		{StrategyReplace, `{"node_budget":64,"floor":0.9}`},
+		{StrategyReorder, `{"order":"scored","sift_threshhold":64}`},
+		{StrategyReorder, `{"inner":"memory","inner_params":{"threshhold":16}}`},
+	}
+	for _, tc := range cases {
+		if _, err := core.NewStrategyByName(tc.strategy, json.RawMessage(tc.params)); err == nil ||
+			!strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s %s: NewStrategyByName error %v, want unknown field", tc.strategy, tc.params, err)
+		}
+		req := inlineRequest("misspelt", gen.QFT(4))
+		req.Strategy, req.StrategyParams = tc.strategy, json.RawMessage(tc.params)
+		if code, body := c.do("POST", "/v1/jobs", req); code != http.StatusBadRequest {
+			t.Errorf("%s %s: HTTP %d (want 400): %s", tc.strategy, tc.params, code, body)
+		}
 	}
 }

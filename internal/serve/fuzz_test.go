@@ -1,0 +1,62 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
+
+// decodeStrict decodes a submission body the way POST /v1/jobs does.
+func decodeStrict(body []byte) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
+// FuzzJobRequest drives arbitrary bodies through strict decode, compile and
+// CanonicalHash. No body may panic; whenever compile accepts a request, its
+// cache key is the routing tier's CanonicalHash; and a request hashes like
+// its own JSON re-marshal, so a client that re-encodes a submission keeps
+// its cache entry and its backend.
+func FuzzJobRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"ghz4","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\n","strategy":"fidelity","strategy_params":{"final_fidelity":0.8,"round_fidelity":0.9},"shots":64}`,
+		`{"qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\nrz(0.3) q[2];\n","strategy":"auto"}`,
+		`{"qubits":4,"gates":[{"name":"h","target":0},{"name":"x","target":1,"controls":[0]},{"name":"x","target":3,"controls":[2]}],"blocks":[1],"strategy":"reorder","strategy_params":{"order":"scored","sift":true,"inner":"memory","inner_params":{"threshold":8,"round_fidelity":0.95}}}`,
+		`{"qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","noise":"amplitude_damping","noise_params":{"gamma":0.05,"seed":3},"backend":"statevector","shots":16}`,
+		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"replace","strategy_params":{"node_budget":4,"fidelity_floor":0.9,"kinds":["promote"]},"seed":7}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := New(Config{Workers: 1, MaxQubits: 16, MaxShots: 1 << 12})
+	defer s.Shutdown(nil)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 4096 {
+			t.Skip()
+		}
+		req, err := decodeStrict(body)
+		if err != nil {
+			return
+		}
+		hash, hashErr := CanonicalHash(req)
+		if c, err := s.compile(req); err == nil {
+			if hashErr != nil || c.hash != hash {
+				t.Fatalf("compile hash %s, CanonicalHash %q (err %v)", c.hash, hash, hashErr)
+			}
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		again, err := decodeStrict(raw)
+		if err != nil {
+			t.Fatalf("re-marshalled body %s rejected: %v", raw, err)
+		}
+		hash2, hashErr2 := CanonicalHash(again)
+		if (hashErr == nil) != (hashErr2 == nil) || hash != hash2 {
+			t.Fatalf("hash %q (err %v) changed to %q (err %v) after re-marshal to %s", hash, hashErr, hash2, hashErr2, raw)
+		}
+	})
+}

@@ -77,23 +77,13 @@ type JobRequest struct {
 	Blocks []int `json:"blocks,omitempty"`
 
 	// Strategy selects the approximation mode: "exact" (default),
-	// "memory" (Section IV-B), "fidelity" (Section IV-C), or any name
-	// registered through core.RegisterStrategy.
+	// "memory" (Section IV-B), "fidelity" (Section IV-C), "auto", or any
+	// name registered through core.RegisterStrategy.
 	Strategy string `json:"strategy,omitempty"`
 	// StrategyParams carries the strategy's JSON parameters verbatim to
-	// its registered factory. For the builtins it replaces the flat fields
-	// below (setting both is an error); for registered strategies it is
-	// the only way to pass parameters.
+	// its registered factory, e.g. {"threshold":4096,"round_fidelity":0.99}
+	// for "memory" (core.MemoryDrivenParams). Unknown keys are rejected.
 	StrategyParams json.RawMessage `json:"strategy_params,omitempty"`
-	// Threshold is the memory-driven initial node-count threshold.
-	Threshold int `json:"threshold,omitempty"`
-	// Growth is the memory-driven threshold multiplier (default 2).
-	Growth float64 `json:"growth,omitempty"`
-	// RoundFidelity is the per-round target fidelity f_round (both
-	// strategies).
-	RoundFidelity float64 `json:"round_fidelity,omitempty"`
-	// FinalFidelity is the fidelity-driven end-to-end lower bound f_final.
-	FinalFidelity float64 `json:"final_fidelity,omitempty"`
 
 	// Backend selects the state representation: "statevector" (the
 	// default) or "density" (exact noisy simulation on a density matrix).
@@ -125,16 +115,11 @@ type JobRequest struct {
 
 // compiled is a validated submission ready for the pool.
 type compiled struct {
-	req     JobRequest
+	req     JobRequest // canonical form (normalizeForHash)
 	circuit *circuit.Circuit
 	hash    string // hex sha256 over circuit + result-relevant options
 	seed    int64  // resolved measurement/sampling seed (never 0)
 	timeout time.Duration
-
-	// stratName and stratParams are the resolved registry name and JSON
-	// parameters the job's per-run strategy instances are built from.
-	stratName   string
-	stratParams json.RawMessage
 
 	// backend is the resolved simulation backend (never empty) and noise
 	// the parsed channel model (nil when the submission is noiseless).
@@ -168,52 +153,42 @@ func resolveCircuit(req JobRequest) (*circuit.Circuit, error) {
 // key for any well-formed submission without owning a Server; a request this
 // function rejects would be rejected by every backend too.
 func CanonicalHash(req JobRequest) (string, error) {
-	circ, err := resolveCircuit(req)
-	if err != nil {
-		return "", err
-	}
-	req, err = resolveAuto(req, circ)
+	circ, req, err := resolve(req)
 	if err != nil {
 		return "", err
 	}
 	return contentHash(circ, normalizeForHash(req)), nil
 }
 
-// resolveAuto rewrites a strategy=auto submission into the committed atlas
-// winner for the circuit's workload class. It runs right after circuit
-// resolution in both compile and CanonicalHash — before strategy validation
-// and hashing — so routing tiers and backends agree on the key, and an auto
-// submission is indistinguishable (hash, cache entry, result payload) from
-// explicitly submitting the winning configuration.
-func resolveAuto(req JobRequest, circ *circuit.Circuit) (JobRequest, error) {
-	if req.Strategy != StrategyAuto {
-		return req, nil
+// resolve builds the submission's circuit and rewrites a strategy=auto
+// submission into the committed atlas winner for the circuit's workload
+// class. Both compile and CanonicalHash start here — before strategy
+// validation and hashing — so routing tiers and backends agree on the key,
+// and an auto submission is indistinguishable (hash, cache entry, result
+// payload) from explicitly submitting the winning configuration.
+func resolve(req JobRequest) (*circuit.Circuit, JobRequest, error) {
+	circ, err := resolveCircuit(req)
+	if err != nil || req.Strategy != StrategyAuto {
+		return circ, req, err
 	}
 	if len(req.StrategyParams) > 0 {
-		return req, fmt.Errorf("strategy %q picks its own parameters; strategy_params may not be set", StrategyAuto)
-	}
-	if req.Threshold != 0 || req.Growth != 0 || req.RoundFidelity != 0 || req.FinalFidelity != 0 {
-		return req, fmt.Errorf("strategy %q picks its own parameters; the flat threshold/growth/round_fidelity/final_fidelity fields may not be set", StrategyAuto)
+		return nil, req, fmt.Errorf("strategy %q picks its own parameters; strategy_params may not be set", StrategyAuto)
 	}
 	if req.Noise != "" || sim.Backend(req.Backend) == sim.BackendDensity {
-		return req, fmt.Errorf("strategy %q resolves from the noiseless statevector atlas; noisy or density jobs must pick a strategy explicitly", StrategyAuto)
+		return nil, req, fmt.Errorf("strategy %q resolves from the noiseless statevector atlas; noisy or density jobs must pick a strategy explicitly", StrategyAuto)
 	}
 	win := atlas.Resolve(gen.Classify(circ))
 	req.Strategy = win.Strategy
 	if win.Params != "" {
 		req.StrategyParams = json.RawMessage(win.Params)
 	}
-	return req, nil
+	return circ, req, nil
 }
 
 // compile validates the request against the server limits and resolves the
 // circuit, strategy parameters, content hash, and seed.
 func (s *Server) compile(req JobRequest) (*compiled, error) {
-	circ, err := resolveCircuit(req)
-	if err != nil {
-		return nil, err
-	}
-	req, err = resolveAuto(req, circ)
+	circ, req, err := resolve(req)
 	if err != nil {
 		return nil, err
 	}
@@ -234,11 +209,7 @@ func (s *Server) compile(req JobRequest) (*compiled, error) {
 	// user-registered alike) and validate by building + Init'ing one
 	// instance up front, so submissions fail with a 400 instead of a
 	// failed job.
-	name, params, err := resolveStrategy(req)
-	if err != nil {
-		return nil, err
-	}
-	st, err := core.NewStrategyByName(name, params)
+	st, err := core.NewStrategyByName(req.Strategy, req.StrategyParams)
 	if err != nil {
 		return nil, err
 	}
@@ -255,13 +226,13 @@ func (s *Server) compile(req JobRequest) (*compiled, error) {
 		// rewrite statevector DDs and cannot run on it. Reject here with a
 		// 400 instead of a failed job.
 		if _, exact := st.(core.Exact); !exact {
-			return nil, fmt.Errorf("backend %q requires the exact strategy, got %q", backend, name)
+			return nil, fmt.Errorf("backend %q requires the exact strategy, got %q", backend, req.Strategy)
 		}
 	}
 
-	c := &compiled{req: req, circuit: circ, stratName: name, stratParams: params,
-		backend: backend, noise: noise}
-	c.hash = contentHash(circ, normalizeForHash(req))
+	req = normalizeForHash(req)
+	c := &compiled{req: req, circuit: circ, backend: backend, noise: noise}
+	c.hash = contentHash(circ, req)
 	c.seed = req.Seed
 	if c.seed == 0 {
 		c.seed = seedFromHash(c.hash)
@@ -271,49 +242,6 @@ func (s *Server) compile(req JobRequest) (*compiled, error) {
 		c.timeout = s.cfg.DefaultJobTimeout
 	}
 	return c, nil
-}
-
-// resolveStrategy maps a submission onto a registry (name, params) pair. The
-// flat fields (threshold, growth, round/final fidelity) remain the builtin
-// shorthand; strategy_params passes JSON through to any registered factory
-// and may not be combined with the flat fields.
-func resolveStrategy(req JobRequest) (string, json.RawMessage, error) {
-	name := req.Strategy
-	if name == "" {
-		name = StrategyExact
-	}
-	flat := req.Threshold != 0 || req.Growth != 0 || req.RoundFidelity != 0 || req.FinalFidelity != 0
-	if len(req.StrategyParams) > 0 {
-		if flat {
-			return "", nil, fmt.Errorf("submission carries both strategy_params and flat strategy fields (threshold/growth/round_fidelity/final_fidelity); pick one")
-		}
-		return name, req.StrategyParams, nil
-	}
-	switch name {
-	case StrategyExact:
-		return name, nil, nil
-	case StrategyMemory:
-		params, err := json.Marshal(core.MemoryDrivenParams{
-			Threshold:     req.Threshold,
-			RoundFidelity: req.RoundFidelity,
-			Growth:        req.Growth,
-		})
-		return name, params, err
-	case StrategyFidelity:
-		params, err := json.Marshal(core.FidelityDrivenParams{
-			FinalFidelity: req.FinalFidelity,
-			RoundFidelity: req.RoundFidelity,
-		})
-		return name, params, err
-	default:
-		// Registered strategies take parameters only through
-		// strategy_params; silently ignoring the flat shorthand would run
-		// the job with the factory's defaults.
-		if flat {
-			return "", nil, fmt.Errorf("strategy %q takes parameters via strategy_params, not the flat threshold/growth/round_fidelity/final_fidelity fields", name)
-		}
-		return name, nil, nil
-	}
 }
 
 // resolveNoise validates the submission's backend and noise fields and
@@ -352,7 +280,7 @@ func resolveNoise(req JobRequest) (sim.Backend, *sim.NoiseModel, error) {
 // (name, params) pair and the registry is append-only, so the error path is
 // defensive: it surfaces as a failed job rather than a panic.
 func (c *compiled) newStrategy() core.Strategy {
-	st, err := core.NewStrategyByName(c.stratName, c.stratParams)
+	st, err := core.NewStrategyByName(c.req.Strategy, c.req.StrategyParams)
 	if err != nil {
 		return brokenStrategy{err}
 	}
@@ -431,27 +359,17 @@ func appendGate(c *circuit.Circuit, g GateSpec) (err error) {
 
 // normalizeForHash rewrites the request to its canonical form so that
 // semantically identical submissions hash identically: the default strategy
-// spells out as "exact", parameters irrelevant to the selected strategy are
-// zeroed (an exact job with a stray threshold simulates the same), and
-// omitted defaults are filled in (memory-driven growth 0 means 2, exactly
-// as core.MemoryDriven.Init applies it).
+// spells out as "exact", whose only accepted parameters (empty, null, {})
+// all mean the same run, and other strategies' parameters take
+// encoding/json's compact form, so whitespace and a client's re-marshal do
+// not split a cache entry.
 func normalizeForHash(req JobRequest) JobRequest {
-	switch req.Strategy {
-	case "", StrategyExact:
-		req.Strategy = StrategyExact
-		req.Threshold, req.Growth, req.RoundFidelity, req.FinalFidelity = 0, 0, 0, 0
-		req.StrategyParams = nil // the exact factory ignores parameters
-	case StrategyMemory:
-		if len(req.StrategyParams) == 0 && req.Growth == 0 {
-			req.Growth = 2
+	if req.Strategy == "" || req.Strategy == StrategyExact {
+		req.Strategy, req.StrategyParams = StrategyExact, nil
+	} else if len(req.StrategyParams) > 0 {
+		if params, err := json.Marshal(req.StrategyParams); err == nil {
+			req.StrategyParams = params
 		}
-		req.FinalFidelity = 0
-	case StrategyFidelity:
-		req.Threshold, req.Growth = 0, 0
-	default:
-		// Registered strategies take parameters only through
-		// strategy_params; the flat fields cannot affect the run.
-		req.Threshold, req.Growth, req.RoundFidelity, req.FinalFidelity = 0, 0, 0, 0
 	}
 	// Backend and noise canonicalize the same way compile resolves them: the
 	// empty backend spells out as the effective one, and noise parameters
@@ -487,7 +405,7 @@ func normalizeForHash(req JobRequest) JobRequest {
 // diverge.
 func contentHash(c *circuit.Circuit, req JobRequest) string {
 	b := make([]byte, 0, 1024)
-	b = append(b, "repro-serve-v2\x00"...)
+	b = append(b, "repro-serve-v3\x00"...)
 	b = c.AppendCanonical(b)
 	b = append(b, req.Strategy...)
 	b = append(b, 0)
@@ -499,17 +417,13 @@ func contentHash(c *circuit.Circuit, req JobRequest) string {
 	// hashing the two fixed keys keeps the encoding order-independent.
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.NoiseParams["p"]))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.NoiseParams["seed"]))
-	b = binary.BigEndian.AppendUint64(b, uint64(req.Threshold))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.Growth))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.RoundFidelity))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.FinalFidelity))
 	b = binary.BigEndian.AppendUint64(b, req.InitialState)
 	b = binary.BigEndian.AppendUint64(b, uint64(req.Shots))
 	b = binary.BigEndian.AppendUint64(b, uint64(req.Seed))
 	// strategy_params hash verbatim (length-prefixed): two submissions
-	// with byte-identical params share the entry; the flat-field shorthand
-	// and its params spelling address different entries, which costs at
-	// most a duplicate cache slot, never a wrong hit.
+	// with byte-identical params share the entry; differently spelt but
+	// equivalent params address different entries, which costs at most a
+	// duplicate cache slot, never a wrong hit.
 	b = binary.BigEndian.AppendUint64(b, uint64(len(req.StrategyParams)))
 	b = append(b, req.StrategyParams...)
 	sum := sha256.Sum256(b)

@@ -149,7 +149,7 @@ func TestCacheHitEndToEnd(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	req := JobRequest{
 		Name: "ghz4", QASM: ghzQASM,
-		Strategy: StrategyFidelity, FinalFidelity: 0.8, RoundFidelity: 0.9,
+		Strategy: StrategyFidelity, StrategyParams: json.RawMessage(`{"final_fidelity":0.8,"round_fidelity":0.9}`),
 		Shots: 256,
 	}
 	first := c.submit(req, http.StatusAccepted)
@@ -340,8 +340,8 @@ func TestValidationErrors(t *testing.T) {
 		{Qubits: 2, Gates: []GateSpec{{Name: "warp", Target: 0}}}, // unknown gate
 		{Qubits: 2, Gates: []GateSpec{{Name: "h", Target: 5}}},    // qubit range
 		{QASM: ghzQASM, Strategy: "psychic"},                      // unknown strategy
-		{QASM: ghzQASM, Strategy: StrategyMemory, Threshold: -1, RoundFidelity: 0.9},
-		{QASM: ghzQASM, Strategy: StrategyFidelity, FinalFidelity: 0.9, RoundFidelity: 0.5},
+		{QASM: ghzQASM, Strategy: StrategyMemory, StrategyParams: json.RawMessage(`{"threshold":-1,"round_fidelity":0.9}`)},
+		{QASM: ghzQASM, Strategy: StrategyFidelity, StrategyParams: json.RawMessage(`{"final_fidelity":0.9,"round_fidelity":0.5}`)},
 		{QASM: ghzQASM, Shots: 11},                             // above MaxShots
 		{Qubits: 9, Gates: []GateSpec{{Name: "h", Target: 0}}}, // above MaxQubits
 		{Qubits: 2, Gates: []GateSpec{{Name: "h", Target: 0}}, Blocks: []int{3}},
@@ -356,6 +356,12 @@ func TestValidationErrors(t *testing.T) {
 	code, _ := c.do("POST", "/v1/jobs", map[string]any{"qasm": ghzQASM, "sots": 5})
 	if code != http.StatusBadRequest {
 		t.Errorf("unknown field: HTTP %d, want 400", code)
+	}
+	// Strategy parameters travel only in strategy_params; a flat field
+	// such as threshold is an unknown field.
+	code, _ = c.do("POST", "/v1/jobs", map[string]any{"qasm": ghzQASM, "strategy": "memory", "threshold": 16})
+	if code != http.StatusBadRequest {
+		t.Errorf("flat strategy field: HTTP %d, want 400", code)
 	}
 	if code, _ := c.do("GET", "/v1/jobs/nope", nil); code != http.StatusNotFound {
 		t.Error("unknown job id should 404")

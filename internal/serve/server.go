@@ -105,6 +105,8 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EventBufferSize <= 0 {
 		c.EventBufferSize = 1024
+	} else if c.EventBufferSize < 16 {
+		c.EventBufferSize = 16
 	}
 	if c.MaxJobs < 0 {
 		c.MaxJobs = 0 // unbounded
@@ -359,9 +361,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		js := &jobState{
 			id: id, name: req.Name, hash: comp.hash, cached: true,
 			created: time.Now(), status: StatusDone, payload: payload,
-			events: newEventBuffer(16),
+			events: newEventBuffer(1),
 		}
-		// Cache hits never ran, so their stream is just the terminal event.
+		// Cache hits never ran, so their stream is just the terminal event:
+		// a one-slot ring keeps a full registry of them cheap.
 		js.events.close(Event{Type: EventStatus, Status: StatusDone})
 		js.done.Store(true)
 		s.register(js)
@@ -450,8 +453,8 @@ func buildPayload(jr *batch.JobResult, comp *compiled) ResultPayload {
 		NumQubits:              res.NumQubits,
 		GateCount:              res.GateCount,
 		Strategy:               res.StrategyName,
-		ResolvedStrategy:       comp.stratName,
-		ResolvedStrategyParams: comp.stratParams,
+		ResolvedStrategy:       comp.req.Strategy,
+		ResolvedStrategyParams: comp.req.StrategyParams,
 		Backend:                string(res.Backend),
 		ChannelApplications:    res.ChannelApplications,
 		Seed:                   comp.seed,

@@ -18,7 +18,8 @@ trap 'rm -rf "$TMP"' EXIT
 TARGETS='FuzzApproximate ./internal/core
 FuzzQASMParse ./internal/qasm
 FuzzKrausChannel ./internal/density
-FuzzFromSpec ./internal/gen'
+FuzzFromSpec ./internal/gen
+FuzzJobRequest ./internal/serve'
 
 i=0
 pids=""

@@ -47,7 +47,13 @@ trap 'kill "$SIMD_PID" 2>/dev/null || true' EXIT INT TERM
 healthy() { curl -sf "$BASE/healthz" >/dev/null 2>&1; }
 retry_until "$WAIT" healthy || fail "server never became healthy on $ADDR within ${WAIT}s"
 
-BODY='{"name":"ghz4","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\n","strategy":"fidelity","final_fidelity":0.8,"round_fidelity":0.9,"shots":64}'
+BODY='{"name":"ghz4","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\n","strategy":"fidelity","strategy_params":{"final_fidelity":0.8,"round_fidelity":0.9},"shots":64}'
+
+# Strategy parameters travel only in strategy_params: a body with a
+# top-level parameter field is an unknown-field 400.
+FLAT='{"qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","strategy":"memory","threshold":16}'
+CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST -d "$FLAT" "$BASE/v1/jobs")"
+[ "$CODE" = 400 ] || fail "flat strategy field answered HTTP $CODE, want 400"
 
 # Submit and extract the job id.
 RESP="$(curl -sf -X POST -d "$BODY" "$BASE/v1/jobs")" || fail "submit"
