@@ -77,8 +77,10 @@ func (t *refTable) LookupFloat(re, im float64) *Value {
 
 // valueStream draws lookups that stress the table's edge cases: fresh random
 // values, values a hair either side of a cell edge, values within tol of
-// Zero and One, signed zeros, and exact or perturbed repeats of earlier
-// inputs (which land in the same or a neighbouring cell).
+// Zero and One, signed zeros, values in cells at the first or last offset
+// of their 8×8 block (so neighbourhoods span one, two or four blocks),
+// values whose cell overflows int64, and exact or perturbed repeats of
+// earlier inputs (which land in the same or a neighbouring cell).
 type valueStream struct {
 	rng  *rand.Rand
 	tol  float64
@@ -91,7 +93,19 @@ func (s *valueStream) next() (float64, float64) {
 		n := float64(s.rng.Intn(2001) - 1000)
 		return (n + 0.5 + (s.rng.Float64()-0.5)*1e-6) * s.tol
 	}
-	switch s.rng.Intn(8) {
+	// blockEdge returns a value in a cell at block offset 0 or 7 (or in the
+	// block's interior), on either sign, jittered up to 0.6 cells so it may
+	// round into the next block. Few blocks are drawn, so neighbours across
+	// a block edge recur.
+	blockEdge := func() float64 {
+		m := int64(1000 + s.rng.Intn(4))
+		if s.rng.Intn(2) == 0 {
+			m = -m
+		}
+		off := [...]int64{0, 7, 1 + int64(s.rng.Intn(6))}[s.rng.Intn(3)]
+		return (float64(8*m+off) + (s.rng.Float64()-0.5)*1.2) * s.tol
+	}
+	switch s.rng.Intn(10) {
 	case 0, 1:
 		re, im = s.rng.Float64()*4-2, s.rng.Float64()*4-2
 	case 2:
@@ -104,6 +118,17 @@ func (s *valueStream) next() (float64, float64) {
 		re, im = math.Copysign(0, -1), math.Copysign(0, float64(s.rng.Intn(2)*2-1))
 		if s.rng.Intn(2) == 0 {
 			re = 1
+		}
+	case 8:
+		re, im = blockEdge(), blockEdge()
+	case 9:
+		// |re|/tol of 1e19 to 1e20 is past 2^63 ≈ 9.2e18.
+		re, im = (1+s.rng.Float64()*9)*1e19*s.tol, s.rng.Float64()*4-2
+		if s.rng.Intn(2) == 0 {
+			re = -re
+		}
+		if s.rng.Intn(2) == 0 {
+			re, im = im, re
 		}
 	default:
 		if len(s.seen) == 0 {

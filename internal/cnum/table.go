@@ -15,16 +15,25 @@ const (
 	// initialSlots is the slot count of a fresh table: room for 512 values
 	// before the first growth. Must be a power of two.
 	initialSlots = 1024
-	// valueChunk is the number of Values allocated per chunk.
-	valueChunk = 1024
+	// valueShift is log2 of the number of Values allocated per chunk.
+	valueShift = 10
+	valueChunk = 1 << valueShift
+	// blockShift is log2 of a block's side in cells: the slot array is
+	// indexed by 8×8 blocks of grid cells, and a cell's position within its
+	// block takes 2·blockShift = 6 bits.
+	blockShift = 3
+	blockMask  = 1<<blockShift - 1
+	offsetBits = 2 * blockShift
+	offsetMask = 1<<offsetBits - 1
 )
 
-// slot is one entry of the open-addressed cell array. fp is the high half of
-// the value's cell hash; ref is its position in Table.vals plus one, so the
-// zero slot is empty. Slots hold no pointers, so the garbage collector never
-// scans the array. The cell itself is not stored: every interned value lies
-// in the cell it is filed under, so a fingerprint match is confirmed by
-// re-deriving key(v.Re, v.Im).
+// slot is one entry of the open-addressed block array. fp holds the high
+// bits of the value's block hash above its cell's 6-bit offset within the
+// block; ref is the value's interning position plus one, so the zero slot is
+// empty. Slots hold no pointers, so the garbage collector never scans the
+// array. The cell itself is not stored: every interned value lies in the
+// cell it is filed under, so a fingerprint match is confirmed by re-deriving
+// key(v.Re, v.Im).
 type slot struct{ fp, ref uint32 }
 
 // cellHash derives the canonical Value hash from the grid cell alone. Two
@@ -37,30 +46,46 @@ func cellHash(k cellKey) uint64 {
 	return Mix64(h + uint64(k.im))
 }
 
+// blockOffset splits one cell coordinate into its block coordinate (floor
+// division by the block side) and its offset within the block.
+func blockOffset(c int64) (block int64, off uint64) {
+	return c >> blockShift, uint64(c) & blockMask
+}
+
+// fingerprint is the slot fingerprint of packed cell p: block-hash bits 38
+// to 63 above the cell offset. Two slots of one block differ only in the
+// offset bits.
+func fingerprint(p uint64) uint32 {
+	return uint32(p>>32)&^offsetMask | uint32(p)&offsetMask
+}
+
 // Table interns complex values on a tolerance grid. The zero value is not
 // usable; construct with NewTable. A table belongs to one goroutine (each DD
 // manager owns its own), so it takes no locks.
 type Table struct {
 	tol float64
 
-	// slots is a power-of-two open-addressed array indexed by cell hash,
-	// probed linearly and kept at most half full. vals lists the interned
-	// values in interning order, Zero and One first. Values are never
-	// removed, so there are no tombstones.
+	// slots is a power-of-two open-addressed array indexed by block hash,
+	// probed linearly and kept at most half full. Values are never removed,
+	// so there are no tombstones.
 	slots []slot
 	mask  uint64
-	vals  []*Value
+
+	// chunks hold the interned values in interning order, Zero and One
+	// first, valueChunk to a chunk; a slot's ref-1 indexes them directly.
+	// packed holds each value's packed cell (see LookupFloat) in the same
+	// order, so growth refiles the slots without reading a value. Values
+	// and packed cells hold no pointers, so the garbage collector scans only
+	// the few chunk headers.
+	chunks [][]Value
+	packed []uint64
 
 	// Canonical values. Zero and One are used pervasively by the DD engine
 	// for pointer-identity fast paths.
 	Zero *Value
 	One  *Value
 
-	// Values are allocated in chunks of valueChunk.
-	chunk     []Value
-	chunkNext int
-
-	lookups int64
+	lookups, outOfRange int64
 }
 
 // NewTable returns a table with DefaultTolerance.
@@ -72,10 +97,10 @@ func NewTableTol(tol float64) *Table {
 		panic("cnum: tolerance must be positive")
 	}
 	t := &Table{
-		tol:   tol,
-		slots: make([]slot, initialSlots),
-		mask:  initialSlots - 1,
-		vals:  make([]*Value, 0, initialSlots/2),
+		tol:    tol,
+		slots:  make([]slot, initialSlots),
+		mask:   initialSlots - 1,
+		packed: make([]uint64, 0, initialSlots/2),
 	}
 	t.Zero = t.Lookup(0)
 	t.One = t.Lookup(1)
@@ -87,14 +112,21 @@ func (t *Table) Tolerance() float64 { return t.tol }
 
 // Size returns the number of interned values. A table never shrinks, so
 // this is also its high-water mark.
-func (t *Table) Size() int { return len(t.vals) }
+func (t *Table) Size() int { return len(t.packed) }
 
 // Stats returns lookup and hit counters. Both counters are monotonic over
 // the table lifetime, so callers measuring one run take deltas.
 func (t *Table) Stats() (lookups, hits int64) {
 	// Every miss interned exactly one value, and values are never removed.
-	return t.lookups, t.lookups - int64(len(t.vals))
+	return t.lookups, t.lookups - int64(len(t.packed))
 }
+
+// OutOfRange returns how many lookups had a coordinate whose magnitude, in
+// units of the tolerance, is at least 2^63: its grid cell is past the int64
+// range, so the float-to-int conversion forming the cell is
+// implementation-dependent. It only counts; such lookups are served as
+// before. Monotonic like Stats.
+func (t *Table) OutOfRange() int64 { return t.outOfRange }
 
 func (t *Table) key(re, im float64) cellKey {
 	return cellKey{int64(math.Round(re / t.tol)), int64(math.Round(im / t.tol))}
@@ -132,44 +164,57 @@ func (t *Table) LookupFloat(re, im float64) *Value {
 	if im == 0 {
 		im = 0
 	}
-	k := t.key(re, im)
-	if v := t.find(k); v != nil {
-		return v
+	// key(re, im), with the scaled coordinates checked against the int64
+	// range on the way.
+	sr, si := re/t.tol, im/t.tol
+	if math.Abs(sr) >= 0x1p63 || math.Abs(si) >= 0x1p63 {
+		t.outOfRange++
 	}
-	return t.lookupSlow(k, re, im)
-}
-
-// find returns the value filed under cell k, or nil.
-func (t *Table) find(k cellKey) *Value {
-	h := cellHash(k)
-	fp := uint32(h >> 32)
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
+	k := cellKey{int64(math.Round(sr)), int64(math.Round(si))}
+	// Pack k as its block hash with the low six bits replaced by k's offset
+	// in the block. Every cell of a block starts its probe at the same slot,
+	// so one linear-probe run holds the whole block.
+	br, or := blockOffset(k.re)
+	bi, oi := blockOffset(k.im)
+	p := cellHash(cellKey{br, bi})&^offsetMask | or<<blockShift | oi
+	fp := fingerprint(p)
+	for i := p >> offsetBits & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s.ref == 0 {
-			return nil
+			return t.lookupSlow(k, p, re, im)
 		}
 		if s.fp == fp {
-			if v := t.vals[s.ref-1]; t.key(v.Re, v.Im) == k {
+			if v := t.value(s.ref); t.key(v.Re, v.Im) == k {
 				return v
 			}
 		}
 	}
 }
 
-// lookupSlow handles the exact-cell miss: neighbour probing, canonical
-// constant snapping, and interning a new value.
-func (t *Table) lookupSlow(k cellKey, re, im float64) *Value {
-	// Probe the 8 neighbouring cells: a value within tol of an existing one
-	// may round to an adjacent cell.
-	for dr := int64(-1); dr <= 1; dr++ {
-		for di := int64(-1); di <= 1; di++ {
-			if dr == 0 && di == 0 {
-				continue
-			}
-			v := t.find(cellKey{k.re + dr, k.im + di})
-			if v != nil && math.Abs(v.Re-re) <= t.tol && math.Abs(v.Im-im) <= t.tol {
-				return v
-			}
+// lookupSlow handles the exact-cell miss of cell k, packed as p: neighbour
+// probing, canonical constant snapping, and interning a new value.
+func (t *Table) lookupSlow(k cellKey, p uint64, re, im float64) *Value {
+	// A value within tol of an existing one may round to any of the 8
+	// neighbouring cells, formed with wrapping int64 arithmetic. They lie in
+	// k's block, or in two blocks on a block edge and four at a block
+	// corner: scan each block's probe run once, collecting the neighbours'
+	// values in (dr, di) order.
+	var near [9]*Value
+	r0, r1 := (k.re-1)>>blockShift, (k.re+1)>>blockShift
+	i0, i1 := (k.im-1)>>blockShift, (k.im+1)>>blockShift
+	t.scanBlock(k, p, cellKey{r0, i0}, &near)
+	if i1 != i0 {
+		t.scanBlock(k, p, cellKey{r0, i1}, &near)
+	}
+	if r1 != r0 {
+		t.scanBlock(k, p, cellKey{r1, i0}, &near)
+		if i1 != i0 {
+			t.scanBlock(k, p, cellKey{r1, i1}, &near)
+		}
+	}
+	for _, v := range near {
+		if v != nil && math.Abs(v.Re-re) <= t.tol && math.Abs(v.Im-im) <= t.tol {
+			return v
 		}
 	}
 	// Snap near-exact constants so canonical values keep pointer identity.
@@ -184,45 +229,74 @@ func (t *Table) lookupSlow(k cellKey, re, im float64) *Value {
 		}
 		re, im = 1, 0
 	}
-	v := t.allocValue()
-	*v = Value{Re: re, Im: im, hash: cellHash(k)}
-	t.insert(v)
-	return v
+	return t.insert(Value{Re: re, Im: im, hash: cellHash(k)}, p)
 }
 
-// insert files v, whose cell is known to be absent, doubling the slot array
-// and refiling every value once the table passes half load.
-func (t *Table) insert(v *Value) {
-	t.vals = append(t.vals, v)
-	if 2*len(t.vals) > len(t.slots) {
-		t.slots = make([]slot, 2*len(t.slots))
-		t.mask = uint64(len(t.slots) - 1)
-		for i, w := range t.vals {
-			t.place(w.hash, uint32(i+1))
+// scanBlock scans block b's probe run and records in near[(dr+1)*3+di+1]
+// the value filed under cell k+(dr, di), for every such cell in b. Cell k,
+// packed as p, is empty, so near[4] stays nil.
+func (t *Table) scanBlock(k cellKey, p uint64, b cellKey, near *[9]*Value) {
+	h := p &^ offsetMask // k's own block reuses k's hash
+	if b != (cellKey{k.re >> blockShift, k.im >> blockShift}) {
+		h = cellHash(b) &^ offsetMask
+	}
+	tag := fingerprint(h)
+	for i := h >> offsetBits & t.mask; ; i = (i + 1) & t.mask {
+		s := t.slots[i]
+		if s.ref == 0 {
+			return
 		}
-	} else {
-		t.place(v.hash, uint32(len(t.vals)))
+		if s.fp&^offsetMask != tag {
+			continue
+		}
+		c := cellKey{b.re<<blockShift | int64(s.fp>>blockShift&blockMask), b.im<<blockShift | int64(s.fp&blockMask)}
+		dr, di := uint64(c.re-k.re+1), uint64(c.im-k.im+1)
+		if dr > 2 || di > 2 {
+			continue
+		}
+		// A tag match may come from another block; the key check rejects it.
+		if v := t.value(s.ref); t.key(v.Re, v.Im) == c {
+			near[dr*3+di] = v
+		}
 	}
 }
 
-// place files ref in the first empty slot of hash's probe sequence.
-func (t *Table) place(hash uint64, ref uint32) {
-	i := hash & t.mask
+// value returns the value at interning position ref-1.
+func (t *Table) value(ref uint32) *Value {
+	i := ref - 1
+	return &t.chunks[i>>valueShift][i&(valueChunk-1)]
+}
+
+// insert interns v, whose cell, packed as p, is known to be empty. It
+// doubles the slot array and refiles every value once the table passes half
+// load.
+func (t *Table) insert(v Value, p uint64) *Value {
+	n := len(t.packed)
+	if n&(valueChunk-1) == 0 {
+		t.chunks = append(t.chunks, make([]Value, valueChunk))
+	}
+	w := &t.chunks[n>>valueShift][n&(valueChunk-1)]
+	*w = v
+	t.packed = append(t.packed, p)
+	if 2*len(t.packed) > len(t.slots) {
+		t.slots = make([]slot, 2*len(t.slots))
+		t.mask = uint64(len(t.slots) - 1)
+		for i, q := range t.packed {
+			t.place(q, uint32(i+1))
+		}
+	} else {
+		t.place(p, uint32(len(t.packed)))
+	}
+	return w
+}
+
+// place files ref in the first empty slot of packed cell p's probe run.
+func (t *Table) place(p uint64, ref uint32) {
+	i := p >> offsetBits & t.mask
 	for t.slots[i].ref != 0 {
 		i = (i + 1) & t.mask
 	}
-	t.slots[i] = slot{fp: uint32(hash >> 32), ref: ref}
-}
-
-// allocValue hands out the next Value of the current chunk.
-func (t *Table) allocValue() *Value {
-	if t.chunkNext == len(t.chunk) {
-		t.chunk = make([]Value, valueChunk)
-		t.chunkNext = 0
-	}
-	v := &t.chunk[t.chunkNext]
-	t.chunkNext++
-	return v
+	t.slots[i] = slot{fp: fingerprint(p), ref: ref}
 }
 
 // Mix64 is the SplitMix64 finalizer: a cheap bijective mixer whose output

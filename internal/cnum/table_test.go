@@ -223,3 +223,49 @@ func TestCanonicalHashBridge(t *testing.T) {
 		t.Error("canonical constants hash differently across tables")
 	}
 }
+
+// TestBlockOffset pins how a cell coordinate splits into its 8-cell block
+// and the offset within it: floor division on both signs, and no overflow at
+// the ends of the int64 range.
+func TestBlockOffset(t *testing.T) {
+	for _, tc := range []struct {
+		cell, block int64
+		off         uint64
+	}{
+		{-1, -1, 7},
+		{-8, -1, 0},
+		{0, 0, 0},
+		{7, 0, 7},
+		{8, 1, 0},
+		{math.MinInt64, math.MinInt64 / 8, 0},
+		{math.MaxInt64, math.MaxInt64 / 8, 7},
+	} {
+		if block, off := blockOffset(tc.cell); block != tc.block || off != tc.off {
+			t.Errorf("blockOffset(%d) = %d, %d; want %d, %d", tc.cell, block, off, tc.block, tc.off)
+		}
+	}
+}
+
+// TestOutOfRangeCounter: a lookup counts when a coordinate's grid cell lies
+// past the int64 range, and counting never changes what the lookup returns.
+func TestOutOfRangeCounter(t *testing.T) {
+	tb, ref := NewTable(), newRefTable(DefaultTolerance)
+	for _, c := range []complex128{1 / math.Sqrt2, complex(0.5, -0.5), complex(-1, 1e-3), 1, 0} {
+		tb.Lookup(c)
+	}
+	if n := tb.OutOfRange(); n != 0 {
+		t.Fatalf("ordinary weights: OutOfRange = %d, want 0", n)
+	}
+	got, want := tb.LookupFloat(3.49e9, 0), ref.LookupFloat(3.49e9, 0)
+	if n := tb.OutOfRange(); n != 1 {
+		t.Errorf("LookupFloat(3.49e9, 0): OutOfRange = %d, want 1", n)
+	}
+	if got.Re != want.Re || got.Im != want.Im || got.Hash() != want.Hash() {
+		t.Errorf("LookupFloat(3.49e9, 0) = %v, reference %v", got, want)
+	}
+	tb.LookupFloat(0.25, -9.3e8)
+	tb.LookupFloat(9.2e8, 0) // |x|/tol = 9.2e18 < 2^63
+	if n := tb.OutOfRange(); n != 2 {
+		t.Errorf("after an imaginary overflow and an in-range value: OutOfRange = %d, want 2", n)
+	}
+}

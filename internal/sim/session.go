@@ -69,8 +69,8 @@ type Session struct {
 	siftCfg       dd.SiftConfig
 	siftMaxPasses int
 
-	start                   time.Time
-	startLookups, startHits int64
+	start      time.Time
+	startTable WeightTableStats // weight-table counters when the run began
 
 	err      error // sticky failure; nil while healthy
 	finished bool  // Finish completed; res is final
@@ -170,7 +170,7 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 		m.ResetOrder()
 	}
 
-	startLookups, startHits := m.CN.Stats()
+	startTable := weightTableCounters(m.CN)
 	backend := opts.Backend
 	if backend == "" {
 		backend = BackendStatevector
@@ -194,19 +194,18 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 	s.clearGateCache()
 
 	*ses = Session{
-		sim:          s,
-		c:            c,
-		opts:         opts,
-		strategy:     strategy,
-		obs:          obs,
-		tracker:      core.NewFidelityTracker(),
-		res:          res,
-		ctx:          ctx,
-		cancel:       cancel,
-		highWater:    highWater,
-		start:        time.Now(),
-		startLookups: startLookups,
-		startHits:    startHits,
+		sim:        s,
+		c:          c,
+		opts:       opts,
+		strategy:   strategy,
+		obs:        obs,
+		tracker:    core.NewFidelityTracker(),
+		res:        res,
+		ctx:        ctx,
+		cancel:     cancel,
+		highWater:  highWater,
+		start:      time.Now(),
+		startTable: startTable,
 	}
 	// Backend-specific state: the density matrix (or the vector initial
 	// state) and any lifted noise-channel DDs. Built after the variable
@@ -347,11 +346,12 @@ func (ses *Session) Finish() (*Result, error) {
 		res.FinalOrder = m.Order(res.NumQubits)
 	}
 	res.DDStats = m.Stats()
-	endLookups, endHits := m.CN.Stats()
+	end := weightTableCounters(m.CN)
 	res.WeightTable = WeightTableStats{
-		Peak:    m.CN.Size(),
-		Lookups: endLookups - ses.startLookups,
-		Hits:    endHits - ses.startHits,
+		Peak:       end.Peak,
+		Lookups:    end.Lookups - ses.startTable.Lookups,
+		Hits:       end.Hits - ses.startTable.Hits,
+		OutOfRange: end.OutOfRange - ses.startTable.OutOfRange,
 	}
 	res.Rounds = ses.tracker.Rounds()
 	res.EstimatedFidelity = ses.tracker.Achieved()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/cnum"
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/density"
@@ -162,6 +163,16 @@ type WeightTableStats struct {
 	Peak int
 	// Lookups and Hits count table probes during this run only.
 	Lookups, Hits int64
+	// OutOfRange counts this run's lookups of a weight whose grid cell lies
+	// past the int64 range (cnum.Table.OutOfRange): a numeric-health signal,
+	// zero on healthy runs.
+	OutOfRange int64
+}
+
+// weightTableCounters reads cn's lifetime counters; Peak is its size.
+func weightTableCounters(cn *cnum.Table) WeightTableStats {
+	lookups, hits := cn.Stats()
+	return WeightTableStats{Peak: cn.Size(), Lookups: lookups, Hits: hits, OutOfRange: cn.OutOfRange()}
 }
 
 // HitRatio returns Hits/Lookups, or 0 when the table was never probed.

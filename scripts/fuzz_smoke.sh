@@ -19,7 +19,8 @@ TARGETS='FuzzApproximate ./internal/core
 FuzzQASMParse ./internal/qasm
 FuzzKrausChannel ./internal/density
 FuzzFromSpec ./internal/gen
-FuzzJobRequest ./internal/serve'
+FuzzJobRequest ./internal/serve
+FuzzWeightTable ./internal/cnum'
 
 i=0
 pids=""
