@@ -44,8 +44,8 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## bench-smoke: one-iteration dd + cnum + batch + session benchmarks, captured as
-## the raw go-test JSON stream (BENCH_dd.json) and parsed by
+## bench-smoke: one-iteration dd + cnum + batch + session + approximation-pass
+## benchmarks, captured as the raw go-test JSON stream (BENCH_dd.json) and parsed by
 ## scripts/benchsummary into the stable-schema BENCH_summary.json
 ## (benchmark -> ns/op, allocs/op, custom metrics) that bench-check gates on
 bench-smoke:
@@ -55,6 +55,8 @@ bench-smoke:
 		./internal/batch >> BENCH_dd.json
 	$(GO) test -run '^$$' -bench 'Frontier' -benchtime 1x -count 3 -benchmem -json \
 		./internal/benchtab >> BENCH_dd.json
+	$(GO) test -run '^$$' -bench 'ApproximationPrimitive' -benchtime 100ms -count 5 -benchmem -json \
+		. >> BENCH_dd.json
 	$(GO) run ./scripts/benchsummary -in BENCH_dd.json -out BENCH_summary.json
 
 ## bench-cluster: run the cluster latency harness (cmd/loadgen boots a local
@@ -63,8 +65,8 @@ bench-smoke:
 bench-cluster:
 	$(GO) run ./cmd/loadgen -out BENCH_cluster.json
 
-## bench-check: the perf-regression gate — fail when a Gate/Batch/Session
-## benchmark's ns/op, allocs/op, or B/op regressed more than
+## bench-check: the perf-regression gate — fail when a Gate/Batch/Session/
+## ApproximationPrimitive benchmark's ns/op, allocs/op, or B/op regressed more than
 ## BENCH_CHECK_THRESHOLD against the committed bench_baseline.json, when
 ## BatchRun stops scaling (workers4 vs workers1, 4+ CPU runners only), when
 ## the ordering

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/benchtab"
@@ -264,13 +265,37 @@ func BenchmarkApproximationPrimitive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, rep, err := core.ApproximateToFidelity(m, e, 0.95)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rep.SizeBefore-rep.SizeAfter), "nodesRemoved")
+	// One entry per approximation pass: the fidelity-bounded delete, the
+	// delete-to-size loop and the replace pass, the size-targeted two
+	// shrinking the state to half its nodes.
+	target := m.CountV(e) / 2
+	passes := []struct {
+		name string
+		run  func() (dd.VEdge, core.Report, error)
+	}{
+		{"fidelity", func() (dd.VEdge, core.Report, error) { return core.ApproximateToFidelity(m, e, 0.95) }},
+		{"size", func() (dd.VEdge, core.Report, error) { return core.ApproximateToSize(m, e, target) }},
+		{"replace", func() (dd.VEdge, core.Report, error) {
+			return core.ApproximateToSizeReplace(m, e, target, 0, nil)
+		}},
+	}
+	for _, p := range passes {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// Two collections drop the pooled round scratch, so every
+				// pass pays for its scratch maps: left to GC timing, whether
+				// the pool kept them swung B/op by megabytes run to run.
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
+				_, rep, err := p.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(rep.SizeBefore-rep.SizeAfter), "nodesRemoved")
+			}
+		})
 	}
 }
 

@@ -55,7 +55,6 @@ func ApproximateToFidelity(m *dd.Manager, e dd.VEdge, fround float64) (dd.VEdge,
 	// ties break on node id for determinism.
 	cands := sc.sortedCandidates(e.N)
 	limit, total := 0, 0.0
-	const slack = 1e-12 // tolerate float summation error at the boundary
 	for _, cand := range cands {
 		if total+cand.c > budget+slack {
 			break
@@ -72,44 +71,4 @@ func ApproximateToFidelity(m *dd.Manager, e dd.VEdge, fround float64) (dd.VEdge,
 	rep.Achieved = m.Fidelity(e, ne)
 	rep.SizeAfter = m.CountV(ne)
 	return ne, rep, nil
-}
-
-// ApproximateBelowContribution removes every node whose contribution is
-// strictly below minContrib (the absolute-threshold variant of [27]); the
-// fidelity loss is reported but not bounded a priori. Used by the ablation
-// benches.
-func ApproximateBelowContribution(m *dd.Manager, e dd.VEdge, minContrib float64) (dd.VEdge, Report, error) {
-	sizeBefore := m.CountV(e)
-	rep := Report{Requested: 0, Achieved: 1, SizeBefore: sizeBefore, SizeAfter: sizeBefore}
-	if m.IsVZero(e) {
-		return e, rep, nil
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	contributionsInto(m, e, sc)
-	for n, c := range sc.contrib {
-		if c < minContrib && n != e.N {
-			sc.kill[n] = true
-			rep.RemovedMass += c
-		}
-	}
-	if len(sc.kill) == 0 {
-		return e, rep, nil
-	}
-	ne := removeNodes(m, e, sc.kill, sc.memo)
-	if m.IsVZero(ne) {
-		return e, rep, fmt.Errorf("core: contribution threshold %v removed the entire state", minContrib)
-	}
-	rep.RemovedNodes = len(sc.kill)
-	rep.Achieved = m.Fidelity(e, ne)
-	rep.SizeAfter = m.CountV(ne)
-	return ne, rep, nil
-}
-
-// RemoveNodes rebuilds the state DD with every node in kill replaced by the
-// zero vector, then renormalizes to unit norm preserving the root phase.
-// This realizes the truncation |ψ_I⟩ = P_I|ψ⟩ / ‖P_I|ψ⟩‖ of Eq. (1) with I
-// the set of basis states whose paths avoid the killed nodes.
-func RemoveNodes(m *dd.Manager, e dd.VEdge, kill map[*dd.VNode]bool) dd.VEdge {
-	return removeNodes(m, e, kill, make(map[*dd.VNode]dd.VEdge))
 }

@@ -25,7 +25,8 @@ func TestPaperExample8Removal(t *testing.T) {
 	if leftQ1 == nil {
 		t.Fatal("did not find the q1 node with contribution 0.2")
 	}
-	ne := RemoveNodes(m, e, map[*dd.VNode]bool{leftQ1: true})
+	edits := map[*dd.VNode]SubstituteKind{leftQ1: substituteDelete}
+	ne := rebuild(m, e, edits, make(map[*dd.VNode]dd.VEdge))
 	if f := m.Fidelity(e, ne); math.Abs(f-0.8) > 1e-12 {
 		t.Errorf("fidelity after removing 0.2-node = %v, want 0.8", f)
 	}
@@ -124,24 +125,6 @@ func TestApproximateRoundOne(t *testing.T) {
 	}
 }
 
-func TestApproximateBelowContribution(t *testing.T) {
-	m := dd.New()
-	e := fig1State(t, m)
-	// Threshold 0.15 kills exactly the two 0.1/0.2-contribution nodes...
-	// the 0.1 q0 node and the 0.2 q1 node; killing the q1 ancestor already
-	// removes the paths, the q0 node dies with it.
-	ne, rep, err := ApproximateBelowContribution(m, e, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.NoOp() {
-		t.Fatal("threshold removal was a no-op")
-	}
-	if f := m.Fidelity(e, ne); math.Abs(f-0.9) > 1e-12 {
-		t.Errorf("fidelity %v, want 0.9 (only the 0.1 mass is actually lost)", f)
-	}
-}
-
 func TestLemma1TruncationFactorization(t *testing.T) {
 	// Lemma 1 on raw truncations: F(ψ, φ_I) = F(ψ, ψ_I)·F(ψ_I, φ_I) where
 	// φ = ψ_J is itself a truncation of ψ. Realized with DD approximations:
@@ -203,28 +186,5 @@ func TestRemoveNodesPreservesUntouchedAmplitudeRatios(t *testing.T) {
 	// |scale| = ‖P_I ψ‖ = sqrt(F).
 	if math.Abs(cmplx.Abs(scale)-math.Sqrt(rep.Achieved)) > 1e-9 {
 		t.Errorf("rescale factor |%v| != sqrt(F)=%v", cmplx.Abs(scale), math.Sqrt(rep.Achieved))
-	}
-}
-
-func TestApproximateBelowContributionFullRemovalRejected(t *testing.T) {
-	// A threshold above every contribution would erase the whole state; the
-	// call must fail and leave the input untouched.
-	m := dd.New()
-	rng := rand.New(rand.NewSource(64))
-	e := randomState(t, m, 4, 0.8, rng)
-	if _, _, err := ApproximateBelowContribution(m, e, 2.0); err == nil {
-		t.Error("threshold 2.0 (removes everything) accepted")
-	}
-}
-
-func TestApproximateBelowContributionNoOp(t *testing.T) {
-	m := dd.New()
-	e := m.BasisState(4, 5) // all contributions are 1
-	ne, rep, err := ApproximateBelowContribution(m, e, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.NoOp() || ne != e {
-		t.Error("basis state was modified")
 	}
 }

@@ -63,3 +63,18 @@ func TestFidelityDrivenExplicitLocations(t *testing.T) {
 		t.Errorf("last explicit location not used: %v", locs)
 	}
 }
+
+func TestPlanRoundsNeedsASuccessorGate(t *testing.T) {
+	// A round runs after a gate and before the next one, so a 1-gate
+	// circuit has no location for it.
+	if got := PlanRounds(1, nil, 1, true); got != nil {
+		t.Errorf("PlanRounds on a 1-gate circuit = %v, want nil", got)
+	}
+	s := NewFidelityDriven(0.5, 0.9)
+	if err := s.Init(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if locs := s.PlannedLocations(); len(locs) != 0 {
+		t.Errorf("1-gate circuit planned rounds at %v", locs)
+	}
+}

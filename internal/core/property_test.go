@@ -69,13 +69,6 @@ func approxOps() []approxOp {
 			floor: none,
 			sized: true,
 		},
-		{
-			name: "below-contribution",
-			run: func(m *dd.Manager, e dd.VEdge, _ approxCase, _ int) (dd.VEdge, Report, error) {
-				return ApproximateBelowContribution(m, e, 0.01)
-			},
-			floor: none,
-		},
 	}
 }
 
@@ -260,7 +253,7 @@ func TestQuickReplaceNeverSevers(t *testing.T) {
 						repl[node] = kind
 					}
 				}
-				ne := ReplaceNodes(m, e, repl)
+				ne := rebuild(m, e, repl, make(map[*dd.VNode]dd.VEdge))
 				if m.IsVZero(ne) {
 					t.Log("replacement zeroed the state")
 					return false

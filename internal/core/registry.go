@@ -24,8 +24,8 @@ var (
 // NewStrategyByName and over HTTP via the simulation service's `strategy`
 // field. Names are case-sensitive; registering an empty name, a nil factory,
 // or a name already taken (including the builtins "exact", "memory",
-// "fidelity") is an error. The registry is append-only and safe for
-// concurrent use.
+// "fidelity" and "replace", and "reorder" once internal/order is imported)
+// is an error. The registry is append-only and safe for concurrent use.
 func RegisterStrategy(name string, factory StrategyFactory) error {
 	if name == "" {
 		return fmt.Errorf("core: strategy name must be non-empty")

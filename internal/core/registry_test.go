@@ -8,7 +8,7 @@ import (
 
 func TestBuiltinStrategiesRegistered(t *testing.T) {
 	names := StrategyNames()
-	for _, want := range []string{"exact", "memory", "fidelity"} {
+	for _, want := range []string{"exact", "memory", "fidelity", "replace"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -118,5 +118,22 @@ func TestRegisterStrategyRejectsDuplicatesAndNil(t *testing.T) {
 	}
 	if err := RegisterStrategy("nil-factory", nil); err == nil {
 		t.Error("nil factory accepted")
+	}
+}
+
+// TestDeleteKindIsInternal: the delete pass's zero edit shares the
+// SubstituteKind type with the public substitutes, but no entry point
+// accepts it as a replace-strategy kind.
+func TestDeleteKindIsInternal(t *testing.T) {
+	name := string(substituteDelete)
+	if _, err := ParseSubstituteKinds([]string{name}); err == nil {
+		t.Errorf("ParseSubstituteKinds accepted %q", name)
+	}
+	s := &ReplaceDriven{NodeBudget: 16, Kinds: []SubstituteKind{SubstituteCollapse, substituteDelete}}
+	if err := s.Init(10, nil); err == nil {
+		t.Errorf("ReplaceDriven.Init accepted kind %q", name)
+	}
+	if _, err := NewStrategyByName("replace", json.RawMessage(`{"node_budget":16,"kinds":["`+name+`"]}`)); err == nil {
+		t.Errorf("replace strategy params accepted kind %q", name)
 	}
 }

@@ -26,6 +26,10 @@ const (
 	// |w|²) and keeps the dominant child's full subtree. It forfeits the
 	// least mass of the two kinds but frees only the weak subtree.
 	SubstitutePromote SubstituteKind = "promote"
+	// substituteDelete is the delete pass's edit: the node becomes the zero
+	// vector, severing every path through it. It is internal to the
+	// package; ParseSubstituteKinds and ReplaceDriven.Init reject it.
+	substituteDelete SubstituteKind = "delete"
 )
 
 // DefaultSubstitutes is the default preference order: collapse first (it
@@ -44,15 +48,22 @@ func ParseSubstituteKinds(names []string) ([]SubstituteKind, error) {
 	}
 	out := make([]SubstituteKind, 0, len(names))
 	for _, s := range names {
-		switch k := SubstituteKind(s); k {
-		case SubstituteCollapse, SubstitutePromote:
-			out = append(out, k)
-		default:
-			return nil, fmt.Errorf("core: unknown substitute kind %q (known: %q, %q)",
-				s, SubstituteCollapse, SubstitutePromote)
+		k := SubstituteKind(s)
+		if err := checkKind(k); err != nil {
+			return nil, err
 		}
+		out = append(out, k)
 	}
 	return out, nil
+}
+
+// checkKind accepts the public substitute kinds only.
+func checkKind(k SubstituteKind) error {
+	if k != SubstituteCollapse && k != SubstitutePromote {
+		return fmt.Errorf("core: unknown substitute kind %q (known: %q, %q)",
+			k, SubstituteCollapse, SubstitutePromote)
+	}
+	return nil
 }
 
 // dominantPathAbs2 returns |w|², the squared magnitude of the dominant basis
@@ -117,68 +128,6 @@ func lossFrac(n *dd.VNode, kind SubstituteKind) float64 {
 	return 0
 }
 
-// replaceNodes rebuilds the state with every node in repl swapped for its
-// substitute, then renormalizes preserving the root phase (the replace-pass
-// analogue of removeNodes). Substitutes are built from the node's original
-// subtree; a promoted node's kept child is itself rebuilt, so nested
-// replacements below it still apply.
-func replaceNodes(m *dd.Manager, e dd.VEdge, repl map[*dd.VNode]SubstituteKind, memo map[*dd.VNode]dd.VEdge) dd.VEdge {
-	if m.IsVZero(e) {
-		return e
-	}
-	var rebuild func(n *dd.VNode) dd.VEdge
-	rebuild = func(n *dd.VNode) dd.VEdge {
-		if n.IsTerminal() {
-			return dd.VEdge{W: m.CN.One, N: m.VTerminal()}
-		}
-		if res, ok := memo[n]; ok {
-			return res
-		}
-		var res dd.VEdge
-		switch repl[n] {
-		case SubstituteCollapse:
-			res = collapseEdge(m, n)
-		case SubstitutePromote:
-			keep := 0
-			if n.E[1].W.Abs2() > n.E[0].W.Abs2() {
-				keep = 1
-			}
-			var children [2]dd.VEdge
-			children[1-keep] = m.VZero()
-			children[keep] = m.ScaleV(rebuild(n.E[keep].N), n.E[keep].W.Complex())
-			res = m.MakeVNode(n.Var, children[0], children[1])
-		default:
-			var children [2]dd.VEdge
-			for i := 0; i < 2; i++ {
-				child := n.E[i]
-				if child.W.Abs2() == 0 {
-					children[i] = m.VZero()
-					continue
-				}
-				children[i] = m.ScaleV(rebuild(child.N), child.W.Complex())
-			}
-			res = m.MakeVNode(n.Var, children[0], children[1])
-		}
-		memo[n] = res
-		return res
-	}
-	root := rebuild(e.N)
-	if m.IsVZero(root) {
-		return root
-	}
-	final := m.ScaleV(root, e.W.Complex())
-	return m.NormalizeRootWeight(final)
-}
-
-// ReplaceNodes rebuilds the state DD with every node in repl replaced by its
-// substitute shape, then renormalizes to unit norm preserving the root
-// phase. Unlike RemoveNodes, substitutes keep at least one root-to-terminal
-// path through every replaced node alive, so the result is never the zero
-// vector for a non-zero input.
-func ReplaceNodes(m *dd.Manager, e dd.VEdge, repl map[*dd.VNode]SubstituteKind) dd.VEdge {
-	return replaceNodes(m, e, repl, make(map[*dd.VNode]dd.VEdge))
-}
-
 // ApproximateToSizeReplace shrinks the state DD to at most maxNodes nodes by
 // replacing nodes in ascending contribution order with cheaper substitutes,
 // tried in the caller's preference order (nil kinds = DefaultSubstitutes).
@@ -214,47 +163,6 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 	orig := e
 	sc := getScratch()
 	defer putScratch(sc)
-	const slack = 1e-12
-	const maxPasses = 8
-	// deleteToSize is the classic delete pass under the same loss budget:
-	// it removes ascending-contribution nodes (with zero-state backoff)
-	// until the target fits, the pass budget runs out, or further removal
-	// would overdraw the floor. Counts and mass accumulate into rep.
-	deleteToSize := func(e dd.VEdge, spent float64, rep *Report) (dd.VEdge, float64) {
-		for pass := 0; pass < maxPasses; pass++ {
-			size := m.CountV(e)
-			if size <= maxNodes {
-				break
-			}
-			sc.reuse()
-			contributionsInto(m, e, sc)
-			cands := sc.sortedCandidates(e.N)
-			need := size - maxNodes
-			limit, mass := 0, 0.0
-			for _, cand := range cands {
-				if limit >= need {
-					break
-				}
-				// Never remove a pass's entire remaining mass (per-pass, as in
-				// ApproximateToSize: contributions are measured on the current
-				// renormalized state), and never overdraw the cumulative floor.
-				if mass+cand.c >= 1 || spent+mass+cand.c > budget+slack {
-					break
-				}
-				limit++
-				mass += cand.c
-			}
-			ne, removed, remMass := removeWithBackoff(m, e, sc, cands, limit)
-			if removed == 0 {
-				break
-			}
-			e = ne
-			spent += remMass
-			rep.RemovedNodes += removed
-			rep.RemovedMass += remMass
-		}
-		return e, spent
-	}
 	type pick struct {
 		n    *dd.VNode
 		kind SubstituteKind
@@ -299,14 +207,14 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 		// wasting fidelity a smaller prefix would have kept, so when the
 		// full set fits, binary-search the smallest prefix that still fits.
 		build := func(count int) (dd.VEdge, float64) {
-			clear(sc.repl)
+			clear(sc.edits)
 			clear(sc.memo)
 			cost := 0.0
 			for _, p := range picks[:count] {
-				sc.repl[p.n] = p.kind
+				sc.edits[p.n] = p.kind
 				cost += p.loss
 			}
-			return replaceNodes(m, e, sc.repl, sc.memo), cost
+			return rebuild(m, e, sc.edits, sc.memo), cost
 		}
 		ne, passCost := build(len(picks))
 		chosen := len(picks)
@@ -336,14 +244,14 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 	}
 	// Delete fallback: force any remaining surplus out the classic way,
 	// spending what is left of the same loss budget.
-	e, _ = deleteToSize(e, spent, &rep)
+	e = deleteToSize(m, e, sc, maxNodes, spent, budget, &rep)
 	// Pure floored delete from the original state is the reference this pass
 	// must never lose to: on dense states substitution can spend fidelity
 	// without freeing nodes (shared subtrees, chains adding nodes) and the
 	// fallback then deletes on top of that damage. Keep whichever result is
 	// better — fits the budget first, then higher fidelity, then smaller.
 	alt := Report{Requested: minFidelity, Achieved: 1, SizeBefore: sizeBefore, SizeAfter: sizeBefore}
-	ae, _ := deleteToSize(orig, 0, &alt)
+	ae := deleteToSize(m, orig, sc, maxNodes, 0, budget, &alt)
 	eSize, aSize := m.CountV(e), m.CountV(ae)
 	eFid, aFid := m.Fidelity(orig, e), m.Fidelity(orig, ae)
 	takeAlt := false
@@ -400,8 +308,8 @@ func (s *ReplaceDriven) Init(int, []int) error {
 		s.Kinds = DefaultSubstitutes()
 	}
 	for _, k := range s.Kinds {
-		if k != SubstituteCollapse && k != SubstitutePromote {
-			return fmt.Errorf("core: unknown substitute kind %q", k)
+		if err := checkKind(k); err != nil {
+			return err
 		}
 	}
 	s.fid = 1

@@ -10,15 +10,14 @@ import (
 
 // Per-round working memory of the approximation pipeline. A single
 // approximation round walks the state several times (contribution
-// propagation, kill-set selection, rebuild memoization); at hundreds of
+// propagation, edit-set selection, rebuild memoization); at hundreds of
 // rounds per job the per-round maps dominated the engine's allocation
 // profile, so rounds draw their scratch from a pool instead. The pool is
 // GC-aware (sync.Pool drops retained scratch under memory pressure) and safe
 // for concurrent batch workers.
 type approxScratch struct {
 	contrib map[*dd.VNode]float64
-	kill    map[*dd.VNode]bool
-	repl    map[*dd.VNode]SubstituteKind
+	edits   map[*dd.VNode]SubstituteKind
 	memo    map[*dd.VNode]dd.VEdge
 	seen    map[*dd.VNode]struct{}
 	nodes   []*dd.VNode
@@ -34,8 +33,7 @@ var scratchPool = sync.Pool{
 	New: func() any {
 		return &approxScratch{
 			contrib: make(map[*dd.VNode]float64, 256),
-			kill:    make(map[*dd.VNode]bool, 64),
-			repl:    make(map[*dd.VNode]SubstituteKind, 64),
+			edits:   make(map[*dd.VNode]SubstituteKind, 64),
 			memo:    make(map[*dd.VNode]dd.VEdge, 256),
 			seen:    make(map[*dd.VNode]struct{}, 256),
 		}
@@ -46,22 +44,15 @@ func getScratch() *approxScratch { return scratchPool.Get().(*approxScratch) }
 
 // putScratch clears (keeping buckets and backing arrays) and repools.
 func putScratch(s *approxScratch) {
-	clear(s.contrib)
-	clear(s.kill)
-	clear(s.repl)
-	clear(s.memo)
-	clear(s.seen)
-	s.nodes = s.nodes[:0]
-	s.cands = s.cands[:0]
+	s.reuse()
 	scratchPool.Put(s)
 }
 
 // reuse clears the round-local state so one scratch serves several passes
-// within a call (ApproximateToSize's removal passes).
+// within a call (deleteToSize's removal passes).
 func (s *approxScratch) reuse() {
 	clear(s.contrib)
-	clear(s.kill)
-	clear(s.repl)
+	clear(s.edits)
 	clear(s.memo)
 	clear(s.seen)
 	s.nodes = s.nodes[:0]
@@ -147,17 +138,17 @@ func (s *approxScratch) sortedCandidates(root *dd.VNode) []nodeContrib {
 // can land its contribution total one ulp below the guard. It returns the
 // rebuilt state with the removed-node count and mass; a zero count means
 // even a single-node removal zeroes the state and e is returned unchanged.
-// Uses s.kill and s.memo; s.contrib/s.cands are left intact.
+// Uses s.edits and s.memo; s.contrib/s.cands are left intact.
 func removeWithBackoff(m *dd.Manager, e dd.VEdge, s *approxScratch, cands []nodeContrib, limit int) (dd.VEdge, int, float64) {
 	for limit > 0 {
-		clear(s.kill)
+		clear(s.edits)
 		clear(s.memo)
 		mass := 0.0
 		for _, cand := range cands[:limit] {
-			s.kill[cand.n] = true
+			s.edits[cand.n] = substituteDelete
 			mass += cand.c
 		}
-		if ne := removeNodes(m, e, s.kill, s.memo); !m.IsVZero(ne) {
+		if ne := rebuild(m, e, s.edits, s.memo); !m.IsVZero(ne) {
 			return ne, limit, mass
 		}
 		limit /= 2
@@ -165,42 +156,61 @@ func removeWithBackoff(m *dd.Manager, e dd.VEdge, s *approxScratch, cands []node
 	return e, 0, 0
 }
 
-// removeNodes is RemoveNodes with a caller-provided rebuild memo.
-func removeNodes(m *dd.Manager, e dd.VEdge, kill map[*dd.VNode]bool, memo map[*dd.VNode]dd.VEdge) dd.VEdge {
+// rebuild rebuilds the state DD with every node in edits swapped for its
+// edit, then renormalizes to unit norm preserving the root phase. A deleted
+// node becomes the zero vector — the truncation |ψ_I⟩ = P_I|ψ⟩ / ‖P_I|ψ⟩‖
+// of Eq. (1), with I the basis states whose paths avoid the deleted nodes —
+// and a substitute kind swaps in its cheaper shape. Substitutes are built
+// from the node's original subtree; a promoted node's kept child is itself
+// rebuilt, so nested edits below it still apply. memo is the caller's
+// rebuild memo (cleared by the caller between edit sets).
+func rebuild(m *dd.Manager, e dd.VEdge, edits map[*dd.VNode]SubstituteKind, memo map[*dd.VNode]dd.VEdge) dd.VEdge {
 	if m.IsVZero(e) {
 		return e
 	}
-	var rebuild func(n *dd.VNode) dd.VEdge
-	rebuild = func(n *dd.VNode) dd.VEdge {
+	var walk func(n *dd.VNode) dd.VEdge
+	walk = func(n *dd.VNode) dd.VEdge {
 		if n.IsTerminal() {
 			return dd.VEdge{W: m.CN.One, N: m.VTerminal()}
 		}
-		if kill[n] {
+		kind := edits[n]
+		if kind == substituteDelete {
 			return m.VZero()
 		}
 		if res, ok := memo[n]; ok {
 			return res
 		}
-		var children [2]dd.VEdge
-		for i := 0; i < 2; i++ {
-			child := n.E[i]
-			if child.W.Abs2() == 0 {
-				children[i] = m.VZero()
-				continue
+		var res dd.VEdge
+		if kind == SubstituteCollapse {
+			res = collapseEdge(m, n)
+		} else {
+			drop := -1 // the weaker child a promotion drops
+			if kind == SubstitutePromote {
+				drop = 1
+				if n.E[1].W.Abs2() > n.E[0].W.Abs2() {
+					drop = 0
+				}
 			}
-			sub := rebuild(child.N)
-			children[i] = m.ScaleV(sub, child.W.Complex())
+			var children [2]dd.VEdge
+			for i := 0; i < 2; i++ {
+				child := n.E[i]
+				if i == drop || child.W.Abs2() == 0 {
+					children[i] = m.VZero()
+					continue
+				}
+				children[i] = m.ScaleV(walk(child.N), child.W.Complex())
+			}
+			res = m.MakeVNode(n.Var, children[0], children[1])
 		}
-		res := m.MakeVNode(n.Var, children[0], children[1])
 		memo[n] = res
 		return res
 	}
-	root := rebuild(e.N)
+	root := walk(e.N)
 	if m.IsVZero(root) {
 		return root
 	}
 	// Re-apply the original root weight, then renormalize: the rebuild has
-	// folded the surviving mass ‖P_I ψ‖ into the root weight.
+	// folded the surviving mass into the root weight.
 	final := m.ScaleV(root, e.W.Complex())
 	return m.NormalizeRootWeight(final)
 }

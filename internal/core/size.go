@@ -2,8 +2,19 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dd"
+)
+
+// Shared limits of the delete passes.
+const (
+	// slack tolerates float summation error at a loss-budget boundary.
+	slack = 1e-12
+	// maxPasses bounds the removal passes of one size-bounded call: removing
+	// a node can unshare formerly shared suffixes, so hitting a node target
+	// can take several passes.
+	maxPasses = 8
 )
 
 // ApproximateToSize shrinks the state DD to at most maxNodes nodes by
@@ -12,10 +23,6 @@ import (
 // natural dual for the memory-driven use case (Section IV-B) when staying
 // under a hard memory budget matters more than accuracy. The fidelity cost
 // is reported, not bounded.
-//
-// Because removing one node can unshare formerly shared suffixes, hitting
-// the target can require several removal passes; the pass budget keeps the
-// worst case bounded.
 func ApproximateToSize(m *dd.Manager, e dd.VEdge, maxNodes int) (dd.VEdge, Report, error) {
 	if maxNodes < 1 {
 		return e, Report{}, fmt.Errorf("core: size target %d must be positive", maxNodes)
@@ -25,10 +32,20 @@ func ApproximateToSize(m *dd.Manager, e dd.VEdge, maxNodes int) (dd.VEdge, Repor
 	if sizeBefore <= maxNodes || m.IsVZero(e) {
 		return e, rep, nil
 	}
-	orig := e
 	sc := getScratch()
 	defer putScratch(sc)
-	const maxPasses = 8
+	ne := deleteToSize(m, e, sc, maxNodes, 0, math.Inf(1), &rep)
+	rep.SizeAfter = m.CountV(ne)
+	rep.Achieved = m.Fidelity(e, ne)
+	return ne, rep, nil
+}
+
+// deleteToSize is the delete-to-size loop: it removes ascending-contribution
+// nodes (with zero-state backoff) until e fits maxNodes, the pass budget
+// runs out, or further removal would push the cumulative loss past budget
+// (spent is what earlier passes already used; +Inf means no floor). Counts
+// and mass accumulate into rep.
+func deleteToSize(m *dd.Manager, e dd.VEdge, sc *approxScratch, maxNodes int, spent, budget float64, rep *Report) dd.VEdge {
 	for pass := 0; pass < maxPasses; pass++ {
 		size := m.CountV(e)
 		if size <= maxNodes {
@@ -45,8 +62,10 @@ func ApproximateToSize(m *dd.Manager, e dd.VEdge, maxNodes int) (dd.VEdge, Repor
 			if limit >= need {
 				break
 			}
-			// Never remove the entire remaining mass.
-			if mass+cand.c >= 1 {
+			// Never remove a pass's entire remaining mass (contributions are
+			// measured on the current renormalized state), and never
+			// overdraw the cumulative budget.
+			if mass+cand.c >= 1 || spent+mass+cand.c > budget+slack {
 				break
 			}
 			limit++
@@ -59,10 +78,9 @@ func ApproximateToSize(m *dd.Manager, e dd.VEdge, maxNodes int) (dd.VEdge, Repor
 			break
 		}
 		e = ne
+		spent += remMass
 		rep.RemovedNodes += removed
 		rep.RemovedMass += remMass
 	}
-	rep.SizeAfter = m.CountV(e)
-	rep.Achieved = m.Fidelity(orig, e)
-	return e, rep, nil
+	return e
 }

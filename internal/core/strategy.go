@@ -92,7 +92,12 @@ func (s *MemoryDriven) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VEdg
 	if err != nil {
 		return state, nil, err
 	}
-	s.current = int(math.Ceil(float64(s.current) * s.Growth))
+	// Saturate: a huge Growth would overflow the int conversion.
+	if next := math.Ceil(float64(s.current) * s.Growth); next < math.MaxInt {
+		s.current = int(next)
+	} else {
+		s.current = math.MaxInt
+	}
 	if rep.NoOp() {
 		// Nothing removable within budget; the grown threshold avoids
 		// re-trying after every subsequent gate.
@@ -243,8 +248,8 @@ func (s *FidelityDriven) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VE
 // boundaries, matching the paper's Shor setup where the approximation rounds
 // run during the inverse QFT at the end of the circuit.
 func PlanRounds(totalGates int, blocks []int, rounds int, preferLate bool) []int {
-	if rounds <= 0 || totalGates <= 0 {
-		return nil
+	if rounds <= 0 || totalGates < 2 {
+		return nil // a round needs a gate after it
 	}
 	// Filter boundaries to valid gate indices, deduplicate, sort. A
 	// boundary at the very last gate is pointless (nothing follows), so it

@@ -49,6 +49,41 @@ func TestMemoryDrivenThresholdDoubling(t *testing.T) {
 	}
 }
 
+// TestMemoryDrivenThresholdGrowth: each round multiplies the threshold by
+// Growth, saturating at math.MaxInt instead of overflowing into a negative
+// threshold that would trigger a round after every later gate.
+func TestMemoryDrivenThresholdGrowth(t *testing.T) {
+	cases := []struct {
+		growth float64
+		want   int
+	}{
+		{0, 8}, // the paper's default doubling
+		{1.5, 6},
+		{1, 4},
+		{1e30, math.MaxInt},
+	}
+	for _, tc := range cases {
+		m := dd.New()
+		s := &MemoryDriven{Threshold: 4, RoundFidelity: 0.999, Growth: tc.growth}
+		if err := s.Init(100, nil); err != nil {
+			t.Fatal(err)
+		}
+		e := randomState(t, m, 6, 1.0, rand.New(rand.NewSource(72)))
+		size := dd.CountVNodes(e)
+		if _, _, err := s.AfterGate(m, 0, size, e); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CurrentThreshold(); got != tc.want {
+			t.Errorf("growth %v: threshold after one round = %d, want %d", tc.growth, got, tc.want)
+		}
+		if tc.want == math.MaxInt {
+			if _, round, _ := s.AfterGate(m, 1, size, e); round != nil {
+				t.Errorf("growth %v: saturated threshold still triggered a round", tc.growth)
+			}
+		}
+	}
+}
+
 func TestMemoryDrivenValidation(t *testing.T) {
 	if err := (&MemoryDriven{Threshold: 0, RoundFidelity: 0.9}).Init(1, nil); err == nil {
 		t.Error("zero threshold accepted")

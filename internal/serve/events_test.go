@@ -319,26 +319,30 @@ func TestStrategyParamsForBuiltins(t *testing.T) {
 
 // TestMisspeltStrategyParamsRejected: every builtin factory rejects an
 // unknown parameter key instead of running with its default, both in
-// process and as a 400 at submission.
+// process and as a 400 at submission. The replace strategy also rejects the
+// delete pass's internal substitute kind.
 func TestMisspeltStrategyParamsRejected(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
-	cases := []struct{ strategy, params string }{
-		{StrategyExact, `{"threshold":16}`},
-		{StrategyMemory, `{"threshhold":16,"round_fidelity":0.9}`},
-		{StrategyFidelity, `{"final_fidelity":0.8,"round_fidelty":0.9}`},
-		{StrategyReplace, `{"node_budget":64,"floor":0.9}`},
-		{StrategyReorder, `{"order":"scored","sift_threshhold":64}`},
-		{StrategyReorder, `{"inner":"memory","inner_params":{"threshhold":16}}`},
+	const unknownField = "unknown field"
+	cases := []struct{ strategy, params, want string }{
+		{StrategyExact, `{"threshold":16}`, unknownField},
+		{StrategyMemory, `{"threshhold":16,"round_fidelity":0.9}`, unknownField},
+		{StrategyFidelity, `{"final_fidelity":0.8,"round_fidelty":0.9}`, unknownField},
+		{StrategyReplace, `{"node_budget":64,"floor":0.9}`, unknownField},
+		{StrategyReplace, `{"node_budget":64,"kinds":["delete"]}`, "core: unknown substitute kind"},
+		{StrategyReorder, `{"order":"scored","sift_threshhold":64}`, unknownField},
+		{StrategyReorder, `{"inner":"memory","inner_params":{"threshhold":16}}`, unknownField},
 	}
 	for _, tc := range cases {
 		if _, err := core.NewStrategyByName(tc.strategy, json.RawMessage(tc.params)); err == nil ||
-			!strings.Contains(err.Error(), "unknown field") {
-			t.Errorf("%s %s: NewStrategyByName error %v, want unknown field", tc.strategy, tc.params, err)
+			!strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: NewStrategyByName error %v, want %q", tc.strategy, tc.params, err, tc.want)
 		}
 		req := inlineRequest("misspelt", gen.QFT(4))
 		req.Strategy, req.StrategyParams = tc.strategy, json.RawMessage(tc.params)
-		if code, body := c.do("POST", "/v1/jobs", req); code != http.StatusBadRequest {
-			t.Errorf("%s %s: HTTP %d (want 400): %s", tc.strategy, tc.params, code, body)
+		if code, body := c.do("POST", "/v1/jobs", req); code != http.StatusBadRequest ||
+			!strings.Contains(string(body), tc.want) {
+			t.Errorf("%s %s: HTTP %d (want 400 naming %q): %s", tc.strategy, tc.params, code, tc.want, body)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -74,88 +72,49 @@ func (ses *Session) curSize() int {
 	return ses.sim.M.CountV(ses.state)
 }
 
-// stepDensity is step() for the density backend: the same between-gate
-// interruption check, gate application as ρ → U ρ U†, exact superoperator
-// noise on every touched qubit, observer events, and occupancy-triggered
-// cleanup with the density root and lifted channel DDs as mark roots.
-func (ses *Session) stepDensity() error {
-	i := ses.next
-	c, m := ses.c, ses.sim.M
-	if ses.ctx != nil {
-		if err := context.Cause(ses.ctx); err != nil {
-			if errors.Is(err, ErrDeadlineExceeded) {
-				return fmt.Errorf("after gate %d of %d: %w", i, c.Len(), err)
-			}
-			return fmt.Errorf("sim: canceled after gate %d of %d: %w", i, c.Len(), err)
-		}
+// applyVector is the statevector half of step: apply op (if any) to the
+// state, renormalize, reject a vanished state, and sample noise branches.
+func (ses *Session) applyVector(i int, g circuit.Gate, op dd.MEdge) error {
+	m := ses.sim.M
+	if op.N != nil {
+		ses.state = m.MulVec(op, ses.state)
 	}
-	g := c.Gates()[i]
-	switch g.Kind {
-	case circuit.KindMeasure, circuit.KindReset:
-		if ses.measureRNG == nil {
-			ses.measureRNG = rand.New(rand.NewSource(ses.opts.MeasurementSeed))
-		}
-		bit := ses.den.MeasureQubit(g.Target, ses.measureRNG)
-		ses.res.Measurements = append(ses.res.Measurements, Measurement{
-			GateIndex: i, Qubit: g.Target, Outcome: bit,
-		})
-		if g.Kind == circuit.KindReset && bit == 1 {
-			x := m.MakeGateDD(c.NumQubits, [4]complex128{0, 1, 1, 0}, g.Target)
-			ses.den.ApplyUnitary(x)
-		}
-	default:
-		op, err := ses.sim.gateDD(g, c.NumQubits)
-		if err != nil {
-			return fmt.Errorf("sim: gate %d (%s): %w", i, g.String(), err)
-		}
+	ses.state = m.NormalizeRootWeight(ses.state)
+	if m.IsVZero(ses.state) {
+		return fmt.Errorf("sim: state vanished after gate %d (%s)", i, g.String())
+	}
+	if ses.chanDDs != nil {
+		return ses.injectNoise(i, g)
+	}
+	return nil
+}
+
+// applyDensity is the density half of step: ρ → U ρ U† for op (if any),
+// reject a vanished state, and apply the noise channel exactly as a
+// superoperator on every qubit g touched.
+func (ses *Session) applyDensity(i int, g circuit.Gate, op dd.MEdge) error {
+	m := ses.sim.M
+	if op.N != nil {
 		ses.den.ApplyUnitary(op)
 	}
 	if m.IsMZero(ses.den.Root) {
 		return fmt.Errorf("sim: density state vanished after gate %d (%s)", i, g.String())
 	}
-	if ses.chanDDs != nil {
-		for _, q := range gateTouches(g) {
-			ses.den.ApplyKraus(ses.chanDDs[q])
-			ses.res.ChannelApplications++
-			ses.obs.OnChannel(core.ChannelEvent{
-				GateIndex: i,
-				Qubit:     q,
-				Kind:      string(ses.channel.Kind()),
-				Strength:  ses.channel.P(),
-				Branch:    -1,
-				Size:      m.CountM(ses.den.Root),
-			})
-		}
+	if ses.chanDDs == nil {
+		return nil
 	}
-	size := m.CountM(ses.den.Root)
-	if size > ses.res.MaxDDSize {
-		ses.res.MaxDDSize = size
+	for _, q := range gateTouches(g) {
+		ses.den.ApplyKraus(ses.chanDDs[q])
+		ses.res.ChannelApplications++
+		ses.obs.OnChannel(core.ChannelEvent{
+			GateIndex: i,
+			Qubit:     q,
+			Kind:      string(ses.channel.Kind()),
+			Strength:  ses.channel.P(),
+			Branch:    -1,
+			Size:      m.CountM(ses.den.Root),
+		})
 	}
-	if ses.opts.CollectSizeHistory {
-		ses.res.SizeHistory = append(ses.res.SizeHistory, size)
-	}
-	ses.obs.OnGate(core.GateEvent{Index: i, Size: size})
-	if live := m.Pool().Live; live > ses.highWater {
-		mRoots := ses.sim.mRoots[:0]
-		mRoots = append(mRoots, ses.den.Root)
-		for _, e := range ses.sim.gateDDs {
-			if e.N != nil {
-				mRoots = append(mRoots, e)
-			}
-		}
-		for _, ops := range ses.chanDDs {
-			mRoots = append(mRoots, ops...)
-		}
-		ses.sim.mRoots = mRoots
-		m.Cleanup(ses.opts.KeepAlive, mRoots)
-		ses.res.Cleanups++
-		after := m.Pool().Live
-		if 4*after > ses.highWater {
-			ses.highWater = 4 * after
-		}
-		ses.obs.OnCleanup(core.CleanupEvent{GateIndex: i, Live: after, Freed: live - after})
-	}
-	ses.next = i + 1
 	return nil
 }
 

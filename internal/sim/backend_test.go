@@ -122,7 +122,7 @@ func TestTrajectoryConvergesToDensity(t *testing.T) {
 			for k := 0; k < trajectories; k++ {
 				tn := noise
 				tn.Seed = noise.Seed + int64(k)*7919
-				res, _, err := s.RunTrajectory(c, Options{KeepAlive: []dd.VEdge{ideal.Final}}, tn)
+				res, err := s.Run(c, Options{KeepAlive: []dd.VEdge{ideal.Final}, Noise: &tn})
 				if err != nil {
 					t.Fatal(err)
 				}

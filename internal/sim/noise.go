@@ -80,27 +80,6 @@ func ParseNoise(kind string, params map[string]float64) (NoiseModel, error) {
 	return n, nil
 }
 
-// RunTrajectory simulates one noisy trajectory of the circuit: the given
-// options run on the statevector backend with stochastic Kraus-branch
-// sampling after every gate. It returns the trajectory result and the number
-// of non-identity branches taken (quantum jumps).
-func (s *Simulator) RunTrajectory(c *circuit.Circuit, opts Options, noise NoiseModel) (*Result, int, error) {
-	if _, err := noise.Channel(); err != nil {
-		return nil, 0, err
-	}
-	if noise.P == 0 {
-		res, err := s.Run(c, opts)
-		return res, 0, err
-	}
-	opts.Backend = BackendStatevector
-	opts.Noise = &noise
-	res, err := s.Run(c, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, res.ChannelApplications, nil
-}
-
 // TrajectoryFidelity estimates the channel fidelity at the given noise level
 // by averaging |⟨ideal|trajectory⟩|² over `trajectories` runs. The ideal
 // state is simulated exactly once in the same manager. The density backend
@@ -121,7 +100,7 @@ func TrajectoryFidelity(c *circuit.Circuit, noise NoiseModel, trajectories int) 
 		tn.Seed = noise.Seed + int64(k)*7919
 		// Trajectories share the ideal run's manager: the ideal final state
 		// must survive each trajectory's node-pool sweeps.
-		res, _, err := s.RunTrajectory(c, Options{KeepAlive: []dd.VEdge{ideal.Final}}, tn)
+		res, err := s.Run(c, Options{KeepAlive: []dd.VEdge{ideal.Final}, Noise: &tn})
 		if err != nil {
 			return 0, err
 		}

@@ -10,12 +10,12 @@ import (
 
 func TestZeroNoiseIsExact(t *testing.T) {
 	s := New()
-	res, errs, err := s.RunTrajectory(gen.GHZ(5), Options{}, NoiseModel{})
+	res, err := s.Run(gen.GHZ(5), Options{Noise: &NoiseModel{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs != 0 {
-		t.Errorf("%d errors injected at p=0", errs)
+	if res.ChannelApplications != 0 {
+		t.Errorf("%d errors injected at p=0", res.ChannelApplications)
 	}
 	if p := s.M.Probability(res.Final, 0, 5); math.Abs(p-0.5) > 1e-9 {
 		t.Errorf("GHZ P(|00000⟩) = %v", p)
@@ -24,10 +24,10 @@ func TestZeroNoiseIsExact(t *testing.T) {
 
 func TestNoiseValidation(t *testing.T) {
 	s := New()
-	if _, _, err := s.RunTrajectory(gen.GHZ(3), Options{}, NoiseModel{P: 1.5}); err == nil {
+	if _, err := s.Run(gen.GHZ(3), Options{Noise: &NoiseModel{P: 1.5}}); err == nil {
 		t.Error("p > 1 accepted")
 	}
-	if _, _, err := s.RunTrajectory(gen.GHZ(3), Options{}, NoiseModel{P: -0.1}); err == nil {
+	if _, err := s.Run(gen.GHZ(3), Options{Noise: &NoiseModel{P: -0.1}}); err == nil {
 		t.Error("p < 0 accepted")
 	}
 	if _, err := TrajectoryFidelity(gen.GHZ(3), NoiseModel{P: 0.01}, 0); err == nil {
@@ -38,18 +38,20 @@ func TestNoiseValidation(t *testing.T) {
 func TestNoiseInjectsErrorsDeterministically(t *testing.T) {
 	c := gen.RandomCliffordT(4, 80, 1)
 	s1 := New()
-	_, errs1, err := s1.RunTrajectory(c, Options{}, NoiseModel{P: 0.05, Seed: 9})
+	res1, err := s1.Run(c, Options{Noise: &NoiseModel{P: 0.05, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	errs1 := res1.ChannelApplications
 	if errs1 == 0 {
 		t.Fatal("no errors injected at p=0.05 over ~120 gate-qubit slots")
 	}
 	s2 := New()
-	_, errs2, err := s2.RunTrajectory(c, Options{}, NoiseModel{P: 0.05, Seed: 9})
+	res2, err := s2.Run(c, Options{Noise: &NoiseModel{P: 0.05, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	errs2 := res2.ChannelApplications
 	if errs1 != errs2 {
 		t.Errorf("same seed injected %d vs %d errors", errs1, errs2)
 	}
@@ -79,9 +81,10 @@ func TestNoisyTrajectoryWithApproximation(t *testing.T) {
 	// errors.
 	c := gen.RandomCliffordT(8, 150, 3)
 	s := New()
-	res, _, err := s.RunTrajectory(c, Options{
+	res, err := s.Run(c, Options{
 		Strategy: &core.MemoryDriven{Threshold: 16, RoundFidelity: 0.97},
-	}, NoiseModel{P: 0.01, Seed: 2})
+		Noise:    &NoiseModel{P: 0.01, Seed: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -414,12 +414,12 @@ func (ses *Session) release() {
 	}
 }
 
-// step applies gate ses.next: the single between-gate interruption check,
-// the gate itself, strategy consultation, and occupancy-triggered cleanup.
+// step applies gate ses.next under either backend: the single between-gate
+// interruption check, the gate or measurement and its noise (the backend's
+// apply), size accounting, strategy consultation and sifting (statevector
+// only: the density backend requires core.Exact), and occupancy-triggered
+// cleanup.
 func (ses *Session) step() error {
-	if ses.den != nil {
-		return ses.stepDensity()
-	}
 	i := ses.next
 	c, m := ses.c, ses.sim.M
 	if ses.ctx != nil {
@@ -431,38 +431,41 @@ func (ses *Session) step() error {
 		}
 	}
 	g := c.Gates()[i]
+	// op is the unitary the backend applies: the gate, or the X that resets
+	// a qubit measured as 1 (none, op.N == nil, after a plain measurement).
+	var op dd.MEdge
+	var err error
 	switch g.Kind {
 	case circuit.KindMeasure, circuit.KindReset:
 		if ses.measureRNG == nil {
 			ses.measureRNG = rand.New(rand.NewSource(ses.opts.MeasurementSeed))
 		}
-		bit, collapsed := m.MeasureQubit(ses.state, g.Target, c.NumQubits, ses.measureRNG)
+		var bit int
+		if ses.den != nil {
+			bit = ses.den.MeasureQubit(g.Target, ses.measureRNG)
+		} else {
+			bit, ses.state = m.MeasureQubit(ses.state, g.Target, c.NumQubits, ses.measureRNG)
+		}
 		ses.res.Measurements = append(ses.res.Measurements, Measurement{
 			GateIndex: i, Qubit: g.Target, Outcome: bit,
 		})
-		ses.state = collapsed
 		if g.Kind == circuit.KindReset && bit == 1 {
-			x := m.MakeGateDD(c.NumQubits, [4]complex128{0, 1, 1, 0}, g.Target)
-			ses.state = m.MulVec(x, ses.state)
+			op = m.MakeGateDD(c.NumQubits, [4]complex128{0, 1, 1, 0}, g.Target)
 		}
-		ses.state = m.NormalizeRootWeight(ses.state)
 	default:
-		op, err := ses.sim.gateDD(g, c.NumQubits)
-		if err != nil {
+		if op, err = ses.sim.gateDD(g, c.NumQubits); err != nil {
 			return fmt.Errorf("sim: gate %d (%s): %w", i, g.String(), err)
 		}
-		ses.state = m.MulVec(op, ses.state)
-		ses.state = m.NormalizeRootWeight(ses.state)
 	}
-	if m.IsVZero(ses.state) {
-		return fmt.Errorf("sim: state vanished after gate %d (%s)", i, g.String())
+	if ses.den != nil {
+		err = ses.applyDensity(i, g, op)
+	} else {
+		err = ses.applyVector(i, g, op)
 	}
-	if ses.chanDDs != nil {
-		if err := ses.injectNoise(i, g); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	size := m.CountV(ses.state)
+	size := ses.curSize()
 	if size > ses.res.MaxDDSize {
 		ses.res.MaxDDSize = size
 	}
@@ -470,40 +473,56 @@ func (ses *Session) step() error {
 		ses.res.SizeHistory = append(ses.res.SizeHistory, size)
 	}
 	ses.obs.OnGate(core.GateEvent{Index: i, Size: size})
-	newState, round, err := ses.strategy.AfterGate(m, i, size, ses.state)
-	if err != nil {
-		return fmt.Errorf("sim: approximation after gate %d: %w", i, err)
+	if ses.den == nil {
+		newState, round, err := ses.strategy.AfterGate(m, i, size, ses.state)
+		if err != nil {
+			return fmt.Errorf("sim: approximation after gate %d: %w", i, err)
+		}
+		if round != nil {
+			ses.tracker.Record(*round)
+			ses.state = newState
+			ses.obs.OnApproximation(*round)
+		}
+		ses.maybeSift(i, size, round != nil)
 	}
-	if round != nil {
-		ses.tracker.Record(*round)
-		ses.state = newState
-		ses.obs.OnApproximation(*round)
-	}
-	ses.maybeSift(i, size, round != nil)
 	if live := m.Pool().Live; live > ses.highWater {
-		roots := append([]dd.VEdge{ses.state}, ses.opts.KeepAlive...)
-		mRoots := ses.sim.mRoots[:0]
-		for _, e := range ses.sim.gateDDs {
-			if e.N != nil {
-				mRoots = append(mRoots, e)
-			}
-		}
-		for _, ops := range ses.chanDDs {
-			mRoots = append(mRoots, ops...)
-		}
-		ses.sim.mRoots = mRoots
-		m.Cleanup(roots, mRoots)
-		ses.res.Cleanups++
-		after := m.Pool().Live
-		// If the sweep freed little, most of the pool is genuinely
-		// live: raise the trigger so we don't sweep every gate.
-		if 4*after > ses.highWater {
-			ses.highWater = 4 * after
-		}
-		ses.obs.OnCleanup(core.CleanupEvent{GateIndex: i, Live: after, Freed: live - after})
+		ses.cleanup(i, live)
 	}
 	ses.next = i + 1
 	return nil
+}
+
+// cleanup sweeps the node pools after gate i. The mark roots are the live
+// state (a vector root on the statevector backend, the density matrix root
+// on the density backend), Options.KeepAlive, the cached gate DDs and the
+// lifted channel DDs.
+func (ses *Session) cleanup(i, live int) {
+	m := ses.sim.M
+	roots := ses.opts.KeepAlive
+	mRoots := ses.sim.mRoots[:0]
+	if ses.den != nil {
+		mRoots = append(mRoots, ses.den.Root)
+	} else {
+		roots = append([]dd.VEdge{ses.state}, roots...)
+	}
+	for _, e := range ses.sim.gateDDs {
+		if e.N != nil {
+			mRoots = append(mRoots, e)
+		}
+	}
+	for _, ops := range ses.chanDDs {
+		mRoots = append(mRoots, ops...)
+	}
+	ses.sim.mRoots = mRoots
+	m.Cleanup(roots, mRoots)
+	ses.res.Cleanups++
+	after := m.Pool().Live
+	// If the sweep freed little, most of the pool is genuinely live: raise
+	// the trigger so we don't sweep every gate.
+	if 4*after > ses.highWater {
+		ses.highWater = 4 * after
+	}
+	ses.obs.OnCleanup(core.CleanupEvent{GateIndex: i, Live: after, Freed: live - after})
 }
 
 // maybeSift runs one dynamic variable-reordering pass at the between-gate

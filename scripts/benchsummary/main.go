@@ -104,7 +104,7 @@ func main() {
 	// The multi-worker BatchRun configurations measure parallel scaling,
 	// which depends on ambient machine load no calibration can correct, so
 	// the gate covers the Batch engine through its serial configuration.
-	match := flag.String("match", `Gate|Session|Channel|Lookup|BatchRun/workers1$`, "regexp selecting the gated benchmarks")
+	match := flag.String("match", `Gate|Session|Channel|Lookup|ApproximationPrimitive|BatchRun/workers1$`, "regexp selecting the gated benchmarks")
 	minScaling := flag.Float64("min-scaling", 2.5, "required BatchRun workers1/workers4 ns/op speedup; skipped below 4 CPUs (0 disables)")
 	clusterPath := flag.String("cluster", "", "BENCH_cluster.json from cmd/loadgen to gate (check mode; empty skips the cluster gate)")
 	clusterBaseline := flag.String("cluster-baseline", "bench_cluster_baseline.json", "committed cluster latency baseline (check mode)")
