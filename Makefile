@@ -11,19 +11,16 @@ GO ?= go
 # run on shared runners even at -benchtime 100ms with min-of-5 selection.
 BENCH_CHECK_THRESHOLD ?= 0.25
 BENCH_CHECK_MIN_NS ?= 1000
-# Parallel-scaling gate: required workers1/workers4 speedup (self-skips on
-# runners with fewer than 4 CPUs). 0 disables it.
+# Parallel-scaling gate: required workers1/workers4 speedup, pro rata K/4
+# at K = min(NumCPU, 4) workers (1.25x at 2 CPUs; self-skips on 1 CPU).
+# 0 disables it.
 BENCH_CHECK_MIN_SCALING ?= 2.5
-# Cluster routing gate: relative calibration-adjusted p99 regression of the
-# hash-routed sweep that fails bench-check (the hit-rate gate — hash must
-# beat round-robin — has no knob; it is the point of the router).
-BENCH_CLUSTER_THRESHOLD ?= 0.25
 
 # Coverage gate: the combined internal/core + internal/dd statement coverage
 # measured when the gate landed (PR 8); cover-check fails below this floor.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build test race bench bench-smoke bench-check bench-baseline bench-cluster bench-cluster-baseline examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check perfbench-check ci
+.PHONY: all build test race bench bench-smoke bench-check bench-baseline examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check perfbench-check ci
 
 all: build
 
@@ -44,10 +41,12 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## bench-smoke: one-iteration dd + cnum + batch + session + approximation-pass
-## benchmarks, captured as the raw go-test JSON stream (BENCH_dd.json) and parsed by
-## scripts/benchsummary into the stable-schema BENCH_summary.json
-## (benchmark -> ns/op, allocs/op, custom metrics) that bench-check gates on
+## bench-smoke: dd + cnum + batch + session + approximation-pass benchmarks
+## and the router round trip (submit -> terminal through simd-router and 2
+## backends, hit and miss, with p99-ns), captured as the raw go-test JSON
+## stream (BENCH_dd.json) and parsed by scripts/benchsummary into the
+## stable-schema BENCH_summary.json (benchmark -> ns/op, allocs/op, custom
+## metrics) that bench-check gates on
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Gate|Session|Channel|Lookup' -benchtime 100ms -count 5 -benchmem -json \
 		./internal/dd ./internal/cnum ./internal/sim ./internal/density > BENCH_dd.json
@@ -57,44 +56,30 @@ bench-smoke:
 		./internal/benchtab >> BENCH_dd.json
 	$(GO) test -run '^$$' -bench 'ApproximationPrimitive' -benchtime 100ms -count 5 -benchmem -json \
 		. >> BENCH_dd.json
+	$(GO) test -run '^$$' -bench 'RouterRoundTrip' -benchtime 1s -count 3 -benchmem -json \
+		./internal/cluster >> BENCH_dd.json
 	$(GO) run ./scripts/benchsummary -in BENCH_dd.json -out BENCH_summary.json
 
-## bench-cluster: run the cluster latency harness (cmd/loadgen boots a local
-## router + 2 backends and sweeps offered load under hash and round-robin
-## routing), producing BENCH_cluster.json for the bench-check cluster gate
-bench-cluster:
-	$(GO) run ./cmd/loadgen -out BENCH_cluster.json
-
 ## bench-check: the perf-regression gate — fail when a Gate/Batch/Session/
-## ApproximationPrimitive benchmark's ns/op, allocs/op, or B/op regressed more than
-## BENCH_CHECK_THRESHOLD against the committed bench_baseline.json, when
-## BatchRun stops scaling (workers4 vs workers1, 4+ CPU runners only), when
-## the ordering
-## benchmark stops showing scored < identity peak nodes, when the replace
-## pass stops dominating delete on the pairs frontier, when hash-affinity
-## routing stops beating round-robin on cluster cache hit rate, or when the
-## hash-routed p99 regresses more than BENCH_CLUSTER_THRESHOLD against
-## bench_cluster_baseline.json (calibration-adjusted). Runs bench-smoke and
-## bench-cluster first so both artifacts are fresh.
-bench-check: bench-smoke bench-cluster
+## ApproximationPrimitive/RouterRoundTrip benchmark's gated time (ns/op, or
+## p99-ns for RouterRoundTrip/hit), allocs/op, or B/op regressed more than
+## BENCH_CHECK_THRESHOLD against the committed bench_baseline.json
+## (calibration-adjusted), when BatchRun stops scaling (workersK vs
+## workers1 at K = min(NumCPU, 4); skipped on 1 CPU), when the ordering
+## benchmark stops showing scored < identity peak nodes, or when the
+## replace pass stops dominating delete on the pairs frontier. Runs
+## bench-smoke first so the summary is fresh.
+bench-check: bench-smoke
 	$(GO) run ./scripts/benchsummary -check \
 		-baseline bench_baseline.json -summary BENCH_summary.json \
 		-threshold $(BENCH_CHECK_THRESHOLD) -min-ns $(BENCH_CHECK_MIN_NS) \
-		-min-scaling $(BENCH_CHECK_MIN_SCALING) \
-		-cluster BENCH_cluster.json -cluster-baseline bench_cluster_baseline.json \
-		-cluster-threshold $(BENCH_CLUSTER_THRESHOLD)
+		-min-scaling $(BENCH_CHECK_MIN_SCALING)
 
 ## bench-baseline: refresh the committed perf baseline from a fresh
 ## bench-smoke run (commit the resulting bench_baseline.json)
 bench-baseline: bench-smoke
 	cp BENCH_summary.json bench_baseline.json
 	@echo "bench-baseline: baseline refreshed; commit bench_baseline.json"
-
-## bench-cluster-baseline: refresh the committed cluster latency baseline
-## from a fresh bench-cluster run (commit bench_cluster_baseline.json)
-bench-cluster-baseline: bench-cluster
-	cp BENCH_cluster.json bench_cluster_baseline.json
-	@echo "bench-cluster-baseline: baseline refreshed; commit bench_cluster_baseline.json"
 
 ## examples: compile every example program (the CI gate keeping docs honest)
 examples:

@@ -26,14 +26,14 @@ cx q[1],q[2];
 
 // testCluster is a router fronting real serve backends, all on httptest.
 type testCluster struct {
-	t        *testing.T
+	t        testing.TB
 	router   *Router
 	routerHS *httptest.Server
 	backends []*httptest.Server
 	servers  []*serve.Server
 }
 
-func startCluster(t *testing.T, n int, cfg Config) *testCluster {
+func startCluster(t testing.TB, n int, cfg Config) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
 	for i := 0; i < n; i++ {
@@ -167,8 +167,8 @@ func TestHashAffinityPinsIdenticalSubmissions(t *testing.T) {
 	if err := json.Unmarshal(raw, &cs); err != nil {
 		t.Fatal(err)
 	}
-	if cs.Up != 3 || cs.Routed != 4 || cs.CacheHits != 3 {
-		t.Errorf("cluster stats up=%d routed=%d hits=%d, want 3/4/3: %s", cs.Up, cs.Routed, cs.CacheHits, raw)
+	if cs.Up != 3 || cs.Routed != 4 || cs.CacheHits != 3 || cs.Route != RouteHash {
+		t.Errorf("cluster stats up=%d routed=%d hits=%d route=%q, want 3/4/3/hash: %s", cs.Up, cs.Routed, cs.CacheHits, cs.Route, raw)
 	}
 	withHits := 0
 	for _, b := range cs.Backends {
