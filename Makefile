@@ -153,8 +153,9 @@ simd-smoke:
 	sh scripts/simd_smoke.sh
 
 ## cluster-smoke: boot a router + 2 backends, run a QASM job through the
-## router, verify hash-affinity cache hits and aggregated cluster stats, and
-## drain gracefully on SIGTERM (the CI gate)
+## router, verify hash-affinity cache hits and aggregated cluster stats,
+## kill -9 a fresh job's owner and recover the job on the survivor by
+## resubmission, and drain gracefully on SIGTERM (the CI gate)
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 

@@ -22,6 +22,11 @@
 //		}
 //		return nil
 //	})
+//
+// Or submit and stream in one call that survives a backend crash behind
+// simd-router: Run resubmits the request when the job's owner is lost.
+//
+//	final, err := cl.Run(ctx, req, nil) // nil: no event callback
 package client
 
 import (
@@ -39,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/cluster"
 	"repro/internal/serve"
 )
 
@@ -279,20 +285,69 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*JobS
 
 // Stream consumes the job's Server-Sent Events: fn is called for every event
 // in order, including the terminal status event, after which Stream fetches
-// and returns the job's final envelope. A non-nil error from fn aborts the
-// stream and is returned. Dropped connections resume transparently from the
-// last seen event (bounded by the server's per-job buffer; a gap surfaces as
+// and returns the job's final envelope (or, if that fetch fails, the terminal
+// event's own status). A non-nil error from fn aborts the stream and is
+// returned. Dropped connections resume transparently from the last seen
+// event (bounded by the server's per-job buffer; a gap surfaces as
 // Event.Dropped on the first event after it).
 func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) (*JobStatus, error) {
-	cursor := int64(-1) // seq of the last event seen
-	attempt := 0
-	for {
-		terminal, err := c.streamOnce(ctx, id, &cursor, fn)
+	return c.follow(ctx, id, nil, fn)
+}
+
+// Run submits req and streams the job's events to fn (nil for no callback)
+// until the job is terminal, like Submit followed by Stream. Unlike Stream,
+// Run recovers a job lost with its backend: when the router answers that the
+// job's owner is down (503 backend_down) or unreachable (502), or the
+// transport fails, Run resubmits req and streams the replacement job.
+// Submissions are content-addressed, so a resubmission can only recompute
+// the same job. Data events whose seq was already delivered are skipped, so
+// fn sees each seq once; the terminal status event is always delivered, and
+// once it has been, Run never resubmits. Stream resumes and resubmissions
+// share the WithRetries budget and backoff, which honours Retry-After.
+func (c *Client) Run(ctx context.Context, req JobRequest, fn func(Event) error) (*JobStatus, error) {
+	st, err := c.Submit(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return c.follow(ctx, st.ID, &req, fn)
+}
+
+// errNoTerminal marks an event stream that ended cleanly before its terminal
+// event: the job is still alive, so the stream resumes in place.
+var errNoTerminal = fmt.Errorf("client: event stream ended without a terminal event: %w", io.ErrUnexpectedEOF)
+
+// follow streams job id's events to fn until the terminal one, resuming
+// dropped connections from the last seen event. With a non-nil req it
+// resubmits req whenever the job's owner is lost.
+func (c *Client) follow(ctx context.Context, id string, req *JobRequest, fn func(Event) error) (*JobStatus, error) {
+	cursor := int64(-1) // seq of the last event seen on the current job
+	seen := int64(-1)   // highest data-event seq delivered to fn
+	var final Event     // the terminal status event
+	deliver := func(e Event) error {
+		switch {
+		case e.Type == EventStatus:
+			final = e
+		case e.Seq <= seen:
+			return nil // replayed by a resubmitted job
+		default:
+			seen = e.Seq
+		}
+		if fn == nil {
+			return nil
+		}
+		return fn(e)
+	}
+	for attempt := 0; ; attempt++ {
+		terminal, err := c.streamOnce(ctx, id, &cursor, deliver)
 		if terminal {
-			return c.Status(ctx, id)
+			st, err := c.Status(ctx, id)
+			if err != nil {
+				return &JobStatus{ID: id, Status: final.Status, Error: final.Error}, nil
+			}
+			return st, nil
 		}
 		if err == nil {
-			err = io.ErrUnexpectedEOF // stream ended without a terminal event
+			err = errNoTerminal
 		}
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
@@ -307,8 +362,24 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) (*
 		if serr := c.sleep(ctx, attempt, err); serr != nil {
 			return nil, serr
 		}
-		attempt++
+		if req != nil && ownerLost(err) {
+			st, err := c.Submit(ctx, *req)
+			if err != nil {
+				return nil, err
+			}
+			id, cursor = st.ID, -1
+		}
 	}
+}
+
+// ownerLost reports whether err means the job's backend is gone: the router
+// answered 502 (unreachable) or 503 backend_down, or the transport failed.
+func ownerLost(err error) bool {
+	var apiErr *APIError
+	if errors.As(err, &apiErr) {
+		return apiErr.StatusCode == http.StatusBadGateway || apiErr.Code == cluster.CodeBackendDown
+	}
+	return !errors.Is(err, errNoTerminal)
 }
 
 // callerAbort marks an error returned by the caller's event callback, which

@@ -3,7 +3,6 @@ package batch
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -33,7 +32,7 @@ func BenchmarkBatchRun(b *testing.B) {
 	}
 	// Jobs are built once, outside the timed region: the benchmark measures
 	// the engine, not circuit construction.
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			cpu0 := processCPU(b)
 			b.ResetTimer()

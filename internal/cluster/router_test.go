@@ -508,6 +508,9 @@ func TestRouterRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{Backends: []string{"http://x", "http://y"}, Names: []string{"a"}}); err == nil {
 		t.Error("name/backend length mismatch accepted")
 	}
+	if _, err := New(Config{Backends: []string{"http://x", "http://y"}, Names: []string{"a", "a"}}); err == nil {
+		t.Error("duplicate backend names accepted")
+	}
 }
 
 func TestBadSubmissionsRejectedAtTheRouter(t *testing.T) {

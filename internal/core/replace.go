@@ -317,10 +317,6 @@ func (s *ReplaceDriven) Init(int, []int) error {
 	return nil
 }
 
-// AchievedFidelity returns the product of achieved round fidelities so far,
-// a guaranteed lower bound on the overall fidelity.
-func (s *ReplaceDriven) AchievedFidelity() float64 { return s.fid }
-
 // AfterGate implements Strategy.
 func (s *ReplaceDriven) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VEdge) (dd.VEdge, *Round, error) {
 	if size <= s.NodeBudget || s.exhausted {

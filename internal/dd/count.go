@@ -68,31 +68,6 @@ func CountMNodes(e MEdge) int {
 	return len(seen)
 }
 
-// LevelCounts returns the number of distinct nodes per variable, indexed by
-// DD level (which coincides with the qubit index only under the identity
-// order). Useful for inspecting where a state DD is wide.
-func LevelCounts(e VEdge, n int) []int {
-	counts := make([]int, n)
-	seen := make(map[*VNode]struct{})
-	var walk func(node *VNode)
-	walk = func(node *VNode) {
-		if node == nil || node.IsTerminal() {
-			return
-		}
-		if _, ok := seen[node]; ok {
-			return
-		}
-		seen[node] = struct{}{}
-		if int(node.Var) < n {
-			counts[node.Var]++
-		}
-		walk(node.E[0].N)
-		walk(node.E[1].N)
-	}
-	walk(e.N)
-	return counts
-}
-
 // CollectVNodes returns all distinct non-terminal nodes reachable from e.
 // The traversal order is depth-first; callers needing level order should
 // sort by Var.

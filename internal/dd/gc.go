@@ -115,9 +115,3 @@ func (m *Manager) ClearCaches() {
 	m.mmMissMark = m.mmStats.Misses
 	m.ipMissMark = m.ipStats.Misses
 }
-
-// UniqueTableSize returns the combined live-node count of both unique
-// tables, used by callers to decide when a Cleanup is worthwhile.
-func (m *Manager) UniqueTableSize() int {
-	return m.vLiveCount() + m.mLiveCount()
-}

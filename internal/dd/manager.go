@@ -100,9 +100,6 @@ func (m *Manager) newID() uint64 {
 // VTerminal returns the vector terminal node.
 func (m *Manager) VTerminal() *VNode { return m.vTerminal }
 
-// MTerminal returns the matrix terminal node.
-func (m *Manager) MTerminal() *MNode { return m.mTerminal }
-
 // VZero returns the canonical zero vector edge.
 func (m *Manager) VZero() VEdge { return VEdge{W: m.CN.Zero, N: m.vTerminal} }
 

@@ -141,7 +141,10 @@ func TestPaperFigure1State(t *testing.T) {
 	if got := CountVNodes(e); got != 5 {
 		t.Errorf("Fig. 1b DD has %d nodes, want 5 (maximally shared):\n%s", got, Render(e))
 	}
-	counts := LevelCounts(e, 3)
+	counts := make([]int, 3)
+	for _, n := range CollectVNodes(e) {
+		counts[n.Var]++
+	}
 	if counts[2] != 1 || counts[1] != 2 || counts[0] != 2 {
 		t.Errorf("level counts = %v, want [2 2 1] (q0..q2)", counts)
 	}

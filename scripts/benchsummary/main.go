@@ -239,14 +239,6 @@ func parseResultLine(line string) (string, Benchmark, bool) {
 	if !strings.HasPrefix(line, "Benchmark") {
 		return "", Benchmark{}, false
 	}
-	// "#NN"-suffixed names are go test's disambiguation of duplicate
-	// registrations (e.g. a workers=GOMAXPROCS sub-benchmark colliding
-	// with an explicit workers=N one). Which name collides depends on the
-	// machine's CPU count, so these must not enter a summary that is
-	// compared across machines.
-	if strings.Contains(line, "#") {
-		return "", Benchmark{}, false
-	}
 	fields := strings.Fields(line)
 	// name, iteration count, then (value, unit) pairs.
 	if len(fields) < 4 || len(fields)%2 != 0 {

@@ -3,7 +3,8 @@
 # cmd/simd-router, boot two backends plus the router, run a QASM job through
 # the router, verify hash affinity by resubmitting (the repeat must be a
 # cache hit on the same backend), check /v1/cluster/stats reflects the
-# routing, and shut everything down gracefully on SIGTERM. CI runs this via
+# routing, kill -9 a fresh job's owner and recover the job on the survivor
+# by resubmission, and shut the rest down gracefully on SIGTERM. CI runs this via
 # `make cluster-smoke`; it needs only a Go toolchain and curl.
 set -eu
 
@@ -126,14 +127,42 @@ case "$STATS" in
 *) fail "cluster stats do not aggregate the cache hit: $STATS" ;;
 esac
 
-# Graceful drain: router and both backends exit on SIGTERM.
-kill "$RT_PID" "$B0_PID" "$B1_PID"
+# Recovery contract: a fresh job's owner is killed outright. Its routed id
+# must answer 503 backend_down with Retry-After once the prober notices, and
+# resubmitting the same body must fail over to the survivor and finish there.
+BODY3='{"name":"ghz4-failover","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\n","shots":32,"seed":7}'
+RESP3="$(curl -sf -D "$HDRS" -X POST -d "$BODY3" "$BASE/v1/jobs")" || fail "fresh submit"
+LOST="$(printf '%s' "$RESP3" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+VICTIM="$(sed -n 's/^[Xx]-[Cc]luster-[Bb]ackend: *\([a-z0-9]*\).*/\1/p' "$HDRS" | head -1)"
+case "$VICTIM" in
+b0) VICTIM_PID=$B0_PID SURVIVOR=b1 SURVIVOR_PID=$B1_PID ;;
+b1) VICTIM_PID=$B1_PID SURVIVOR=b0 SURVIVOR_PID=$B0_PID ;;
+*) fail "fresh submission routed to unknown backend '$VICTIM': $RESP3" ;;
+esac
+kill -9 "$VICTIM_PID"
+wait "$VICTIM_PID" 2>/dev/null || true
+owner_down() {
+	CODE="$(curl -s -D "$HDRS" -o "$TMP/lost" -w '%{http_code}' "$BASE/v1/jobs/$LOST")"
+	[ "$CODE" = 503 ] && grep -q '"code":"backend_down"' "$TMP/lost" &&
+		grep -qi '^Retry-After: *[0-9]' "$HDRS"
+}
+retry_until "$WAIT" owner_down || fail "lost job $LOST never answered 503 backend_down with Retry-After (last HTTP $CODE: $(cat "$TMP/lost"))"
+RESP4="$(curl -sf -D "$HDRS" -X POST -d "$BODY3" "$BASE/v1/jobs")" || fail "resubmit after owner death"
+JOB="$(printf '%s' "$RESP4" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+case "$JOB" in
+"$SURVIVOR".*) ;;
+*) fail "resubmission $JOB not served by survivor $SURVIVOR: $RESP4" ;;
+esac
+grep -qi '^X-Cluster-Route: *failover' "$HDRS" || fail "resubmission not marked failover: $(cat "$HDRS")"
+retry_until "$WAIT" job_done || fail "resubmitted job never finished within ${WAIT}s: $ST"
+
+# Graceful drain: the router and the surviving backend exit on SIGTERM.
+kill "$RT_PID" "$SURVIVOR_PID"
 all_gone() {
 	! kill -0 "$RT_PID" 2>/dev/null &&
-		! kill -0 "$B0_PID" 2>/dev/null &&
-		! kill -0 "$B1_PID" 2>/dev/null
+		! kill -0 "$SURVIVOR_PID" 2>/dev/null
 }
 retry_until "$WAIT" all_gone || fail "cluster did not shut down on SIGTERM within ${WAIT}s"
 trap - EXIT INT TERM
 
-echo "cluster-smoke: OK (routed to $OWNER, hash-affinity cache hit verified, stats aggregated, graceful drain)"
+echo "cluster-smoke: OK (routed to $OWNER, hash-affinity cache hit verified, stats aggregated, $VICTIM killed and its job recovered on $SURVIVOR, graceful drain)"
