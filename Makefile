@@ -20,7 +20,7 @@ BENCH_CHECK_MIN_SCALING ?= 2.5
 # measured when the gate landed (PR 8); cover-check fails below this floor.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build test race bench bench-smoke bench-check bench-baseline examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check perfbench-check ci
+.PHONY: all build test race bench bench-smoke bench-check bench-baseline examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check perfbench-check loc ci
 
 all: build
 
@@ -164,6 +164,11 @@ cluster-smoke:
 ## this module's batch, sim and serve APIs)
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+## loc: print the non-test Go line count outside perfbench/ (the size
+## figure simplicity changes report)
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
 
 ## ci: everything the pipeline runs, in order
 ci: fmt-check vet doc-lint build examples race fuzz-smoke cover-check atlas-check simd-smoke cluster-smoke perfbench-check

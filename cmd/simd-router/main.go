@@ -10,7 +10,6 @@
 // Usage:
 //
 //	simd-router -backends http://10.0.0.1:8555,http://10.0.0.2:8555
-//	simd-router -addr :8600 -backends ... -route rr     # affinity-free baseline
 //	simd-router -probe-interval 500ms -markdown 2 -markup 2
 //	simd-router -vnodes 128                             # ring points per backend
 //
@@ -39,7 +38,6 @@ func main() {
 	addr := flag.String("addr", ":8600", "listen address")
 	backends := flag.String("backends", "", "comma-separated simd base URLs (required)")
 	names := flag.String("names", "", "comma-separated backend names (default b0,b1,...)")
-	route := flag.String("route", cluster.RouteHash, "routing mode: hash (content-hash affinity) or rr (round-robin)")
 	vnodes := flag.Int("vnodes", 64, "consistent-hash ring points per backend")
 	probeInterval := flag.Duration("probe-interval", time.Second, "/healthz probe cadence")
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe (and stats fetch) timeout")
@@ -55,7 +53,6 @@ func main() {
 	cfg := cluster.Config{
 		Backends:      splitList(*backends),
 		Names:         splitList(*names),
-		RouteMode:     *route,
 		VNodes:        *vnodes,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
@@ -68,8 +65,8 @@ func main() {
 		os.Exit(1)
 	}
 	defer rt.Close()
-	log.Printf("simd-router: listening on %s (route=%s backends=%d probe=%v hysteresis=%d/%d)",
-		*addr, *route, len(cfg.Backends), *probeInterval, *markDown, *markUp)
+	log.Printf("simd-router: listening on %s (backends=%d probe=%v hysteresis=%d/%d)",
+		*addr, len(cfg.Backends), *probeInterval, *markDown, *markUp)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

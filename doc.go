@@ -50,7 +50,7 @@
 //
 // Memory system: the DD substrate interns nodes in per-variable hashed
 // unique tables with intrusive bucket chains, serves node allocations from
-// pooled chunks with free-list recycling, and runs bounded power-of-two
+// pooled chunks with free-stack recycling, and runs bounded power-of-two
 // compute caches with overwrite-on-collision eviction and O(1)
 // generation-bump invalidation. Cleanup is a mark-sweep collector over the
 // pools, so long-running and batch workloads reuse node memory instead of

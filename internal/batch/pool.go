@@ -35,10 +35,6 @@ type PoolOptions struct {
 	// with ErrQueueFull instead of blocking, so callers (e.g. an HTTP
 	// service) can shed load.
 	QueueDepth int
-	// BaseSeed derives measurement seeds for jobs whose Options leave
-	// MeasurementSeed zero, exactly as Options.BaseSeed does for Run:
-	// Seed(BaseSeed, submissionIndex).
-	BaseSeed int64
 	// JobTimeout bounds every job's simulation unless the job carries its
 	// own Timeout. Zero means no limit.
 	JobTimeout time.Duration
@@ -50,8 +46,9 @@ type PoolOptions struct {
 // poll, and cancel independent simulations against a fixed worker pool.
 //
 // The determinism contract matches Run: a job's outcome depends only on its
-// circuit, its options, and the seed derived from PoolOptions.BaseSeed and
-// its submission index — never on which worker runs it. As in Run, every
+// circuit, its options, and its submission index (a job whose Options leave
+// MeasurementSeed zero runs with Seed(0, index)) — never on which worker
+// runs it. As in Run, every
 // job gets a fresh manager that its Handle stops referencing once
 // Job.Finalize returns.
 type Pool struct {
@@ -132,10 +129,7 @@ func NewPool(opts PoolOptions) *Pool {
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
 	wc := &p.perWorker[id]
-	opts := Options{
-		BaseSeed:   p.opts.BaseSeed,
-		JobTimeout: p.opts.JobTimeout,
-	}
+	opts := Options{JobTimeout: p.opts.JobTimeout}
 	for h := range p.queue {
 		p.queued.Add(-1)
 		h.started.Store(true)
@@ -161,7 +155,7 @@ func (p *Pool) worker(id int) {
 // Submit enqueues one job and returns its handle without blocking. It fails
 // with ErrQueueFull when the bounded queue is full and ErrShutdown after
 // Close/Shutdown. The job's measurement seed derives from the submission
-// index exactly as in a closed batch (see PoolOptions.BaseSeed).
+// index exactly as in a closed batch with BaseSeed 0: Seed(0, index).
 func (p *Pool) Submit(job Job) (*Handle, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

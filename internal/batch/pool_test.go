@@ -26,12 +26,12 @@ func TestPoolMatchesClosedBatch(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = poolJob(int64(i))
 	}
-	closed, err := Run(context.Background(), jobs, Options{Workers: 2, BaseSeed: 9})
+	closed, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	p := NewPool(PoolOptions{Workers: 2, BaseSeed: 9})
+	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
 	handles := make([]*Handle, len(jobs))
 	for i := range jobs {

@@ -27,14 +27,14 @@ const benchWorkingSet = 5
 // (scripts/benchsummary says which of the two it gates).
 func BenchmarkRouterRoundTrip(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
-		tc := startCluster(b, 2, Config{RouteMode: RouteHash})
+		tc := startCluster(b, 2, Config{})
 		for slot := 0; slot < benchWorkingSet; slot++ {
 			tc.roundTrip(ghzJob(int64(slot + 1)))
 		}
 		timeRoundTrips(b, func(i int) { tc.roundTrip(ghzJob(int64(i%benchWorkingSet + 1))) })
 	})
 	b.Run("miss", func(b *testing.B) {
-		tc := startCluster(b, 2, Config{RouteMode: RouteHash})
+		tc := startCluster(b, 2, Config{})
 		timeRoundTrips(b, func(i int) { tc.roundTrip(ghzJob(int64(i + 1))) })
 	})
 }

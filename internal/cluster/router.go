@@ -17,23 +17,23 @@ import (
 	"repro/internal/serve"
 )
 
-// Routing modes.
+// Values of the HeaderRoute response header.
 const (
-	// RouteHash consistent-hashes submissions by content hash (the default):
-	// identical circuits always land on the same backend, keeping its result
+	// RouteHash: the submission went to the ring owner of its content hash.
+	// Identical circuits always land on the same backend, keeping its result
 	// cache partition-hot.
 	RouteHash = "hash"
-	// RouteRR round-robins submissions across up backends — the affinity-free
-	// baseline the load generator compares hash routing against.
-	RouteRR = "rr"
+	// RouteFailover: the owner was down or unreachable, and the next up
+	// backend in ring order served the submission.
+	RouteFailover = "failover"
 )
 
 // Response headers the router adds to every routed submission.
 const (
 	// HeaderBackend names the backend that served the request.
 	HeaderBackend = "X-Cluster-Backend"
-	// HeaderRoute records how the backend was chosen: "hash", "rr", or
-	// "failover" (the primary was down or unreachable).
+	// HeaderRoute records how the backend was chosen: RouteHash or
+	// RouteFailover.
 	HeaderRoute = "X-Cluster-Route"
 	// HeaderHash carries the submission's canonical content hash.
 	HeaderHash = "X-Cluster-Hash"
@@ -63,8 +63,6 @@ type Config struct {
 	// determine ring placement and job-id prefixes; they must be distinct
 	// and must not contain ".". Empty selects "b0", "b1", ...
 	Names []string
-	// RouteMode is RouteHash (default) or RouteRR.
-	RouteMode string
 	// VNodes is the number of ring points per backend (<= 0 selects 64).
 	VNodes int
 	// ProbeInterval is the /healthz cadence (<= 0 selects 1s).
@@ -83,9 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RouteMode == "" {
-		c.RouteMode = RouteHash
-	}
 	if c.VNodes <= 0 {
 		c.VNodes = 64
 	}
@@ -118,7 +113,6 @@ type Router struct {
 	hc      *http.Client
 	mux     *http.ServeMux
 
-	rrNext   atomic.Int64
 	routed   atomic.Int64
 	rerouted atomic.Int64
 	shed     atomic.Int64
@@ -134,9 +128,6 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: no backends configured")
-	}
-	if cfg.RouteMode != RouteHash && cfg.RouteMode != RouteRR {
-		return nil, fmt.Errorf("cluster: unknown route mode %q (want %q or %q)", cfg.RouteMode, RouteHash, RouteRR)
 	}
 	names := cfg.Names
 	if len(names) == 0 {
@@ -205,21 +196,6 @@ func (rt *Router) Close() {
 	rt.probeWG.Wait()
 }
 
-// candidateOrder returns the backend indexes to try for a submission, best
-// first: ring order from the content hash under RouteHash, a rotating start
-// under RouteRR (followed by the others as failover candidates).
-func (rt *Router) candidateOrder(key uint64) []int {
-	if rt.cfg.RouteMode == RouteRR {
-		start := int(rt.rrNext.Add(1)-1) % len(rt.members)
-		order := make([]int, len(rt.members))
-		for i := range order {
-			order[i] = (start + i) % len(rt.members)
-		}
-		return order
-	}
-	return rt.ring.Order(key)
-}
-
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
@@ -242,7 +218,9 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	order := rt.candidateOrder(Key(hash))
+	// Ring order from the content hash: the owner first, then its
+	// successors as failover candidates.
+	order := rt.ring.Order(Key(hash))
 	primary := order[0]
 	for _, idx := range order {
 		m := rt.members[idx]
@@ -263,9 +241,9 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.observe(m, true, "")
 		rt.routed.Add(1)
 		m.routed.Add(1)
-		route := rt.cfg.RouteMode
+		route := RouteHash
 		if idx != primary {
-			route = "failover"
+			route = RouteFailover
 			rt.rerouted.Add(1)
 		}
 		w.Header().Set(HeaderBackend, m.name)
@@ -592,7 +570,6 @@ type BackendStats struct {
 
 // ClusterStats is the GET /v1/cluster/stats body.
 type ClusterStats struct {
-	Route    string         `json:"route"`
 	Backends []BackendStats `json:"backends"`
 	// Up and Down count backends by membership state.
 	Up   int `json:"up"`
@@ -615,7 +592,6 @@ type ClusterStats struct {
 // timeout.
 func (rt *Router) Stats(ctx context.Context) ClusterStats {
 	st := ClusterStats{
-		Route:    rt.cfg.RouteMode,
 		Backends: make([]BackendStats, len(rt.members)),
 		Routed:   rt.routed.Load(),
 		Rerouted: rt.rerouted.Load(),

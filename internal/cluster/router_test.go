@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -167,8 +168,8 @@ func TestHashAffinityPinsIdenticalSubmissions(t *testing.T) {
 	if err := json.Unmarshal(raw, &cs); err != nil {
 		t.Fatal(err)
 	}
-	if cs.Up != 3 || cs.Routed != 4 || cs.CacheHits != 3 || cs.Route != RouteHash {
-		t.Errorf("cluster stats up=%d routed=%d hits=%d route=%q, want 3/4/3/hash: %s", cs.Up, cs.Routed, cs.CacheHits, cs.Route, raw)
+	if cs.Up != 3 || cs.Routed != 4 || cs.CacheHits != 3 {
+		t.Errorf("cluster stats up=%d routed=%d hits=%d, want 3/4/3: %s", cs.Up, cs.Routed, cs.CacheHits, raw)
 	}
 	withHits := 0
 	for _, b := range cs.Backends {
@@ -181,65 +182,6 @@ func TestHashAffinityPinsIdenticalSubmissions(t *testing.T) {
 	}
 	if withHits != 1 {
 		t.Errorf("%d backends saw cache hits, want exactly 1 (affinity)", withHits)
-	}
-}
-
-func TestRoundRobinRotates(t *testing.T) {
-	tc := startCluster(t, 2, Config{RouteMode: RouteRR})
-	seen := map[string]int{}
-	for i := 0; i < 4; i++ {
-		req := serve.JobRequest{QASM: ghzQASM, Seed: int64(i + 1)}
-		resp, body := tc.submit(req)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: HTTP %d: %s", i, resp.StatusCode, body)
-		}
-		seen[resp.Header.Get(HeaderBackend)]++
-	}
-	if len(seen) != 2 || seen["b0"] != 2 || seen["b1"] != 2 {
-		t.Errorf("round-robin distribution %v, want 2/2", seen)
-	}
-}
-
-// TestHashRoutingBeatsRoundRobinOnCacheHits replays one fixed submission
-// order against both routing modes. Every job is awaited before the next is
-// sent, so the cache-hit counts depend only on where each submission lands:
-// hash routing pins each circuit to one backend, while round-robin over two
-// backends and an odd working set sends each repeat to the other backend
-// until both caches hold it.
-func TestHashRoutingBeatsRoundRobinOnCacheHits(t *testing.T) {
-	const workingSet, rounds = 5, 4
-	hits := map[string]int64{}
-	for _, route := range []string{RouteHash, RouteRR} {
-		tc := startCluster(t, 2, Config{RouteMode: route})
-		for i := 0; i < workingSet*rounds; i++ {
-			req := serve.JobRequest{QASM: ghzQASM, Shots: 8, Seed: int64(i%workingSet + 1)}
-			resp, body := tc.submit(req)
-			if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s submit %d: HTTP %d: %s", route, i, resp.StatusCode, body)
-			}
-			var st serve.JobStatus
-			if err := json.Unmarshal(body, &st); err != nil {
-				t.Fatal(err)
-			}
-			if final := tc.await(st.ID); final.Status != serve.StatusDone {
-				t.Fatalf("%s job %d ended %q: %s", route, i, final.Status, final.Error)
-			}
-		}
-		code, body := tc.get("/v1/cluster/stats")
-		if code != http.StatusOK {
-			t.Fatalf("%s cluster stats: HTTP %d: %s", route, code, body)
-		}
-		var cs ClusterStats
-		if err := json.Unmarshal(body, &cs); err != nil {
-			t.Fatal(err)
-		}
-		if cs.CacheHits+cs.CacheMisses != workingSet*rounds {
-			t.Fatalf("%s: %d hits + %d misses, want %d lookups", route, cs.CacheHits, cs.CacheMisses, workingSet*rounds)
-		}
-		hits[route] = cs.CacheHits
-	}
-	if hits[RouteHash] <= hits[RouteRR] {
-		t.Errorf("hash routing %d cache hits, round-robin %d: want strictly more", hits[RouteHash], hits[RouteRR])
 	}
 }
 
@@ -363,7 +305,7 @@ func TestFailoverAndShed(t *testing.T) {
 	if survivor == primary {
 		t.Fatalf("submission still routed to dead backend %q", primary)
 	}
-	if got := resp2.Header.Get(HeaderRoute); got != "failover" {
+	if got := resp2.Header.Get(HeaderRoute); got != RouteFailover {
 		t.Errorf("route header %q, want failover", got)
 	}
 	var st2 serve.JobStatus
@@ -466,10 +408,26 @@ func TestEventsProxyStreams(t *testing.T) {
 }
 
 func TestListMergesBackends(t *testing.T) {
-	tc := startCluster(t, 2, Config{RouteMode: RouteRR})
+	tc := startCluster(t, 2, Config{})
+	// One submission per backend: the first seeds whose content hashes the
+	// ring gives to b0 and to b1.
+	reqs := map[int]serve.JobRequest{}
+	for seed := int64(1); len(reqs) < 2; seed++ {
+		req := serve.JobRequest{QASM: ghzQASM, Seed: seed}
+		hash, err := serve.CanonicalHash(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner := tc.router.ring.Order(Key(hash))[0]; reqs[owner].QASM == "" {
+			reqs[owner] = req
+		}
+	}
 	ids := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		_, body := tc.submit(serve.JobRequest{QASM: ghzQASM, Seed: int64(i + 1)})
+	for owner, req := range reqs {
+		resp, body := tc.submit(req)
+		if got, want := resp.Header.Get(HeaderBackend), "b"+strconv.Itoa(owner); got != want {
+			t.Fatalf("seed %d routed to %q, want %q", req.Seed, got, want)
+		}
 		var st serve.JobStatus
 		json.Unmarshal(body, &st)
 		ids[st.ID] = true
@@ -498,9 +456,6 @@ func TestListMergesBackends(t *testing.T) {
 func TestRouterRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("no backends accepted")
-	}
-	if _, err := New(Config{Backends: []string{"http://x"}, RouteMode: "zigzag"}); err == nil {
-		t.Error("unknown route mode accepted")
 	}
 	if _, err := New(Config{Backends: []string{"http://x"}, Names: []string{"a.b"}}); err == nil {
 		t.Error("dotted backend name accepted")

@@ -44,7 +44,7 @@ type CleanupEvent struct {
 	// GateIndex is the gate after which the sweep ran.
 	GateIndex int
 	// Live is the pool occupancy after the sweep; Freed is how many nodes
-	// the sweep returned to the free lists.
+	// the sweep returned to the free stacks.
 	Live, Freed int
 }
 

@@ -31,7 +31,9 @@ func (m *Manager) Add(a, b VEdge) VEdge {
 	// interned ratio makes the cache scale-invariant.
 	ratio := b.W.Complex() / a.W.Complex()
 	r := m.CN.Lookup(ratio)
-	if res, ok := m.addLookup(a.N, b.N, r); ok {
+	k := addKey{a.N, b.N, r}
+	h := k.hash()
+	if res, ok := m.add.lookup(k, h); ok {
 		return m.ScaleV(res, a.W.Complex())
 	}
 	var children [2]VEdge
@@ -41,7 +43,7 @@ func (m *Manager) Add(a, b VEdge) VEdge {
 		children[i] = m.Add(ea, eb)
 	}
 	res := m.MakeVNode(a.N.Var, children[0], children[1])
-	m.addStore(a.N, b.N, r, res)
+	m.add.store(k, h, res)
 	return m.ScaleV(res, a.W.Complex())
 }
 
@@ -70,7 +72,9 @@ func (m *Manager) AddMat(a, b MEdge) MEdge {
 	}
 	ratio := b.W.Complex() / a.W.Complex()
 	r := m.CN.Lookup(ratio)
-	if res, ok := m.maddLookup(a.N, b.N, r); ok {
+	k := maddKey{a.N, b.N, r}
+	h := k.hash()
+	if res, ok := m.madd.lookup(k, h); ok {
 		return m.ScaleM(res, a.W.Complex())
 	}
 	var children [4]MEdge
@@ -80,6 +84,6 @@ func (m *Manager) AddMat(a, b MEdge) MEdge {
 		children[i] = m.AddMat(ea, eb)
 	}
 	res := m.MakeMNode(a.N.Var, children)
-	m.maddStore(a.N, b.N, r, res)
+	m.madd.store(k, h, res)
 	return m.ScaleM(res, a.W.Complex())
 }

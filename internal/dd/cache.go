@@ -3,8 +3,8 @@ package dd
 import "repro/internal/cnum"
 
 // Power-of-two compute caches with overwrite-on-collision eviction. Each
-// entry carries a generation tag; ClearCaches bumps the manager's cache
-// generation, instantly invalidating every entry without touching memory.
+// entry carries a generation tag; ClearCaches bumps every cache's
+// generation, instantly invalidating its entries without touching memory.
 // Caches start small (fresh managers are cheap, a per-job pattern the batch
 // engine relies on) and double under miss pressure up to a fixed cap, so
 // cache memory stays bounded no matter how long a manager lives. Entries
@@ -27,39 +27,6 @@ const (
 	// its last resize exceed this multiple of its size.
 	cacheGrowMissFactor = 4
 )
-
-type addEntry struct {
-	a, b *VNode
-	r    *cnum.Value
-	res  VEdge
-	gen  uint32
-}
-
-type maddEntry struct {
-	a, b *MNode
-	r    *cnum.Value
-	res  MEdge
-	gen  uint32
-}
-
-type mulEntry struct {
-	m   *MNode
-	v   *VNode
-	res VEdge
-	gen uint32
-}
-
-type mmEntry struct {
-	a, b *MNode
-	res  MEdge
-	gen  uint32
-}
-
-type ipEntry struct {
-	a, b *VNode
-	res  complex128
-	gen  uint32
-}
 
 // CacheStats counts one compute cache's lookups and evictions.
 type CacheStats struct {
@@ -86,178 +53,114 @@ func cacheHash(vals ...uint64) uint64 {
 	return hashFinish(h)
 }
 
-// growCache reports whether a cache of the given size should double, based
-// on the misses it accumulated since its last resize. Resizes rehash live
-// entries into the doubled array (see the grow* funcs) so hot results
-// survive the growth.
-func growCache(size, max int, misses, missMark uint64) bool {
-	return size < max && misses-missMark > uint64(cacheGrowMissFactor*size)
+// cacheKey is a compute-cache key: operand node pointers (and, for the
+// additions, the interned weight ratio), hashed on ids and weight hashes.
+type cacheKey interface {
+	comparable
+	hash() uint64
 }
 
-// growAdd and its siblings below double a cache, rehashing its live entries
-// into the new array in index order (a later entry wins a collision), so
-// growth replays identically on every run.
-func (m *Manager) growAdd() {
-	nc := make([]addEntry, 2*len(m.addCache))
-	mask := uint64(len(nc) - 1)
-	for i := range m.addCache {
-		if e := &m.addCache[i]; e.gen == m.cacheGen {
-			nc[cacheHash(e.a.id, e.b.id, e.r.Hash())&mask] = *e
-		}
+// Operand keys of the five compute caches: vector addition, matrix
+// addition, matrix-vector multiplication, matrix-matrix multiplication and
+// the inner product.
+type (
+	addKey struct {
+		a, b *VNode
+		r    *cnum.Value
 	}
-	m.addCache = nc
-}
-
-func (m *Manager) growMAdd() {
-	nc := make([]maddEntry, 2*len(m.maddCache))
-	mask := uint64(len(nc) - 1)
-	for i := range m.maddCache {
-		if e := &m.maddCache[i]; e.gen == m.cacheGen {
-			nc[cacheHash(e.a.id, e.b.id, e.r.Hash())&mask] = *e
-		}
+	maddKey struct {
+		a, b *MNode
+		r    *cnum.Value
 	}
-	m.maddCache = nc
-}
-
-func (m *Manager) growMul() {
-	nc := make([]mulEntry, 2*len(m.mulCache))
-	mask := uint64(len(nc) - 1)
-	for i := range m.mulCache {
-		if e := &m.mulCache[i]; e.gen == m.cacheGen {
-			nc[cacheHash(e.m.id, e.v.id)&mask] = *e
-		}
+	mulKey struct {
+		m *MNode
+		v *VNode
 	}
-	m.mulCache = nc
+	mmKey struct{ a, b *MNode }
+	ipKey struct{ a, b *VNode }
+)
+
+func (k addKey) hash() uint64  { return cacheHash(k.a.id, k.b.id, k.r.Hash()) }
+func (k maddKey) hash() uint64 { return cacheHash(k.a.id, k.b.id, k.r.Hash()) }
+func (k mulKey) hash() uint64  { return cacheHash(k.m.id, k.v.id) }
+func (k mmKey) hash() uint64   { return cacheHash(k.a.id, k.b.id) }
+func (k ipKey) hash() uint64   { return cacheHash(k.a.id, k.b.id) }
+
+type cacheEntry[K cacheKey, V any] struct {
+	key K
+	res V
+	gen uint32
 }
 
-func (m *Manager) growMM() {
-	nc := make([]mmEntry, 2*len(m.mmCache))
-	mask := uint64(len(nc) - 1)
-	for i := range m.mmCache {
-		if e := &m.mmCache[i]; e.gen == m.cacheGen {
-			nc[cacheHash(e.a.id, e.b.id)&mask] = *e
-		}
-	}
-	m.mmCache = nc
+// computeCache is one bounded compute cache. An entry is live when its gen
+// equals the cache's; missMark records the miss count at the last resize
+// (or invalidation), driving the grow-under-pressure policy.
+type computeCache[K cacheKey, V any] struct {
+	entries  []cacheEntry[K, V]
+	max      int
+	gen      uint32
+	missMark uint64
+	stats    CacheStats
 }
 
-func (m *Manager) growIP() {
-	nc := make([]ipEntry, 2*len(m.ipCache))
-	mask := uint64(len(nc) - 1)
-	for i := range m.ipCache {
-		if e := &m.ipCache[i]; e.gen == m.cacheGen {
-			nc[cacheHash(e.a.id, e.b.id)&mask] = *e
-		}
-	}
-	m.ipCache = nc
+func newComputeCache[K cacheKey, V any](max int) computeCache[K, V] {
+	return computeCache[K, V]{entries: make([]cacheEntry[K, V], cacheInitialSize), max: max, gen: 1}
 }
 
-func (m *Manager) addLookup(a, b *VNode, r *cnum.Value) (VEdge, bool) {
-	e := &m.addCache[cacheHash(a.id, b.id, r.Hash())&uint64(len(m.addCache)-1)]
-	if e.gen == m.cacheGen && e.a == a && e.b == b && e.r == r {
-		m.addStats.Hits++
+// lookup returns the live result stored for k. h must be k.hash(): callers
+// compute it once, on the concrete key type, for the lookup/store pair.
+func (c *computeCache[K, V]) lookup(k K, h uint64) (V, bool) {
+	e := &c.entries[h&uint64(len(c.entries)-1)]
+	if e.gen == c.gen && e.key == k {
+		c.stats.Hits++
 		return e.res, true
 	}
-	m.addStats.Misses++
-	return VEdge{}, false
+	c.stats.Misses++
+	var zero V
+	return zero, false
 }
 
-func (m *Manager) addStore(a, b *VNode, r *cnum.Value, res VEdge) {
-	if growCache(len(m.addCache), addCacheMax, m.addStats.Misses, m.addMissMark) {
-		m.growAdd()
-		m.addMissMark = m.addStats.Misses
+// store records res for k (h = k.hash()), first doubling the cache if its
+// misses since the last resize exceed cacheGrowMissFactor × its size.
+func (c *computeCache[K, V]) store(k K, h uint64, res V) {
+	if n := len(c.entries); n < c.max && c.stats.Misses-c.missMark > uint64(cacheGrowMissFactor*n) {
+		c.grow()
+		c.missMark = c.stats.Misses
 	}
-	e := &m.addCache[cacheHash(a.id, b.id, r.Hash())&uint64(len(m.addCache)-1)]
-	if e.gen == m.cacheGen {
-		m.addStats.Evictions++
+	e := &c.entries[h&uint64(len(c.entries)-1)]
+	if e.gen == c.gen {
+		c.stats.Evictions++
 	}
-	*e = addEntry{a: a, b: b, r: r, res: res, gen: m.cacheGen}
+	*e = cacheEntry[K, V]{key: k, res: res, gen: c.gen}
 }
 
-func (m *Manager) maddLookup(a, b *MNode, r *cnum.Value) (MEdge, bool) {
-	e := &m.maddCache[cacheHash(a.id, b.id, r.Hash())&uint64(len(m.maddCache)-1)]
-	if e.gen == m.cacheGen && e.a == a && e.b == b && e.r == r {
-		m.maddStats.Hits++
-		return e.res, true
+// grow doubles the cache, rehashing its live entries into the new array in
+// index order (a later entry wins a collision), so growth replays
+// identically on every run and hot results survive it.
+func (c *computeCache[K, V]) grow() {
+	ne := make([]cacheEntry[K, V], 2*len(c.entries))
+	mask := uint64(len(ne) - 1)
+	for i := range c.entries {
+		if e := &c.entries[i]; e.gen == c.gen {
+			ne[e.key.hash()&mask] = *e
+		}
 	}
-	m.maddStats.Misses++
-	return MEdge{}, false
+	c.entries = ne
 }
 
-func (m *Manager) maddStore(a, b *MNode, r *cnum.Value, res MEdge) {
-	if growCache(len(m.maddCache), maddCacheMax, m.maddStats.Misses, m.maddMissMark) {
-		m.growMAdd()
-		m.maddMissMark = m.maddStats.Misses
+// invalidate drops every entry by bumping the generation — O(1), no
+// reallocation — and rebases the grow-under-pressure baseline: the cold
+// misses that follow an invalidation are churn, not capacity pressure, and
+// must not ratchet the cache toward its max size. Growth therefore needs a
+// single generation to accumulate the full miss budget.
+func (c *computeCache[K, V]) invalidate() {
+	c.gen++
+	if c.gen == 0 {
+		// Generation counter wrapped: entries stamped with a pre-wrap
+		// generation (or 0, the zero value) must not read as live, so
+		// physically clear once per 2^32 invalidations.
+		clear(c.entries)
+		c.gen = 1
 	}
-	e := &m.maddCache[cacheHash(a.id, b.id, r.Hash())&uint64(len(m.maddCache)-1)]
-	if e.gen == m.cacheGen {
-		m.maddStats.Evictions++
-	}
-	*e = maddEntry{a: a, b: b, r: r, res: res, gen: m.cacheGen}
-}
-
-func (m *Manager) mulLookup(mn *MNode, vn *VNode) (VEdge, bool) {
-	e := &m.mulCache[cacheHash(mn.id, vn.id)&uint64(len(m.mulCache)-1)]
-	if e.gen == m.cacheGen && e.m == mn && e.v == vn {
-		m.mulStats.Hits++
-		return e.res, true
-	}
-	m.mulStats.Misses++
-	return VEdge{}, false
-}
-
-func (m *Manager) mulStore(mn *MNode, vn *VNode, res VEdge) {
-	if growCache(len(m.mulCache), mulCacheMax, m.mulStats.Misses, m.mulMissMark) {
-		m.growMul()
-		m.mulMissMark = m.mulStats.Misses
-	}
-	e := &m.mulCache[cacheHash(mn.id, vn.id)&uint64(len(m.mulCache)-1)]
-	if e.gen == m.cacheGen {
-		m.mulStats.Evictions++
-	}
-	*e = mulEntry{m: mn, v: vn, res: res, gen: m.cacheGen}
-}
-
-func (m *Manager) mmLookup(a, b *MNode) (MEdge, bool) {
-	e := &m.mmCache[cacheHash(a.id, b.id)&uint64(len(m.mmCache)-1)]
-	if e.gen == m.cacheGen && e.a == a && e.b == b {
-		m.mmStats.Hits++
-		return e.res, true
-	}
-	m.mmStats.Misses++
-	return MEdge{}, false
-}
-
-func (m *Manager) mmStore(a, b *MNode, res MEdge) {
-	if growCache(len(m.mmCache), mmCacheMax, m.mmStats.Misses, m.mmMissMark) {
-		m.growMM()
-		m.mmMissMark = m.mmStats.Misses
-	}
-	e := &m.mmCache[cacheHash(a.id, b.id)&uint64(len(m.mmCache)-1)]
-	if e.gen == m.cacheGen {
-		m.mmStats.Evictions++
-	}
-	*e = mmEntry{a: a, b: b, res: res, gen: m.cacheGen}
-}
-
-func (m *Manager) ipLookup(a, b *VNode) (complex128, bool) {
-	e := &m.ipCache[cacheHash(a.id, b.id)&uint64(len(m.ipCache)-1)]
-	if e.gen == m.cacheGen && e.a == a && e.b == b {
-		m.ipStats.Hits++
-		return e.res, true
-	}
-	m.ipStats.Misses++
-	return 0, false
-}
-
-func (m *Manager) ipStore(a, b *VNode, res complex128) {
-	if growCache(len(m.ipCache), ipCacheMax, m.ipStats.Misses, m.ipMissMark) {
-		m.growIP()
-		m.ipMissMark = m.ipStats.Misses
-	}
-	e := &m.ipCache[cacheHash(a.id, b.id)&uint64(len(m.ipCache)-1)]
-	if e.gen == m.cacheGen {
-		m.ipStats.Evictions++
-	}
-	*e = ipEntry{a: a, b: b, res: res, gen: m.cacheGen}
+	c.missMark = c.stats.Misses
 }

@@ -5,12 +5,21 @@ package dd
 // far) allocates nothing at steady state. Not reentrant: callers must not
 // hold a CountV traversal open across another CountV call.
 func (m *Manager) CountV(e VEdge) int {
+	return m.countRootNodes([]VEdge{e})
+}
+
+// countRootNodes returns the number of distinct non-terminal nodes reachable
+// from any of the roots (the combined DD size sifting minimizes), walking
+// with CountV's retained visited set.
+func (m *Manager) countRootNodes(roots []VEdge) int {
 	if m.visitV == nil {
 		m.visitV = make(map[*VNode]struct{}, 256)
 	} else {
 		clear(m.visitV) // clear keeps the buckets; no reallocation
 	}
-	m.countVWalk(e.N)
+	for _, r := range roots {
+		m.countVWalk(r.N)
+	}
 	return len(m.visitV)
 }
 

@@ -22,16 +22,19 @@
 //   - Edge weights are interned in a cnum.Table; node identity is pointer
 //     identity maintained through unique tables.
 //
-// Memory system: nodes live in per-manager pools (chunked arrays with free
-// lists) and are interned through per-variable hashed unique tables whose
-// buckets chain nodes intrusively via the node's next pointer. Compute
-// caches (add, madd, mul, mm, ip) are fixed-size power-of-two arrays with
-// overwrite-on-collision eviction and generation-tag invalidation, so
-// ClearCaches is O(1) and cache memory is bounded. Cleanup is a mark-sweep
-// pass: live nodes are stamped with the current GC generation and dead nodes
-// are unlinked from their buckets onto the free lists for recycling. Stats
-// and Pool snapshot the counters (per-cache hits/misses/evictions, node
-// traffic, pool occupancy); the simulation service surfaces them per worker
+// Memory system: nodes live in per-manager pools (one generic nodePool type
+// per node kind: chunked arrays with a LIFO free stack) and are interned
+// through per-variable hashed unique tables whose buckets chain nodes
+// intrusively via the node's next pointer. The five compute caches (add,
+// madd, mul, mm, ip) are instances of one generic computeCache type:
+// power-of-two arrays with overwrite-on-collision eviction and
+// generation-tag invalidation, so ClearCaches is O(1). Each starts at 1 Ki
+// entries and doubles under miss pressure up to a cap, so cache memory is
+// bounded. Cleanup is a mark-sweep pass: live nodes are stamped with the
+// current GC generation and dead nodes are unlinked from their buckets onto
+// the free stacks for recycling. Stats and Pool snapshot the counters
+// (per-cache hits/misses/evictions, node traffic, pool occupancy); the
+// simulation service surfaces them per worker
 // on its /v1/stats endpoint. See docs/ARCHITECTURE.md and the
 // "Architecture: DD memory system" section of the README for the full
 // design.

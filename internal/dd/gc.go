@@ -3,7 +3,7 @@ package dd
 // Cleanup is the manager's incremental garbage collector: it marks the nodes
 // reachable from the given roots with a fresh generation stamp, sweeps every
 // unique-table bucket chain in place (unlinking dead nodes onto the pool
-// free lists for recycling), and invalidates the compute caches with an O(1)
+// free stacks for recycling), and invalidates the compute caches with an O(1)
 // generation bump. No table is reallocated and nothing is handed to Go's
 // allocator, so a steady-state build/Cleanup cycle runs allocation-free.
 //
@@ -13,11 +13,12 @@ package dd
 // they intend to keep using. The cached identity chain stays live by
 // construction.
 func (m *Manager) Cleanup(vRoots []VEdge, mRoots []MEdge) {
-	// gcGen wrap needs no guard (unlike cacheGen in ClearCaches): every
-	// sweep either restamps an interned node to the current generation or
-	// releases it, and nodes created between sweeps are stamped at creation,
-	// so at this point every interned node's gen equals the old gcGen and
-	// can never collide with the incremented value, wrapped or not.
+	// gcGen wrap needs no guard (unlike the cache generations, see
+	// computeCache.invalidate): every sweep either restamps an interned node
+	// to the current generation or releases it, and nodes created between
+	// sweeps are stamped at creation, so at this point every interned node's
+	// gen equals the old gcGen and can never collide with the incremented
+	// value, wrapped or not.
 	m.gcGen++
 	for _, e := range vRoots {
 		m.markV(e.N)
@@ -91,27 +92,12 @@ func (m *Manager) markM(n *MNode) {
 }
 
 // ClearCaches invalidates all compute caches (add, multiply, inner product)
-// by bumping the cache generation — O(1), no reallocation. Safe at any time;
+// by bumping their generations — O(1), no reallocation. Safe at any time;
 // only costs recomputation.
 func (m *Manager) ClearCaches() {
-	m.cacheGen++
-	if m.cacheGen == 0 {
-		// Generation counter wrapped: entries stamped 0 (the zero value)
-		// must not read as live, so physically clear once per 2^32 clears.
-		clear(m.addCache)
-		clear(m.maddCache)
-		clear(m.mulCache)
-		clear(m.mmCache)
-		clear(m.ipCache)
-		m.cacheGen = 1
-	}
-	// Rebase the grow-under-pressure baselines: the cold misses that follow
-	// an invalidation are churn, not capacity pressure, and must not ratchet
-	// the caches toward their max size. Growth now requires a single cache
-	// generation to accumulate the full miss budget.
-	m.addMissMark = m.addStats.Misses
-	m.maddMissMark = m.maddStats.Misses
-	m.mulMissMark = m.mulStats.Misses
-	m.mmMissMark = m.mmStats.Misses
-	m.ipMissMark = m.ipStats.Misses
+	m.add.invalidate()
+	m.madd.invalidate()
+	m.mul.invalidate()
+	m.mm.invalidate()
+	m.ip.invalidate()
 }

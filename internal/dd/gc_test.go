@@ -35,7 +35,7 @@ func TestCleanupKeepsRootEdgesValid(t *testing.T) {
 		t.Fatalf("sweep freed nothing: live %d -> %d", liveBefore, pool.Live)
 	}
 	if pool.Free == 0 {
-		t.Fatal("sweep left the free lists empty despite garbage")
+		t.Fatal("sweep left the free stacks empty despite garbage")
 	}
 
 	got := m.ToVector(keep, n)
@@ -52,13 +52,21 @@ func TestCleanupKeepsRootEdgesValid(t *testing.T) {
 }
 
 // TestCleanupRecyclesPooledNodes asserts that a build identical to swept
-// garbage is served from the pool free lists: the recycled counter rises and
-// pool capacity stays flat instead of allocating new chunks.
+// garbage is served from the pool free stacks: the recycled counter rises and
+// pool capacity stays flat instead of allocating new chunks. Over several
+// cycles every pool slot is either live or free, and reuse is LIFO: the
+// node swept last is the first one handed out again.
 func TestCleanupRecyclesPooledNodes(t *testing.T) {
 	m := New()
 	rng := rand.New(rand.NewSource(12))
 	n := 8
 	vec := randomAmplitudes(n, rng)
+	checkSlots := func(when string) {
+		t.Helper()
+		if p := m.Pool(); p.Capacity != p.Live+p.Free {
+			t.Fatalf("%s: capacity %d != live %d + free %d", when, p.Capacity, p.Live, p.Free)
+		}
+	}
 
 	if _, err := m.FromAmplitudes(vec); err != nil {
 		t.Fatal(err)
@@ -67,17 +75,29 @@ func TestCleanupRecyclesPooledNodes(t *testing.T) {
 	capBefore := m.Pool().Capacity
 	recycledBefore := m.Stats().VNodesRecycled
 
-	if _, err := m.FromAmplitudes(vec); err != nil {
-		t.Fatal(err)
+	for cycle := 0; cycle < 4; cycle++ {
+		if _, err := m.FromAmplitudes(vec); err != nil {
+			t.Fatal(err)
+		}
+		checkSlots("after rebuild")
+		if pool := m.Pool(); pool.Capacity != capBefore {
+			t.Fatalf("cycle %d: identical rebuild grew the pool: capacity %d -> %d", cycle, capBefore, pool.Capacity)
+		}
+		m.Cleanup(nil, nil)
+		checkSlots("after Cleanup")
+
+		free := append([]*VNode(nil), m.vPool.free...)
+		one := VEdge{W: m.CN.One, N: m.vTerminal}
+		for i, e := range [][2]VEdge{{one, m.VZero()}, {m.VZero(), one}} {
+			if got, want := m.MakeVNode(0, e[0], e[1]).N, free[len(free)-1-i]; got != want {
+				t.Fatalf("cycle %d: creation %d reused %p, want %p (free stack top - %d)", cycle, i, got, want, i)
+			}
+		}
+		m.Cleanup(nil, nil)
 	}
-	st := m.Stats()
-	pool := m.Pool()
-	if st.VNodesRecycled <= recycledBefore {
-		t.Fatalf("identical rebuild recycled no nodes (recycled %d -> %d)",
+	if st := m.Stats(); st.VNodesRecycled <= recycledBefore {
+		t.Fatalf("identical rebuilds recycled no nodes (recycled %d -> %d)",
 			recycledBefore, st.VNodesRecycled)
-	}
-	if pool.Capacity != capBefore {
-		t.Fatalf("identical rebuild grew the pool: capacity %d -> %d", capBefore, pool.Capacity)
 	}
 }
 

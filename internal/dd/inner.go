@@ -21,7 +21,9 @@ func (m *Manager) ipNodes(an, bn *VNode) complex128 {
 	if an.Var != bn.Var {
 		panic("dd: InnerProduct level mismatch")
 	}
-	if res, ok := m.ipLookup(an, bn); ok {
+	k := ipKey{an, bn}
+	h := k.hash()
+	if res, ok := m.ip.lookup(k, h); ok {
 		return res
 	}
 	var sum complex128
@@ -33,7 +35,7 @@ func (m *Manager) ipNodes(an, bn *VNode) complex128 {
 		wa := ea.W.Complex()
 		sum += complex(real(wa), -imag(wa)) * eb.W.Complex() * m.ipNodes(ea.N, eb.N)
 	}
-	m.ipStore(an, bn, sum)
+	m.ip.store(k, h, sum)
 	return sum
 }
 

@@ -19,23 +19,16 @@ type Manager struct {
 	// Per-variable unique tables (see unique.go) and node pools.
 	vLevels []vLevelTable
 	mLevels []mLevelTable
-	vPool   vNodePool
-	mPool   mNodePool
+	vPool   nodePool[VNode]
+	mPool   nodePool[MNode]
 
-	// Bounded compute caches (see cache.go), invalidated as a whole by
-	// bumping cacheGen. The missMark fields record each cache's miss count
-	// at its last resize, driving the grow-under-pressure policy.
-	addCache     []addEntry
-	maddCache    []maddEntry
-	mulCache     []mulEntry
-	mmCache      []mmEntry
-	ipCache      []ipEntry
-	addMissMark  uint64
-	maddMissMark uint64
-	mulMissMark  uint64
-	mmMissMark   uint64
-	ipMissMark   uint64
-	cacheGen     uint32
+	// Bounded compute caches (see cache.go), invalidated together by
+	// ClearCaches.
+	add  computeCache[addKey, VEdge]
+	madd computeCache[maddKey, MEdge]
+	mul  computeCache[mulKey, VEdge]
+	mm   computeCache[mmKey, MEdge]
+	ip   computeCache[ipKey, complex128]
 
 	// gcGen is the mark stamp of the most recent Cleanup; nodes whose gen
 	// matches it survived that sweep (see gc.go).
@@ -50,11 +43,12 @@ type Manager struct {
 
 	nextID uint64
 
-	// visitV is the retained scratch set behind CountV, so per-gate DD size
-	// tracking allocates nothing at steady state. visitM and traceMemo are
-	// the matrix counterparts behind CountM and MTrace (hot in the density
-	// backend's per-gate loop). All three are cleared per call, never across
-	// calls, so node recycling cannot leave stale entries behind.
+	// visitV is the retained scratch set behind CountV (and sifting's size
+	// checks), so per-gate DD size tracking allocates nothing at steady
+	// state. visitM and traceMemo are the matrix counterparts behind CountM
+	// and MTrace (hot in the density backend's per-gate loop). All three are
+	// cleared per call, never across calls, so node recycling cannot leave
+	// stale entries behind.
 	visitV    map[*VNode]struct{}
 	visitM    map[*MNode]struct{}
 	traceMemo map[*MNode]complex128
@@ -64,11 +58,6 @@ type Manager struct {
 	mNodesCreated uint64
 	cleanups      uint64
 	levelSwaps    uint64
-	addStats      CacheStats
-	maddStats     CacheStats
-	mulStats      CacheStats
-	mmStats       CacheStats
-	ipStats       CacheStats
 }
 
 // New returns a Manager with a fresh complex table at the default tolerance.
@@ -77,14 +66,13 @@ func New() *Manager { return NewWithTable(cnum.NewTable()) }
 // NewWithTable returns a Manager using the given complex table.
 func NewWithTable(cn *cnum.Table) *Manager {
 	m := &Manager{
-		CN:        cn,
-		addCache:  make([]addEntry, cacheInitialSize),
-		maddCache: make([]maddEntry, cacheInitialSize),
-		mulCache:  make([]mulEntry, cacheInitialSize),
-		mmCache:   make([]mmEntry, cacheInitialSize),
-		ipCache:   make([]ipEntry, cacheInitialSize),
-		cacheGen:  1,
-		gcGen:     1,
+		CN:    cn,
+		add:   newComputeCache[addKey, VEdge](addCacheMax),
+		madd:  newComputeCache[maddKey, MEdge](maddCacheMax),
+		mul:   newComputeCache[mulKey, VEdge](mulCacheMax),
+		mm:    newComputeCache[mmKey, MEdge](mmCacheMax),
+		ip:    newComputeCache[ipKey, complex128](ipCacheMax),
+		gcGen: 1,
 	}
 	m.vTerminal = &VNode{id: m.newID(), Var: TerminalVar}
 	m.mTerminal = &MNode{id: m.newID(), Var: TerminalVar}
@@ -169,7 +157,7 @@ type Stats struct {
 	VNodesCreated uint64
 	MNodesCreated uint64
 	// VNodesRecycled / MNodesRecycled count creations served from the pool
-	// free lists (included in the Created totals).
+	// free stacks (included in the Created totals).
 	VNodesRecycled uint64
 	MNodesRecycled uint64
 	// Per-cache compute-cache counters.
@@ -194,11 +182,11 @@ func (m *Manager) Stats() Stats {
 		MNodesCreated:  m.mNodesCreated,
 		VNodesRecycled: m.vPool.recycled,
 		MNodesRecycled: m.mPool.recycled,
-		Add:            m.addStats,
-		MAdd:           m.maddStats,
-		Mul:            m.mulStats,
-		MM:             m.mmStats,
-		IP:             m.ipStats,
+		Add:            m.add.stats,
+		MAdd:           m.madd.stats,
+		Mul:            m.mul.stats,
+		MM:             m.mm.stats,
+		IP:             m.ip.stats,
 		Cleanups:       m.cleanups,
 		LevelSwaps:     m.levelSwaps,
 		ComplexValues:  m.CN.Size(),
@@ -217,12 +205,12 @@ func (m *Manager) Stats() Stats {
 type PoolStats struct {
 	// Live is the number of nodes currently interned in the unique tables.
 	Live int
-	// Free is the number of swept nodes waiting on the free lists.
+	// Free is the number of swept nodes waiting on the free stacks.
 	Free int
 	// Capacity is the number of pool slots ever handed out from chunks.
 	// Every slot is interned on allocation, so Capacity == Live + Free.
 	Capacity int
-	// Recycled counts node creations served from the free lists.
+	// Recycled counts node creations served from the free stacks.
 	Recycled uint64
 }
 
@@ -230,7 +218,7 @@ type PoolStats struct {
 func (m *Manager) Pool() PoolStats {
 	return PoolStats{
 		Live:     m.vLiveCount() + m.mLiveCount(),
-		Free:     m.vPool.freeCount + m.mPool.freeCount,
+		Free:     len(m.vPool.free) + len(m.mPool.free),
 		Capacity: m.vPool.allocated + m.mPool.allocated,
 		Recycled: m.vPool.recycled + m.mPool.recycled,
 	}

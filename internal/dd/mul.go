@@ -29,7 +29,9 @@ func (m *Manager) mulVecNodes(mn *MNode, vn *VNode) VEdge {
 	if int(mn.Var)+1 < len(m.idChain) && m.idChain[mn.Var+1].N == mn {
 		return VEdge{W: m.CN.One, N: vn}
 	}
-	if res, ok := m.mulLookup(mn, vn); ok {
+	k := mulKey{mn, vn}
+	h := k.hash()
+	if res, ok := m.mul.lookup(k, h); ok {
 		return res
 	}
 	var children [2]VEdge
@@ -39,7 +41,7 @@ func (m *Manager) mulVecNodes(mn *MNode, vn *VNode) VEdge {
 		children[r] = m.Add(p0, p1)
 	}
 	res := m.MakeVNode(mn.Var, children[0], children[1])
-	m.mulStore(mn, vn, res)
+	m.mul.store(k, h, res)
 	return res
 }
 
@@ -64,7 +66,9 @@ func (m *Manager) mulMatNodes(an, bn *MNode) MEdge {
 	if an.Var != bn.Var {
 		panic("dd: MulMat level mismatch")
 	}
-	if res, ok := m.mmLookup(an, bn); ok {
+	k := mmKey{an, bn}
+	h := k.hash()
+	if res, ok := m.mm.lookup(k, h); ok {
 		return res
 	}
 	var children [4]MEdge
@@ -77,6 +81,6 @@ func (m *Manager) mulMatNodes(an, bn *MNode) MEdge {
 		}
 	}
 	res := m.MakeMNode(an.Var, children)
-	m.mmStore(an, bn, res)
+	m.mm.store(k, h, res)
 	return res
 }

@@ -10,7 +10,7 @@ const TerminalVar int32 = -1
 type VNode struct {
 	id   uint64
 	hash uint64 // unique-table hash of (child weights, child ids)
-	next *VNode // unique-table bucket chain / pool free list
+	next *VNode // unique-table bucket chain
 	gen  uint32 // GC mark stamp (== Manager.gcGen when live at last sweep)
 	Var  int32  // qubit index; TerminalVar for the terminal
 	E    [2]VEdge

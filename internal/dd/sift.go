@@ -32,14 +32,14 @@ type SiftReport struct {
 // minimizing the combined node count, then the next candidate is sifted
 // under the updated order. The pass finishes with a Cleanup rooted at the
 // rewritten roots (plus cfg.KeepMatrices), returning every transient node
-// built while exploring positions to the pool free lists and invalidating
+// built while exploring positions to the pool free stacks and invalidating
 // the compute caches.
 //
 // The rewritten roots are returned in order; as with Cleanup, edges not
 // listed in roots become invalid. The pass is deterministic: candidate
 // order, tie-breaking, and the swap rewrites depend only on the DD contents.
 func (m *Manager) Sift(n int, roots []VEdge, cfg SiftConfig) ([]VEdge, SiftReport) {
-	rep := SiftReport{SizeBefore: countRootNodes(roots)}
+	rep := SiftReport{SizeBefore: m.countRootNodes(roots)}
 	rep.SizeAfter = rep.SizeBefore
 	if n < 2 {
 		return roots, rep
@@ -88,14 +88,14 @@ func (m *Manager) Sift(n int, roots []VEdge, cfg SiftConfig) ([]VEdge, SiftRepor
 		// Down to the bottom…
 		for l := start; l > 0; l-- {
 			swap(l - 1)
-			if s := countRootNodes(roots); s < best {
+			if s := m.countRootNodes(roots); s < best {
 				best, bestPos = s, l-1
 			}
 		}
 		// …up to the top…
 		for l := 0; l < n-1; l++ {
 			swap(l)
-			if s := countRootNodes(roots); s < best {
+			if s := m.countRootNodes(roots); s < best {
 				best, bestPos = s, l+1
 			}
 		}

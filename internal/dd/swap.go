@@ -11,7 +11,7 @@ import "fmt"
 //
 // The rebuilt nodes go through the unique tables like any other creation;
 // the displaced originals stay interned (and structurally valid) until the
-// next Cleanup sweeps them onto the pool free lists. Compute-cache entries
+// next Cleanup sweeps them onto the pool free stacks. Compute-cache entries
 // key on node identity and stay sound, but operation DDs built under the old
 // order are semantically stale for the new one — callers owning gate caches
 // must drop them (the simulation session does, and Sift finishes with a
@@ -84,26 +84,4 @@ func (m *Manager) SwapAdjacentLevels(l int, roots []VEdge) []VEdge {
 	m.swapOrderLevels(l)
 	m.levelSwaps++
 	return out
-}
-
-// countRootNodes returns the number of distinct non-terminal nodes reachable
-// from any of the roots (the combined DD size sifting minimizes).
-func countRootNodes(roots []VEdge) int {
-	seen := make(map[*VNode]struct{})
-	var walk func(n *VNode)
-	walk = func(n *VNode) {
-		if n == nil || n.IsTerminal() {
-			return
-		}
-		if _, ok := seen[n]; ok {
-			return
-		}
-		seen[n] = struct{}{}
-		walk(n.E[0].N)
-		walk(n.E[1].N)
-	}
-	for _, r := range roots {
-		walk(r.N)
-	}
-	return len(seen)
 }

@@ -188,26 +188,25 @@ next:
 	return n
 }
 
-// vNodePool hands out VNodes from chunked arrays, recycling swept nodes
-// through a free list threaded on the node next pointer.
-type vNodePool struct {
-	cur       []VNode
+// nodePool hands out nodes from chunked arrays, recycling swept nodes
+// through a LIFO free stack (the last node swept is the first reused).
+type nodePool[T any] struct {
+	cur       []T
 	next      int
-	free      *VNode
+	free      []*T
 	allocated int    // nodes ever handed to a chunk slot
-	freeCount int    // current free-list length
-	recycled  uint64 // nodes served from the free list
+	recycled  uint64 // nodes served from the free stack
 }
 
-func (p *vNodePool) alloc() *VNode {
-	if n := p.free; n != nil {
-		p.free = n.next
-		p.freeCount--
+func (p *nodePool[T]) alloc() *T {
+	if k := len(p.free) - 1; k >= 0 {
+		n := p.free[k]
+		p.free = p.free[:k]
 		p.recycled++
 		return n
 	}
 	if p.next == len(p.cur) {
-		p.cur = make([]VNode, poolChunk)
+		p.cur = make([]T, poolChunk)
 		p.next = 0
 	}
 	n := &p.cur[p.next]
@@ -216,45 +215,11 @@ func (p *vNodePool) alloc() *VNode {
 	return n
 }
 
-// release puts a swept node on the free list. Child edges are cleared so a
-// pooled node does not pin other nodes' chunks or interned weights beyond
-// the table's own retention.
-func (p *vNodePool) release(n *VNode) {
-	n.E = [2]VEdge{}
-	n.next = p.free
-	p.free = n
-	p.freeCount++
-}
-
-type mNodePool struct {
-	cur       []MNode
-	next      int
-	free      *MNode
-	allocated int
-	freeCount int
-	recycled  uint64
-}
-
-func (p *mNodePool) alloc() *MNode {
-	if n := p.free; n != nil {
-		p.free = n.next
-		p.freeCount--
-		p.recycled++
-		return n
-	}
-	if p.next == len(p.cur) {
-		p.cur = make([]MNode, poolChunk)
-		p.next = 0
-	}
-	n := &p.cur[p.next]
-	p.next++
-	p.allocated++
-	return n
-}
-
-func (p *mNodePool) release(n *MNode) {
-	n.E = [4]MEdge{}
-	n.next = p.free
-	p.free = n
-	p.freeCount++
+// release zeroes a swept node and pushes it on the free stack. Zeroing
+// clears its child edges, so a pooled node does not pin other nodes' chunks
+// or interned weights beyond the table's own retention.
+func (p *nodePool[T]) release(n *T) {
+	var zero T
+	*n = zero
+	p.free = append(p.free, n)
 }

@@ -83,11 +83,6 @@ type Config struct {
 	// this, the oldest are evicted and streams report the gap; 0 selects
 	// 1024, the minimum is 16. The buffer never blocks the simulation.
 	EventBufferSize int
-	// BaseSeed participates in derived measurement seeds only through
-	// jobs submitted with an explicit seed of 0 — those derive from the
-	// content hash instead, so this is reserved and currently unused
-	// except as the pool's base seed for defense in depth.
-	BaseSeed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -167,7 +162,6 @@ func New(cfg Config) *Server {
 		pool: batch.NewPool(batch.PoolOptions{
 			Workers:    cfg.Workers,
 			QueueDepth: cfg.QueueDepth,
-			BaseSeed:   cfg.BaseSeed,
 		}),
 		cache:    newResultCache(cfg.CacheEntries),
 		jobs:     make(map[string]*jobState),

@@ -368,7 +368,7 @@ func (ses *Session) Finish() (*Result, error) {
 }
 
 // Abort ends the session early and returns its pooled nodes: every node not
-// reachable from Options.KeepAlive goes back to the manager's free lists
+// reachable from Options.KeepAlive goes back to the manager's free stacks
 // (states from this session, including the one State returned, become
 // invalid). Subsequent calls on the session return ErrSessionAborted.
 // Aborting a finished or already-failed session is a no-op.

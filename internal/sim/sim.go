@@ -208,7 +208,7 @@ type Simulator struct {
 func New() *Simulator { return &Simulator{M: dd.New()} }
 
 // Recycle sweeps the manager's node pools with no roots, returning every
-// node built by previous runs to the free lists for reuse. Edges from
+// node built by previous runs to the free stacks for reuse. Edges from
 // earlier Results (including Result.Final) become invalid.
 func (s *Simulator) Recycle() { s.M.Cleanup(nil, nil) }
 
