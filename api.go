@@ -191,8 +191,8 @@ type (
 	BatchOptions = batch.Options
 	// BatchResult aggregates a finished batch.
 	BatchResult = batch.Result
-	// BatchObserver receives batch-lifecycle events (per-job start/done,
-	// per-worker summaries) on the worker goroutines.
+	// BatchObserver receives batch-lifecycle events (per-job start/done)
+	// on the worker goroutines.
 	BatchObserver = batch.Observer
 	// BatchWorkerStats aggregates one worker's jobs and busy time
 	// (BatchResult.PerWorker, pool state snapshots).

@@ -39,16 +39,18 @@ type Job struct {
 	// be shared between jobs unless they synchronize internally. The
 	// simulation service uses this to feed per-job event streams.
 	Observer core.Observer
-	// Timeout bounds this job's simulation; it takes precedence over
-	// Options.JobTimeout. Zero means no per-job override. An explicit
-	// Options.Deadline wins over both.
+	// Timeout bounds this job's simulation from the moment it starts. Run
+	// replaces a value ≤ 0 with its Options.JobTimeout; zero means no
+	// limit. An explicit Options.Deadline wins over both.
 	Timeout time.Duration
-	// Finalize, when non-nil, runs on the worker goroutine immediately
-	// after the simulation finishes (on success and on failure alike).
-	// It is the only place to post-process the final state: r.Result.Manager,
-	// Final and Density (when r.Result is non-nil) are valid for sampling or
-	// fidelity computations here, and the engine clears them as soon as
-	// Finalize returns, so a retained result never pins its DD manager.
+	// Finalize, when non-nil, runs exactly once per job on a worker
+	// goroutine: immediately after the simulation finishes (on success and
+	// on failure alike), or, for a job canceled before it started, with
+	// the never-started result. It is the only place to post-process the
+	// final state: r.Result.Manager, Final and Density (when r.Result is
+	// non-nil) are valid for sampling or fidelity computations here, and
+	// the engine clears them as soon as Finalize returns, so a retained
+	// result never pins its DD manager.
 	// Mutations to r are reflected in the reported JobResult.
 	Finalize func(r *JobResult)
 }
@@ -59,7 +61,9 @@ type JobResult struct {
 	Index int
 	// Name echoes Job.Name.
 	Name string
-	// Worker is the worker that ran the job, -1 if it was never started.
+	// Worker is the worker that ran the job, or -1 for a job whose context
+	// was done before it started (its Elapsed is zero and its Err is the
+	// cancellation cause).
 	Worker int
 	// Seed is the measurement seed the run actually used.
 	Seed int64
@@ -121,20 +125,22 @@ type Options struct {
 	// JobTimeout bounds every job's simulation (Job.Timeout overrides it
 	// per job). Zero means no limit.
 	JobTimeout time.Duration
-	// Observer, when non-nil, receives batch-lifecycle events: per-job
-	// start/done on the job's worker, and one WorkerStats summary per
-	// worker. See Observer for the concurrency contract.
+	// Observer, when non-nil, receives the start and end of every job that
+	// runs, on the job's worker. See Observer for the concurrency contract.
 	Observer Observer
 	// Progress, when non-nil, is called after each job finishes with the
 	// number of finished jobs, the total, and that job's result. Calls are
-	// serialized; done reaches total unless the batch is canceled.
+	// serialized; done reaches total unless jobs are canceled before they
+	// start.
 	Progress func(done, total int, r JobResult)
 }
 
-// Run executes the jobs on a worker pool and returns the aggregated result.
-// Per-job failures are reported in Result.Jobs, not as a Run error; the
-// returned error is non-nil only when ctx was canceled, in which case the
-// partial Result is still returned (unstarted jobs carry the cancellation
+// Run executes a closed batch: it resolves each job's timeout and seed,
+// submits every job to a pool whose queue holds the whole batch, closes the
+// pool and returns the aggregated result, jobs in index order. Per-job
+// failures are reported in Result.Jobs, not as a Run error; the returned
+// error is non-nil only when ctx was canceled, in which case the partial
+// Result is still returned (jobs that never started carry the cancellation
 // cause as their Err).
 func Run(ctx context.Context, jobs []Job, opts Options) (*Result, error) {
 	if ctx == nil {
@@ -145,9 +151,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers = min(workers, len(jobs))
 	res := &Result{
 		Jobs:      make([]JobResult, len(jobs)),
 		Workers:   workers,
@@ -157,69 +161,35 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Result, error) {
 		return res, nil
 	}
 
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex // serializes the done counter and Progress calls
-		done int
-	)
-	report := func(jr JobResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if opts.Progress != nil {
+	var progress func(JobResult)
+	if opts.Progress != nil {
+		var mu sync.Mutex // serializes the done counter and Progress calls
+		done := 0
+		progress = func(jr JobResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			done++
 			opts.Progress(done, len(jobs), jr)
 		}
 	}
-
-	idxCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			ws := &res.PerWorker[worker] // workers only touch their own entry
-			for idx := range idxCh {
-				if opts.Observer != nil {
-					opts.Observer.OnJobStart(worker, idx, jobs[idx].Name)
-				}
-				jr := runJob(ctx, worker, idx, jobs[idx], opts)
-				finalize(&jr, jobs[idx].Finalize)
-				res.Jobs[idx] = jr // each index is written exactly once
-				ws.Jobs++
-				ws.Busy += jr.Elapsed
-				if opts.Observer != nil {
-					opts.Observer.OnJobDone(worker, jr)
-				}
-				report(jr)
-			}
-			if opts.Observer != nil {
-				opts.Observer.OnWorkerDone(worker, *ws)
-			}
-		}(w)
-	}
-
-	// Dispatch in index order; on cancellation, mark the undispatched tail
-	// (no worker ever observes those indices, so the writes are safe).
-	next := len(jobs)
-dispatch:
-	for i := range jobs {
-		select {
-		case idxCh <- i:
-		case <-ctx.Done():
-			next = i
-			break dispatch
+	p := newPool(ctx, workers, len(jobs), opts.Observer, progress)
+	handles := make([]*Handle, len(jobs))
+	for i, job := range jobs {
+		if job.Timeout <= 0 {
+			job.Timeout = opts.JobTimeout
 		}
-	}
-	close(idxCh)
-	wg.Wait()
-	for i := next; i < len(jobs); i++ {
-		res.Jobs[i] = JobResult{
-			Index: i, Name: jobs[i].Name, Worker: -1, Err: context.Cause(ctx),
+		if job.Options.MeasurementSeed == 0 {
+			job.Options.MeasurementSeed = Seed(opts.BaseSeed, i)
 		}
+		// Cannot fail: the pool is open and its queue holds the whole batch.
+		handles[i], _ = p.Submit(job)
 	}
+	p.Close()
 
 	cause := context.Cause(ctx)
-	for i := range res.Jobs {
-		jr := &res.Jobs[i]
+	for i, h := range handles {
+		jr := h.res
+		res.Jobs[i] = jr
 		res.CPUTime += jr.Elapsed
 		switch {
 		case jr.Err == nil:
@@ -230,18 +200,18 @@ dispatch:
 			res.Failed++
 		}
 	}
+	for w := range res.PerWorker {
+		res.PerWorker[w] = p.workerStats(w)
+	}
 	res.WallTime = time.Since(start)
 	return res, cause
 }
 
-// runJob executes one job on a fresh simulator. The caller passes the
+// runJob executes one started job on a fresh simulator. Its timeout and
+// measurement seed are already resolved on the job; the caller passes the
 // outcome through finalize.
-func runJob(ctx context.Context, worker, idx int, job Job, opts Options) JobResult {
+func runJob(ctx context.Context, worker, idx int, job Job) JobResult {
 	jr := JobResult{Index: idx, Name: job.Name, Worker: worker}
-	if err := context.Cause(ctx); err != nil {
-		jr.Err = err
-		return jr
-	}
 	if job.Circuit == nil {
 		jr.Err = fmt.Errorf("batch: job %d (%s): nil circuit", idx, job.Name)
 		return jr
@@ -250,18 +220,9 @@ func runJob(ctx context.Context, worker, idx int, job Job, opts Options) JobResu
 	if o.Context == nil {
 		o.Context = ctx
 	}
-	if o.MeasurementSeed == 0 {
-		o.MeasurementSeed = Seed(opts.BaseSeed, idx)
-	}
 	jr.Seed = o.MeasurementSeed
-	if o.Deadline.IsZero() {
-		timeout := job.Timeout
-		if timeout <= 0 {
-			timeout = opts.JobTimeout
-		}
-		if timeout > 0 {
-			o.Deadline = time.Now().Add(timeout)
-		}
+	if o.Deadline.IsZero() && job.Timeout > 0 {
+		o.Deadline = time.Now().Add(job.Timeout)
 	}
 	if job.NewStrategy != nil {
 		o.Strategy = job.NewStrategy()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,12 +88,11 @@ func TestBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// batchRecorder tallies Observer events across workers.
+// batchRecorder tallies Observer events per worker.
 type batchRecorder struct {
-	mu      sync.Mutex
-	starts  int
-	dones   int
-	workers map[int]WorkerStats
+	mu     sync.Mutex
+	starts int
+	done   map[int]WorkerStats
 }
 
 func (r *batchRecorder) OnJobStart(worker, index int, name string) {
@@ -103,16 +103,13 @@ func (r *batchRecorder) OnJobStart(worker, index int, name string) {
 
 func (r *batchRecorder) OnJobDone(worker int, jr JobResult) {
 	r.mu.Lock()
-	r.dones++
-	r.mu.Unlock()
-}
-
-func (r *batchRecorder) OnWorkerDone(worker int, ws WorkerStats) {
-	r.mu.Lock()
-	if r.workers == nil {
-		r.workers = make(map[int]WorkerStats)
+	if r.done == nil {
+		r.done = make(map[int]WorkerStats)
 	}
-	r.workers[worker] = ws
+	ws := r.done[worker]
+	ws.Jobs++
+	ws.Busy += jr.Elapsed
+	r.done[worker] = ws
 	r.mu.Unlock()
 }
 
@@ -124,19 +121,16 @@ func TestBatchObserverAndPerWorkerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.starts != 10 || rec.dones != 10 {
-		t.Errorf("observer saw %d starts / %d dones, want 10/10", rec.starts, rec.dones)
-	}
-	if len(rec.workers) != 2 {
-		t.Fatalf("OnWorkerDone fired for %d workers, want 2", len(rec.workers))
+	if rec.starts != 10 {
+		t.Errorf("observer saw %d starts, want 10", rec.starts)
 	}
 	if len(res.PerWorker) != 2 {
 		t.Fatalf("PerWorker has %d entries, want 2", len(res.PerWorker))
 	}
 	jobs, busy := 0, time.Duration(0)
 	for w, ws := range res.PerWorker {
-		if ws != rec.workers[w] {
-			t.Errorf("worker %d: result stats %+v != observer stats %+v", w, ws, rec.workers[w])
+		if ws != rec.done[w] {
+			t.Errorf("worker %d: result stats %+v != OnJobDone tally %+v", w, ws, rec.done[w])
 		}
 		jobs += ws.Jobs
 		busy += ws.Busy
@@ -147,6 +141,88 @@ func TestBatchObserverAndPerWorkerStats(t *testing.T) {
 	if busy != res.CPUTime {
 		t.Errorf("per-worker busy sums to %v, CPUTime is %v", busy, res.CPUTime)
 	}
+}
+
+// checkNeverStarted asserts the contract of a job that never ran: no
+// worker, no elapsed time, the cancellation cause as its error.
+func checkNeverStarted(t *testing.T, jr JobResult, cause error) {
+	t.Helper()
+	if jr.Worker != -1 || jr.Elapsed != 0 || jr.Err != cause {
+		t.Errorf("never-started job %d: worker %d, elapsed %v, err %v; want -1, 0, %v",
+			jr.Index, jr.Worker, jr.Elapsed, jr.Err, cause)
+	}
+}
+
+// TestNeverStartedJobContract: a job whose context is done before it runs
+// reports the same outcome in a closed batch and in a pool, and its
+// Finalize runs exactly once.
+func TestNeverStartedJobContract(t *testing.T) {
+	t.Run("Run", func(t *testing.T) {
+		const n = 24
+		ctx, cancel := context.WithCancelCause(context.Background())
+		defer cancel(nil)
+		cause := errors.New("batch abandoned")
+		jobs := approxJobs(n)
+		ran := make([]atomic.Int32, n)
+		finalized := make([]atomic.Int32, n)
+		for i := range jobs {
+			newStrategy := jobs[i].NewStrategy
+			jobs[i].NewStrategy = func() core.Strategy {
+				ran[i].Add(1) // only a job that runs builds its strategy
+				return newStrategy()
+			}
+			jobs[i].Finalize = func(*JobResult) { finalized[i].Add(1) }
+		}
+		res, err := Run(ctx, jobs, Options{
+			Workers:  2,
+			Progress: func(int, int, JobResult) { cancel(cause) },
+		})
+		if err != cause {
+			t.Fatalf("Run error = %v, want %v", err, cause)
+		}
+		never := 0
+		for i, jr := range res.Jobs {
+			if got := finalized[i].Load(); got != 1 {
+				t.Errorf("job %d: Finalize ran %d times, want 1", i, got)
+			}
+			if ran[i].Load() == 0 {
+				never++
+				checkNeverStarted(t, jr, cause)
+			}
+		}
+		if never == 0 {
+			t.Fatal("every job ran; the batch was not canceled mid-way")
+		}
+	})
+	t.Run("Pool", func(t *testing.T) {
+		p := NewPool(PoolOptions{Workers: 1, QueueDepth: 1})
+		h1, err := p.Submit(Job{Name: "slow", Circuit: gen.RandomCliffordT(14, 100000, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !h1.Started() {
+			time.Sleep(time.Millisecond)
+		}
+		var finalized atomic.Int32
+		job := poolJob(2)
+		job.Finalize = func(*JobResult) { finalized.Add(1) }
+		h2, err := p.Submit(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cause := errors.New("not needed anymore")
+		h2.Cancel(cause)
+		h1.Cancel(nil)
+		p.Close()
+		jr, _ := h2.Result()
+		checkNeverStarted(t, jr, cause)
+		if h2.Started() {
+			t.Error("a job canceled in the queue reports Started")
+		}
+		if got := finalized.Load(); got != 1 {
+			t.Errorf("Finalize ran %d times, want 1", got)
+		}
+	})
 }
 
 // TestTypedSentinels pins the errors.Is contract of the pool's typed errors,

@@ -2,19 +2,18 @@ package batch
 
 import "time"
 
-// Observer receives batch-lifecycle events. Methods are invoked on worker
-// goroutines (concurrently across workers, sequentially within one worker);
-// implementations that aggregate across workers must synchronize internally.
-// It complements core.Observer, which streams one simulation's internals.
+// Observer receives the batch lifecycle of every job that runs; a job
+// canceled before it starts fires neither method. Methods are invoked on
+// worker goroutines (concurrently across workers, sequentially within one
+// worker); implementations that aggregate across workers must synchronize
+// internally. It complements core.Observer, which streams one simulation's
+// internals.
 type Observer interface {
 	// OnJobStart fires on the job's worker just before the simulation runs.
 	OnJobStart(worker, index int, name string)
 	// OnJobDone fires on the job's worker after the job (and its Finalize)
 	// finished.
 	OnJobDone(worker int, r JobResult)
-	// OnWorkerDone fires once per worker after its last job, with the
-	// worker's aggregate statistics.
-	OnWorkerDone(worker int, ws WorkerStats)
 }
 
 // WorkerStats aggregates one worker's activity over a batch (Result.PerWorker)

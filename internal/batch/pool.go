@@ -35,28 +35,23 @@ type PoolOptions struct {
 	// with ErrQueueFull instead of blocking, so callers (e.g. an HTTP
 	// service) can shed load.
 	QueueDepth int
-	// JobTimeout bounds every job's simulation unless the job carries its
-	// own Timeout. Zero means no limit.
-	JobTimeout time.Duration
 }
 
-// Pool is the open-ended counterpart of Run: instead of executing one closed
-// batch, it accepts jobs one at a time and returns a Handle per job, so
-// long-lived callers (the simulation service in internal/serve) can submit,
-// poll, and cancel independent simulations against a fixed worker pool.
+// Pool is the batch engine: a fixed set of worker goroutines draining a
+// bounded queue. It accepts jobs one at a time and returns a Handle per job,
+// so long-lived callers (the simulation service in internal/serve) can
+// submit, poll, and cancel independent simulations; Run is a pool whose
+// queue holds its whole batch.
 //
-// The determinism contract matches Run: a job's outcome depends only on its
-// circuit, its options, and its submission index (a job whose Options leave
-// MeasurementSeed zero runs with Seed(0, index)) — never on which worker
-// runs it. As in Run, every
-// job gets a fresh manager that its Handle stops referencing once
-// Job.Finalize returns.
+// A job's outcome depends only on its circuit, its options, and its
+// submission index (a job whose Options leave MeasurementSeed zero runs with
+// Seed(0, index)) — never on which worker runs it. Every job gets a fresh
+// manager that its Handle stops referencing once Job.Finalize returns.
 type Pool struct {
-	opts    PoolOptions
 	workers int
 	depth   int
 
-	ctx    context.Context // parent of every job context; canceled by CancelAll
+	ctx    context.Context // parent of every job context; canceled by CancelAll or Close
 	cancel context.CancelCauseFunc
 
 	queue chan *Handle
@@ -74,6 +69,11 @@ type Pool struct {
 	submitted atomic.Int64
 
 	perWorker []workerCounters
+
+	// observer and progress are Run's batch callbacks, nil for NewPool.
+	// Both fire only for jobs that ran.
+	observer Observer
+	progress func(JobResult)
 }
 
 // workerCounters holds one worker's lifetime statistics, padded to a cache
@@ -108,9 +108,14 @@ func NewPool(opts PoolOptions) *Pool {
 	if depth <= 0 {
 		depth = 4 * workers
 	}
-	ctx, cancel := context.WithCancelCause(context.Background())
+	return newPool(context.Background(), workers, depth, nil, nil)
+}
+
+// newPool starts workers goroutines on a queue of the given depth. Every
+// job context derives from ctx; observer and progress may be nil.
+func newPool(ctx context.Context, workers, depth int, observer Observer, progress func(JobResult)) *Pool {
+	ctx, cancel := context.WithCancelCause(ctx)
 	p := &Pool{
-		opts:      opts,
 		workers:   workers,
 		depth:     depth,
 		ctx:       ctx,
@@ -118,6 +123,8 @@ func NewPool(opts PoolOptions) *Pool {
 		queue:     make(chan *Handle, depth),
 		start:     time.Now(),
 		perWorker: make([]workerCounters, workers),
+		observer:  observer,
+		progress:  progress,
 	}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
@@ -126,24 +133,40 @@ func NewPool(opts PoolOptions) *Pool {
 	return p
 }
 
+// worker is the engine's one job loop.
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
 	wc := &p.perWorker[id]
-	opts := Options{JobTimeout: p.opts.JobTimeout}
 	for h := range p.queue {
 		p.queued.Add(-1)
-		h.started.Store(true)
-		p.running.Add(1)
-		jr := runJob(h.ctx, id, h.index, h.job, opts)
-		// Count the job before Finalize runs: a Finalize hook may publish
-		// the outcome (the simulation service marks the job done there),
-		// and a caller that sees it must find the job in State too.
-		wc.jobs.Add(1)
-		wc.busyNanos.Add(int64(jr.Elapsed))
-		p.running.Add(-1)
+		// A job whose context is done before it starts never runs; it
+		// still reaches Finalize, with Worker -1 and the cause as Err.
+		jr := JobResult{Index: h.index, Name: h.job.Name, Worker: -1, Err: context.Cause(h.ctx)}
+		ran := jr.Err == nil
+		if ran {
+			h.started.Store(true)
+			p.running.Add(1)
+			if p.observer != nil {
+				p.observer.OnJobStart(id, h.index, h.job.Name)
+			}
+			jr = runJob(h.ctx, id, h.index, h.job)
+			// Count the job before Finalize runs: a Finalize hook may
+			// publish the outcome (the simulation service marks the job
+			// done there), and a caller that sees it must find the job in
+			// State too.
+			wc.jobs.Add(1)
+			wc.busyNanos.Add(int64(jr.Elapsed))
+			p.running.Add(-1)
+		}
 		p.finished.Add(1)
 		finalize(&jr, h.job.Finalize)
 		h.res = jr
+		if ran && p.observer != nil {
+			p.observer.OnJobDone(id, jr)
+		}
+		if ran && p.progress != nil {
+			p.progress(jr)
+		}
 		// Release the job context: this detaches it from the pool context's
 		// children (it would otherwise stay registered — and leak — for the
 		// pool's lifetime). The job is over, so the cause is never observed.
@@ -154,13 +177,16 @@ func (p *Pool) worker(id int) {
 
 // Submit enqueues one job and returns its handle without blocking. It fails
 // with ErrQueueFull when the bounded queue is full and ErrShutdown after
-// Close/Shutdown. The job's measurement seed derives from the submission
-// index exactly as in a closed batch with BaseSeed 0: Seed(0, index).
+// Close/Shutdown. A zero measurement seed derives from the submission index
+// exactly as in a closed batch with BaseSeed 0: Seed(0, index).
 func (p *Pool) Submit(job Job) (*Handle, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, ErrShutdown
+	}
+	if job.Options.MeasurementSeed == 0 {
+		job.Options.MeasurementSeed = Seed(0, p.next)
 	}
 	ctx, cancel := context.WithCancelCause(p.ctx)
 	h := &Handle{
@@ -183,7 +209,8 @@ func (p *Pool) Submit(job Job) (*Handle, error) {
 }
 
 // Close stops accepting new jobs, drains the queue, and waits for in-flight
-// jobs to finish. It is safe to call more than once.
+// jobs to finish. It then releases the pool context. It is safe to call
+// more than once.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if !p.closed {
@@ -192,6 +219,7 @@ func (p *Pool) Close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
+	p.cancel(ErrShutdown)
 }
 
 // CancelAll cancels every queued and in-flight job with the given cause
@@ -269,24 +297,28 @@ func (p *Pool) State() PoolState {
 		Uptime:     uptime,
 		PerWorker:  make([]PoolWorkerState, p.workers),
 	}
-	for i := range p.perWorker {
-		wc := &p.perWorker[i]
-		busy := time.Duration(wc.busyNanos.Load())
-		st.PerWorker[i] = PoolWorkerState{
-			WorkerStats: WorkerStats{Jobs: int(wc.jobs.Load()), Busy: busy},
-		}
+	for i := range st.PerWorker {
+		ws := p.workerStats(i)
+		st.PerWorker[i] = PoolWorkerState{WorkerStats: ws}
 		if uptime > 0 {
-			st.PerWorker[i].Utilization = float64(busy) / float64(uptime)
+			st.PerWorker[i].Utilization = float64(ws.Busy) / float64(uptime)
 		}
 	}
 	return st
 }
 
+// workerStats reads one worker's lifetime counters.
+func (p *Pool) workerStats(w int) WorkerStats {
+	wc := &p.perWorker[w]
+	return WorkerStats{Jobs: int(wc.jobs.Load()), Busy: time.Duration(wc.busyNanos.Load())}
+}
+
 // Index returns the job's submission index (the seed-derivation index).
 func (h *Handle) Index() int { return h.index }
 
-// Started reports whether a worker has picked the job up. It keeps reporting
-// true after the job finishes.
+// Started reports whether a worker has started running the job. It keeps
+// reporting true after the job finishes, and never does for a job canceled
+// before it started.
 func (h *Handle) Started() bool { return h.started.Load() }
 
 // Done returns a channel closed when the job has finished (in any state).
@@ -318,8 +350,9 @@ func (h *Handle) Wait(ctx context.Context) (JobResult, error) {
 }
 
 // Cancel aborts the job with the given cause (ErrCanceled when nil):
-// queued jobs fail without running, in-flight simulations stop between
-// gates. Canceling a finished job is a no-op.
+// queued jobs finish without running (Worker -1, the cause as Err),
+// in-flight simulations stop between gates. Canceling a finished job is a
+// no-op.
 func (h *Handle) Cancel(cause error) {
 	if cause == nil {
 		cause = ErrCanceled

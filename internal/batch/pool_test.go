@@ -129,9 +129,13 @@ func TestPoolCancelQueued(t *testing.T) {
 }
 
 func TestPoolJobTimeout(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 1, JobTimeout: 20 * time.Millisecond})
+	p := NewPool(PoolOptions{Workers: 1})
 	defer p.Close()
-	h, err := p.Submit(Job{Name: "slow", Circuit: gen.RandomCliffordT(14, 100000, 1)})
+	h, err := p.Submit(Job{
+		Name:    "slow",
+		Circuit: gen.RandomCliffordT(14, 100000, 1),
+		Timeout: 20 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,27 @@ func (g Gate) Matrix() ([4]complex128, error) {
 	return Matrix1Q(g.Name, g.Params)
 }
 
+// DD builds the gate's operation DD on n qubits in m: the controlled 2×2
+// matrix of a unitary, or the extended permutation of a permutation gate.
+func (g Gate) DD(m *dd.Manager, n int) (dd.MEdge, error) {
+	switch g.Kind {
+	case KindUnitary:
+		u, err := g.Matrix()
+		if err != nil {
+			return dd.MEdge{}, err
+		}
+		return m.MakeGateDD(n, u, g.Target, g.Controls...), nil
+	case KindPerm:
+		base, err := m.MakePermutationDD(g.Perm)
+		if err != nil {
+			return dd.MEdge{}, err
+		}
+		return m.ExtendMatrix(base, g.PermWidth, n, g.Controls...), nil
+	default:
+		return dd.MEdge{}, fmt.Errorf("circuit: unknown gate kind %d", g.Kind)
+	}
+}
+
 // String renders the gate compactly, e.g. "cx q1 -> q0" or "rz(0.5) q2".
 func (g Gate) String() string {
 	s := g.Name

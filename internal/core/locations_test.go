@@ -67,7 +67,7 @@ func TestFidelityDrivenExplicitLocations(t *testing.T) {
 func TestPlanRoundsNeedsASuccessorGate(t *testing.T) {
 	// A round runs after a gate and before the next one, so a 1-gate
 	// circuit has no location for it.
-	if got := PlanRounds(1, nil, 1, true); got != nil {
+	if got := PlanRounds(1, nil, 1); got != nil {
 		t.Errorf("PlanRounds on a 1-gate circuit = %v, want nil", got)
 	}
 	s := NewFidelityDriven(0.5, 0.9)

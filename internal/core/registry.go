@@ -87,13 +87,12 @@ type MemoryDrivenParams struct {
 }
 
 // FidelityDrivenParams are the JSON parameters of the builtin "fidelity"
-// strategy (Section IV-C). PreferEarlyBlocks flips the default late-block
-// placement; Locations overrides automatic placement entirely.
+// strategy (Section IV-C). Locations overrides the automatic late-block
+// placement.
 type FidelityDrivenParams struct {
-	FinalFidelity     float64 `json:"final_fidelity"`
-	RoundFidelity     float64 `json:"round_fidelity"`
-	PreferEarlyBlocks bool    `json:"prefer_early_blocks,omitempty"`
-	Locations         []int   `json:"locations,omitempty"`
+	FinalFidelity float64 `json:"final_fidelity"`
+	RoundFidelity float64 `json:"round_fidelity"`
+	Locations     []int   `json:"locations,omitempty"`
 }
 
 // ReplaceDrivenParams are the JSON parameters of the builtin "replace"
@@ -161,10 +160,9 @@ func init() {
 			return nil, err
 		}
 		return &FidelityDriven{
-			FinalFidelity:    p.FinalFidelity,
-			RoundFidelity:    p.RoundFidelity,
-			PreferLateBlocks: !p.PreferEarlyBlocks,
-			Locations:        p.Locations,
+			FinalFidelity: p.FinalFidelity,
+			RoundFidelity: p.RoundFidelity,
+			Locations:     p.Locations,
 		}, nil
 	}))
 }

@@ -98,9 +98,6 @@ func TestFidelityParamsPlacementControls(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd := s.(*FidelityDriven)
-	if !fd.PreferLateBlocks {
-		t.Error("late-block placement should be the default")
-	}
 	if err := fd.Init(20, nil); err != nil {
 		t.Fatal(err)
 	}

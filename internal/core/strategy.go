@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dd"
 )
@@ -116,10 +116,6 @@ type FidelityDriven struct {
 	FinalFidelity float64
 	// RoundFidelity is the per-round target f_round.
 	RoundFidelity float64
-	// PreferLateBlocks selects the last block boundaries (where, e.g.,
-	// Shor's inverse QFT lives) rather than the first ones. Default true in
-	// NewFidelityDriven.
-	PreferLateBlocks bool
 	// Locations, when non-empty, overrides automatic placement with
 	// explicit gate indices (the paper's "exploiting knowledge of the
 	// algorithm" mode: Shor places rounds across the inverse QFT). When
@@ -131,14 +127,9 @@ type FidelityDriven struct {
 	planned  []int
 }
 
-// NewFidelityDriven returns a fidelity-driven strategy with the paper's
-// placement preference (late blocks).
+// NewFidelityDriven returns a fidelity-driven strategy.
 func NewFidelityDriven(finalFidelity, roundFidelity float64) *FidelityDriven {
-	return &FidelityDriven{
-		FinalFidelity:    finalFidelity,
-		RoundFidelity:    roundFidelity,
-		PreferLateBlocks: true,
-	}
+	return &FidelityDriven{FinalFidelity: finalFidelity, RoundFidelity: roundFidelity}
 }
 
 // Name implements Strategy.
@@ -180,7 +171,7 @@ func (s *FidelityDriven) Init(totalGates int, blocks []int) error {
 	if len(s.Locations) > 0 {
 		s.planned = spreadLocations(s.Locations, totalGates, rounds)
 	} else {
-		s.planned = PlanRounds(totalGates, blocks, rounds, s.PreferLateBlocks)
+		s.planned = PlanRounds(totalGates, blocks, rounds)
 	}
 	s.schedule = make(map[int]bool, len(s.planned))
 	for _, idx := range s.planned {
@@ -196,15 +187,7 @@ func spreadLocations(locations []int, totalGates, rounds int) []int {
 	if rounds <= 0 {
 		return nil
 	}
-	seen := make(map[int]bool)
-	var cand []int
-	for _, l := range locations {
-		if l >= 0 && l < totalGates-1 && !seen[l] {
-			seen[l] = true
-			cand = append(cand, l)
-		}
-	}
-	sort.Ints(cand)
+	cand := roundCandidates(locations, totalGates)
 	if len(cand) <= rounds {
 		return cand
 	}
@@ -241,33 +224,32 @@ func (s *FidelityDriven) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VE
 	return ne, &Round{GateIndex: gateIdx, Report: rep}, nil
 }
 
+// roundCandidates filters gate indices to those a round can follow,
+// deduplicated and sorted. The last gate is dropped: nothing follows it.
+func roundCandidates(indices []int, totalGates int) []int {
+	var cand []int
+	for _, i := range indices {
+		if i >= 0 && i < totalGates-1 {
+			cand = append(cand, i)
+		}
+	}
+	slices.Sort(cand)
+	return slices.Compact(cand)
+}
+
 // PlanRounds chooses up to `rounds` gate indices at which to approximate.
 // Block boundaries are used when present (Section IV-C: "promising
-// candidates for such locations are between circuit blocks"); otherwise the
-// rounds are evenly spaced through the circuit. preferLate selects the last
-// boundaries, matching the paper's Shor setup where the approximation rounds
-// run during the inverse QFT at the end of the circuit.
-func PlanRounds(totalGates int, blocks []int, rounds int, preferLate bool) []int {
+// candidates for such locations are between circuit blocks"), the last ones
+// first, matching the paper's Shor setup where the approximation rounds run
+// during the inverse QFT at the end of the circuit; otherwise the rounds
+// are evenly spaced through the circuit.
+func PlanRounds(totalGates int, blocks []int, rounds int) []int {
 	if rounds <= 0 || totalGates < 2 {
 		return nil // a round needs a gate after it
 	}
-	// Filter boundaries to valid gate indices, deduplicate, sort. A
-	// boundary at the very last gate is pointless (nothing follows), so it
-	// is dropped.
-	seen := make(map[int]bool)
-	var cand []int
-	for _, b := range blocks {
-		if b >= 0 && b < totalGates-1 && !seen[b] {
-			seen[b] = true
-			cand = append(cand, b)
-		}
-	}
-	sort.Ints(cand)
+	cand := roundCandidates(blocks, totalGates)
 	if len(cand) >= rounds {
-		if preferLate {
-			return append([]int(nil), cand[len(cand)-rounds:]...)
-		}
-		return append([]int(nil), cand[:rounds]...)
+		return cand[len(cand)-rounds:]
 	}
 	if len(cand) > 0 {
 		return cand // fewer boundaries than rounds: use them all

@@ -157,23 +157,19 @@ func TestFidelityDrivenValidation(t *testing.T) {
 
 func TestPlanRoundsWithBlocks(t *testing.T) {
 	blocks := []int{9, 19, 29, 39, 49, 59, 69, 79}
-	got := PlanRounds(100, blocks, 3, true)
+	got := PlanRounds(100, blocks, 3)
 	if !reflect.DeepEqual(got, []int{59, 69, 79}) {
 		t.Errorf("late-block plan = %v", got)
 	}
-	got = PlanRounds(100, blocks, 3, false)
-	if !reflect.DeepEqual(got, []int{9, 19, 29}) {
-		t.Errorf("early-block plan = %v", got)
-	}
 	// Fewer boundaries than rounds: use all of them.
-	got = PlanRounds(100, []int{10, 20}, 5, true)
+	got = PlanRounds(100, []int{10, 20}, 5)
 	if !reflect.DeepEqual(got, []int{10, 20}) {
 		t.Errorf("all-blocks plan = %v", got)
 	}
 }
 
 func TestPlanRoundsEvenSpacing(t *testing.T) {
-	got := PlanRounds(100, nil, 4, true)
+	got := PlanRounds(100, nil, 4)
 	if len(got) != 4 {
 		t.Fatalf("plan = %v", got)
 	}
@@ -186,14 +182,14 @@ func TestPlanRoundsEvenSpacing(t *testing.T) {
 		}
 	}
 	// Boundary at the final gate is dropped (nothing follows it).
-	got = PlanRounds(10, []int{9}, 1, true)
+	got = PlanRounds(10, []int{9}, 1)
 	if len(got) != 1 || got[0] == 9 {
 		t.Errorf("final-gate boundary not handled: %v", got)
 	}
-	if PlanRounds(0, nil, 3, true) != nil {
+	if PlanRounds(0, nil, 3) != nil {
 		t.Error("plan for empty circuit not nil")
 	}
-	if PlanRounds(10, nil, 0, true) != nil {
+	if PlanRounds(10, nil, 0) != nil {
 		t.Error("plan for zero rounds not nil")
 	}
 }

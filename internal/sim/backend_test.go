@@ -161,7 +161,7 @@ func TestDensityCleanupKeepsRoots(t *testing.T) {
 	swept, err := New().Run(c, Options{
 		Backend:          BackendDensity,
 		Noise:            &noise,
-		CleanupHighWater: 64, // far below any real occupancy: sweep almost every gate
+		cleanupHighWater: 64, // far below any real occupancy: sweep almost every gate
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,8 @@
 // session checks that single context between gates. Mid-circuit measurement
 // and reset are deterministic per Options.MeasurementSeed. A Simulator owns
 // one dd.Manager whose node pools are swept on occupancy pressure during
-// the run (Options.CleanupHighWater) and recycled wholesale between runs by
+// the run (past 1<<17 live nodes, a threshold that adapts upward when a
+// sweep finds the pool mostly live) and recycled wholesale between runs by
 // Recycle; state edges that must survive a later run's sweeps are protected
 // with Options.KeepAlive.
 //

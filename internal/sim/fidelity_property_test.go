@@ -31,7 +31,7 @@ func TestReportedFidelityIsProductOfRounds(t *testing.T) {
 		},
 		"fidelity": {
 			`{"final_fidelity": 0.5, "round_fidelity": 0.9}`,
-			`{"final_fidelity": 0.8, "round_fidelity": 0.97, "prefer_early_blocks": true}`,
+			`{"final_fidelity": 0.8, "round_fidelity": 0.97}`,
 		},
 	}
 	wrappers := []string{`{"order": "scored"}`, `{"sift": true, "sift_threshold": 16}`}

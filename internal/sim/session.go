@@ -107,7 +107,7 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 	if obs == nil {
 		obs = core.NopObserver{}
 	}
-	highWater := opts.CleanupHighWater
+	highWater := opts.cleanupHighWater
 	if highWater <= 0 {
 		highWater = 1 << 17
 	}

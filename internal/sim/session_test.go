@@ -326,7 +326,7 @@ func TestObserverSeesEveryEvent(t *testing.T) {
 	s := New()
 	res, err := s.Run(c, Options{
 		Strategy:         &core.MemoryDriven{Threshold: 16, RoundFidelity: 0.98},
-		CleanupHighWater: 2000,
+		cleanupHighWater: 2000,
 		Observer:         obs,
 	})
 	if err != nil {

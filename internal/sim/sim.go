@@ -34,11 +34,12 @@ type Options struct {
 	// CollectSizeHistory records the DD size after every gate (costs memory
 	// but no extra time; sizes are computed anyway).
 	CollectSizeHistory bool
-	// CleanupHighWater is the live-node pool occupancy (across both node
+	// cleanupHighWater is the live-node pool occupancy (across both node
 	// kinds) that triggers a mark-sweep Cleanup, returning dead nodes to
-	// the manager's pools for recycling; 0 selects a sensible default. The
-	// threshold adapts upward when a sweep leaves the pool mostly live.
-	CleanupHighWater int
+	// the manager's pools for recycling; 0 selects 1<<17, and only this
+	// package's tests lower it to force sweeps. The threshold adapts
+	// upward when a sweep leaves the pool mostly live.
+	cleanupHighWater int
 	// Deadline aborts the run with ErrDeadlineExceeded once exceeded
 	// (checked between gates), mirroring the paper's 3 h timeout column.
 	// The zero value means no deadline.
@@ -246,25 +247,15 @@ func (s *Simulator) gateDD(g circuit.Gate, n int) (dd.MEdge, error) {
 		if e := s.gateDDs[slot]; e.N != nil {
 			return e, nil
 		}
-		u, err := g.Matrix()
-		if err != nil {
-			return dd.MEdge{}, err
-		}
-		e := s.M.MakeGateDD(n, u, g.Target, g.Controls...)
+		e, err := g.DD(s.M, n)
 		s.gateDDs[slot] = e
-		return e, nil
+		return e, err
 	case circuit.KindPerm:
 		if !s.M.OrderIsIdentity() {
 			return dd.MEdge{}, fmt.Errorf("permutation gates require the identity variable order")
 		}
-		base, err := s.M.MakePermutationDD(g.Perm)
-		if err != nil {
-			return dd.MEdge{}, err
-		}
-		return s.M.ExtendMatrix(base, g.PermWidth, n, g.Controls...), nil
-	default:
-		return dd.MEdge{}, fmt.Errorf("unknown gate kind %d", g.Kind)
 	}
+	return g.DD(s.M, n)
 }
 
 // appendGateSignature appends the gate's cache key to buf. Callers look the

@@ -228,7 +228,7 @@ func TestCleanupTriggers(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	c := randomCircuit(8, 200, rng)
 	s := New()
-	res, err := s.Run(c, Options{CleanupHighWater: 2000})
+	res, err := s.Run(c, Options{cleanupHighWater: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
