@@ -20,7 +20,13 @@ BENCH_CHECK_MIN_SCALING ?= 2.5
 # measured when the gate landed (PR 8); cover-check fails below this floor.
 COVER_FLOOR ?= 85.0
 
-.PHONY: all build test race bench bench-smoke bench-check bench-baseline examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check perfbench-check loc ci
+# Paired A/B benchmark runs (scripts/ab.sh): the working tree against REF.
+REF ?= HEAD
+WORKLOAD ?= paper
+PAIRS ?= 10
+TRACE ?= 0
+
+.PHONY: all build test race bench bench-smoke bench-check bench-baseline ab examples fmt fmt-check vet doc-lint atlas atlas-check simd-smoke cluster-smoke fuzz-smoke cover-check perfbench-check loc ci
 
 all: build
 
@@ -80,6 +86,13 @@ bench-check: bench-smoke
 bench-baseline: bench-smoke
 	cp BENCH_summary.json bench_baseline.json
 	@echo "bench-baseline: baseline refreshed; commit bench_baseline.json"
+
+## ab: alternate PAIRS perfbench runs of WORKLOAD (20 s windows, seed 1;
+## TRACE=1 compares the per-layer ledger) between REF, unpacked with git
+## archive, and the working tree, then print each metric's medians,
+## quartiles and the working tree's win count
+ab:
+	sh scripts/ab.sh $(REF) $(WORKLOAD) $(PAIRS) $(TRACE)
 
 ## examples: compile every example program (the CI gate keeping docs honest)
 examples:

@@ -283,7 +283,7 @@ func BenchmarkApproximationPrimitive(b *testing.B) {
 		b.Run(p.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Two collections drop the pooled round scratch, so every
-				// pass pays for its scratch maps: left to GC timing, whether
+				// pass pays for its scratch slices: left to GC timing, whether
 				// the pool kept them swung B/op by megabytes run to run.
 				b.StopTimer()
 				runtime.GC()

@@ -53,16 +53,15 @@ func ApproximateToFidelity(m *dd.Manager, e dd.VEdge, fround float64) (dd.VEdge,
 	// Greedily take nodes by ascending contribution while the total raw
 	// contribution stays within the budget. The root is never a candidate;
 	// ties break on node id for determinism.
-	cands := sc.sortedCandidates(e.N)
 	limit, total := 0, 0.0
-	for _, cand := range cands {
+	for cand, ok := sc.nextCandidate(); ok; cand, ok = sc.nextCandidate() {
 		if total+cand.c > budget+slack {
 			break
 		}
 		total += cand.c
 		limit++
 	}
-	ne, removed, mass := removeWithBackoff(m, e, sc, cands, limit)
+	ne, removed, mass := removeWithBackoff(m, e, sc, limit)
 	if removed == 0 {
 		return e, rep, nil
 	}

@@ -26,7 +26,7 @@ func TestPaperExample8Removal(t *testing.T) {
 		t.Fatal("did not find the q1 node with contribution 0.2")
 	}
 	edits := map[*dd.VNode]SubstituteKind{leftQ1: substituteDelete}
-	ne := rebuild(m, e, edits, make(map[*dd.VNode]dd.VEdge))
+	ne := rebuildWith(m, e, edits)
 	if f := m.Fidelity(e, ne); math.Abs(f-0.8) > 1e-12 {
 		t.Errorf("fidelity after removing 0.2-node = %v, want 0.8", f)
 	}

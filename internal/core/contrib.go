@@ -17,9 +17,11 @@ import (
 func Contributions(m *dd.Manager, e dd.VEdge) map[*dd.VNode]float64 {
 	sc := getScratch()
 	contributionsInto(m, e, sc)
-	contrib := make(map[*dd.VNode]float64, len(sc.contrib))
-	for n, c := range sc.contrib {
-		contrib[n] = c
+	contrib := make(map[*dd.VNode]float64, len(sc.nodes))
+	for i, n := range sc.nodes {
+		if sc.reached[i] {
+			contrib[n] = sc.contrib[i]
+		}
 	}
 	putScratch(sc)
 	return contrib
@@ -27,14 +29,15 @@ func Contributions(m *dd.Manager, e dd.VEdge) map[*dd.VNode]float64 {
 
 // LevelContributionSums returns, for each qubit level, the sum of the
 // contributions of the nodes on that level. By Definition 2 every entry is 1
-// for a normalized state (tested as an invariant).
+// for a normalized state (tested as an invariant). Each level sums in
+// ascending node-ID order, so repeated calls agree bit for bit.
 func LevelContributionSums(m *dd.Manager, e dd.VEdge, n int) []float64 {
 	sums := make([]float64, n)
 	sc := getScratch()
 	contributionsInto(m, e, sc)
-	for node, c := range sc.contrib {
+	for _, node := range sc.level {
 		if int(node.Var) < n {
-			sums[node.Var] += c
+			sums[node.Var] += sc.contrib[node.Ord()]
 		}
 	}
 	putScratch(sc)

@@ -253,7 +253,7 @@ func TestQuickReplaceNeverSevers(t *testing.T) {
 						repl[node] = kind
 					}
 				}
-				ne := rebuild(m, e, repl, make(map[*dd.VNode]dd.VEdge))
+				ne := rebuildWith(m, e, repl)
 				if m.IsVZero(ne) {
 					t.Log("replacement zeroed the state")
 					return false

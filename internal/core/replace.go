@@ -89,7 +89,8 @@ func dominantPathAbs2(n *dd.VNode) float64 {
 // Chains intern through the unique table, so equal suffixes share nodes.
 func collapseEdge(m *dd.Manager, n *dd.VNode) dd.VEdge {
 	w := complex(1, 0)
-	bits := make([]int, 0, n.Var+1)
+	var buf [64]int // stack room for the path of a DD of up to 64 qubits
+	bits := buf[:0]
 	for cur := n; cur != nil && !cur.IsTerminal(); {
 		idx := 0
 		if cur.E[1].W.Abs2() > cur.E[0].W.Abs2() {
@@ -170,21 +171,14 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 	}
 	var picks []pick
 	spent := 0.0
-	for pass := 0; pass < maxPasses; pass++ {
-		size := m.CountV(e)
-		if size <= maxNodes {
-			break
-		}
+	size := sizeBefore
+	for pass := 0; pass < maxPasses && size > maxNodes; pass++ {
 		sc.reuse()
 		contributionsInto(m, e, sc)
-		cands := sc.sortedCandidates(e.N)
 		need := size - maxNodes
 		picks = picks[:0]
 		passSpent := 0.0
-		for _, cand := range cands {
-			if len(picks) >= need {
-				break
-			}
+		for cand, ok := sc.nextCandidate(); ok; cand, ok = sc.nextCandidate() {
 			for _, kind := range kinds {
 				frac := lossFrac(cand.n, kind)
 				if frac <= 0 {
@@ -198,6 +192,9 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 				passSpent += loss
 				break
 			}
+			if len(picks) >= need {
+				break
+			}
 		}
 		if len(picks) == 0 {
 			break // budget exhausted or nothing substitutable
@@ -207,52 +204,50 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 		// wasting fidelity a smaller prefix would have kept, so when the
 		// full set fits, binary-search the smallest prefix that still fits.
 		build := func(count int) (dd.VEdge, float64) {
-			clear(sc.edits)
-			clear(sc.memo)
+			sc.resetEdits()
 			cost := 0.0
 			for _, p := range picks[:count] {
-				sc.edits[p.n] = p.kind
+				sc.edits[p.n.Ord()] = p.kind
 				cost += p.loss
 			}
-			return rebuild(m, e, sc.edits, sc.memo), cost
+			return rebuild(m, e, sc), cost
 		}
 		ne, passCost := build(len(picks))
-		chosen := len(picks)
-		if newSize := m.CountV(ne); newSize <= maxNodes && chosen > 1 {
+		chosen, newSize := len(picks), m.CountV(ne)
+		if newSize <= maxNodes && chosen > 1 {
 			lo, hi := 1, chosen
 			for lo < hi {
 				mid := (lo + hi) / 2
-				if cand, cost := build(mid); m.CountV(cand) <= maxNodes {
-					ne, passCost, chosen = cand, cost, mid
+				cand, cost := build(mid)
+				if candSize := m.CountV(cand); candSize <= maxNodes {
+					ne, passCost, chosen, newSize = cand, cost, mid, candSize
 					hi = mid
 				} else {
 					lo = mid + 1
 				}
 			}
 		}
-		newSize := m.CountV(ne)
 		if m.IsVZero(ne) || newSize >= size {
 			// Substitution stopped shrinking (shared subtrees freed nothing
 			// while the chains added nodes); keep the smaller state and let
 			// the delete fallback finish the job.
 			break
 		}
-		e = ne
+		e, size = ne, newSize
 		spent += passCost
 		rep.ReplacedNodes += chosen
 		rep.RemovedMass += passCost
 	}
 	// Delete fallback: force any remaining surplus out the classic way,
 	// spending what is left of the same loss budget.
-	e = deleteToSize(m, e, sc, maxNodes, spent, budget, &rep)
+	e, eSize := deleteToSize(m, e, size, sc, maxNodes, spent, budget, &rep)
 	// Pure floored delete from the original state is the reference this pass
 	// must never lose to: on dense states substitution can spend fidelity
 	// without freeing nodes (shared subtrees, chains adding nodes) and the
 	// fallback then deletes on top of that damage. Keep whichever result is
 	// better — fits the budget first, then higher fidelity, then smaller.
 	alt := Report{Requested: minFidelity, Achieved: 1, SizeBefore: sizeBefore, SizeAfter: sizeBefore}
-	ae := deleteToSize(m, orig, sc, maxNodes, 0, budget, &alt)
-	eSize, aSize := m.CountV(e), m.CountV(ae)
+	ae, aSize := deleteToSize(m, orig, sizeBefore, sc, maxNodes, 0, budget, &alt)
 	eFid, aFid := m.Fidelity(orig, e), m.Fidelity(orig, ae)
 	takeAlt := false
 	switch {
@@ -264,9 +259,9 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 		takeAlt = aFid > eFid
 	}
 	if takeAlt {
-		e, rep, eFid = ae, alt, aFid
+		e, rep, eFid, eSize = ae, alt, aFid, aSize
 	}
-	rep.SizeAfter = m.CountV(e)
+	rep.SizeAfter = eSize
 	rep.Achieved = eFid
 	return e, rep, nil
 }

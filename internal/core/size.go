@@ -34,34 +34,27 @@ func ApproximateToSize(m *dd.Manager, e dd.VEdge, maxNodes int) (dd.VEdge, Repor
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	ne := deleteToSize(m, e, sc, maxNodes, 0, math.Inf(1), &rep)
-	rep.SizeAfter = m.CountV(ne)
+	ne, sizeAfter := deleteToSize(m, e, sizeBefore, sc, maxNodes, 0, math.Inf(1), &rep)
+	rep.SizeAfter = sizeAfter
 	rep.Achieved = m.Fidelity(e, ne)
 	return ne, rep, nil
 }
 
 // deleteToSize is the delete-to-size loop: it removes ascending-contribution
-// nodes (with zero-state backoff) until e fits maxNodes, the pass budget
-// runs out, or further removal would push the cumulative loss past budget
-// (spent is what earlier passes already used; +Inf means no floor). Counts
-// and mass accumulate into rep.
-func deleteToSize(m *dd.Manager, e dd.VEdge, sc *approxScratch, maxNodes int, spent, budget float64, rep *Report) dd.VEdge {
-	for pass := 0; pass < maxPasses; pass++ {
-		size := m.CountV(e)
-		if size <= maxNodes {
-			break
-		}
+// nodes (with zero-state backoff) until e, currently size nodes, fits
+// maxNodes, the pass budget runs out, or further removal would push the
+// cumulative loss past budget (spent is what earlier passes already used;
+// +Inf means no floor). Counts and mass accumulate into rep; it returns the
+// final state and its size.
+func deleteToSize(m *dd.Manager, e dd.VEdge, size int, sc *approxScratch, maxNodes int, spent, budget float64, rep *Report) (dd.VEdge, int) {
+	for pass := 0; pass < maxPasses && size > maxNodes; pass++ {
 		sc.reuse()
 		contributionsInto(m, e, sc)
 		// Remove at least the surplus; unsharing may offset some of it, so
 		// later passes finish the job.
-		cands := sc.sortedCandidates(e.N)
 		need := size - maxNodes
 		limit, mass := 0, 0.0
-		for _, cand := range cands {
-			if limit >= need {
-				break
-			}
+		for cand, ok := sc.nextCandidate(); ok; cand, ok = sc.nextCandidate() {
 			// Never remove a pass's entire remaining mass (contributions are
 			// measured on the current renormalized state), and never
 			// overdraw the cumulative budget.
@@ -70,17 +63,20 @@ func deleteToSize(m *dd.Manager, e dd.VEdge, sc *approxScratch, maxNodes int, sp
 			}
 			limit++
 			mass += cand.c
+			if limit >= need {
+				break
+			}
 		}
-		ne, removed, remMass := removeWithBackoff(m, e, sc, cands, limit)
+		ne, removed, remMass := removeWithBackoff(m, e, sc, limit)
 		if removed == 0 {
 			// Even a single-node removal would zero the state; settle for
 			// the current size.
 			break
 		}
-		e = ne
+		e, size = ne, m.CountV(ne)
 		spent += remMass
 		rep.RemovedNodes += removed
 		rep.RemovedMass += remMass
 	}
-	return e
+	return e, size
 }

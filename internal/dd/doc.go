@@ -32,7 +32,14 @@
 // entries and doubles under miss pressure up to a cap, so cache memory is
 // bounded. Cleanup is a mark-sweep pass: live nodes are stamped with the
 // current GC generation and dead nodes are unlinked from their buckets onto
-// the free stacks for recycling. Stats and Pool snapshot the counters
+// the free stacks for recycling. Vector-node walks (CountV, NumberVNodes,
+// and sifting's level widths and size checks) keep no visited set: each
+// marks the nodes it reaches with a fresh per-manager visit stamp stored in
+// the node, so a walk allocates nothing and walks are not reentrant (one
+// must finish before the next begins); a wrap of the 32-bit stamp resets
+// every interned node's stamp once. NumberVNodes also numbers the nodes in walk order
+// (VNode.Ord), so the approximation passes keep per-node state in slices
+// indexed by that ordinal. Stats and Pool snapshot the counters
 // (per-cache hits/misses/evictions, node traffic, pool occupancy); the
 // simulation service surfaces them per worker
 // on its /v1/stats endpoint. See docs/ARCHITECTURE.md and the

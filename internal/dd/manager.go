@@ -43,13 +43,15 @@ type Manager struct {
 
 	nextID uint64
 
-	// visitV is the retained scratch set behind CountV (and sifting's size
-	// checks), so per-gate DD size tracking allocates nothing at steady
-	// state. visitM and traceMemo are the matrix counterparts behind CountM
-	// and MTrace (hot in the density backend's per-gate loop). All three are
-	// cleared per call, never across calls, so node recycling cannot leave
-	// stale entries behind.
-	visitV    map[*VNode]struct{}
+	// walkStamp is the visit stamp of the latest vector-node walk (see
+	// count.go): CountV and NumberVNodes mark nodes with it instead of
+	// filling a visited set.
+	walkStamp uint32
+
+	// visitM and traceMemo are the retained scratch behind CountM and MTrace
+	// (hot in the density backend's per-gate loop), so they allocate nothing
+	// at steady state. Both are cleared per call, never across calls, so
+	// node recycling cannot leave stale entries behind.
 	visitM    map[*MNode]struct{}
 	traceMemo map[*MNode]complex128
 

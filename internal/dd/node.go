@@ -13,11 +13,17 @@ type VNode struct {
 	next *VNode // unique-table bucket chain
 	gen  uint32 // GC mark stamp (== Manager.gcGen when live at last sweep)
 	Var  int32  // qubit index; TerminalVar for the terminal
+	walk uint32 // visit stamp of the last manager walk that reached n (see count.go)
+	ord  uint32 // n's index in the output of the last NumberVNodes that reached it
 	E    [2]VEdge
 }
 
 // ID returns the node's unique creation id (stable for the Manager lifetime).
 func (n *VNode) ID() uint64 { return n.id }
+
+// Ord returns n's index in the slice returned by the last
+// Manager.NumberVNodes call that reached it.
+func (n *VNode) Ord() int { return int(n.ord) }
 
 // IsTerminal reports whether n is the terminal node.
 func (n *VNode) IsTerminal() bool { return n.Var == TerminalVar }

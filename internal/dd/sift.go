@@ -47,16 +47,13 @@ func (m *Manager) Sift(n int, roots []VEdge, cfg SiftConfig) ([]VEdge, SiftRepor
 
 	// Candidate qubits, widest current level first (ties: lower qubit).
 	width := make([]int, n)
-	seen := make(map[*VNode]struct{})
+	stamp := m.beginWalk()
 	var walk func(node *VNode)
 	walk = func(node *VNode) {
-		if node == nil || node.IsTerminal() {
+		if node == nil || node.IsTerminal() || node.walk == stamp {
 			return
 		}
-		if _, ok := seen[node]; ok {
-			return
-		}
-		seen[node] = struct{}{}
+		node.walk = stamp
 		if int(node.Var) < n {
 			width[m.LevelQubit(int(node.Var))]++
 		}
