@@ -148,17 +148,18 @@ cover-check:
 		if (t+0 < floor+0) { printf "cover-check: core+dd+dense+density coverage %.1f%% below floor %.1f%%\n", t, floor; exit 1 } \
 		printf "cover-check: core+dd+dense+density coverage %.1f%% (floor %.1f%%)\n", t, floor }'
 
-## atlas: regenerate the approximability atlas — docs/ATLAS.md (committed),
-## internal/atlas/winners_gen.go (committed, drives strategy=auto), and
-## BENCH_atlas.json (gitignored runtime artifact)
+## atlas: regenerate the committed goldens of the experiment report —
+## docs/REPORT.md (E3/E7, Table I without timing columns, E11, E6, E12),
+## docs/ATLAS.md and internal/atlas/winners_gen.go (drives strategy=auto) —
+## and BENCH_atlas.json (gitignored runtime artifact)
 atlas:
-	$(GO) run ./cmd/atlas
+	$(GO) run ./cmd/experiments -golden update -parallel 0
 
-## atlas-check: regenerate the atlas from the seeded sweeps and fail if the
-## committed docs/ATLAS.md or winners table drifted (the CI gate keeping
-## strategy=auto honest against the measured grid)
+## atlas-check: regenerate the goldens in memory and fail naming each
+## committed file that drifted (the CI gate keeping Table I, the frontier
+## and strategy=auto honest against what the code measures)
 atlas-check:
-	$(GO) run ./cmd/atlas -check
+	$(GO) run ./cmd/experiments -golden check -parallel 0
 
 ## simd-smoke: build the simulation service, boot it, and run a QASM job
 ## end-to-end including a cache-hit resubmission (the CI gate)

@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"time"
 
 	"repro/internal/batch"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/supremacy"
 	"repro/internal/verify"
-	"repro/internal/xeb"
 )
 
 // Core simulation types.
@@ -401,12 +399,6 @@ type EquivalenceResult = verify.Result
 // decision diagrams (V†·U ≟ λ·I).
 func CircuitsEquivalent(u, v *Circuit) (*EquivalenceResult, error) {
 	return verify.Equivalent(u, v)
-}
-
-// XEBScore draws shots samples from test and computes their linear
-// cross-entropy fidelity against ideal (both states in manager m).
-func XEBScore(m *Manager, ideal, test VEdge, n, shots int, rng *rand.Rand) (float64, error) {
-	return xeb.Score(m, ideal, test, n, shots, rng)
 }
 
 // ApproximateToSize shrinks a state DD to at most maxNodes nodes, reporting

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -101,27 +100,6 @@ func TestFacadeContributionsAndApprox(t *testing.T) {
 	if repro.CountNodes(small) > 10 || rep2.Achieved <= 0 {
 		t.Errorf("size-targeted approximation: %d nodes, f=%v",
 			repro.CountNodes(small), rep2.Achieved)
-	}
-}
-
-func TestFacadeXEB(t *testing.T) {
-	cfg := repro.SupremacyConfig{Rows: 3, Cols: 3, Depth: 48, Seed: 1}
-	c, err := cfg.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := repro.NewSimulator()
-	res, err := s.Run(c, repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	score, err := repro.XEBScore(s.M, res.Final, res.Final, 9, 3000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(score-1) > 0.2 {
-		t.Errorf("self-XEB %v", score)
 	}
 }
 

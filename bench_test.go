@@ -6,7 +6,7 @@ package repro
 // what the measurements showed.
 //
 // The default (small) preset keeps `go test -bench=.` in the minutes range;
-// run `go run ./cmd/table1 -scale medium|paper` for larger instances.
+// run `go run ./cmd/experiments -scale medium|paper` for larger instances.
 
 import (
 	"context"
@@ -237,7 +237,7 @@ func BenchmarkAblationMatVecVsMatMat(b *testing.B) {
 				gd := m.MakeGateDD(circ.NumQubits, u, g.Target, g.Controls...)
 				op = m.MulMat(gd, op)
 			}
-			state := m.MulVec(op, m.ZeroState(circ.NumQubits))
+			state := m.MulVec(op, m.BasisState(circ.NumQubits, 0))
 			if m.IsVZero(state) {
 				b.Fatal("state vanished")
 			}
@@ -345,7 +345,7 @@ func BenchmarkTable1SmallPresetFull(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Trim to one supremacy seed for bench time; cmd/table1 runs all.
+	// Trim to one supremacy seed for bench time; cmd/experiments runs all.
 	suite.Supremacy = suite.Supremacy[:1]
 	suite.Shor = suite.Shor[:2]
 	suite.SampleTrue = false

@@ -12,8 +12,9 @@
 //
 // The package re-exports the user-facing API of the internal packages; see
 // README.md for a tour, docs/ARCHITECTURE.md for the architecture,
-// docs/API.md for the service endpoints, and the table1 and experiments
-// commands for the Table I reproduction. Runs, sessions and batches are
+// docs/API.md for the service endpoints, and the experiments command for
+// the Table I reproduction (its deterministic columns are committed in
+// docs/REPORT.md). Runs, sessions and batches are
 // configured by one struct each: Options, BatchOptions, Table1RunOptions.
 //
 // Quick start:
@@ -36,8 +37,8 @@
 //		repro.BatchOptions{Workers: 4, BaseSeed: 42})
 //
 // The same engine backs Table1Suite.RunMemoryDriven / RunFidelityDriven
-// and the benchtab sweep drivers; the table1 and experiments commands
-// expose it as -parallel N.
+// and the benchtab sweep drivers; the experiments command exposes it as
+// -parallel N.
 //
 // Simulation as a service: NewServer (and the standalone simd command)
 // wraps the batch engine in an asynchronous HTTP/JSON API — submit circuits

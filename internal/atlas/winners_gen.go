@@ -1,4 +1,4 @@
-// Code generated by cmd/atlas; DO NOT EDIT.
+// Code generated by cmd/experiments; DO NOT EDIT.
 // Regenerate with `make atlas`; CI gates drift via `make atlas-check`.
 
 package atlas

@@ -18,6 +18,6 @@
 // RunOptions.Parallel > 1 fans a table out across CPUs while producing rows
 // identical to a one-worker run (timing columns aside). RunOptions.BaseSeed
 // pins every measurement seed, so published rows are reproducible from the
-// (preset, workers, seed) triple the table1 and experiments commands print
-// in their headers.
+// (preset, workers, seed) triple the experiments command prints in its
+// header.
 package benchtab

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/batch"
@@ -15,10 +14,10 @@ import (
 // RunOptions configures how a suite or sweep executes. The zero value runs
 // on one worker.
 type RunOptions struct {
-	// Parallel is the batch worker count; values ≤ 1 run on one worker (use
-	// Workers to map a "0 = all CPUs" flag value). Rows are identical for
-	// every worker count (timing columns aside) because each job runs on
-	// a fresh manager with a seed derived from BaseSeed and its index.
+	// Parallel is the batch worker count; values ≤ 1 run on one worker.
+	// Rows are identical for every worker count (timing columns aside)
+	// because each job runs on a fresh manager with a seed derived from
+	// BaseSeed and its index.
 	Parallel int
 	// BaseSeed derives per-job measurement seeds.
 	BaseSeed int64
@@ -27,17 +26,6 @@ type RunOptions struct {
 	// true-fidelity re-runs, which run inside their exact reference's job,
 	// are not counted).
 	Progress func(done, total int)
-}
-
-// Workers maps a user-facing parallelism flag to a RunOptions.Parallel
-// value: n ≤ 0 selects one worker per CPU, anything else is taken verbatim.
-// The table1, experiments and atlas commands share this for their
-// -parallel flags.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // cell is one simulation of a grid: a circuit under a registry strategy.

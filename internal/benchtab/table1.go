@@ -231,21 +231,3 @@ func fillApprox(row *Row, jr batch.JobResult, trueFid float64) {
 	row.FidBound = approx.FidelityBound
 	row.TrueFidelity = trueFid
 }
-
-// Validate sanity-checks a suite configuration.
-func (s Suite) Validate() error {
-	for _, cs := range s.Supremacy {
-		if cs.Threshold <= 0 {
-			return fmt.Errorf("benchtab: %s: threshold %d", cs.Config.Name(), cs.Threshold)
-		}
-		if len(cs.Frounds) == 0 {
-			return fmt.Errorf("benchtab: %s: no f_round values", cs.Config.Name())
-		}
-	}
-	for _, cs := range s.Shor {
-		if cs.FinalFidelity <= 0 || cs.FinalFidelity >= 1 {
-			return fmt.Errorf("benchtab: shor_%d_%d: final fidelity %v", cs.N, cs.A, cs.FinalFidelity)
-		}
-	}
-	return nil
-}

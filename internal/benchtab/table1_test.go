@@ -99,9 +99,6 @@ func TestPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Validate(); err != nil {
-			t.Errorf("preset %s invalid: %v", name, err)
-		}
 		if len(s.Supremacy) == 0 || len(s.Shor) == 0 {
 			t.Errorf("preset %s missing cases", name)
 		}

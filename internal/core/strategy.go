@@ -25,7 +25,10 @@ type Strategy interface {
 	// AfterGate is called after gate gateIdx has been applied; size is the
 	// current node count of the state DD. A nil Round means no
 	// approximation was performed; otherwise the returned edge replaces the
-	// state.
+	// state, and the Round's Report.SizeAfter must be the node count of
+	// that returned edge: the session takes it as the state's size instead
+	// of recounting. The core passes (ApproximateToFidelity,
+	// ApproximateToSize, ApproximateToSizeReplace) report it so.
 	AfterGate(m *dd.Manager, gateIdx, size int, state dd.VEdge) (dd.VEdge, *Round, error)
 }
 

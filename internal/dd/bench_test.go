@@ -102,7 +102,7 @@ func BenchmarkGateCircuitFresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := New()
-		state := m.ZeroState(n)
+		state := m.BasisState(n, 0)
 		for _, g := range gates {
 			op := m.MakeGateDD(n, g.u, g.target, g.ctrl...)
 			state = m.MulVec(op, state)

@@ -150,7 +150,7 @@ func TestDeepCircuitNumericalStability(t *testing.T) {
 	// 2000 gates of H/T cycling on 4 qubits: norm must stay 1 to high
 	// precision thanks to root renormalization and weight interning.
 	m := New()
-	e := m.ZeroState(4)
+	e := m.BasisState(4, 0)
 	h := [4]MEdge{}
 	tg := [4]MEdge{}
 	for q := 0; q < 4; q++ {

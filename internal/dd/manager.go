@@ -48,12 +48,14 @@ type Manager struct {
 	// filling a visited set.
 	walkStamp uint32
 
-	// visitM and traceMemo are the retained scratch behind CountM and MTrace
-	// (hot in the density backend's per-gate loop), so they allocate nothing
-	// at steady state. Both are cleared per call, never across calls, so
-	// node recycling cannot leave stale entries behind.
-	visitM    map[*MNode]struct{}
-	traceMemo map[*MNode]complex128
+	// visitM, traceMemo and adjointMemo are the retained scratch behind
+	// CountM, MTrace and ConjugateTranspose (hot in the density backend's
+	// per-gate loop), so they allocate nothing at steady state. Each is
+	// cleared per call, never across calls, so node recycling cannot leave
+	// stale entries behind.
+	visitM      map[*MNode]struct{}
+	traceMemo   map[*MNode]complex128
+	adjointMemo map[*MNode]MEdge
 
 	// Stats counters.
 	vNodesCreated uint64

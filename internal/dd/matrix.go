@@ -85,14 +85,26 @@ func (m *Manager) fillMatrix(w complex128, node *MNode, level, row, col int, out
 // ConjugateTranspose returns the conjugate transpose (adjoint) of the
 // operation DD.
 func (m *Manager) ConjugateTranspose(e MEdge) MEdge {
+	if m.adjointMemo == nil {
+		m.adjointMemo = make(map[*MNode]MEdge, 256)
+	} else {
+		clear(m.adjointMemo)
+	}
 	res := m.adjointNode(e.N)
 	w := e.W.Complex()
 	return m.ScaleM(res, complex(real(w), -imag(w)))
 }
 
+// adjointNode returns the adjoint of the weight-stripped subtree under n,
+// memoized per node: an operator DD shares children across its edges, so
+// without the memo the walk visits every path (2^n calls for a lifted
+// single-qubit operator).
 func (m *Manager) adjointNode(n *MNode) MEdge {
 	if n.IsTerminal() {
 		return MEdge{W: m.CN.One, N: m.mTerminal}
+	}
+	if r, ok := m.adjointMemo[n]; ok {
+		return r
 	}
 	var e [4]MEdge
 	for r := 0; r < 2; r++ {
@@ -104,5 +116,7 @@ func (m *Manager) adjointNode(n *MNode) MEdge {
 			e[2*c+r] = m.ScaleM(sub, complex(real(w), -imag(w)))
 		}
 	}
-	return m.MakeMNode(n.Var, e)
+	r := m.MakeMNode(n.Var, e)
+	m.adjointMemo[n] = r
+	return r
 }

@@ -2,6 +2,7 @@ package dd
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -175,7 +176,7 @@ func TestRandomCircuitsMatchDense(t *testing.T) {
 		depth := 5 + rng.Intn(30)
 		gates := randomGateSeq(n, depth, rng)
 
-		e := m.ZeroState(n)
+		e := m.BasisState(n, 0)
 		ds := dense.NewState(n)
 		for _, g := range gates {
 			gd := m.MakeGateDD(n, g.u, g.target, g.controls...)
@@ -278,6 +279,68 @@ func TestConjugateTranspose(t *testing.T) {
 				if !approxEq(mat[r][c], want, 1e-9) {
 					t.Fatalf("A·A† not identity at [%d][%d]: %v", r, c, mat[r][c])
 				}
+			}
+		}
+	}
+}
+
+// denseOperator is the 2^n×2^n matrix of a lifted single-qubit operator u,
+// built by applying u to every basis state with internal/dense.
+func denseOperator(n int, u [4]complex128, target int, controls []Control) [][]complex128 {
+	dim := 1 << n
+	mat := make([][]complex128, dim)
+	for r := range mat {
+		mat[r] = make([]complex128, dim)
+	}
+	for c := 0; c < dim; c++ {
+		col := dense.NewBasisState(n, uint64(c))
+		col.ApplyGate(u, target, toDenseControls(controls)...)
+		for r, a := range col.Amp {
+			mat[r][c] = a
+		}
+	}
+	return mat
+}
+
+// TestConjugateTransposeMatchesDense checks the memoized adjoint entry by
+// entry against the dense adjoint, for lifted 1-qubit gates, controlled
+// (2-qubit) gates and a non-unitary Kraus operator, at every target of
+// n ≤ 6 qubits, on one manager so the memo is reused across calls. A
+// Cleanup after each case recycles the nodes, so an entry left over from an
+// earlier call would alias a different node.
+func TestConjugateTransposeMatchesDense(t *testing.T) {
+	m := New()
+	s := 1 / math.Sqrt2
+	hadamard := [4]complex128{complex(s, 0), complex(s, 0), complex(s, 0), complex(-s, 0)}
+	tGate := [4]complex128{1, 0, 0, cmplx.Exp(complex(0, math.Pi/4))}
+	damping := [4]complex128{0, complex(math.Sqrt(0.3), 0), 0, 0} // amplitude-damping K1, γ = 0.3
+	type operator struct {
+		name     string
+		u        [4]complex128
+		controls []Control
+	}
+	for n := 1; n <= 6; n++ {
+		for target := 0; target < n; target++ {
+			cases := []operator{{"h", hadamard, nil}, {"kraus", damping, nil}}
+			if n > 1 {
+				c := (target + 1) % n
+				cases = append(cases,
+					operator{"ct", tGate, []Control{PosControl(c)}},
+					operator{"neg-ch", hadamard, []Control{{Qubit: c, Positive: false}}})
+			}
+			for _, tc := range cases {
+				A := m.MakeGateDD(n, tc.u, target, tc.controls...)
+				got := m.ToMatrix(m.ConjugateTranspose(A), n)
+				want := denseOperator(n, tc.u, target, tc.controls)
+				for r := range got {
+					for c := range got[r] {
+						if w := cmplx.Conj(want[c][r]); !approxEq(got[r][c], w, 1e-12) {
+							t.Fatalf("n=%d target=%d %s: adjoint[%d][%d] = %v, want %v",
+								n, target, tc.name, r, c, got[r][c], w)
+						}
+					}
+				}
+				m.Cleanup(nil, nil)
 			}
 		}
 	}

@@ -5,11 +5,6 @@ import (
 	"math"
 )
 
-// ZeroState returns the n-qubit basis state |0...0⟩.
-func (m *Manager) ZeroState(n int) VEdge {
-	return m.BasisState(n, 0)
-}
-
 // BasisState returns the n-qubit computational basis state |bits⟩, where bit
 // q of bits is the value of qubit q (placed at the qubit's level under the
 // manager's variable order).

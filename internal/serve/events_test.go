@@ -213,7 +213,8 @@ func TestEventsResumeFromCursor(t *testing.T) {
 }
 
 // trimEvery is a user-defined strategy for the end-to-end registry test: it
-// approximates to a fixed round fidelity every `period` gates.
+// approximates to a fixed round fidelity every `period` gates, returning the
+// pass's Report unchanged so SizeAfter counts the returned state.
 type trimEvery struct {
 	Period int     `json:"period"`
 	Round  float64 `json:"round_fidelity"`

@@ -26,7 +26,9 @@ func pairsCircuit(n int) *circuit.Circuit {
 // sizeDriven is the delete-based analogue of core.ReplaceDriven: the same
 // fixed node budget enforced after every gate, but by node deletion. It
 // exists so the differential test compares the two passes at a genuinely
-// equal budget, round for round.
+// equal budget, round for round. It returns the pass's Report unchanged,
+// so SizeAfter is the returned state's node count, as core.Strategy
+// requires.
 type sizeDriven struct{ budget int }
 
 func (s *sizeDriven) Name() string          { return "size-delete" }

@@ -267,3 +267,48 @@ func TestOrderStrategyDirectConstruction(t *testing.T) {
 		}
 	}
 }
+
+// sizeCheck wraps a reorder strategy and checks the core.Strategy contract
+// the session relies on to skip a recount before sifting: a round's
+// Report.SizeAfter is the node count of the state AfterGate returns.
+type sizeCheck struct {
+	*order.Strategy
+	t      *testing.T
+	rounds int
+}
+
+func (s *sizeCheck) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VEdge) (dd.VEdge, *core.Round, error) {
+	ne, round, err := s.Strategy.AfterGate(m, gateIdx, size, state)
+	if round != nil {
+		s.rounds++
+		if got := m.CountV(ne); got != round.Report.SizeAfter {
+			s.t.Errorf("%s: round after gate %d reports SizeAfter %d, returned state has %d nodes",
+				s.Name(), gateIdx, round.Report.SizeAfter, got)
+		}
+	}
+	return ne, round, err
+}
+
+// TestRoundSizeAfterMatchesReturnedState runs every builtin approximating
+// inner strategy under sifting and checks each round's SizeAfter.
+func TestRoundSizeAfterMatchesReturnedState(t *testing.T) {
+	c, err := supremacy.Config{Rows: 3, Cols: 3, Depth: 12, Seed: 5}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inner := range []string{
+		`"inner":"memory","inner_params":{"threshold":32,"round_fidelity":0.95,"growth":1.2}`,
+		`"inner":"fidelity","inner_params":{"final_fidelity":0.5,"round_fidelity":0.9}`,
+		`"inner":"replace","inner_params":{"node_budget":24}`,
+	} {
+		st := reorderStrategy(t, `{"order":"identity","sift":true,"sift_threshold":8,`+inner+`}`)
+		check := &sizeCheck{Strategy: st.(*order.Strategy), t: t}
+		res, err := New().Run(c, Options{Strategy: check})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if check.rounds == 0 || res.SiftPasses == 0 {
+			t.Errorf("%s: %d rounds, %d sift passes; want both to fire", check.Name(), check.rounds, res.SiftPasses)
+		}
+	}
+}

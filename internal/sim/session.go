@@ -482,8 +482,9 @@ func (ses *Session) step() error {
 			ses.tracker.Record(*round)
 			ses.state = newState
 			ses.obs.OnApproximation(*round)
+			size = round.Report.SizeAfter
 		}
-		ses.maybeSift(i, size, round != nil)
+		ses.maybeSift(i, size)
 	}
 	if live := m.Pool().Live; live > ses.highWater {
 		ses.cleanup(i, live)
@@ -531,15 +532,11 @@ func (ses *Session) cleanup(i, live int) {
 // so no fidelity round is recorded); the session drops its gate cache — the
 // cached operation DDs were built under the old order — and the pass's
 // closing Cleanup returns both the stale gates and the exploration
-// transients to the node pools.
-func (ses *Session) maybeSift(gateIdx, size int, approximated bool) {
+// transients to the node pools. size is the state's node count, taken from
+// the round's Report.SizeAfter when an approximation round replaced it.
+func (ses *Session) maybeSift(gateIdx, size int) {
 	if !ses.sift || ses.res.SiftPasses >= ses.siftMaxPasses {
 		return
-	}
-	if approximated {
-		// An approximation round replaced the state after `size` was
-		// counted; only then is a recount needed.
-		size = ses.sim.M.CountV(ses.state)
 	}
 	if size <= ses.siftThreshold {
 		return

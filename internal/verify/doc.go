@@ -8,5 +8,6 @@
 // DD keeps the intermediate product close to the identity when the circuits
 // are in fact equivalent, which is exactly the regime where decision
 // diagrams stay small. The optimizer's tests and the QASM round-trip tests
-// both lean on this check, and the equiv command exposes it on the CLI.
+// both lean on this check, and the root package exposes it as
+// CircuitsEquivalent.
 package verify

@@ -107,36 +107,3 @@ func isNumericallyIdentity(m *dd.Manager, e dd.MEdge, n int) (bool, complex128) 
 	}
 	return true, phase / complex(cmplx.Abs(phase), 0)
 }
-
-// StateEquivalent checks whether two circuits act identically on the |0...0⟩
-// input (a weaker but cheaper property than full unitary equivalence),
-// returning the fidelity between the two final states.
-func StateEquivalent(u, v *circuit.Circuit) (bool, float64, error) {
-	if u.NumQubits != v.NumQubits {
-		return false, 0, fmt.Errorf("verify: qubit counts differ (%d vs %d)", u.NumQubits, v.NumQubits)
-	}
-	n := u.NumQubits
-	m := dd.New()
-	run := func(c *circuit.Circuit) (dd.VEdge, error) {
-		state := m.ZeroState(n)
-		for _, g := range c.Gates() {
-			gd, err := g.DD(m, n)
-			if err != nil {
-				return dd.VEdge{}, err
-			}
-			state = m.MulVec(gd, state)
-			state = m.NormalizeRootWeight(state)
-		}
-		return state, nil
-	}
-	su, err := run(u)
-	if err != nil {
-		return false, 0, err
-	}
-	sv, err := run(v)
-	if err != nil {
-		return false, 0, err
-	}
-	f := m.Fidelity(su, sv)
-	return f > 1-1e-9, f, nil
-}

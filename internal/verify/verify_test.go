@@ -126,40 +126,6 @@ func TestMismatchedQubitCounts(t *testing.T) {
 	if _, err := Equivalent(gen.GHZ(3), gen.GHZ(4)); err == nil {
 		t.Error("mismatched registers accepted")
 	}
-	if _, _, err := StateEquivalent(gen.GHZ(3), gen.GHZ(4)); err == nil {
-		t.Error("mismatched registers accepted by StateEquivalent")
-	}
-}
-
-func TestStateEquivalent(t *testing.T) {
-	// GHZ built top-down vs bottom-up: different unitaries, same action on
-	// |0...0⟩ up to the entanglement ordering — construct two circuits with
-	// identical final states.
-	n := 4
-	a := gen.GHZ(n)
-	b := circuit.New(n, "ghz-alt")
-	b.H(n - 1)
-	// Fan out from the top qubit directly.
-	for q := 0; q < n-1; q++ {
-		b.CX(n-1, q)
-	}
-	ok, f, err := StateEquivalent(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Errorf("GHZ variants differ on |0⟩ input: fidelity %v", f)
-	}
-	// And a genuinely different state.
-	cDiff := circuit.New(n, "w")
-	cDiff.H(0)
-	ok, f, err = StateEquivalent(a, cDiff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok || f > 0.9 {
-		t.Errorf("different states reported equivalent (f=%v)", f)
-	}
 }
 
 func TestEquivalentTracksDDSize(t *testing.T) {
