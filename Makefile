@@ -47,9 +47,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## bench-smoke: dd + cnum + batch + session + approximation-pass benchmarks
-## and the router round trip (submit -> terminal through simd-router and 2
-## backends, hit and miss, with p99-ns), captured as the raw go-test JSON
+## bench-smoke: dd + cnum + batch + session + approximation-pass benchmarks,
+## the QASM front end (qasm.Parse and serve.CanonicalHash on a 400-gate
+## Clifford+T and a 14-qubit QFT export) and the router round trip (submit
+## -> terminal through simd-router and 2 backends, hit and miss, with
+## p99-ns), captured as the raw go-test JSON
 ## stream (BENCH_dd.json) and parsed by scripts/benchsummary into the
 ## stable-schema BENCH_summary.json (benchmark -> ns/op, allocs/op, custom
 ## metrics) that bench-check gates on
@@ -62,13 +64,16 @@ bench-smoke:
 		./internal/benchtab >> BENCH_dd.json
 	$(GO) test -run '^$$' -bench 'ApproximationPrimitive' -benchtime 100ms -count 5 -benchmem -json \
 		. >> BENCH_dd.json
+	$(GO) test -run '^$$' -bench 'QASMParse|CanonicalHash' -benchtime 100ms -count 5 -benchmem -json \
+		./internal/qasm ./internal/serve >> BENCH_dd.json
 	$(GO) test -run '^$$' -bench 'RouterRoundTrip' -benchtime 1s -count 3 -benchmem -json \
 		./internal/cluster >> BENCH_dd.json
 	$(GO) run ./scripts/benchsummary -in BENCH_dd.json -out BENCH_summary.json
 
 ## bench-check: the perf-regression gate — fail when a Gate/Batch/Session/
-## ApproximationPrimitive/RouterRoundTrip benchmark's gated time (ns/op, or
-## p99-ns for RouterRoundTrip/hit), allocs/op, or B/op regressed more than
+## ApproximationPrimitive/QASMParse/CanonicalHash/RouterRoundTrip
+## benchmark's gated time (ns/op, or p99-ns for RouterRoundTrip/hit),
+## allocs/op, or B/op regressed more than
 ## BENCH_CHECK_THRESHOLD against the committed bench_baseline.json
 ## (calibration-adjusted), when BatchRun stops scaling (workersK vs
 ## workers1 at K = min(NumCPU, 4); skipped on 1 CPU), when the ordering

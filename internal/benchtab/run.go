@@ -21,11 +21,6 @@ type RunOptions struct {
 	Parallel int
 	// BaseSeed derives per-job measurement seeds.
 	BaseSeed int64
-	// Progress, when non-nil, receives (done, total) after each finished
-	// simulation job (exact references and approximate runs; the optional
-	// true-fidelity re-runs, which run inside their exact reference's job,
-	// are not counted).
-	Progress func(done, total int)
 }
 
 // cell is one simulation of a grid: a circuit under a registry strategy.
@@ -79,11 +74,7 @@ func run(ctx context.Context, cells []cell, opts RunOptions) ([]batch.JobResult,
 			Finalize:    c.finalize,
 		}
 	}
-	bo := batch.Options{BaseSeed: opts.BaseSeed, Workers: max(opts.Parallel, 1)}
-	if p := opts.Progress; p != nil {
-		bo.Progress = func(done, total int, _ batch.JobResult) { p(done, total) }
-	}
-	res, err := batch.Run(ctx, jobs, bo)
+	res, err := batch.Run(ctx, jobs, batch.Options{BaseSeed: opts.BaseSeed, Workers: max(opts.Parallel, 1)})
 	if err != nil {
 		return nil, err
 	}

@@ -15,13 +15,14 @@ import (
 // batch worker halfway through.
 func TestRunRejectsInvalidConfigBeforeRunning(t *testing.T) {
 	c := gen.QFT(4)
-	cells := []cell{
-		{name: "ok", circuit: c, registry: "memory", params: `{"threshold":8,"round_fidelity":0.9}`},
-		{name: "bad", circuit: c, registry: "memory", params: `{"threshold":"eight"}`},
-		{name: "unknown", circuit: c, registry: "no-such-strategy"},
-	}
 	started := 0
-	_, err := run(context.Background(), cells, RunOptions{Progress: func(int, int) { started++ }})
+	count := func(*batch.JobResult) { started++ }
+	cells := []cell{
+		{name: "ok", circuit: c, registry: "memory", params: `{"threshold":8,"round_fidelity":0.9}`, finalize: count},
+		{name: "bad", circuit: c, registry: "memory", params: `{"threshold":"eight"}`, finalize: count},
+		{name: "unknown", circuit: c, registry: "no-such-strategy", finalize: count},
+	}
+	_, err := run(context.Background(), cells, RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "bad") {
 		t.Fatalf("run = %v, want the bad cell's config error", err)
 	}

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dd"
 )
@@ -114,6 +115,9 @@ func (c *Circuit) Gates() []Gate { return c.gates }
 // Len returns the number of gates.
 func (c *Circuit) Len() int { return len(c.gates) }
 
+// Grow reserves room for n more gates.
+func (c *Circuit) Grow(n int) { c.gates = slices.Grow(c.gates, n) }
+
 // Blocks returns the block-boundary gate indices in order.
 func (c *Circuit) Blocks() []int {
 	out := make([]int, len(c.blocks))
@@ -145,16 +149,18 @@ func (c *Circuit) Append(g Gate) {
 	switch g.Kind {
 	case KindUnitary:
 		c.checkQubit(g.Target)
-		if _, err := g.Matrix(); err != nil {
+		if err := checkGate(g.Name, g.Params); err != nil {
 			panic(err.Error())
 		}
-		seen := map[int]bool{g.Target: true}
-		for _, ctl := range g.Controls {
+		for i, ctl := range g.Controls {
 			c.checkQubit(ctl.Qubit)
-			if seen[ctl.Qubit] {
+			dup := ctl.Qubit == g.Target
+			for _, prev := range g.Controls[:i] {
+				dup = dup || prev.Qubit == ctl.Qubit
+			}
+			if dup {
 				panic(fmt.Sprintf("circuit: duplicate qubit %d in gate %q", ctl.Qubit, g.Name))
 			}
-			seen[ctl.Qubit] = true
 		}
 	case KindPerm:
 		if g.PermWidth <= 0 || g.PermWidth > c.NumQubits {

@@ -186,6 +186,41 @@ func TestAppendValidation(t *testing.T) {
 	mustPanic("zero qubits", func() { New(0, "x") })
 }
 
+// TestAppendPanicMessages pins the text of Append's unitary-gate panics,
+// and that validating a well-formed gate allocates nothing.
+func TestAppendPanicMessages(t *testing.T) {
+	c := New(4, "m")
+	for _, tc := range []struct {
+		g    Gate
+		want string
+	}{
+		{Gate{Name: "h", Target: 4}, "circuit: qubit 4 out of range [0,4)"},
+		{Gate{Name: "nope", Target: 0}, `circuit: unknown gate "nope"`},
+		{Gate{Name: "rz", Target: 0}, `circuit: gate "rz" takes 1 parameter(s), got 0`},
+		{Gate{Name: "h", Target: 0, Params: []float64{1}}, `circuit: gate "h" takes 0 parameter(s), got 1`},
+		{Gate{Name: "x", Target: 1, Controls: []dd.Control{dd.PosControl(1)}}, `circuit: duplicate qubit 1 in gate "x"`},
+		{Gate{Name: "x", Target: 0, Controls: []dd.Control{dd.PosControl(2), dd.PosControl(3), dd.NegControl(2)}},
+			`circuit: duplicate qubit 2 in gate "x"`},
+		{Gate{Name: "x", Target: 0, Controls: []dd.Control{dd.PosControl(2), dd.PosControl(7)}},
+			"circuit: qubit 7 out of range [0,4)"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%v: panic %v, want %q", tc.g, got, tc.want)
+				}
+			}()
+			c.Append(tc.g)
+		}()
+	}
+	g := Gate{Name: "u3", Target: 0, Params: []float64{1, 2, 3},
+		Controls: []dd.Control{dd.PosControl(1), dd.PosControl(2), dd.NegControl(3)}}
+	c.Grow(1000)
+	if allocs := testing.AllocsPerRun(100, func() { c.Append(g) }); allocs != 0 {
+		t.Errorf("Append allocated %v times per gate", allocs)
+	}
+}
+
 func TestSwapViaCNOTs(t *testing.T) {
 	c := New(2, "swap")
 	c.SWAP(0, 1)

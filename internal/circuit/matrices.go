@@ -14,89 +14,88 @@ import (
 //	id x y z h s sdg t tdg sx sxdg sy sydg
 //	rx(θ) ry(θ) rz(θ) p(λ) u1(λ) u2(φ,λ) u3(θ,φ,λ) u(θ,φ,λ)
 func Matrix1Q(name string, params []float64) ([4]complex128, error) {
-	need := func(n int) error {
-		if len(params) != n {
-			return fmt.Errorf("circuit: gate %q takes %d parameter(s), got %d", name, n, len(params))
-		}
-		return nil
+	if err := checkGate(name, params); err != nil {
+		return [4]complex128{}, err
 	}
 	s2 := complex(1/math.Sqrt2, 0)
 	switch name {
 	case "id", "i":
-		return [4]complex128{1, 0, 0, 1}, need(0)
+		return [4]complex128{1, 0, 0, 1}, nil
 	case "x":
-		return [4]complex128{0, 1, 1, 0}, need(0)
+		return [4]complex128{0, 1, 1, 0}, nil
 	case "y":
-		return [4]complex128{0, -1i, 1i, 0}, need(0)
+		return [4]complex128{0, -1i, 1i, 0}, nil
 	case "z":
-		return [4]complex128{1, 0, 0, -1}, need(0)
+		return [4]complex128{1, 0, 0, -1}, nil
 	case "h":
-		return [4]complex128{s2, s2, s2, -s2}, need(0)
+		return [4]complex128{s2, s2, s2, -s2}, nil
 	case "s":
-		return [4]complex128{1, 0, 0, 1i}, need(0)
+		return [4]complex128{1, 0, 0, 1i}, nil
 	case "sdg":
-		return [4]complex128{1, 0, 0, -1i}, need(0)
+		return [4]complex128{1, 0, 0, -1i}, nil
 	case "t":
-		return [4]complex128{1, 0, 0, cmplx.Exp(1i * math.Pi / 4)}, need(0)
+		return [4]complex128{1, 0, 0, cmplx.Exp(1i * math.Pi / 4)}, nil
 	case "tdg":
-		return [4]complex128{1, 0, 0, cmplx.Exp(-1i * math.Pi / 4)}, need(0)
+		return [4]complex128{1, 0, 0, cmplx.Exp(-1i * math.Pi / 4)}, nil
 	case "sx":
 		// √X as used by the supremacy circuits: X^(1/2).
 		return [4]complex128{
 			complex(0.5, 0.5), complex(0.5, -0.5),
 			complex(0.5, -0.5), complex(0.5, 0.5),
-		}, need(0)
+		}, nil
 	case "sxdg":
 		return [4]complex128{
 			complex(0.5, -0.5), complex(0.5, 0.5),
 			complex(0.5, 0.5), complex(0.5, -0.5),
-		}, need(0)
+		}, nil
 	case "sy":
 		// √Y = Y^(1/2).
 		return [4]complex128{
 			complex(0.5, 0.5), complex(-0.5, -0.5),
 			complex(0.5, 0.5), complex(0.5, 0.5),
-		}, need(0)
+		}, nil
 	case "sydg":
 		return [4]complex128{
 			complex(0.5, -0.5), complex(0.5, -0.5),
 			complex(-0.5, 0.5), complex(0.5, -0.5),
-		}, need(0)
+		}, nil
 	case "rx":
-		if err := need(1); err != nil {
-			return [4]complex128{}, err
-		}
 		c, s := math.Cos(params[0]/2), math.Sin(params[0]/2)
 		return [4]complex128{complex(c, 0), complex(0, -s), complex(0, -s), complex(c, 0)}, nil
 	case "ry":
-		if err := need(1); err != nil {
-			return [4]complex128{}, err
-		}
 		c, s := math.Cos(params[0]/2), math.Sin(params[0]/2)
 		return [4]complex128{complex(c, 0), complex(-s, 0), complex(s, 0), complex(c, 0)}, nil
 	case "rz":
-		if err := need(1); err != nil {
-			return [4]complex128{}, err
-		}
 		return [4]complex128{cmplx.Exp(complex(0, -params[0]/2)), 0, 0, cmplx.Exp(complex(0, params[0]/2))}, nil
 	case "p", "u1", "phase":
-		if err := need(1); err != nil {
-			return [4]complex128{}, err
-		}
 		return [4]complex128{1, 0, 0, cmplx.Exp(complex(0, params[0]))}, nil
 	case "u2":
-		if err := need(2); err != nil {
-			return [4]complex128{}, err
-		}
 		return u3Matrix(math.Pi/2, params[0], params[1]), nil
-	case "u3", "u":
-		if err := need(3); err != nil {
-			return [4]complex128{}, err
-		}
+	default: // "u3", "u"
 		return u3Matrix(params[0], params[1], params[2]), nil
-	default:
-		return [4]complex128{}, fmt.Errorf("circuit: unknown gate %q", name)
 	}
+}
+
+// checkGate reports the error Matrix1Q returns for name and params, without
+// building the matrix.
+func checkGate(name string, params []float64) error {
+	var n int
+	switch name {
+	case "id", "i", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "sy", "sydg":
+		n = 0
+	case "rx", "ry", "rz", "p", "u1", "phase":
+		n = 1
+	case "u2":
+		n = 2
+	case "u3", "u":
+		n = 3
+	default:
+		return fmt.Errorf("circuit: unknown gate %q", name)
+	}
+	if len(params) != n {
+		return fmt.Errorf("circuit: gate %q takes %d parameter(s), got %d", name, n, len(params))
+	}
+	return nil
 }
 
 func u3Matrix(theta, phi, lambda float64) [4]complex128 {

@@ -24,7 +24,10 @@
 // Job ids returned through the router are prefixed with the owning
 // backend's name ("b0.job-000042"), which keeps the router stateless: every
 // job-scoped request (status, result, events, cancel) routes by parsing the
-// prefix, and the SSE event stream is proxied through with flushing.
+// prefix, and the SSE event stream is proxied through with flushing. The
+// prefix is spliced into a 2xx status body after its leading {"id":" (serve
+// encodes the id first); the rest of the body, result included, is relayed
+// byte for byte and never decoded.
 // GET /v1/cluster/stats aggregates per-backend health, queue depth, cache
 // hit rate, and utilization with the router's own routed/rerouted/shed
 // counters.

@@ -11,8 +11,9 @@ import (
 // member is one backend's membership state: its routing identity plus the
 // hysteresis bookkeeping that decides whether the router offers it traffic.
 type member struct {
-	name string
-	url  string // base URL, no trailing slash
+	name     string
+	url      string // base URL, no trailing slash
+	idPrefix []byte // routedIDPrefix(name)
 
 	// up is the routing decision bit, read on every request without locks.
 	up atomic.Bool

@@ -160,7 +160,7 @@ func New(cfg Config) (*Router, error) {
 		hc:      hc,
 	}
 	for i, url := range cfg.Backends {
-		m := &member{name: names[i], url: strings.TrimRight(url, "/")}
+		m := &member{name: names[i], url: strings.TrimRight(url, "/"), idPrefix: routedIDPrefix(names[i])}
 		m.up.Store(true)
 		rt.members[i] = m
 		rt.byName[m.name] = m
@@ -254,7 +254,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// 400s, ...) propagates verbatim — backpressure is per-backend and
 		// deliberately NOT failed over, or a hot partition would flood the
 		// rest of the ring with jobs they will never see again.
-		rt.relay(w, resp, m.name)
+		rt.relay(w, resp, m)
 		return
 	}
 
@@ -319,7 +319,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.observe(m, true, "")
 	w.Header().Set(HeaderBackend, m.name)
-	rt.relay(w, resp, m.name)
+	rt.relay(w, resp, m)
 }
 
 // pathSuffix extracts the trailing segment after the job id ("result",
@@ -352,7 +352,7 @@ func (rt *Router) forward(ctx context.Context, m *member, method, path, query st
 // their job id rewritten to the routed form; other bodies (error envelopes,
 // result payloads) pass through byte-identically, with Retry-After and
 // Content-Type preserved.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backendName string) {
+func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
 	defer resp.Body.Close()
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
@@ -363,9 +363,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backendName 
 		return
 	}
 	if resp.StatusCode/100 == 2 {
-		if rewritten, ok := rewriteJobID(raw, backendName); ok {
-			raw = rewritten
-		}
+		raw = rewriteJobID(raw, m.idPrefix)
 	}
 	ct := resp.Header.Get("Content-Type")
 	if ct == "" {
@@ -376,19 +374,26 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backendName 
 	w.Write(raw)
 }
 
-// rewriteJobID prefixes the backend name onto a JobStatus body's id field.
-// Bodies without an id (result payloads) are reported unmodified.
-func rewriteJobID(raw []byte, backendName string) ([]byte, bool) {
-	var st serve.JobStatus
-	if err := json.Unmarshal(raw, &st); err != nil || st.ID == "" {
-		return nil, false
+// statusLead opens every JobStatus body: serve encodes the id first.
+const statusLead = `{"id":"`
+
+// routedIDPrefix is statusLead followed by the JSON-escaped name and idSep:
+// the bytes that replace statusLead to prefix a backend's job ids.
+func routedIDPrefix(name string) []byte {
+	esc, _ := json.Marshal(name + idSep) // a string: cannot fail
+	return append([]byte(statusLead), esc[1:len(esc)-1]...)
+}
+
+// rewriteJobID splices prefix (a routedIDPrefix) over the opening of a
+// JobStatus body, leaving every other byte as is. Bodies that do not open
+// with a non-empty id (results, lists, error envelopes) return unmodified.
+func rewriteJobID(raw, prefix []byte) []byte {
+	rest, ok := bytes.CutPrefix(raw, []byte(statusLead))
+	if !ok || len(rest) == 0 || rest[0] == '"' {
+		return raw
 	}
-	st.ID = backendName + idSep + st.ID
-	out, err := json.Marshal(st)
-	if err != nil {
-		return nil, false
-	}
-	return out, true
+	out := make([]byte, 0, len(prefix)+len(rest))
+	return append(append(out, prefix...), rest...)
 }
 
 // proxyStream pipes a backend SSE stream (GET /v1/jobs/{id}/events) to the
@@ -428,7 +433,7 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, m *member,
 	rt.observe(m, true, "")
 	w.Header().Set(HeaderBackend, m.name)
 	if resp.StatusCode != http.StatusOK {
-		rt.relay(w, resp, m.name)
+		rt.relay(w, resp, m)
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

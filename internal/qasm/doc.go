@@ -11,8 +11,13 @@
 // simulated), and constant parameter expressions with pi, + - * /, unary
 // minus and parentheses.
 //
+// Parse is one pass: tokens are substrings of the source, and each gate
+// statement is appended to the circuit as soon as it is read. A lexing
+// error anywhere outranks the first parse error, which outranks a missing
+// qreg, which outranks the first gate the circuit cannot take.
+//
 // This parser is also the simulation service's QASM front door: a POST to
 // /v1/jobs with a qasm body goes through Parse, so service submissions and
 // library callers agree on the IR — and therefore on result-cache content
-// hashes.
+// hashes. The cluster router parses each submission too, to route it.
 package qasm

@@ -25,10 +25,15 @@ var fuzzSeeds = []string{
 	"OPENQASM 2.0;\nqreg q[1];\nh q[0]",                            // missing terminator
 	"qreg q[1];\nmeasure q[0] -> c[0];\n",                          // measure into undeclared creg
 	"\"unterminated",
+	"qreg \xe9[2];\nh \xe9[0];\ncx \xe9[0], \xe9[1];\n", // Latin-1 letter byte in an identifier
+	"qreg q\xb2[1];\n",                                  // superscript two: not an identifier byte
+	"qreg \u00e9t\u00e9[1];\nx \u00e9t\u00e9[0];\n",     // UTF-8 identifier
+	"qreg q[2];\nbarrier q;\nbarrier q;\nh q[0];\nbarrier q;\nbarrier q;\n",
 	"gate foo a { x a; }\n",
 }
 
-// FuzzQASMParse asserts that Parse never panics on arbitrary input, and that
+// FuzzQASMParse asserts that Parse never panics on arbitrary input, that it
+// agrees with the oracle parser (oracle_test.go) on every input, and that
 // any program it accepts survives an export/reparse round trip: the reparsed
 // circuit must have the same width and the same canonical encoding.
 func FuzzQASMParse(f *testing.F) {
@@ -36,6 +41,7 @@ func FuzzQASMParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		checkMatchesOracle(t, src)
 		prog, err := Parse(src, "fuzz")
 		if err != nil {
 			return

@@ -29,7 +29,30 @@ type lexer struct {
 	line int
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
+// Classes of byteClass.
+const (
+	classIdentStart = 1 << iota // letter or '_'
+	classIdentPart              // letter, digit or '_'
+	classSymbol                 // one-byte punctuation token
+)
+
+// byteClass classifies each byte by rune predicates on the byte read as a
+// rune, so bytes >= 0x80 classify as the Latin-1 code points they name.
+var byteClass = func() (t [256]uint8) {
+	for i := range t {
+		r := rune(i)
+		if unicode.IsLetter(r) || r == '_' {
+			t[i] |= classIdentStart | classIdentPart
+		}
+		if unicode.IsDigit(r) {
+			t[i] |= classIdentPart
+		}
+		if strings.ContainsRune(";,()[]{}+-*/=<>", r) {
+			t[i] |= classSymbol
+		}
+	}
+	return t
+}()
 
 func (l *lexer) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("qasm: line %d: %s", l.line, fmt.Sprintf(format, args...))
@@ -58,8 +81,8 @@ scan:
 	ch := l.src[l.pos]
 	start := l.pos
 	switch {
-	case isIdentStart(rune(ch)):
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	case byteClass[ch]&classIdentStart != 0:
+		for l.pos < len(l.src) && byteClass[l.src[l.pos]]&classIdentPart != 0 {
 			l.pos++
 		}
 		return token{kind: tokIdent, text: l.src[start:l.pos], line: l.line}, nil
@@ -99,18 +122,10 @@ scan:
 	case ch == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
 		l.pos += 2
 		return token{kind: tokArrow, text: "->", line: l.line}, nil
-	case strings.ContainsRune(";,()[]{}+-*/=<>", rune(ch)):
+	case byteClass[ch]&classSymbol != 0:
 		l.pos++
-		return token{kind: tokSymbol, text: string(ch), line: l.line}, nil
+		return token{kind: tokSymbol, text: l.src[start:l.pos], line: l.line}, nil
 	default:
 		return token{}, l.errf("unexpected character %q", ch)
 	}
-}
-
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
-}
-
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/dd"
@@ -20,10 +21,11 @@ type Program struct {
 	Measurements [][2]int
 }
 
-// parser pulls tokens from the lexer one at a time; the grammar needs no
-// lookahead past the current token.
+// parser pulls tokens from the lexer one at a time (the grammar needs no
+// lookahead past the current token) and appends each gate statement's
+// expansion to the circuit as soon as it is read.
 type parser struct {
-	lex    *lexer
+	lex    lexer
 	tok    token
 	lexErr error // first lexing error; the token stream ends there
 
@@ -32,24 +34,32 @@ type parser struct {
 	qCount int
 	cCount int
 
-	ops []operation
-}
-
-type operation struct {
+	// c, named name, is created at the first qreg and widened at every
+	// later one: a gate names only qubits declared before it, so each
+	// Append sees its qubits in range. gateErr is the first gate the
+	// circuit cannot take, reported only if nothing outranks it.
 	name    string
-	params  []float64
-	qubits  []int
-	measure [2]int
-	isMeas  bool
-	barrier bool
+	c       *circuit.Circuit
+	meas    [][2]int
+	gateErr error
+
+	// qubits and params hold the current statement's operands. Every
+	// gate's Controls and Params are cut from ctlSlab and paramSlab with
+	// full-slice expressions, so an append through one gate's slice
+	// reallocates instead of overwriting its neighbour's.
+	qubits    []int
+	params    []float64
+	ctlSlab   []dd.Control
+	paramSlab []float64
 }
 
 // Parse converts QASM source into a Program.
 func Parse(src, name string) (*Program, error) {
 	p := &parser{
-		lex:   newLexer(src),
+		lex:   lexer{src: src, line: 1},
 		qregs: map[string][2]int{},
 		cregs: map[string][2]int{},
+		name:  name,
 	}
 	p.advance()
 	err := p.parse()
@@ -66,105 +76,115 @@ func Parse(src, name string) (*Program, error) {
 	if p.qCount == 0 {
 		return nil, fmt.Errorf("qasm: no qreg declared")
 	}
-	c := circuit.New(p.qCount, name)
-	prog := &Program{Circuit: c, Registers: p.qregs}
-	for _, op := range p.ops {
-		switch {
-		case op.barrier:
-			c.EndBlock()
-		case op.isMeas:
-			prog.Measurements = append(prog.Measurements, op.measure)
-		default:
-			if err := applyOp(c, op); err != nil {
-				return nil, err
-			}
-		}
+	if p.gateErr != nil {
+		return nil, p.gateErr
 	}
-	return prog, nil
+	return &Program{Circuit: p.c, Registers: p.qregs, Measurements: p.meas}, nil
 }
 
-// gateSpec fixes the operand and parameter arity of every supported gate, so
-// malformed statements become parse errors instead of panics deeper in the
-// circuit builder.
-var gateSpec = map[string]struct{ qubits, params int }{
-	"x": {1, 0}, "y": {1, 0}, "z": {1, 0}, "h": {1, 0}, "s": {1, 0},
-	"sdg": {1, 0}, "t": {1, 0}, "tdg": {1, 0}, "sx": {1, 0}, "sxdg": {1, 0},
-	"sy": {1, 0}, "sydg": {1, 0}, "id": {1, 0}, "i": {1, 0},
-	"rx": {1, 1}, "ry": {1, 1}, "rz": {1, 1}, "p": {1, 1}, "u1": {1, 1},
-	"u2": {1, 2}, "u3": {1, 3}, "u": {1, 3},
-	"cx": {2, 0}, "cy": {2, 0}, "cz": {2, 0}, "ch": {2, 0},
-	"cp": {2, 1}, "cu1": {2, 1}, "crz": {2, 1},
-	"ccx": {3, 0}, "ccz": {3, 0},
-	"swap": {2, 0}, "cswap": {3, 0},
-}
-
-func applyOp(c *circuit.Circuit, op operation) error {
-	spec, ok := gateSpec[op.name]
-	if !ok {
-		return fmt.Errorf("qasm: unsupported gate %q", op.name)
-	}
-	if len(op.qubits) != spec.qubits {
-		return fmt.Errorf("qasm: gate %q takes %d qubit operand(s), got %d", op.name, spec.qubits, len(op.qubits))
-	}
-	if len(op.params) != spec.params {
-		return fmt.Errorf("qasm: gate %q takes %d parameter(s), got %d", op.name, spec.params, len(op.params))
-	}
-	for _, v := range op.params {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("qasm: gate %q has non-finite parameter", op.name)
-		}
-	}
-	for i := 0; i < len(op.qubits); i++ {
-		for j := i + 1; j < len(op.qubits); j++ {
-			if op.qubits[i] == op.qubits[j] {
-				return fmt.Errorf("qasm: gate %q repeats qubit operand q%d", op.name, op.qubits[i])
-			}
-		}
-	}
-	q := op.qubits
-	pc := func(idx int) dd.Control { return dd.PosControl(q[idx]) }
-	switch op.name {
+// gateArity fixes the operand and parameter arity of every supported gate,
+// so malformed statements become parse errors instead of panics deeper in
+// the circuit builder.
+func gateArity(name string) (qubits, params int, ok bool) {
+	switch name {
 	case "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "sy", "sydg", "id", "i":
-		c.Apply(op.name, nil, q[0])
+		return 1, 0, true
 	case "rx", "ry", "rz", "p", "u1":
-		c.Apply(op.name, op.params, q[0])
-	case "u2", "u3":
-		c.Apply(op.name, op.params, q[0])
+		return 1, 1, true
+	case "u2":
+		return 1, 2, true
+	case "u3", "u":
+		return 1, 3, true
+	case "cx", "cy", "cz", "ch", "swap":
+		return 2, 0, true
+	case "cp", "cu1", "crz":
+		return 2, 1, true
+	case "ccx", "ccz", "cswap":
+		return 3, 0, true
+	}
+	return 0, 0, false
+}
+
+// emit validates the gate statement just read (its operands in p.qubits
+// and p.params) and appends its expansion to the circuit.
+func (p *parser) emit(name string) error {
+	nq, np, ok := gateArity(name)
+	if !ok {
+		return fmt.Errorf("qasm: unsupported gate %q", name)
+	}
+	q := p.qubits
+	if len(q) != nq {
+		return fmt.Errorf("qasm: gate %q takes %d qubit operand(s), got %d", name, nq, len(q))
+	}
+	if len(p.params) != np {
+		return fmt.Errorf("qasm: gate %q takes %d parameter(s), got %d", name, np, len(p.params))
+	}
+	for _, v := range p.params {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("qasm: gate %q has non-finite parameter", name)
+		}
+	}
+	for i := 0; i < len(q); i++ {
+		for j := i + 1; j < len(q); j++ {
+			if q[i] == q[j] {
+				return fmt.Errorf("qasm: gate %q repeats qubit operand q%d", name, q[i])
+			}
+		}
+	}
+	switch name {
 	case "u":
 		// Normalized to u3 so export/reparse round trips to the same
 		// canonical encoding.
-		c.Apply("u3", op.params, q[0])
-	case "cx":
-		c.Apply("x", nil, q[1], pc(0))
-	case "cy":
-		c.Apply("y", nil, q[1], pc(0))
-	case "cz":
-		c.Apply("z", nil, q[1], pc(0))
-	case "ch":
-		c.Apply("h", nil, q[1], pc(0))
+		p.add("u3", q[0])
+	case "cx", "cy", "cz", "ch":
+		p.add(name[1:], q[1], q[0])
 	case "cp", "cu1":
-		c.Apply("p", op.params, q[1], pc(0))
+		p.add("p", q[1], q[0])
 	case "crz":
-		c.Apply("rz", op.params, q[1], pc(0))
-	case "ccx":
-		c.Apply("x", nil, q[2], pc(0), pc(1))
-	case "ccz":
-		c.Apply("z", nil, q[2], pc(0), pc(1))
+		p.add("rz", q[1], q[0])
+	case "ccx", "ccz":
+		p.add(name[2:], q[2], q[0], q[1])
 	case "swap":
-		c.SWAP(q[0], q[1])
+		// Three CNOTs, as circuit.SWAP builds it.
+		p.add("x", q[1], q[0])
+		p.add("x", q[0], q[1])
+		p.add("x", q[1], q[0])
 	case "cswap":
 		// Fredkin via three Toffolis.
-		c.Apply("x", nil, q[2], pc(0), dd.PosControl(q[1]))
-		c.Apply("x", nil, q[1], pc(0), dd.PosControl(q[2]))
-		c.Apply("x", nil, q[2], pc(0), dd.PosControl(q[1]))
+		p.add("x", q[2], q[0], q[1])
+		p.add("x", q[1], q[0], q[2])
+		p.add("x", q[2], q[0], q[1])
 	default:
-		return fmt.Errorf("qasm: unsupported gate %q", op.name)
+		// The single-qubit gates keep their QASM name.
+		p.add(name, q[0])
 	}
 	return nil
 }
 
+// add appends one unitary gate on target with positive controls ctls,
+// taking the statement's parameters.
+func (p *parser) add(name string, target int, ctls ...int) {
+	g := circuit.Gate{Kind: circuit.KindUnitary, Name: name, Target: target}
+	if len(p.params) > 0 {
+		at := len(p.paramSlab)
+		p.paramSlab = append(p.paramSlab, p.params...)
+		g.Params = p.paramSlab[at:len(p.paramSlab):len(p.paramSlab)]
+	}
+	if len(ctls) > 0 {
+		at := len(p.ctlSlab)
+		for _, q := range ctls {
+			p.ctlSlab = append(p.ctlSlab, dd.PosControl(q))
+		}
+		g.Controls = p.ctlSlab[at:len(p.ctlSlab):len(p.ctlSlab)]
+	}
+	p.c.Append(g)
+}
+
 func (p *parser) cur() token  { return p.tok }
 func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
+
+// isSymbol reports whether the current token is the punctuation s.
+func (p *parser) isSymbol(s string) bool { return p.tok.kind == tokSymbol && p.tok.text == s }
 
 func (p *parser) advance() {
 	t, err := p.lex.next()
@@ -219,13 +239,15 @@ func (p *parser) parse() error {
 		case "barrier":
 			p.advance()
 			// Skip operand list; barriers map to block boundaries.
-			for !p.atEOF() && !(p.cur().kind == tokSymbol && p.cur().text == ";") {
+			for !p.atEOF() && !p.isSymbol(";") {
 				p.advance()
 			}
 			if err := p.expectSymbol(";"); err != nil {
 				return err
 			}
-			p.ops = append(p.ops, operation{barrier: true})
+			if p.c != nil && p.gateErr == nil {
+				p.c.EndBlock()
+			}
 		case "measure":
 			if err := p.parseMeasure(); err != nil {
 				return err
@@ -274,6 +296,13 @@ func (p *parser) parseReg(kind string) error {
 		}
 		p.qregs[name] = [2]int{p.qCount, size}
 		p.qCount += size
+		if p.c == nil {
+			// One gate per statement, barring the multi-gate swap and
+			// cswap expansions and the statements that are not gates.
+			p.c = circuit.New(p.qCount, p.name)
+			p.c.Grow(strings.Count(p.lex.src, ";"))
+		}
+		p.c.NumQubits = p.qCount
 	} else {
 		if _, dup := p.cregs[name]; dup {
 			return p.errf("duplicate creg %q", name)
@@ -308,7 +337,7 @@ func (p *parser) parseMeasure() error {
 	if err := p.expectSymbol(";"); err != nil {
 		return err
 	}
-	p.ops = append(p.ops, operation{isMeas: true, measure: [2]int{q, cbit}})
+	p.meas = append(p.meas, [2]int{q, cbit})
 	return nil
 }
 
@@ -344,16 +373,16 @@ func (p *parser) parseQubitRef(regs map[string][2]int) (int, error) {
 func (p *parser) parseGate() error {
 	name := p.cur().text
 	p.advance()
-	var params []float64
-	if p.cur().kind == tokSymbol && p.cur().text == "(" {
+	p.params = p.params[:0]
+	if p.isSymbol("(") {
 		p.advance()
 		for {
 			v, err := p.parseExpr()
 			if err != nil {
 				return err
 			}
-			params = append(params, v)
-			if p.cur().kind == tokSymbol && p.cur().text == "," {
+			p.params = append(p.params, v)
+			if p.isSymbol(",") {
 				p.advance()
 				continue
 			}
@@ -363,14 +392,14 @@ func (p *parser) parseGate() error {
 			return err
 		}
 	}
-	var qubits []int
+	p.qubits = p.qubits[:0]
 	for {
 		q, err := p.parseQubitRef(p.qregs)
 		if err != nil {
 			return err
 		}
-		qubits = append(qubits, q)
-		if p.cur().kind == tokSymbol && p.cur().text == "," {
+		p.qubits = append(p.qubits, q)
+		if p.isSymbol(",") {
 			p.advance()
 			continue
 		}
@@ -379,7 +408,9 @@ func (p *parser) parseGate() error {
 	if err := p.expectSymbol(";"); err != nil {
 		return err
 	}
-	p.ops = append(p.ops, operation{name: name, params: params, qubits: qubits})
+	if p.gateErr == nil {
+		p.gateErr = p.emit(name)
+	}
 	return nil
 }
 
@@ -390,7 +421,7 @@ func (p *parser) parseExpr() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for p.cur().kind == tokSymbol && (p.cur().text == "+" || p.cur().text == "-") {
+	for p.isSymbol("+") || p.isSymbol("-") {
 		op := p.cur().text
 		p.advance()
 		rhs, err := p.parseTerm()
@@ -411,7 +442,7 @@ func (p *parser) parseTerm() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for p.cur().kind == tokSymbol && (p.cur().text == "*" || p.cur().text == "/") {
+	for p.isSymbol("*") || p.isSymbol("/") {
 		op := p.cur().text
 		p.advance()
 		rhs, err := p.parseFactor()

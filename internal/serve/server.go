@@ -362,7 +362,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		js.events.close(Event{Type: EventStatus, Status: StatusDone})
 		js.done.Store(true)
 		s.register(js)
-		writeJSON(w, http.StatusOK, s.statusOf(js, true))
+		writeStatus(w, http.StatusOK, s.statusOf(js, true))
 		return
 	}
 
@@ -602,7 +602,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.statusOf(js, true))
+	writeStatus(w, http.StatusOK, s.statusOf(js, true))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -758,6 +758,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
+}
+
+// writeStatus writes the bytes writeJSON would, but splices the stored
+// payload (json.Marshal output, which the encoder would only re-validate)
+// in as the last field, Result, after encoding the rest of st.
+func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
+	result := st.Result
+	if len(result) == 0 {
+		writeJSON(w, code, st)
+		return
+	}
+	st.Result = nil
+	b, _ := json.Marshal(st) // strings and a bool: cannot fail
+	b = append(b[:len(b)-1], `,"result":`...)
+	b = append(b, result...)
+	b = append(b, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(b)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
