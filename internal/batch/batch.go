@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/circuit"
@@ -17,7 +16,7 @@ import (
 
 // Job is one independent simulation.
 type Job struct {
-	// Name labels the job in results and progress reports.
+	// Name labels the job in results.
 	Name string
 	// Circuit to simulate. Must be non-nil; a nil circuit fails the job
 	// (not the batch).
@@ -128,11 +127,6 @@ type Options struct {
 	// Observer, when non-nil, receives the start and end of every job that
 	// runs, on the job's worker. See Observer for the concurrency contract.
 	Observer Observer
-	// Progress, when non-nil, is called after each job finishes with the
-	// number of finished jobs, the total, and that job's result. Calls are
-	// serialized; done reaches total unless jobs are canceled before they
-	// start.
-	Progress func(done, total int, r JobResult)
 }
 
 // Run executes a closed batch: it resolves each job's timeout and seed,
@@ -161,18 +155,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Result, error) {
 		return res, nil
 	}
 
-	var progress func(JobResult)
-	if opts.Progress != nil {
-		var mu sync.Mutex // serializes the done counter and Progress calls
-		done := 0
-		progress = func(jr JobResult) {
-			mu.Lock()
-			defer mu.Unlock()
-			done++
-			opts.Progress(done, len(jobs), jr)
-		}
-	}
-	p := newPool(ctx, workers, len(jobs), opts.Observer, progress)
+	p := newPool(ctx, workers, len(jobs), opts.Observer)
 	handles := make([]*Handle, len(jobs))
 	for i, job := range jobs {
 		if job.Timeout <= 0 {

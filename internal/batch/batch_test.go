@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,22 +174,15 @@ func TestSeedStableAndSpread(t *testing.T) {
 func TestCancellationMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var firstDone int
-	opts := Options{
-		Workers: 2,
-		Progress: func(done, total int, jr JobResult) {
-			if done == 1 {
-				firstDone++
-				cancel() // stop the batch as soon as anything finishes
-			}
-		},
+	jobs := approxJobs(24)
+	for i := range jobs {
+		jobs[i].Finalize = func(*JobResult) {
+			cancel() // stop the batch as soon as anything finishes
+		}
 	}
-	res, err := Run(ctx, approxJobs(24), opts)
+	res, err := Run(ctx, jobs, Options{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled", err)
-	}
-	if firstDone != 1 {
-		t.Fatalf("progress(done=1) fired %d times", firstDone)
 	}
 	if res.Canceled == 0 {
 		t.Error("no jobs reported canceled")
@@ -252,14 +245,13 @@ func TestPerJobTimeout(t *testing.T) {
 
 func TestCustomCancelCauseCountsAsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
 	boom := errors.New("user abort")
-	var once sync.Once
-	res, err := Run(ctx, approxJobs(16), Options{
-		Workers: 2,
-		Progress: func(done, total int, jr JobResult) {
-			once.Do(func() { cancel(boom) })
-		},
-	})
+	jobs := approxJobs(16)
+	for i := range jobs {
+		jobs[i].Finalize = func(*JobResult) { cancel(boom) }
+	}
+	res, err := Run(ctx, jobs, Options{Workers: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want the custom cause", err)
 	}
@@ -333,27 +325,19 @@ func TestStressMoreJobsThanWorkers(t *testing.T) {
 			},
 		}
 	}
-	var calls int
-	res, err := Run(context.Background(), jobs, Options{
-		Workers: 4,
-		Progress: func(done, total int, jr JobResult) {
-			calls++
-			if done != calls {
-				t.Errorf("progress done=%d after %d calls (not serialized?)", done, calls)
-			}
-			if total != n {
-				t.Errorf("progress total=%d, want %d", total, n)
-			}
-		},
-	})
+	var finalized atomic.Int32
+	for i := range jobs {
+		jobs[i].Finalize = func(*JobResult) { finalized.Add(1) }
+	}
+	res, err := Run(context.Background(), jobs, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != n {
 		t.Fatalf("completed = %d, want %d", res.Completed, n)
 	}
-	if calls != n {
-		t.Fatalf("progress fired %d times, want %d", calls, n)
+	if got := finalized.Load(); got != n {
+		t.Fatalf("Finalize fired %d times, want %d", got, n)
 	}
 }
 

@@ -171,12 +171,12 @@ func TestNeverStartedJobContract(t *testing.T) {
 				ran[i].Add(1) // only a job that runs builds its strategy
 				return newStrategy()
 			}
-			jobs[i].Finalize = func(*JobResult) { finalized[i].Add(1) }
+			jobs[i].Finalize = func(*JobResult) {
+				finalized[i].Add(1)
+				cancel(cause) // the first job to finish abandons the batch
+			}
 		}
-		res, err := Run(ctx, jobs, Options{
-			Workers:  2,
-			Progress: func(int, int, JobResult) { cancel(cause) },
-		})
+		res, err := Run(ctx, jobs, Options{Workers: 2})
 		if err != cause {
 			t.Fatalf("Run error = %v, want %v", err, cause)
 		}

@@ -70,10 +70,9 @@ type Pool struct {
 
 	perWorker []workerCounters
 
-	// observer and progress are Run's batch callbacks, nil for NewPool.
-	// Both fire only for jobs that ran.
+	// observer is Run's batch observer, nil for NewPool. It fires only
+	// for jobs that ran.
 	observer Observer
-	progress func(JobResult)
 }
 
 // workerCounters holds one worker's lifetime statistics, padded to a cache
@@ -108,12 +107,12 @@ func NewPool(opts PoolOptions) *Pool {
 	if depth <= 0 {
 		depth = 4 * workers
 	}
-	return newPool(context.Background(), workers, depth, nil, nil)
+	return newPool(context.Background(), workers, depth, nil)
 }
 
 // newPool starts workers goroutines on a queue of the given depth. Every
-// job context derives from ctx; observer and progress may be nil.
-func newPool(ctx context.Context, workers, depth int, observer Observer, progress func(JobResult)) *Pool {
+// job context derives from ctx; observer may be nil.
+func newPool(ctx context.Context, workers, depth int, observer Observer) *Pool {
 	ctx, cancel := context.WithCancelCause(ctx)
 	p := &Pool{
 		workers:   workers,
@@ -124,7 +123,6 @@ func newPool(ctx context.Context, workers, depth int, observer Observer, progres
 		start:     time.Now(),
 		perWorker: make([]workerCounters, workers),
 		observer:  observer,
-		progress:  progress,
 	}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
@@ -163,9 +161,6 @@ func (p *Pool) worker(id int) {
 		h.res = jr
 		if ran && p.observer != nil {
 			p.observer.OnJobDone(id, jr)
-		}
-		if ran && p.progress != nil {
-			p.progress(jr)
 		}
 		// Release the job context: this detaches it from the pool context's
 		// children (it would otherwise stay registered — and leak — for the

@@ -71,9 +71,11 @@ func Matrix1Q(name string, params []float64) ([4]complex128, error) {
 		return [4]complex128{1, 0, 0, cmplx.Exp(complex(0, params[0]))}, nil
 	case "u2":
 		return u3Matrix(math.Pi/2, params[0], params[1]), nil
-	default: // "u3", "u"
+	case "u3", "u":
 		return u3Matrix(params[0], params[1], params[2]), nil
 	}
+	// Unreachable while checkGate and this switch name the same gates.
+	return [4]complex128{}, fmt.Errorf("circuit: unknown gate %q", name)
 }
 
 // checkGate reports the error Matrix1Q returns for name and params, without

@@ -297,10 +297,8 @@ func (p *parser) parseReg(kind string) error {
 		p.qregs[name] = [2]int{p.qCount, size}
 		p.qCount += size
 		if p.c == nil {
-			// One gate per statement, barring the multi-gate swap and
-			// cswap expansions and the statements that are not gates.
 			p.c = circuit.New(p.qCount, p.name)
-			p.c.Grow(strings.Count(p.lex.src, ";"))
+			p.c.Grow(statementBound(p.lex.src))
 		}
 		p.c.NumQubits = p.qCount
 	} else {
@@ -314,6 +312,32 @@ func (p *parser) parseReg(kind string) error {
 		p.cCount += size
 	}
 	return nil
+}
+
+// statementBound estimates the gate count of src for presizing: one gate
+// per ';' outside a // comment, barring the multi-gate swap and cswap
+// expansions and the statements that are not gates. The source is
+// untrusted, so the estimate never exceeds one gate per len("h q[0];")
+// bytes: ';' in comments reserve nothing, and a run of bare ';' (a parse
+// error) reserves no more than a valid source of its length would fill.
+// An underestimate only costs append its doubling.
+func statementBound(src string) int {
+	limit := len(src) / len("h q[0];")
+	n := 0
+	for n < limit {
+		i := strings.Index(src, "//")
+		if i < 0 {
+			n += strings.Count(src, ";")
+			break
+		}
+		n += strings.Count(src[:i], ";")
+		j := strings.IndexByte(src[i:], '\n')
+		if j < 0 {
+			break
+		}
+		src = src[i+j+1:]
+	}
+	return min(n, limit)
 }
 
 // maxRegisterBits bounds the total declared qubits/bits; it is far beyond

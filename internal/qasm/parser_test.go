@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/gen"
 	"repro/internal/sim"
 )
 
@@ -203,4 +204,32 @@ sdg q[0];
 
 func cmplxAbs(c complex128) float64 {
 	return math.Hypot(real(c), imag(c))
+}
+
+// TestStatementBoundResistsPadding checks that the gate slice is presized
+// from the statements of an untrusted source, not from every ';' in it.
+func TestStatementBoundResistsPadding(t *testing.T) {
+	pad := strings.Repeat(";", 1<<20)
+	prog, err := Parse("qreg q[1];\nh q[0]; //"+pad+"\nx q[0];\n", "pad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cap(prog.Circuit.Gates()); n > 16 {
+		t.Errorf("1 MiB of ';' in a comment reserved room for %d gates", n)
+	}
+	bare := "qreg q[1];\n" + pad
+	if n, limit := statementBound(bare), len(bare)/len("h q[0];"); n > limit {
+		t.Errorf("bare ';' run reserves %d gates, more than the %d its length can hold", n, limit)
+	}
+	src, err := Export(gen.CliffordT(16, 400, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err = Parse(src, "cliffordt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, gates := statementBound(src), len(prog.Circuit.Gates()); n < gates {
+		t.Errorf("statementBound = %d, below the export's %d gates", n, gates)
+	}
 }
