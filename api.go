@@ -170,9 +170,8 @@ type (
 	Table1Suite = benchtab.Suite
 	// Table1Row is one Table I line.
 	Table1Row = benchtab.Row
-	// Table1RunOptions configures suite execution (worker count, seeds,
-	// progress); accepted by Table1Suite.RunMemoryDriven and
-	// RunFidelityDriven.
+	// Table1RunOptions configures suite execution (worker count, seeds);
+	// accepted by Table1Suite.RunMemoryDriven and RunFidelityDriven.
 	Table1RunOptions = benchtab.RunOptions
 	// QASMProgram is a parsed OpenQASM 2.0 program.
 	QASMProgram = qasm.Program
@@ -185,7 +184,7 @@ type (
 	// BatchJobResult is the outcome of one batch job.
 	BatchJobResult = batch.JobResult
 	// BatchOptions configures a batch (workers, base seed, job timeout,
-	// observer, progress).
+	// observer).
 	BatchOptions = batch.Options
 	// BatchResult aggregates a finished batch.
 	BatchResult = batch.Result

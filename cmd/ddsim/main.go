@@ -6,6 +6,10 @@
 // same spelling as the simulation service's strategy and strategy_params
 // fields; auto classifies the circuit's gate mix and installs the committed
 // approximability-atlas winner for its workload class (docs/ATLAS.md).
+// The strategy, backend and noise flags resolve through serve.ResolveRun,
+// the resolver the service compiles submissions with, so ddsim accepts and
+// rejects the same runs: auto, measured on the noiseless statevector
+// atlas, is rejected together with -noise or -backend density.
 //
 // Examples:
 //
@@ -45,140 +49,132 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/atlas"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/gen"
 	"repro/internal/opt"
 	"repro/internal/qasm"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
 func main() {
-	qasmPath := flag.String("qasm", "", "OpenQASM 2.0 file to simulate")
-	genSpec := flag.String("gen", "", "builtin generator: qft:N | iqft:N | ghz:N | w:N | grover:N[:marked] | bv:N[:secret] | random:N:GATES[:seed] | qsup:RxC:DEPTH[:seed] | qaoa:N[:P[:seed]] | vqe:N[:L[:topo[:seed]]] | cliffordt:N[:GATES[:TCOUNT[:seed]]]")
-	strategy := flag.String("strategy", "exact", "registered strategy name ("+strings.Join(core.StrategyNames(), ", ")+") or auto")
-	params := flag.String("params", "", "the strategy's JSON parameters, e.g. '{\"threshold\":4096,\"round_fidelity\":0.99}' for memory")
-	shots := flag.Int("shots", 0, "samples to draw from the final state")
-	seed := flag.Int64("seed", 1, "sampling seed")
-	dotPath := flag.String("dot", "", "write the final state DD in Graphviz format")
-	history := flag.Bool("history", false, "print the per-gate DD size history")
-	trace := flag.Bool("trace", false, "stream per-gate node counts, approximation rounds, and cleanups as they happen")
-	optimize := flag.Bool("optimize", false, "peephole-optimize the circuit before simulating")
-	noiseKind := flag.String("noise", "", "noise channel: depolarizing, amplitude_damping, dephasing, bit_flip, phase_flip (empty = noiseless)")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "ddsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line, simulates, and prints the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ddsim", flag.ExitOnError)
+	qasmPath := fs.String("qasm", "", "OpenQASM 2.0 file to simulate")
+	genSpec := fs.String("gen", "", "builtin generator: qft:N | iqft:N | ghz:N | w:N | grover:N[:marked] | bv:N[:secret] | random:N:GATES[:seed] | qsup:RxC:DEPTH[:seed] | qaoa:N[:P[:seed]] | vqe:N[:L[:topo[:seed]]] | cliffordt:N[:GATES[:TCOUNT[:seed]]]")
+	strategy := fs.String("strategy", "exact", "registered strategy name ("+strings.Join(core.StrategyNames(), ", ")+") or auto")
+	params := fs.String("params", "", "the strategy's JSON parameters, e.g. '{\"threshold\":4096,\"round_fidelity\":0.99}' for memory")
+	shots := fs.Int("shots", 0, "samples to draw from the final state")
+	seed := fs.Int64("seed", 1, "sampling seed")
+	dotPath := fs.String("dot", "", "write the final state DD in Graphviz format")
+	history := fs.Bool("history", false, "print the per-gate DD size history")
+	trace := fs.Bool("trace", false, "stream per-gate node counts, approximation rounds, and cleanups as they happen")
+	optimize := fs.Bool("optimize", false, "peephole-optimize the circuit before simulating")
+	noiseKind := fs.String("noise", "", "noise channel: depolarizing, amplitude_damping, dephasing, bit_flip, phase_flip (empty = noiseless)")
 	var noiseParams paramFlags
-	flag.Var(&noiseParams, "noise-param", "noise parameter as key=value (p, gamma, seed); repeatable")
-	backend := flag.String("backend", "", "state representation: statevector or density (empty = statevector, or density when -noise is set)")
-	flag.Parse()
+	fs.Var(&noiseParams, "noise-param", "noise parameter as key=value (p, gamma, seed); repeatable")
+	backend := fs.String("backend", "", "state representation: statevector or density (empty = statevector, or density when -noise is set)")
+	fs.Parse(args) // exits on a bad flag (status 2) or -h (status 0)
 
 	// `ddsim circuit.qasm` is the documented spelling; the single positional
 	// argument is the QASM file, and every flag above — including -noise,
 	// -noise-param, and -backend — must come before it.
-	switch flag.NArg() {
+	switch fs.NArg() {
 	case 0:
 	case 1:
 		if *qasmPath != "" {
-			fatal(fmt.Errorf("both -qasm %s and positional %s given", *qasmPath, flag.Arg(0)))
+			return fmt.Errorf("both -qasm %s and positional %s given", *qasmPath, fs.Arg(0))
 		}
-		*qasmPath = flag.Arg(0)
+		*qasmPath = fs.Arg(0)
 	default:
-		fatal(fmt.Errorf("at most one positional argument (the QASM file; flags like -noise/-noise-param/-backend must precede it), got %v", flag.Args()))
+		return fmt.Errorf("at most one positional argument (the QASM file; flags like -noise/-noise-param/-backend must precede it), got %v", fs.Args())
 	}
 
 	circ, err := loadCircuit(*qasmPath, *genSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *optimize {
 		var stats opt.Stats
 		circ, stats = opt.Optimize(circ)
-		fmt.Printf("optimized:  -%d pairs, %d merges, -%d identities (%d passes)\n",
+		fmt.Fprintf(w, "optimized:  -%d pairs, %d merges, -%d identities (%d passes)\n",
 			stats.CancelledPairs, stats.MergedGates, stats.DroppedGates, stats.Passes)
 	}
 
-	// Both -history and -trace observe the run through the Observer seam:
-	// -trace prints live, -history collects sizes and prints at the end.
-	var observers multiObserver
-	var collected *sizeCollector
-	if *history {
-		collected = &sizeCollector{}
-		observers = append(observers, collected)
-	}
-	if *trace {
-		observers = append(observers, traceObserver{w: os.Stdout})
-	}
-	var opts sim.Options
-	if len(observers) > 0 {
-		opts.Observer = observers
-	}
-	st, auto, err := newStrategy(*strategy, *params, circ)
+	// The run settings resolve exactly as the simulation service resolves
+	// a submission's strategy, backend and noise fields.
+	_, opts, auto, err := serve.ResolveRun(circ, serve.JobRequest{
+		Strategy:       *strategy,
+		StrategyParams: json.RawMessage(*params),
+		Backend:        *backend,
+		Noise:          *noiseKind,
+		NoiseParams:    noiseParams.m,
+	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if auto != "" {
-		fmt.Printf("auto:       %s\n", auto)
+		fmt.Fprintf(w, "auto:       %s\n", auto)
 	}
-	opts.Strategy = st
-	opts.Backend = sim.Backend(*backend)
-	if *noiseKind != "" {
-		noise, err := sim.ParseNoise(*noiseKind, noiseParams.m)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Noise = &noise
-		if *backend == "" {
-			opts.Backend = sim.BackendDensity // exact noisy simulation by default
-		}
-	} else if len(noiseParams.m) > 0 {
-		fatal(fmt.Errorf("-noise-param given without -noise"))
+	opts.CollectSizeHistory = *history
+	if *trace {
+		opts.Observer = traceObserver{w: w}
 	}
 
 	s := sim.New()
 	res, err := s.Run(circ, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("circuit:    %s\n", circ.String())
-	fmt.Printf("strategy:   %s\n", res.StrategyName)
+	fmt.Fprintf(w, "circuit:    %s\n", circ.String())
+	fmt.Fprintf(w, "strategy:   %s\n", res.StrategyName)
 	if res.Backend != sim.BackendStatevector || res.Noise != nil {
-		fmt.Printf("backend:    %s\n", res.Backend)
+		fmt.Fprintf(w, "backend:    %s\n", res.Backend)
 	}
 	if res.Noise != nil {
-		fmt.Printf("noise:      %s p=%g (%d channel applications)\n",
+		fmt.Fprintf(w, "noise:      %s p=%g (%d channel applications)\n",
 			res.Noise.Kind, res.Noise.P, res.ChannelApplications)
 	}
-	fmt.Printf("max DD:     %d nodes\n", res.MaxDDSize)
-	fmt.Printf("final DD:   %d nodes\n", res.FinalDDSize)
+	fmt.Fprintf(w, "max DD:     %d nodes\n", res.MaxDDSize)
+	fmt.Fprintf(w, "final DD:   %d nodes\n", res.FinalDDSize)
 	if res.Density != nil {
-		fmt.Printf("purity:     %.6f\n", res.Purity)
+		fmt.Fprintf(w, "purity:     %.6f\n", res.Purity)
 	}
-	fmt.Printf("runtime:    %v\n", res.Runtime)
+	fmt.Fprintf(w, "runtime:    %v\n", res.Runtime)
 	if res.InitialOrder != nil {
-		fmt.Printf("order:      %v", res.FinalOrder)
+		fmt.Fprintf(w, "order:      %v", res.FinalOrder)
 		if res.SiftPasses > 0 {
-			fmt.Printf(" (from %v via %d sift passes, %d swaps)", res.InitialOrder, res.SiftPasses, res.SiftSwaps)
+			fmt.Fprintf(w, " (from %v via %d sift passes, %d swaps)", res.InitialOrder, res.SiftPasses, res.SiftSwaps)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if len(res.Rounds) > 0 {
-		fmt.Printf("rounds:     %d\n", len(res.Rounds))
-		fmt.Printf("fidelity:   %.6f (bound %.6f)\n", res.EstimatedFidelity, res.FidelityBound)
+		fmt.Fprintf(w, "rounds:     %d\n", len(res.Rounds))
+		fmt.Fprintf(w, "fidelity:   %.6f (bound %.6f)\n", res.EstimatedFidelity, res.FidelityBound)
 		for _, r := range res.Rounds {
-			fmt.Printf("  after gate %4d: %6d -> %6d nodes, fidelity %.6f\n",
+			fmt.Fprintf(w, "  after gate %4d: %6d -> %6d nodes, fidelity %.6f\n",
 				r.GateIndex, r.Report.SizeBefore, r.Report.SizeAfter, r.Report.Achieved)
 		}
 	}
 	if *history {
-		fmt.Print("size history:")
-		for i, sz := range collected.sizes {
+		fmt.Fprint(w, "size history:")
+		for i, sz := range res.SizeHistory {
 			if i%8 == 0 {
-				fmt.Printf("\n  gate %4d:", i)
+				fmt.Fprintf(w, "\n  gate %4d:", i)
 			}
-			fmt.Printf(" %7d", sz)
+			fmt.Fprintf(w, " %7d", sz)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if *shots > 0 {
 		rng := rand.New(rand.NewSource(*seed))
@@ -188,46 +184,27 @@ func main() {
 		} else {
 			hist = s.M.SampleMany(res.Final, circ.NumQubits, *shots, rng)
 		}
-		fmt.Printf("samples (%d shots):\n", *shots)
+		fmt.Fprintf(w, "samples (%d shots):\n", *shots)
 		printed := 0
 		for idx, count := range hist {
-			fmt.Printf("  |%0*b⟩: %d\n", circ.NumQubits, idx, count)
+			fmt.Fprintf(w, "  |%0*b⟩: %d\n", circ.NumQubits, idx, count)
 			printed++
 			if printed >= 32 {
-				fmt.Printf("  ... (%d more outcomes)\n", len(hist)-printed)
+				fmt.Fprintf(w, "  ... (%d more outcomes)\n", len(hist)-printed)
 				break
 			}
 		}
 	}
 	if *dotPath != "" {
 		if res.Density != nil {
-			fatal(fmt.Errorf("-dot renders state DDs; not supported on the density backend"))
+			return fmt.Errorf("-dot renders state DDs; not supported on the density backend")
 		}
 		if err := os.WriteFile(*dotPath, []byte(dd.DOT(res.Final, circ.Name)), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *dotPath)
+		fmt.Fprintf(w, "wrote %s\n", *dotPath)
 	}
-}
-
-// newStrategy builds the run's strategy from -strategy and -params through
-// the core registry. auto classifies the circuit by gate mix and installs
-// the committed approximability-atlas winner for its workload class — the
-// same resolution the simulation service applies to strategy=auto — and
-// returns a description of that choice; auto picks its own parameters.
-func newStrategy(name, params string, circ *circuit.Circuit) (core.Strategy, string, error) {
-	if name != "auto" {
-		st, err := core.NewStrategyByName(name, json.RawMessage(params))
-		return st, "", err
-	}
-	if params != "" {
-		return nil, "", fmt.Errorf("-strategy auto picks its own parameters; -params may not be set")
-	}
-	class := gen.Classify(circ)
-	win := atlas.Resolve(class)
-	st, err := core.NewStrategyByName(win.Strategy, json.RawMessage(win.Params))
-	label := strings.TrimSpace(win.Base + " " + win.Params)
-	return st, fmt.Sprintf("class=%s -> %s (order=%s)", class, label, win.Order), err
+	return nil
 }
 
 // traceObserver prints every simulation event as it happens.
@@ -264,53 +241,6 @@ func (o traceObserver) OnChannel(e core.ChannelEvent) {
 func (o traceObserver) OnFinish(e core.FinishEvent) {
 	fmt.Fprintf(o.w, "finished: %d gates, max %d nodes, final %d nodes, %d rounds\n",
 		e.GatesApplied, e.MaxDDSize, e.FinalDDSize, e.Rounds)
-}
-
-// sizeCollector records the per-gate size history for -history.
-type sizeCollector struct {
-	core.NopObserver
-	sizes []int
-}
-
-func (o *sizeCollector) OnGate(e core.GateEvent) { o.sizes = append(o.sizes, e.Size) }
-
-// multiObserver fans events out to several observers.
-type multiObserver []core.Observer
-
-func (m multiObserver) OnGate(e core.GateEvent) {
-	for _, o := range m {
-		o.OnGate(e)
-	}
-}
-
-func (m multiObserver) OnApproximation(r core.Round) {
-	for _, o := range m {
-		o.OnApproximation(r)
-	}
-}
-
-func (m multiObserver) OnCleanup(e core.CleanupEvent) {
-	for _, o := range m {
-		o.OnCleanup(e)
-	}
-}
-
-func (m multiObserver) OnReorder(e core.ReorderEvent) {
-	for _, o := range m {
-		o.OnReorder(e)
-	}
-}
-
-func (m multiObserver) OnChannel(e core.ChannelEvent) {
-	for _, o := range m {
-		o.OnChannel(e)
-	}
-}
-
-func (m multiObserver) OnFinish(e core.FinishEvent) {
-	for _, o := range m {
-		o.OnFinish(e)
-	}
 }
 
 // paramFlags collects repeatable key=value flag instances into a map.
@@ -353,9 +283,4 @@ func loadCircuit(qasmPath, genSpec string) (*circuit.Circuit, error) {
 	default:
 		return nil, fmt.Errorf("no circuit given (use -qasm or -gen); try -gen qft:8")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ddsim:", err)
-	os.Exit(1)
 }

@@ -8,8 +8,11 @@ import (
 	"repro/internal/gen"
 )
 
+// TestNewStrategy covers how -strategy and -params build the run's strategy:
+// through serve.ResolveRun, the resolver simd compiles submissions with.
 func TestNewStrategy(t *testing.T) {
-	circ, err := gen.FromSpec("qsup:3x3:10:0")
+	const spec = "qsup:3x3:10:0"
+	circ, err := gen.FromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,13 +29,13 @@ func TestNewStrategy(t *testing.T) {
 		{name: "replace", strategy: "replace", params: `{"node_budget":16}`, wantName: "replace"},
 		{name: "reorder", strategy: "reorder", params: `{"order":"scored","inner":"memory","inner_params":{"threshold":64,"round_fidelity":0.9}}`, wantName: "reorder(scored)+memory-driven"},
 		{name: "auto", strategy: "auto", wantName: "reorder(scored)+exact", wantAuto: "class=" + class + " -> " + win.Base},
-		{name: "auto with params", strategy: "auto", params: `{}`, wantErr: "-params may not be set"},
+		{name: "auto with params", strategy: "auto", params: `{}`, wantErr: "strategy_params may not be set"},
 		{name: "unknown field", strategy: "memory", params: `{"threshhold":64}`, wantErr: `unknown field "threshhold"`},
 		{name: "unknown name", strategy: "mem", wantErr: "(registered: [exact"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st, auto, err := newStrategy(tc.strategy, tc.params, circ)
+			out, err := runCLI("-gen", spec, "-strategy", tc.strategy, "-params", tc.params)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want it to contain %q", err, tc.wantErr)
@@ -42,12 +45,36 @@ func TestNewStrategy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.wantName != "" && st.Name() != tc.wantName {
-				t.Errorf("strategy %q, want %q", st.Name(), tc.wantName)
+			if want := "strategy:   " + tc.wantName + "\n"; !strings.Contains(out, want) {
+				t.Errorf("output lacks %q:\n%s", want, out)
 			}
-			if !strings.Contains(auto, tc.wantAuto) || (tc.wantAuto == "") != (auto == "") {
-				t.Errorf("auto description %q, want %q", auto, tc.wantAuto)
+			auto, hasAuto := strings.CutPrefix(out, "auto:       ")
+			if hasAuto != (tc.wantAuto != "") || !strings.Contains(auto, tc.wantAuto) {
+				t.Errorf("auto description in\n%s\nwant %q", out, tc.wantAuto)
 			}
 		})
 	}
+}
+
+// TestAutoRejectsNoise: auto resolves from the noiseless statevector atlas,
+// so ddsim rejects it with noise on either backend, as simd does.
+func TestAutoRejectsNoise(t *testing.T) {
+	base := []string{"-gen", "qaoa:6:2:1", "-strategy", "auto", "-noise", "depolarizing", "-noise-param", "p=0.01"}
+	for name, args := range map[string][]string{
+		"default backend": base,
+		"statevector":     append(base[:len(base):len(base)], "-backend", "statevector"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := runCLI(args...)
+			if err == nil || !strings.Contains(err.Error(), "noisy or density jobs must pick a strategy explicitly") {
+				t.Fatalf("error %v, want the auto-with-noise rejection", err)
+			}
+		})
+	}
+}
+
+func runCLI(args ...string) (string, error) {
+	var out strings.Builder
+	err := run(args, &out)
+	return out.String(), err
 }

@@ -38,9 +38,10 @@ type Job struct {
 	// be shared between jobs unless they synchronize internally. The
 	// simulation service uses this to feed per-job event streams.
 	Observer core.Observer
-	// Timeout bounds this job's simulation from the moment it starts. Run
-	// replaces a value ≤ 0 with its Options.JobTimeout; zero means no
-	// limit. An explicit Options.Deadline wins over both.
+	// Timeout bounds this job's simulation from the moment it starts: the
+	// run's context (Options.Context, else the pool's) is given this
+	// timeout with sim.ErrDeadlineExceeded as its cause. Run replaces a
+	// value ≤ 0 with its Options.JobTimeout; zero means no limit.
 	Timeout time.Duration
 	// Finalize, when non-nil, runs exactly once per job on a worker
 	// goroutine: immediately after the simulation finishes (on success and
@@ -204,8 +205,10 @@ func runJob(ctx context.Context, worker, idx int, job Job) JobResult {
 		o.Context = ctx
 	}
 	jr.Seed = o.MeasurementSeed
-	if o.Deadline.IsZero() && job.Timeout > 0 {
-		o.Deadline = time.Now().Add(job.Timeout)
+	if job.Timeout > 0 {
+		var cancel context.CancelFunc
+		o.Context, cancel = context.WithTimeoutCause(o.Context, job.Timeout, sim.ErrDeadlineExceeded)
+		defer cancel()
 	}
 	if job.NewStrategy != nil {
 		o.Strategy = job.NewStrategy()

@@ -263,19 +263,6 @@ func TestCustomCancelCauseCountsAsCanceled(t *testing.T) {
 	}
 }
 
-func TestExplicitDeadlineWinsOverTimeout(t *testing.T) {
-	jobs := approxJobs(1)
-	jobs[0].Options.Deadline = time.Now().Add(time.Minute)
-	jobs[0].Timeout = time.Nanosecond
-	res, err := Run(context.Background(), jobs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs[0].Err != nil {
-		t.Fatalf("explicit future deadline overridden by timeout: %v", res.Jobs[0].Err)
-	}
-}
-
 func TestNilCircuitFailsJobNotBatch(t *testing.T) {
 	jobs := approxJobs(2)
 	jobs = append(jobs, Job{Name: "broken"})

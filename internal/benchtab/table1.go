@@ -180,6 +180,9 @@ func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, approx []cell
 	if !s.SampleTrue {
 		return nil
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	return func(jr *batch.JobResult) {
 		if jr.Err != nil {
 			return
@@ -187,26 +190,25 @@ func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, approx []cell
 		exact := jr.Result
 		simr := &sim.Simulator{M: exact.Manager}
 		for j, a := range approx {
+			// Each re-run gets the suite's per-simulation timeout, like
+			// every other Table I simulation.
+			runCtx, cancel := ctx, context.CancelFunc(func() {})
+			if s.Timeout > 0 {
+				runCtx, cancel = context.WithTimeoutCause(ctx, s.Timeout, sim.ErrDeadlineExceeded)
+			}
 			res, err := simr.Run(c, sim.Options{
 				Strategy: a.strategy(),
-				Deadline: s.deadline(),
-				Context:  ctx,
+				Context:  runCtx,
 				// The exact final state must survive this run's node-pool
 				// sweeps for the fidelity comparison below.
 				KeepAlive: []dd.VEdge{exact.Final},
 			})
+			cancel()
 			if err == nil {
 				out[j] = simr.M.Fidelity(exact.Final, res.Final)
 			}
 		}
 	}
-}
-
-func (s Suite) deadline() time.Time {
-	if s.Timeout <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(s.Timeout)
 }
 
 func fillExact(row *Row, jr batch.JobResult) {

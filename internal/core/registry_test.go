@@ -2,8 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/dd"
 )
 
 func TestBuiltinStrategiesRegistered(t *testing.T) {
@@ -132,5 +137,59 @@ func TestDeleteKindIsInternal(t *testing.T) {
 	}
 	if _, err := NewStrategyByName("replace", json.RawMessage(`{"node_budget":16,"kinds":["`+name+`"]}`)); err == nil {
 		t.Errorf("replace strategy params accepted kind %q", name)
+	}
+}
+
+// TestInitResetsRunState: every builtin registry strategy, Init'ed and run
+// once before, runs like a fresh instance after the next Init.
+func TestInitResetsRunState(t *testing.T) {
+	const gates = 12
+	// run Inits s and drives it over a seeded sequence of dense random
+	// states on a fresh manager, recording every round it performs.
+	run := func(s Strategy, totalGates int) []string {
+		t.Helper()
+		if err := s.Init(totalGates, nil); err != nil {
+			t.Fatal(err)
+		}
+		m := dd.New()
+		rng := rand.New(rand.NewSource(29))
+		var trace []string
+		for i := 0; i < totalGates; i++ {
+			state := randomState(t, m, 5, 0.9, rng)
+			_, round, err := s.AfterGate(m, i, dd.CountVNodes(state), state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round != nil {
+				trace = append(trace, fmt.Sprintf("%d: %d -> %d at %.12f",
+					round.GateIndex, round.Report.SizeBefore, round.Report.SizeAfter, round.Report.Achieved))
+			}
+		}
+		return trace
+	}
+	for name, params := range map[string]string{
+		"exact":    ``,
+		"memory":   `{"threshold":8,"round_fidelity":0.9}`,
+		"fidelity": `{"final_fidelity":0.7,"round_fidelity":0.9}`,
+		"replace":  `{"node_budget":8,"fidelity_floor":0.6}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			build := func() Strategy {
+				s, err := NewStrategyByName(name, json.RawMessage(params))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			want := run(build(), gates)
+			if name != "exact" && len(want) == 0 {
+				t.Fatal("no approximation rounds: the test drives nothing")
+			}
+			reused := build()
+			run(reused, 2*gates) // an earlier run over a longer circuit
+			if got := run(reused, gates); !reflect.DeepEqual(got, want) {
+				t.Errorf("re-Init'ed instance ran\n%v\nfresh instance ran\n%v", got, want)
+			}
+		})
 	}
 }

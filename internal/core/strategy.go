@@ -15,12 +15,16 @@ type Round struct {
 }
 
 // Strategy decides when to approximate during simulation. Implementations
-// are stateful per run; Init is called once before the first gate.
+// are stateful per run; Init is called before the first gate of every run.
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
 	// Init receives the total gate count and the sorted gate indices of
 	// block boundaries (circuit positions after which a logical block ends).
+	// It validates the configuration and resets all per-run state, so an
+	// instance Init'ed (or run) before behaves like a fresh one: the
+	// simulation service validates a submission by Init'ing the instance
+	// its job then runs, and the session Inits it again.
 	Init(totalGates int, blocks []int) error
 	// AfterGate is called after gate gateIdx has been applied; size is the
 	// current node count of the state DD. A nil Round means no

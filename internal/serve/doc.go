@@ -31,6 +31,10 @@
 // the cache byte-for-byte, without occupying a worker. Seedless submissions
 // derive their measurement seed from the content hash itself, so results
 // are reproducible from the request alone, even after cache eviction.
+// ResolveRun is the one resolver from a run request (strategy and params or
+// auto, backend, noise and params) to its canonical form and sim.Options:
+// compile runs it whole, CanonicalHash runs its canonicalising half (no
+// strategy is built), and cmd/ddsim resolves its flags through it.
 //
 // Job execution, cancellation, deadlines, and seeding all delegate to
 // batch.Pool; response payloads are assembled in the job's Finalize hook on

@@ -16,10 +16,12 @@ func decodeStrict(body []byte) (JobRequest, error) {
 }
 
 // FuzzJobRequest drives arbitrary bodies through strict decode, compile and
-// CanonicalHash. No body may panic; whenever compile accepts a request, its
-// cache key is the routing tier's CanonicalHash; and a request hashes like
-// its own JSON re-marshal, so a client that re-encodes a submission keeps
-// its cache entry and its backend.
+// CanonicalHash. No body may panic; a request CanonicalHash rejects is
+// rejected by compile too, so the routing tier never turns away a job a
+// backend would run; whenever compile accepts a request, its cache key is
+// the routing tier's CanonicalHash; and a request hashes like its own JSON
+// re-marshal, so a client that re-encodes a submission keeps its cache
+// entry and its backend.
 func FuzzJobRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"name":"ghz4","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\n","strategy":"fidelity","strategy_params":{"final_fidelity":0.8,"round_fidelity":0.9},"shots":64}`,
@@ -27,6 +29,8 @@ func FuzzJobRequest(f *testing.F) {
 		`{"qubits":4,"gates":[{"name":"h","target":0},{"name":"x","target":1,"controls":[0]},{"name":"x","target":3,"controls":[2]}],"blocks":[1],"strategy":"reorder","strategy_params":{"order":"scored","sift":true,"inner":"memory","inner_params":{"threshold":8,"round_fidelity":0.95}}}`,
 		`{"qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","noise":"amplitude_damping","noise_params":{"gamma":0.05,"seed":3},"backend":"statevector","shots":16}`,
 		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"replace","strategy_params":{"node_budget":4,"fidelity_floor":0.9,"kinds":["promote"]},"seed":7}`,
+		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"auto","noise":"dephasing","noise_params":{"p":0.1},"backend":"statevector"}`,
+		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"exact","strategy_params":{"x":1},"noise_params":{"p":0.1}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -41,10 +45,12 @@ func FuzzJobRequest(f *testing.F) {
 			return
 		}
 		hash, hashErr := CanonicalHash(req)
-		if c, err := s.compile(req); err == nil {
-			if hashErr != nil || c.hash != hash {
-				t.Fatalf("compile hash %s, CanonicalHash %q (err %v)", c.hash, hash, hashErr)
-			}
+		c, err := s.compile(req)
+		if hashErr != nil && err == nil {
+			t.Fatalf("CanonicalHash rejected a request compile accepted: %v", hashErr)
+		}
+		if err == nil && c.hash != hash {
+			t.Fatalf("compile hash %s, CanonicalHash %s", c.hash, hash)
 		}
 		raw, err := json.Marshal(req)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/atlas"
@@ -115,16 +116,15 @@ type JobRequest struct {
 
 // compiled is a validated submission ready for the pool.
 type compiled struct {
-	req     JobRequest // canonical form (normalizeForHash)
+	req     JobRequest // canonical form (ResolveRun)
 	circuit *circuit.Circuit
 	hash    string // hex sha256 over circuit + result-relevant options
-	seed    int64  // resolved measurement/sampling seed (never 0)
 	timeout time.Duration
 
-	// backend is the resolved simulation backend (never empty) and noise
-	// the parsed channel model (nil when the submission is noiseless).
-	backend sim.Backend
-	noise   *sim.NoiseModel
+	// opts is what the job runs under: ResolveRun's strategy (built and
+	// Init'ed), backend and noise, plus the initial state and the resolved
+	// measurement/sampling seed (never 0).
+	opts sim.Options
 }
 
 // resolveCircuit builds the submission's circuit IR from whichever of the
@@ -157,38 +157,139 @@ func CanonicalHash(req JobRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return contentHash(circ, normalizeForHash(req)), nil
+	return contentHash(circ, req), nil
 }
 
-// resolve builds the submission's circuit and rewrites a strategy=auto
-// submission into the committed atlas winner for the circuit's workload
-// class. Both compile and CanonicalHash start here — before strategy
-// validation and hashing — so routing tiers and backends agree on the key,
-// and an auto submission is indistinguishable (hash, cache entry, result
-// payload) from explicitly submitting the winning configuration.
+// resolve builds the submission's circuit and brings its run request to
+// canonical form: the half of ResolveRun that builds no strategy, which is
+// all the routing tier needs for the key.
 func resolve(req JobRequest) (*circuit.Circuit, JobRequest, error) {
 	circ, err := resolveCircuit(req)
-	if err != nil || req.Strategy != StrategyAuto {
-		return circ, req, err
+	if err != nil {
+		return nil, req, err
+	}
+	if req, _, err = resolveAuto(circ, req); err != nil {
+		return nil, req, err
+	}
+	req, _, err = canonicalize(req)
+	return circ, req, err
+}
+
+// ResolveRun is the one place a run request becomes something to run: the
+// strategy with its parameters (or auto), the backend, and the noise with
+// its parameters. It rewrites auto into the committed atlas winner for the
+// circuit's class, builds and Inits the strategy through the core registry,
+// parses the noise, defaults the backend (density when noise is set,
+// statevector otherwise) and requires the density backend to run exact.
+// It returns the request in canonical form (what the content hash covers),
+// the resulting sim.Options (Strategy, Backend, Noise) and, for auto, a
+// description of the installed winner ("" otherwise). The simulation
+// service compiles every submission through it and cmd/ddsim resolves its
+// flags through it, so both accept and reject the same runs.
+func ResolveRun(circ *circuit.Circuit, req JobRequest) (JobRequest, sim.Options, string, error) {
+	req, auto, err := resolveAuto(circ, req)
+	if err != nil {
+		return req, sim.Options{}, "", err
+	}
+	st, err := core.NewStrategyByName(req.Strategy, req.StrategyParams)
+	if err != nil {
+		return req, sim.Options{}, "", err
+	}
+	if err := st.Init(circ.Len(), circ.Blocks()); err != nil {
+		return req, sim.Options{}, "", err
+	}
+	req, noise, err := canonicalize(req)
+	if err != nil {
+		return req, sim.Options{}, "", err
+	}
+	backend := sim.Backend(req.Backend)
+	if _, exact := st.(core.Exact); backend == sim.BackendDensity && !exact {
+		// The density backend evolves ρ exactly; approximation strategies
+		// rewrite statevector DDs and cannot run on it.
+		return req, sim.Options{}, "", fmt.Errorf("backend %q requires the exact strategy, got %q", backend, req.Strategy)
+	}
+	return req, sim.Options{Strategy: st, Backend: backend, Noise: noise}, auto, nil
+}
+
+// resolveAuto rewrites a strategy=auto request into the committed atlas
+// winner for the circuit's workload class and describes the choice; other
+// requests pass through. It runs before hashing, so an auto submission is
+// indistinguishable (hash, cache entry, result payload) from explicitly
+// submitting the winning configuration.
+func resolveAuto(circ *circuit.Circuit, req JobRequest) (JobRequest, string, error) {
+	if req.Strategy != StrategyAuto {
+		return req, "", nil
 	}
 	if len(req.StrategyParams) > 0 {
-		return nil, req, fmt.Errorf("strategy %q picks its own parameters; strategy_params may not be set", StrategyAuto)
+		return req, "", fmt.Errorf("strategy %q picks its own parameters; strategy_params may not be set", StrategyAuto)
 	}
 	if req.Noise != "" || sim.Backend(req.Backend) == sim.BackendDensity {
-		return nil, req, fmt.Errorf("strategy %q resolves from the noiseless statevector atlas; noisy or density jobs must pick a strategy explicitly", StrategyAuto)
+		return req, "", fmt.Errorf("strategy %q resolves from the noiseless statevector atlas; noisy or density jobs must pick a strategy explicitly", StrategyAuto)
 	}
-	win := atlas.Resolve(gen.Classify(circ))
+	class := gen.Classify(circ)
+	win := atlas.Resolve(class)
 	req.Strategy = win.Strategy
 	if win.Params != "" {
 		req.StrategyParams = json.RawMessage(win.Params)
 	}
-	return circ, req, nil
+	label := strings.TrimSpace(win.Base + " " + win.Params)
+	return req, fmt.Sprintf("class=%s -> %s (order=%s)", class, label, win.Order), nil
+}
+
+// canonicalize parses the request's noise and rewrites the request to its
+// canonical form, so that semantically identical submissions hash
+// identically. The empty backend spells out as the effective one: density
+// for noisy jobs (exact noisy results are what a noise-carrying submission
+// asks for; trajectory sampling is the explicit statevector+noise opt-in),
+// statevector otherwise. Noise parameters collapse to their parsed form, so
+// the "gamma" spelling of amplitude damping hashes like "p". The default
+// strategy spells out as "exact", whose only accepted parameters (empty,
+// null, {}) all mean the same run, and other strategies' parameters take
+// encoding/json's compact form, so whitespace and a client's re-marshal do
+// not split a cache entry.
+func canonicalize(req JobRequest) (JobRequest, *sim.NoiseModel, error) {
+	var noise *sim.NoiseModel
+	switch {
+	case req.Noise != "":
+		n, err := sim.ParseNoise(req.Noise, req.NoiseParams)
+		if err != nil {
+			return req, nil, err
+		}
+		noise = &n
+		req.Noise = string(n.Kind)
+		req.NoiseParams = map[string]float64{"p": n.P}
+		if n.Seed != 0 {
+			req.NoiseParams["seed"] = float64(n.Seed)
+		}
+	case len(req.NoiseParams) > 0:
+		return req, nil, fmt.Errorf("noise_params given without noise")
+	default:
+		req.NoiseParams = nil
+	}
+	switch sim.Backend(req.Backend) {
+	case "":
+		req.Backend = string(sim.BackendStatevector)
+		if noise != nil {
+			req.Backend = string(sim.BackendDensity)
+		}
+	case sim.BackendStatevector, sim.BackendDensity:
+	default:
+		return req, nil, fmt.Errorf("unknown backend %q (have %v)", req.Backend, sim.Backends())
+	}
+	if req.Strategy == "" || req.Strategy == StrategyExact {
+		req.Strategy, req.StrategyParams = StrategyExact, nil
+	} else if len(req.StrategyParams) > 0 {
+		if params, err := json.Marshal(req.StrategyParams); err == nil {
+			req.StrategyParams = params
+		}
+	}
+	return req, noise, nil
 }
 
 // compile validates the request against the server limits and resolves the
-// circuit, strategy parameters, content hash, and seed.
+// circuit, the run (ResolveRun), content hash, and seed.
 func (s *Server) compile(req JobRequest) (*compiled, error) {
-	circ, req, err := resolve(req)
+	circ, err := resolveCircuit(req)
 	if err != nil {
 		return nil, err
 	}
@@ -204,96 +305,24 @@ func (s *Server) compile(req JobRequest) (*compiled, error) {
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("timeout_ms %d must be ≥ 0", req.TimeoutMS)
 	}
-
-	// Resolve the strategy through the core registry (builtins and
-	// user-registered alike) and validate by building + Init'ing one
-	// instance up front, so submissions fail with a 400 instead of a
-	// failed job.
-	st, err := core.NewStrategyByName(req.Strategy, req.StrategyParams)
+	// Building and Init'ing the strategy here makes a bad submission fail
+	// with a 400 instead of a failed job; the job then runs this instance.
+	req, opts, _, err := ResolveRun(circ, req)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Init(circ.Len(), circ.Blocks()); err != nil {
-		return nil, err
-	}
-
-	backend, noise, err := resolveNoise(req)
-	if err != nil {
-		return nil, err
-	}
-	if backend == sim.BackendDensity {
-		// The density backend evolves ρ exactly; approximation strategies
-		// rewrite statevector DDs and cannot run on it. Reject here with a
-		// 400 instead of a failed job.
-		if _, exact := st.(core.Exact); !exact {
-			return nil, fmt.Errorf("backend %q requires the exact strategy, got %q", backend, req.Strategy)
-		}
-	}
-
-	req = normalizeForHash(req)
-	c := &compiled{req: req, circuit: circ, backend: backend, noise: noise}
+	c := &compiled{req: req, circuit: circ, opts: opts}
 	c.hash = contentHash(circ, req)
-	c.seed = req.Seed
-	if c.seed == 0 {
-		c.seed = seedFromHash(c.hash)
+	c.opts.InitialState = req.InitialState
+	c.opts.MeasurementSeed = req.Seed
+	if c.opts.MeasurementSeed == 0 {
+		c.opts.MeasurementSeed = seedFromHash(c.hash)
 	}
 	c.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	if c.timeout == 0 {
 		c.timeout = s.cfg.DefaultJobTimeout
 	}
 	return c, nil
-}
-
-// resolveNoise validates the submission's backend and noise fields and
-// resolves the effective backend: an empty backend means statevector for
-// noiseless jobs and density for noisy ones (exact noisy results are what a
-// noise-carrying submission is asking for; trajectory sampling is the
-// explicit statevector+noise opt-in).
-func resolveNoise(req JobRequest) (sim.Backend, *sim.NoiseModel, error) {
-	var noise *sim.NoiseModel
-	switch {
-	case req.Noise != "":
-		n, err := sim.ParseNoise(req.Noise, req.NoiseParams)
-		if err != nil {
-			return "", nil, err
-		}
-		noise = &n
-	case len(req.NoiseParams) > 0:
-		return "", nil, fmt.Errorf("noise_params given without noise")
-	}
-	backend := sim.Backend(req.Backend)
-	switch backend {
-	case "":
-		backend = sim.BackendStatevector
-		if noise != nil {
-			backend = sim.BackendDensity
-		}
-	case sim.BackendStatevector, sim.BackendDensity:
-	default:
-		return "", nil, fmt.Errorf("unknown backend %q (have %v)", req.Backend, sim.Backends())
-	}
-	return backend, noise, nil
-}
-
-// newStrategy builds a fresh strategy instance for one run (strategies are
-// stateful, so each run needs its own). compile already validated the
-// (name, params) pair and the registry is append-only, so the error path is
-// defensive: it surfaces as a failed job rather than a panic.
-func (c *compiled) newStrategy() core.Strategy {
-	st, err := core.NewStrategyByName(c.req.Strategy, c.req.StrategyParams)
-	if err != nil {
-		return brokenStrategy{err}
-	}
-	return st
-}
-
-// brokenStrategy fails the run at Init with the construction error.
-type brokenStrategy struct{ err error }
-
-func (b brokenStrategy) Name() string          { return "broken" }
-func (b brokenStrategy) Init(int, []int) error { return b.err }
-func (b brokenStrategy) AfterGate(_ *dd.Manager, _, _ int, state dd.VEdge) (dd.VEdge, *core.Round, error) {
-	return state, nil, nil
 }
 
 func buildInline(req JobRequest) (*circuit.Circuit, error) {
@@ -357,54 +386,17 @@ func appendGate(c *circuit.Circuit, g GateSpec) (err error) {
 	return nil
 }
 
-// normalizeForHash rewrites the request to its canonical form so that
-// semantically identical submissions hash identically: the default strategy
-// spells out as "exact", whose only accepted parameters (empty, null, {})
-// all mean the same run, and other strategies' parameters take
-// encoding/json's compact form, so whitespace and a client's re-marshal do
-// not split a cache entry.
-func normalizeForHash(req JobRequest) JobRequest {
-	if req.Strategy == "" || req.Strategy == StrategyExact {
-		req.Strategy, req.StrategyParams = StrategyExact, nil
-	} else if len(req.StrategyParams) > 0 {
-		if params, err := json.Marshal(req.StrategyParams); err == nil {
-			req.StrategyParams = params
-		}
-	}
-	// Backend and noise canonicalize the same way compile resolves them: the
-	// empty backend spells out as the effective one, and noise parameters
-	// collapse to their parsed form so the "gamma" spelling of amplitude
-	// damping hashes identically to "p". Malformed noise is left verbatim —
-	// compile rejects it on every backend, so its hash addresses nothing.
-	if req.Noise == "" {
-		req.NoiseParams = nil
-		if req.Backend == "" {
-			req.Backend = string(sim.BackendStatevector)
-		}
-	} else {
-		if req.Backend == "" {
-			req.Backend = string(sim.BackendDensity)
-		}
-		if n, err := sim.ParseNoise(req.Noise, req.NoiseParams); err == nil {
-			req.Noise = string(n.Kind)
-			req.NoiseParams = map[string]float64{"p": n.P}
-			if n.Seed != 0 {
-				req.NoiseParams["seed"] = float64(n.Seed)
-			}
-		}
-	}
-	return req
-}
-
 // contentHash is the content-addressing key: sha256 over the canonical
-// circuit encoding plus every result-relevant option (callers pass the
-// request through normalizeForHash first). Job name and timeout are
-// excluded (they cannot change the result payload); an explicit seed is
-// included, while seed 0 hashes as 0 and then derives deterministically from
-// this very hash, so the derived seed never makes identical submissions
-// diverge.
+// circuit encoding plus every result-relevant option of the canonical
+// request (canonicalize). Job name and timeout are excluded (they cannot
+// change the result payload); an explicit seed is included, while seed 0
+// hashes as 0 and then derives deterministically from this very hash, so
+// the derived seed never makes identical submissions diverge.
 func contentHash(c *circuit.Circuit, req JobRequest) string {
-	b := make([]byte, 0, 1024)
+	// A gate's canonical encoding averages 9-16 bytes on the generator
+	// families (a parameter-free gate takes 6-10, a one-parameter
+	// one-control gate 19), so the buffer is sized once from the length.
+	b := make([]byte, 0, 128+16*c.Len()+len(req.StrategyParams))
 	b = append(b, "repro-serve-v3\x00"...)
 	b = c.AppendCanonical(b)
 	b = append(b, req.Strategy...)
@@ -413,7 +405,7 @@ func contentHash(c *circuit.Circuit, req JobRequest) string {
 	b = append(b, 0)
 	b = append(b, req.Noise...)
 	b = append(b, 0)
-	// normalizeForHash collapsed NoiseParams to at most {"p", "seed"};
+	// canonicalize collapsed NoiseParams to at most {"p", "seed"};
 	// hashing the two fixed keys keeps the encoding order-independent.
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.NoiseParams["p"]))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(req.NoiseParams["seed"]))

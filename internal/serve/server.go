@@ -371,18 +371,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		events: newEventBuffer(s.cfg.EventBufferSize),
 	}
 	job := batch.Job{
-		Name:    req.Name,
-		Circuit: comp.circuit,
-		Options: sim.Options{
-			InitialState:    comp.req.InitialState,
-			MeasurementSeed: comp.seed,
-			Backend:         comp.backend,
-			Noise:           comp.noise,
-		},
-		NewStrategy: comp.newStrategy,
-		Observer:    jobObserver{buf: js.events},
-		Timeout:     comp.timeout,
-		Finalize:    s.finalizer(js, comp),
+		Name:     req.Name,
+		Circuit:  comp.circuit,
+		Options:  comp.opts,
+		Observer: jobObserver{buf: js.events},
+		Timeout:  comp.timeout,
+		Finalize: s.finalizer(js, comp),
 	}
 	handle, err := s.pool.Submit(job)
 	if err != nil {
@@ -450,8 +444,10 @@ func buildPayload(jr *batch.JobResult, comp *compiled) ResultPayload {
 		ResolvedStrategy:       comp.req.Strategy,
 		ResolvedStrategyParams: comp.req.StrategyParams,
 		Backend:                string(res.Backend),
+		Noise:                  comp.req.Noise,
+		NoiseParams:            comp.req.NoiseParams,
 		ChannelApplications:    res.ChannelApplications,
-		Seed:                   comp.seed,
+		Seed:                   comp.opts.MeasurementSeed,
 		MaxDDSize:              res.MaxDDSize,
 		FinalDDSize:            res.FinalDDSize,
 		EstimatedFidelity:      res.EstimatedFidelity,
@@ -471,13 +467,6 @@ func buildPayload(jr *batch.JobResult, comp *compiled) ResultPayload {
 		SiftPasses:   res.SiftPasses,
 		SiftSwaps:    res.SiftSwaps,
 	}
-	if comp.noise != nil {
-		p.Noise = string(comp.noise.Kind)
-		p.NoiseParams = map[string]float64{"p": comp.noise.P}
-		if comp.noise.Seed != 0 {
-			p.NoiseParams["seed"] = float64(comp.noise.Seed)
-		}
-	}
 	if res.Density != nil {
 		p.Purity = res.Purity
 	}
@@ -494,7 +483,7 @@ func buildPayload(jr *batch.JobResult, comp *compiled) ResultPayload {
 	if shots := comp.req.Shots; shots > 0 {
 		// Safe here (and only here): the pool drops the final state once
 		// Finalize returns.
-		rng := rand.New(rand.NewSource(comp.seed))
+		rng := rand.New(rand.NewSource(comp.opts.MeasurementSeed))
 		var hist map[uint64]int
 		if res.Density != nil {
 			hist = res.Density.SampleMany(shots, rng)

@@ -11,7 +11,9 @@ import (
 
 func TestDeadlineExceededIsTyped(t *testing.T) {
 	s := New()
-	_, err := s.Run(gen.QFT(8), Options{Deadline: time.Now().Add(-time.Second)})
+	ctx, cancel := context.WithDeadlineCause(context.Background(), time.Now().Add(-time.Second), ErrDeadlineExceeded)
+	defer cancel()
+	_, err := s.Run(gen.QFT(8), Options{Context: ctx})
 	if err == nil {
 		t.Fatal("expired deadline accepted")
 	}

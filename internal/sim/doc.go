@@ -18,11 +18,11 @@
 // streams. Options is a plain struct: callers fill the fields they need,
 // and the zero value runs exact.
 //
-// Runs are interruptible between gates through one unified mechanism: an
-// Options.Deadline derives a context (carrying ErrDeadlineExceeded as its
-// cancellation cause, the paper's timeout column) from Options.Context (how
-// the batch engine and the HTTP service abort in-flight work), and the
-// session checks that single context between gates. Mid-circuit measurement
+// Runs are interruptible between gates through one knob, Options.Context,
+// which the session checks between gates: it is how the batch engine and
+// the HTTP service abort in-flight work, and a deadline (the paper's
+// timeout column) is a context from context.WithTimeoutCause carrying
+// ErrDeadlineExceeded as its cancellation cause. Mid-circuit measurement
 // and reset are deterministic per Options.MeasurementSeed. A Simulator owns
 // one dd.Manager whose node pools are swept on occupancy pressure during
 // the run (past 1<<17 live nodes, a threshold that adapts upward when a

@@ -44,9 +44,6 @@ type Session struct {
 	tracker  *core.FidelityTracker
 	res      *Result
 
-	ctx    context.Context    // nil when neither Context nor Deadline is set
-	cancel context.CancelFunc // non-nil iff a deadline context was derived
-
 	measureRNG *rand.Rand // lazily created on first measurement
 
 	state     dd.VEdge
@@ -112,20 +109,6 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 		highWater = 1 << 17
 	}
 
-	// Deadline and context cancellation share one mechanism: when a
-	// deadline is set, derive a context carrying ErrDeadlineExceeded as its
-	// cancellation cause, so the single between-gate check in step()
-	// handles both abort paths.
-	ctx := opts.Context
-	var cancel context.CancelFunc
-	if !opts.Deadline.IsZero() {
-		parent := ctx
-		if parent == nil {
-			parent = context.Background()
-		}
-		ctx, cancel = context.WithDeadlineCause(parent, opts.Deadline, ErrDeadlineExceeded)
-	}
-
 	m := s.M
 
 	// Variable ordering. A strategy implementing core.Reorderer chooses the
@@ -136,13 +119,6 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 	// payloads address DD levels directly). Runs without a reordering
 	// strategy restore the identity order so results stay reproducible when
 	// one simulator runs several circuits in sequence.
-	// fail releases the derived deadline timer on an init error exit.
-	fail := func(err error) error {
-		if cancel != nil {
-			cancel()
-		}
-		return err
-	}
 	var policy core.ReorderPolicy
 	reorderer, hasReorder := strategy.(core.Reorderer)
 	if hasReorder {
@@ -151,18 +127,18 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 	var initialOrder []int
 	if hasReorder {
 		if len(opts.KeepAlive) > 0 {
-			return fail(fmt.Errorf("sim: reordering cannot be combined with KeepAlive states from earlier runs"))
+			return fmt.Errorf("sim: reordering cannot be combined with KeepAlive states from earlier runs")
 		}
 		if (policy.Sift || (policy.Static != "" && policy.Static != order.Identity)) && order.HasPermGate(c) {
-			return fail(fmt.Errorf("sim: circuit %q carries permutation gates, which require the identity order", c.Name))
+			return fmt.Errorf("sim: circuit %q carries permutation gates, which require the identity order", c.Name)
 		}
 		if policy.Static != "" {
 			perm, err := order.Compute(policy.Static, c)
 			if err != nil {
-				return fail(err)
+				return err
 			}
 			if err := m.SetOrder(perm); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 		initialOrder = m.Order(c.NumQubits)
@@ -201,8 +177,6 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 		obs:        obs,
 		tracker:    core.NewFidelityTracker(),
 		res:        res,
-		ctx:        ctx,
-		cancel:     cancel,
 		highWater:  highWater,
 		start:      time.Now(),
 		startTable: startTable,
@@ -212,7 +186,7 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 	// order is settled above, since lifted operators address DD levels
 	// through the current order.
 	if err := ses.initBackend(m, c, opts); err != nil {
-		return fail(err)
+		return err
 	}
 	if ses.den == nil {
 		ses.state = m.BasisState(c.NumQubits, opts.InitialState)
@@ -328,7 +302,6 @@ func (ses *Session) Finish() (*Result, error) {
 		}
 	}
 	ses.finished = true
-	ses.release()
 	res := ses.res
 	m := ses.sim.M
 	if ses.den != nil {
@@ -377,7 +350,6 @@ func (ses *Session) Abort() {
 		return
 	}
 	ses.err = ErrSessionAborted
-	ses.release()
 	finalSize := ses.curSize() // before the sweep frees these nodes
 	ses.sim.M.Cleanup(ses.opts.KeepAlive, nil)
 	ses.obs.OnFinish(core.FinishEvent{
@@ -390,11 +362,10 @@ func (ses *Session) Abort() {
 	})
 }
 
-// fail records a mid-run error, releases the deadline timer, and reports the
-// end of the session to the observer.
+// fail records a mid-run error and reports the end of the session to the
+// observer.
 func (ses *Session) fail(err error) error {
 	ses.err = err
-	ses.release()
 	ses.obs.OnFinish(core.FinishEvent{
 		GatesApplied:      ses.next,
 		MaxDDSize:         ses.res.MaxDDSize,
@@ -406,14 +377,6 @@ func (ses *Session) fail(err error) error {
 	return err
 }
 
-// release stops the derived deadline timer, if any.
-func (ses *Session) release() {
-	if ses.cancel != nil {
-		ses.cancel()
-		ses.cancel = nil
-	}
-}
-
 // step applies gate ses.next under either backend: the single between-gate
 // interruption check, the gate or measurement and its noise (the backend's
 // apply), size accounting, strategy consultation and sifting (statevector
@@ -422,8 +385,8 @@ func (ses *Session) release() {
 func (ses *Session) step() error {
 	i := ses.next
 	c, m := ses.c, ses.sim.M
-	if ses.ctx != nil {
-		if err := context.Cause(ses.ctx); err != nil {
+	if ctx := ses.opts.Context; ctx != nil {
+		if err := context.Cause(ctx); err != nil {
 			if errors.Is(err, ErrDeadlineExceeded) {
 				return fmt.Errorf("after gate %d of %d: %w", i, c.Len(), err)
 			}

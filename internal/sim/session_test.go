@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -390,13 +391,12 @@ func TestObserverOnFinishFiresOnAbortAndError(t *testing.T) {
 }
 
 func TestSessionDeadlineUnifiedWithContext(t *testing.T) {
-	// Both abort paths flow through the single context check: an expired
-	// deadline surfaces as ErrDeadlineExceeded even when a live Context is
-	// also set.
-	ses, err := NewSession(gen.QFT(8), Options{
-		Context:  t.Context(),
-		Deadline: time.Now().Add(-time.Second),
-	})
+	// A deadline is a context carrying ErrDeadlineExceeded as its cause:
+	// an expired one derived from a live context surfaces as
+	// ErrDeadlineExceeded through the single between-gate check.
+	ctx, cancel := context.WithDeadlineCause(t.Context(), time.Now().Add(-time.Second), ErrDeadlineExceeded)
+	defer cancel()
+	ses, err := NewSession(gen.QFT(8), Options{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,13 +40,11 @@ type Options struct {
 	// package's tests lower it to force sweeps. The threshold adapts
 	// upward when a sweep leaves the pool mostly live.
 	cleanupHighWater int
-	// Deadline aborts the run with ErrDeadlineExceeded once exceeded
-	// (checked between gates), mirroring the paper's 3 h timeout column.
-	// The zero value means no deadline.
-	Deadline time.Time
 	// Context, when non-nil, cancels the run between gates once done; the
-	// returned error wraps the context's error. This is how the batch
-	// engine aborts in-flight simulations.
+	// returned error wraps the context's cancellation cause. This is how
+	// the batch engine aborts in-flight simulations, and how a run gets a
+	// deadline (the paper's timeout column): a context from
+	// context.WithTimeoutCause with ErrDeadlineExceeded as its cause.
 	Context context.Context
 	// MeasurementSeed seeds the RNG used by mid-circuit measurement and
 	// reset gates (deterministic per seed).
@@ -71,7 +69,8 @@ type Measurement struct {
 	Outcome   int
 }
 
-// ErrDeadlineExceeded is returned (wrapped) when a run hits Options.Deadline.
+// ErrDeadlineExceeded is returned (wrapped) when a run's Options.Context is
+// done with this error as its cause.
 var ErrDeadlineExceeded = errors.New("sim: deadline exceeded")
 
 // Result reports a finished simulation.
