@@ -40,12 +40,15 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -184,15 +187,19 @@ func run(args []string, w io.Writer) error {
 		} else {
 			hist = s.M.SampleMany(res.Final, circ.NumQubits, *shots, rng)
 		}
+		// Most frequent first, ties by index, so the listing (and which
+		// outcomes the 32-line cut keeps) is the same on every run.
+		outcomes := slices.Collect(maps.Keys(hist))
+		slices.SortFunc(outcomes, func(a, b uint64) int {
+			return cmp.Or(cmp.Compare(hist[b], hist[a]), cmp.Compare(a, b))
+		})
 		fmt.Fprintf(w, "samples (%d shots):\n", *shots)
-		printed := 0
-		for idx, count := range hist {
-			fmt.Fprintf(w, "  |%0*b⟩: %d\n", circ.NumQubits, idx, count)
-			printed++
-			if printed >= 32 {
-				fmt.Fprintf(w, "  ... (%d more outcomes)\n", len(hist)-printed)
+		for i, idx := range outcomes {
+			if i == 32 {
+				fmt.Fprintf(w, "  ... (%d more outcomes)\n", len(outcomes)-i)
 				break
 			}
+			fmt.Fprintf(w, "  |%0*b⟩: %d\n", circ.NumQubits, idx, hist[idx])
 		}
 	}
 	if *dotPath != "" {

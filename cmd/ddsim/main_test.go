@@ -73,6 +73,40 @@ func TestAutoRejectsNoise(t *testing.T) {
 	}
 }
 
+// TestShotsOutputIsReproducible: the -shots histogram prints most frequent
+// first, ties by index, so two runs print the same lines, including which
+// outcomes the 32-line listing keeps when there are more.
+func TestShotsOutputIsReproducible(t *testing.T) {
+	args := []string{"-gen", "qft:6", "-noise", "depolarizing", "-noise-param", "p=0.05", "-shots", "256"}
+	first, err := runCLI(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first, "more outcomes)") {
+		t.Fatalf("want more than 32 outcomes, got\n%s", first)
+	}
+	for i := 0; i < 3; i++ {
+		again, err := runCLI(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := stripRuntime(first), stripRuntime(again); a != b {
+			t.Fatalf("run %d printed\n%s\nthe first run printed\n%s", i+2, b, a)
+		}
+	}
+}
+
+// stripRuntime drops the wall-clock line, the one line that may differ.
+func stripRuntime(out string) string {
+	var kept []string
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.HasPrefix(line, "runtime:") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "")
+}
+
 func runCLI(args ...string) (string, error) {
 	var out strings.Builder
 	err := run(args, &out)

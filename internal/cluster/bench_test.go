@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
+	"repro/internal/qasm"
 	"repro/internal/serve"
 )
 
@@ -17,10 +19,15 @@ const benchWorkingSet = 5
 
 // BenchmarkRouterRoundTrip times one job from submit to terminal status
 // through the router and two single-worker serve backends under hash
-// routing, on a 4-qubit GHZ circuit with 32 shots:
+// routing:
 //
-//   - hit: the working set is submitted once before the timer starts, so
-//     every timed submission is a cache hit on the backend it is pinned to.
+//   - hit: a working set of 4-qubit GHZ circuits with 32 shots is submitted
+//     once before the timer starts, so every timed submission is a cache
+//     hit on the backend it is pinned to, answered through both tiers'
+//     body memos.
+//   - hit_qasm: the same on 16-qubit, 400-gate Clifford+T QASM submissions
+//     with 256 shots, the shape serve-hot submits, where decoding, parsing
+//     and hashing are what the memos save.
 //   - miss: every submission carries a fresh seed, so every one simulates.
 //
 // Each reports p99-ns, the 99th-percentile op latency, next to ns/op
@@ -32,6 +39,19 @@ func BenchmarkRouterRoundTrip(b *testing.B) {
 			tc.roundTrip(ghzJob(int64(slot + 1)))
 		}
 		timeRoundTrips(b, func(i int) { tc.roundTrip(ghzJob(int64(i%benchWorkingSet + 1))) })
+	})
+	b.Run("hit_qasm", func(b *testing.B) {
+		tc := startCluster(b, 2, Config{})
+		reqs := make([]serve.JobRequest, benchWorkingSet)
+		for slot := range reqs {
+			src, err := qasm.Export(gen.CliffordT(16, 400, 8, int64(slot+1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs[slot] = serve.JobRequest{QASM: src, Shots: 256, Seed: int64(slot + 1)}
+			tc.roundTrip(reqs[slot])
+		}
+		timeRoundTrips(b, func(i int) { tc.roundTrip(reqs[i%benchWorkingSet]) })
 	})
 	b.Run("miss", func(b *testing.B) {
 		tc := startCluster(b, 2, Config{})

@@ -4,7 +4,10 @@
 // (serve.CanonicalHash) across N simd backends, so each backend's
 // content-addressed result cache stays naturally partition-hot — identical
 // circuits always land on the same backend, and aggregate cache hit rate
-// scales with the cluster instead of diluting across it.
+// scales with the cluster instead of diluting across it. The router reads
+// each body whole and keeps a serve.BodyMemo (a constant 4096 entries) from
+// the SHA-256 of the body bytes to that hash, so a repeated body is routed
+// without being decoded, parsed or hashed again.
 //
 // The router layers three concerns over the hash ring:
 //

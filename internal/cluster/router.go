@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -54,6 +55,10 @@ const (
 // idSep joins a backend name and its local job id into a routed job id
 // ("b0.job-000042"). Backend names must not contain it.
 const idSep = "."
+
+// memoEntries bounds the router's body memo (serve.BodyMemo): the bodies
+// whose routing key it remembers, least recently used out first.
+const memoEntries = 4096
 
 // Config describes the cluster a Router fronts.
 type Config struct {
@@ -112,6 +117,7 @@ type Router struct {
 	byName  map[string]*member
 	hc      *http.Client
 	mux     *http.ServeMux
+	memo    *serve.BodyMemo
 
 	routed   atomic.Int64
 	rerouted atomic.Int64
@@ -158,6 +164,7 @@ func New(cfg Config) (*Router, error) {
 		members: make([]*member, len(cfg.Backends)),
 		byName:  make(map[string]*member, len(cfg.Backends)),
 		hc:      hc,
+		memo:    serve.NewBodyMemo(memoEntries),
 	}
 	for i, url := range cfg.Backends {
 		m := &member{name: names[i], url: strings.TrimRight(url, "/"), idPrefix: routedIDPrefix(names[i])}
@@ -202,21 +209,24 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, fmt.Errorf("reading submission: %w", err), "")
 		return
 	}
-	var req serve.JobRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeRouterError(w, http.StatusBadRequest, fmt.Errorf("decoding submission: %w", err), "")
-		return
-	}
 	// The routing key is the same canonical content hash the backend result
 	// caches are addressed by — that identity is what makes hash routing
-	// keep each backend's cache partition-hot.
-	hash, err := serve.CanonicalHash(req)
-	if err != nil {
-		writeRouterError(w, http.StatusBadRequest, err, "")
-		return
+	// keep each backend's cache partition-hot. A body resolved before takes
+	// its key from the memo without being decoded or parsed again.
+	key := sha256.Sum256(body)
+	res, ok := rt.memo.Get(key)
+	if !ok {
+		req, err := serve.DecodeRequest(body)
+		if err == nil {
+			res.Hash, err = serve.CanonicalHash(req)
+		}
+		if err != nil {
+			writeRouterError(w, http.StatusBadRequest, err, "")
+			return
+		}
+		rt.memo.Put(key, res)
 	}
+	hash := res.Hash
 
 	// Ring order from the content hash: the owner first, then its
 	// successors as failover candidates.

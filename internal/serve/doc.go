@@ -31,6 +31,13 @@
 // the cache byte-for-byte, without occupying a worker. Seedless submissions
 // derive their measurement seed from the content hash itself, so results
 // are reproducible from the request alone, even after cache eviction.
+// Ahead of the cache sits a BodyMemo, bounded like it by
+// Config.CacheEntries: the SHA-256 of each raw body that resolved
+// successfully maps to its content hash and job name, so a byte-identical
+// repeat is answered from the cache without being decoded, parsed or
+// hashed again. Rejected bodies never enter it and take the full path every
+// time; a repeat whose result was evicted compiles again from its bytes.
+// The cluster router keeps its own BodyMemo for its routing key.
 // ResolveRun is the one resolver from a run request (strategy and params or
 // auto, backend, noise and params) to its canonical form and sim.Options:
 // compile runs it whole, CanonicalHash runs its canonicalising half (no

@@ -1,22 +1,14 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 )
 
-// decodeStrict decodes a submission body the way POST /v1/jobs does.
-func decodeStrict(body []byte) (JobRequest, error) {
-	var req JobRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	return req, err
-}
-
-// FuzzJobRequest drives arbitrary bodies through strict decode, compile and
-// CanonicalHash. No body may panic; a request CanonicalHash rejects is
+// FuzzJobRequest drives arbitrary bodies through DecodeRequest, compile and
+// CanonicalHash. No body may panic; CanonicalHash is a function of the
+// request (two calls give the same hash or the same error), which the body
+// memo depends on; a request CanonicalHash rejects is
 // rejected by compile too, so the routing tier never turns away a job a
 // backend would run; whenever compile accepts a request, its cache key is
 // the routing tier's CanonicalHash; and a request hashes like its own JSON
@@ -31,6 +23,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"replace","strategy_params":{"node_budget":4,"fidelity_floor":0.9,"kinds":["promote"]},"seed":7}`,
 		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"auto","noise":"dephasing","noise_params":{"p":0.1},"backend":"statevector"}`,
 		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"exact","strategy_params":{"x":1},"noise_params":{"p":0.1}}`,
+		`{"qubits":2,"gates":[{"name":"h","target":0}],"noise":"amplitude_damping","noise_params":{"p":0.1,"gamma":0.2,"seed":5}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -40,11 +33,14 @@ func FuzzJobRequest(f *testing.F) {
 		if len(body) > 4096 {
 			t.Skip()
 		}
-		req, err := decodeStrict(body)
+		req, err := DecodeRequest(body)
 		if err != nil {
 			return
 		}
 		hash, hashErr := CanonicalHash(req)
+		if again, againErr := CanonicalHash(req); again != hash || errText(againErr) != errText(hashErr) {
+			t.Fatalf("CanonicalHash not a function of the request: %q (err %v), then %q (err %v)", hash, hashErr, again, againErr)
+		}
 		c, err := s.compile(req)
 		if hashErr != nil && err == nil {
 			t.Fatalf("CanonicalHash rejected a request compile accepted: %v", hashErr)
@@ -56,7 +52,7 @@ func FuzzJobRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshal: %v", err)
 		}
-		again, err := decodeStrict(raw)
+		again, err := DecodeRequest(raw)
 		if err != nil {
 			t.Fatalf("re-marshalled body %s rejected: %v", raw, err)
 		}
@@ -65,4 +61,11 @@ func FuzzJobRequest(f *testing.F) {
 			t.Fatalf("hash %q (err %v) changed to %q (err %v) after re-marshal to %s", hash, hashErr, hash2, hashErr2, raw)
 		}
 	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -123,6 +123,7 @@ func TestNoiseValidationOverHTTP(t *testing.T) {
 		{QASM: ghzQASM, Noise: "cosmic_ray"},
 		{QASM: ghzQASM, Noise: "depolarizing", NoiseParams: map[string]float64{"p": 1.5}},
 		{QASM: ghzQASM, Noise: "depolarizing", NoiseParams: map[string]float64{"q": 0.1}},
+		{QASM: ghzQASM, Noise: "amplitude_damping", NoiseParams: map[string]float64{"p": 0.1, "gamma": 0.2}},
 		{QASM: ghzQASM, NoiseParams: map[string]float64{"p": 0.1}},
 		{QASM: ghzQASM, Backend: "tensor"},
 		{QASM: ghzQASM, Backend: "density", Strategy: "memory", StrategyParams: json.RawMessage(`{"threshold":16,"round_fidelity":0.97}`)},

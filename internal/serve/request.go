@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -112,6 +113,18 @@ type JobRequest struct {
 	// TimeoutMS bounds the simulation in milliseconds; 0 uses the server
 	// default. The timeout does not participate in the cache key.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// DecodeRequest decodes a POST /v1/jobs body the way simd and the cluster
+// router both do: one JSON object, unknown fields rejected.
+func DecodeRequest(body []byte) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("decoding submission: %w", err)
+	}
+	return req, nil
 }
 
 // compiled is a validated submission ready for the pool.

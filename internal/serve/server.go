@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -118,7 +120,10 @@ type Server struct {
 	cfg   Config
 	pool  *batch.Pool
 	cache *resultCache
-	mux   *http.ServeMux
+	// memo remembers what each successfully resolved body resolved to,
+	// bounded like the cache (CacheEntries; none when caching is off).
+	memo *BodyMemo
+	mux  *http.ServeMux
 
 	mu       sync.Mutex
 	closed   bool
@@ -164,6 +169,7 @@ func New(cfg Config) *Server {
 			QueueDepth: cfg.QueueDepth,
 		}),
 		cache:    newResultCache(cfg.CacheEntries),
+		memo:     NewBodyMemo(cfg.CacheEntries),
 		jobs:     make(map[string]*jobState),
 		workerDD: make(map[int]WorkerDD),
 	}
@@ -323,18 +329,23 @@ type Stats struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding submission: %w", err))
 		return
 	}
-	comp, err := s.compile(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	// A body resolved before skips decoding, parsing and hashing: the memo
+	// holds its content hash and name.
+	key := sha256.Sum256(body)
+	res, memoHit := s.memo.Get(key)
+	var comp *compiled
+	if !memoHit {
+		if comp, err = s.compileBody(body); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		res = MemoEntry{Hash: comp.hash, Name: comp.req.Name}
+		s.memo.Put(key, res)
 	}
 
 	s.mu.Lock()
@@ -351,27 +362,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Content-addressed fast path: identical submissions (by circuit and
 	// result-relevant options) are answered from the cache without
 	// touching the pool.
-	if payload, ok := s.cache.get(comp.hash); ok {
-		js := &jobState{
-			id: id, name: req.Name, hash: comp.hash, cached: true,
-			created: time.Now(), status: StatusDone, payload: payload,
-			events: newEventBuffer(1),
-		}
-		// Cache hits never ran, so their stream is just the terminal event:
-		// a one-slot ring keeps a full registry of them cheap.
-		js.events.close(Event{Type: EventStatus, Status: StatusDone})
-		js.done.Store(true)
-		s.register(js)
-		writeStatus(w, http.StatusOK, s.statusOf(js, true))
+	if payload, ok := s.cache.get(res.Hash); ok {
+		s.answerCached(w, id, res, payload)
 		return
+	}
+	if comp == nil {
+		// A memo hit whose result was evicted runs again; compiling the
+		// same bytes cannot fail where it succeeded before.
+		if comp, err = s.compileBody(body); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 	}
 
 	js := &jobState{
-		id: id, name: req.Name, hash: comp.hash, created: time.Now(),
+		id: id, name: res.Name, hash: res.Hash, created: time.Now(),
 		events: newEventBuffer(s.cfg.EventBufferSize),
 	}
 	job := batch.Job{
-		Name:     req.Name,
+		Name:     res.Name,
 		Circuit:  comp.circuit,
 		Options:  comp.opts,
 		Observer: jobObserver{buf: js.events},
@@ -390,6 +399,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	js.handle = handle
 	s.register(js)
 	writeJSON(w, http.StatusAccepted, s.statusOf(js, false))
+}
+
+// compileBody decodes and compiles a submission body.
+func (s *Server) compileBody(body []byte) (*compiled, error) {
+	req, err := DecodeRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	return s.compile(req)
+}
+
+// answerCached registers a submission answered from the result cache and
+// writes its status, result attached.
+func (s *Server) answerCached(w http.ResponseWriter, id string, res MemoEntry, payload []byte) {
+	js := &jobState{
+		id: id, name: res.Name, hash: res.Hash, cached: true,
+		created: time.Now(), status: StatusDone, payload: payload,
+		events: newEventBuffer(1),
+	}
+	// Cache hits never ran, so their stream is just the terminal event:
+	// a one-slot ring keeps a full registry of them cheap.
+	js.events.close(Event{Type: EventStatus, Status: StatusDone})
+	js.done.Store(true)
+	s.register(js)
+	writeStatus(w, http.StatusOK, s.statusOf(js, true))
 }
 
 // finalizer builds the batch.Job Finalize hook: it runs on the worker while

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -48,10 +49,16 @@ func (n NoiseModel) Channel() (density.Channel, error) {
 	return density.New(kind, n.P)
 }
 
+// ErrNoiseStrengthTwice rejects noise parameters that set the channel
+// strength under both of its spellings, "p" and "gamma".
+var ErrNoiseStrengthTwice = errors.New(`sim: noise parameters "p" and "gamma" both set the channel strength; give one`)
+
 // ParseNoise builds a NoiseModel from the wire schema used by serve: a kind
-// name plus a params map holding "p" (the channel strength). Unknown kinds
+// name plus a params map holding "p" (the channel strength; "gamma" is the
+// same parameter, and giving both is ErrNoiseStrengthTwice). Unknown kinds
 // and unknown parameter keys are errors, so request typos fail loudly
-// instead of silently simulating noiselessly.
+// instead of silently simulating noiselessly. The result and the error
+// depend only on the arguments, never on map iteration order.
 func ParseNoise(kind string, params map[string]float64) (NoiseModel, error) {
 	n := NoiseModel{Kind: density.Kind(kind)}
 	known := false
@@ -64,6 +71,7 @@ func ParseNoise(kind string, params map[string]float64) (NoiseModel, error) {
 	if !known {
 		return NoiseModel{}, fmt.Errorf("sim: unknown noise kind %q (known: %v)", kind, density.Kinds())
 	}
+	unknown := ""
 	for key, v := range params {
 		switch key {
 		case "p", "gamma":
@@ -71,8 +79,17 @@ func ParseNoise(kind string, params map[string]float64) (NoiseModel, error) {
 		case "seed":
 			n.Seed = int64(v)
 		default:
-			return NoiseModel{}, fmt.Errorf("sim: unknown noise parameter %q (known: p, gamma, seed)", key)
+			if unknown == "" || key < unknown {
+				unknown = key
+			}
 		}
+	}
+	if unknown != "" {
+		return NoiseModel{}, fmt.Errorf("sim: unknown noise parameter %q (known: p, gamma, seed)", unknown)
+	}
+	_, p := params["p"]
+	if _, gamma := params["gamma"]; p && gamma {
+		return NoiseModel{}, ErrNoiseStrengthTwice
 	}
 	if _, err := n.Channel(); err != nil {
 		return NoiseModel{}, err

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -32,6 +34,33 @@ func TestNoiseValidation(t *testing.T) {
 	}
 	if _, err := TrajectoryFidelity(gen.GHZ(3), NoiseModel{P: 0.01}, 0); err == nil {
 		t.Error("zero trajectories accepted")
+	}
+}
+
+// TestParseNoiseIsOrderIndependent: a params map parses to one model or one
+// error whatever order the map iterates in. "p" and "gamma" name the same
+// strength, so giving both is rejected, and among several unknown keys the
+// error names the smallest.
+func TestParseNoiseIsOrderIndependent(t *testing.T) {
+	for _, params := range []map[string]float64{
+		{"p": 0.1, "gamma": 0.2},
+		{"p": 0.1, "gamma": 0.1, "seed": 3},
+	} {
+		for i := 0; i < 50; i++ {
+			if _, err := ParseNoise("amplitude_damping", params); !errors.Is(err, ErrNoiseStrengthTwice) {
+				t.Fatalf("%v: error %v, want ErrNoiseStrengthTwice", params, err)
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		_, err := ParseNoise("depolarizing", map[string]float64{"zz": 1, "q": 0.1, "r": 2, "p": 0.1})
+		if err == nil || !strings.Contains(err.Error(), `"q"`) {
+			t.Fatalf("error %v, want it to name \"q\"", err)
+		}
+	}
+	n, err := ParseNoise("amplitude_damping", map[string]float64{"gamma": 0.2, "seed": 3})
+	if err != nil || n.P != 0.2 || n.Seed != 3 {
+		t.Fatalf("gamma alone: %+v, %v", n, err)
 	}
 }
 
