@@ -27,6 +27,12 @@
 // simd-router: Run resubmits the request when the job's owner is lost.
 //
 //	final, err := cl.Run(ctx, req, nil) // nil: no event callback
+//
+// Every JSON response is read whole, into a buffer sized from its
+// Content-Length (serve.ReadBody), and decoded with one json.Unmarshal:
+// a body with anything but white space after its JSON value is an error.
+// ResultPayload decodes its samples without reflection when they are in
+// the form the service writes, and through encoding/json otherwise.
 package client
 
 import (
@@ -37,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -470,7 +477,13 @@ func (c *Client) doJSON(req *http.Request, out any) error {
 		_, err := io.Copy(io.Discard, resp.Body)
 		return err
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// One sized read, then one Unmarshal: no Decoder buffers to grow, and
+	// a body with anything but space after its value is rejected.
+	raw, err := serve.ReadBody(resp.Body, resp.ContentLength, math.MaxInt64)
+	if err != nil {
+		return fmt.Errorf("client: reading %s %s response: %w", req.Method, req.URL.Path, err)
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("client: decoding %s %s response: %w", req.Method, req.URL.Path, err)
 	}
 	return nil

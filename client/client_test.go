@@ -1,11 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -307,5 +311,52 @@ func TestQueueFullSentinelEndToEnd(t *testing.T) {
 	_, err = cl.Submit(ctx, slowRequest("overflow"))
 	if !errors.Is(err, ErrQueueFull) {
 		t.Errorf("overflow submit: errors.Is(err, ErrQueueFull) = false: %v", err)
+	}
+}
+
+// TestStatusBodyFraming: the client reads a response whole, then decodes
+// it. A status body ending in the encoder's newline decodes, whether it
+// arrives with a Content-Length or chunked; one with anything but space
+// after its value is rejected, where a streaming decoder stopped reading
+// after the value.
+func TestStatusBodyFraming(t *testing.T) {
+	samples := make(map[string]int)
+	for i := range 300 { // a body past net/http's buffer goes out chunked
+		samples[fmt.Sprintf("%012b", i)] = i + 1
+	}
+	payload, err := json.Marshal(ResultPayload{NumQubits: 12, Samples: samples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/v1/jobs/small":
+			json.NewEncoder(w).Encode(JobStatus{ID: "small", Status: StatusQueued})
+		case "/v1/jobs/big":
+			json.NewEncoder(w).Encode(JobStatus{ID: "big", Status: StatusDone, Result: payload})
+		case "/v1/jobs/big/result":
+			w.Write(append(payload, '\n'))
+		default:
+			fmt.Fprint(w, `{"id":"junk","status":"queued"} x`)
+		}
+	}))
+	defer srv.Close()
+	cl := New(srv.URL, WithRetries(0, time.Millisecond))
+	ctx := t.Context()
+
+	if st, err := cl.Status(ctx, "small"); err != nil || st.ID != "small" || st.Status != StatusQueued {
+		t.Errorf("small status: %+v, %v", st, err)
+	}
+	st, err := cl.Status(ctx, "big")
+	if err != nil || st.ID != "big" || !bytes.Equal(st.Result, payload) {
+		t.Fatalf("big status: %v (result %d of %d bytes)", err, len(st.Result), len(payload))
+	}
+	res, err := cl.Result(ctx, "big")
+	if err != nil || !reflect.DeepEqual(res.Samples, samples) {
+		t.Errorf("result: %d samples, %v", len(res.Samples), err)
+	}
+	if st, err := cl.Status(ctx, "junk"); err == nil || !strings.Contains(err.Error(), "after top-level value") {
+		t.Errorf("trailing bytes: got %+v, %v; want a decoding error", st, err)
 	}
 }

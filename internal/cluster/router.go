@@ -204,7 +204,7 @@ func (rt *Router) Close() {
 }
 
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength, rt.cfg.MaxBodyBytes)
 	if err != nil {
 		writeRouterError(w, http.StatusBadRequest, fmt.Errorf("reading submission: %w", err), "")
 		return
@@ -358,6 +358,9 @@ func (rt *Router) forward(ctx context.Context, m *member, method, path, query st
 	return rt.hc.Do(req)
 }
 
+// maxRelayBytes bounds a relayed backend response.
+const maxRelayBytes = 64 << 20
+
 // relay copies a backend response to the caller. 2xx JobStatus bodies get
 // their job id rewritten to the routed form; other bodies (error envelopes,
 // result payloads) pass through byte-identically, with Retry-After and
@@ -367,7 +370,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := serve.ReadBody(io.LimitReader(resp.Body, maxRelayBytes), resp.ContentLength, maxRelayBytes)
 	if err != nil {
 		writeRouterError(w, http.StatusBadGateway, fmt.Errorf("reading backend response: %w", err), "")
 		return
@@ -380,6 +383,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
 		ct = "application/json"
 	}
 	w.Header().Set("Content-Type", ct)
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	w.WriteHeader(resp.StatusCode)
 	w.Write(raw)
 }

@@ -107,9 +107,6 @@ func NewTableTol(tol float64) *Table {
 	return t
 }
 
-// Tolerance returns the table tolerance.
-func (t *Table) Tolerance() float64 { return t.tol }
-
 // Size returns the number of interned values. A table never shrinks, so
 // this is also its high-water mark.
 func (t *Table) Size() int { return len(t.packed) }
@@ -314,6 +311,3 @@ func Mix64(z uint64) uint64 {
 
 // IsZero reports whether v is the canonical zero of this table.
 func (t *Table) IsZero(v *Value) bool { return v == t.Zero }
-
-// IsOne reports whether v is the canonical one of this table.
-func (t *Table) IsOne(v *Value) bool { return v == t.One }

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/circuit"
@@ -33,5 +36,40 @@ func BenchmarkCanonicalHash(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkResultDecode times decoding a serve-hot-shaped result payload:
+// 256 shots of a 16-qubit circuit spread over nearly as many outcomes, as
+// a 400-gate Clifford+T export gives, decoded with json.Unmarshal as the
+// client and perfbench decode every result.
+func BenchmarkResultDecode(b *testing.B) {
+	raw, err := json.Marshal(hotPayload())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var p ResultPayload
+		if err := json.Unmarshal(raw, &p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// hotPayload is a 16-qubit, 256-shot exact-run payload whose outcomes are
+// drawn uniformly from a fixed seed.
+func hotPayload() ResultPayload {
+	rng := rand.New(rand.NewPCG(1, 2))
+	samples := make(map[string]int)
+	for range 256 {
+		samples[fmt.Sprintf("%016b", rng.IntN(1<<16))]++
+	}
+	return ResultPayload{
+		NumQubits: 16, GateCount: 400, Strategy: StrategyExact, ResolvedStrategy: StrategyExact,
+		Backend: "statevector", Seed: 4001, MaxDDSize: 2047, FinalDDSize: 1535,
+		EstimatedFidelity: 1, FidelityBound: 1, Samples: samples, RuntimeMS: 38.5,
+		DD: DDStats{VNodesCreated: 91234, MNodesCreated: 1873, CacheHits: 40211, CacheMisses: 60113, ComplexValues: 4096},
 	}
 }

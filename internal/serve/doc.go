@@ -37,7 +37,12 @@
 // repeat is answered from the cache without being decoded, parsed or
 // hashed again. Rejected bodies never enter it and take the full path every
 // time; a repeat whose result was evicted compiles again from its bytes.
-// The cluster router keeps its own BodyMemo for its routing key.
+// The cluster router keeps its own BodyMemo for its routing key. Both
+// tiers read a body once with ReadBody, into a buffer presized from its
+// Content-Length, and status and result bodies declare their length in
+// turn.
+// ResultPayload.UnmarshalJSON decodes samples in the form the server
+// writes without reflection, and any other form through encoding/json.
 // ResolveRun is the one resolver from a run request (strategy and params or
 // auto, backend, noise and params) to its canonical form and sim.Options:
 // compile runs it whole, CanonicalHash runs its canonicalising half (no

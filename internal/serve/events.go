@@ -83,28 +83,44 @@ type Event struct {
 type eventBuffer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	ring   []Event
-	next   int64 // seq of the next event to append; ring holds [max(0,next-len), next)
+	ring   []Event // doubles when full up to capacity, then wraps
+	limit  int     // the capacity the ring grows to
+	next   int64   // seq of the next event to append; ring holds [max(0,next-len), next)
 	closed bool
 }
 
+// initialEventRing is the ring a job starts with: room for a short job's
+// events without growing.
+const initialEventRing = 16
+
 func newEventBuffer(capacity int) *eventBuffer {
-	b := &eventBuffer{ring: make([]Event, capacity)}
+	b := &eventBuffer{ring: make([]Event, min(capacity, initialEventRing)), limit: capacity}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// append stamps the event's Seq and stores it, evicting the oldest entry
-// once the ring is full.
+// put stamps the event's Seq and stores it, doubling a full ring still
+// under its capacity and otherwise evicting the oldest entry. The ring
+// grows only before it first wraps, so event seq sits at index seq then.
+func (b *eventBuffer) put(e Event) {
+	if b.next == int64(len(b.ring)) && len(b.ring) < b.limit {
+		grown := make([]Event, min(2*len(b.ring), b.limit))
+		copy(grown, b.ring)
+		b.ring = grown
+	}
+	e.Seq = b.next
+	b.ring[b.next%int64(len(b.ring))] = e
+	b.next++
+}
+
+// append stores the event unless the stream is complete.
 func (b *eventBuffer) append(e Event) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	e.Seq = b.next
-	b.ring[b.next%int64(len(b.ring))] = e
-	b.next++
+	b.put(e)
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -113,9 +129,7 @@ func (b *eventBuffer) append(e Event) {
 func (b *eventBuffer) close(terminal Event) {
 	b.mu.Lock()
 	if !b.closed {
-		terminal.Seq = b.next
-		b.ring[b.next%int64(len(b.ring))] = terminal
-		b.next++
+		b.put(terminal)
 		b.closed = true
 	}
 	b.mu.Unlock()

@@ -192,6 +192,65 @@ func TestEventsBoundedBufferReportsGap(t *testing.T) {
 	}
 }
 
+// TestEventRingGrowsOnDemand: a job's ring starts at initialEventRing
+// slots and doubles only as events arrive, so a short job keeps a small
+// ring under the default EventBufferSize, and a longer one that grows it
+// still streams every event gaplessly, in seq order.
+func TestEventRingGrowsOnDemand(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	ringLen := func(id string) int {
+		js := s.job(id)
+		js.events.mu.Lock()
+		defer js.events.mu.Unlock()
+		return len(js.events.ring)
+	}
+	short := c.submit(inlineRequest("short", gen.GHZ(4)), http.StatusAccepted)
+	if got := c.await(short.ID); got.Status != StatusDone {
+		t.Fatalf("short job ended %q", got.Status)
+	}
+	if n := ringLen(short.ID); n != initialEventRing {
+		t.Errorf("short job's ring holds %d slots, want %d", n, initialEventRing)
+	}
+
+	circ := gen.QFT(8) // more events than initialEventRing
+	long := c.submit(inlineRequest("long", circ), http.StatusAccepted)
+	if got := c.await(long.ID); got.Status != StatusDone {
+		t.Fatalf("long job ended %q", got.Status)
+	}
+	events := c.readSSE("/v1/jobs/" + long.ID + "/events")
+	if len(events) != circ.Len()+2 {
+		t.Fatalf("%d events for %d gates, want gates + finish + status", len(events), circ.Len())
+	}
+	for i, e := range events {
+		if e.Seq != int64(i) || e.Dropped != 0 {
+			t.Fatalf("event %d has seq %d, dropped %d", i, e.Seq, e.Dropped)
+		}
+	}
+	want := initialEventRing
+	for want < len(events) {
+		want *= 2
+	}
+	if n := ringLen(long.ID); n != want || want == initialEventRing {
+		t.Errorf("long job's ring holds %d slots for %d events, want %d", n, len(events), want)
+	}
+
+	// Past its capacity a grown ring wraps like a full-size one: the
+	// capacity need not be a doubling of the initial size.
+	b := newEventBuffer(40)
+	for i := 0; i < 100; i++ {
+		b.append(Event{Type: EventGate, GateIndex: i})
+	}
+	got, cursor, dropped, _ := b.collect(nil, 0)
+	if len(b.ring) != 40 || dropped != 60 || cursor != 100 || len(got) != 40 {
+		t.Fatalf("ring %d, collected %d events, dropped %d, cursor %d", len(b.ring), len(got), dropped, cursor)
+	}
+	for i, e := range got {
+		if e.Seq != int64(60+i) || e.GateIndex != 60+i {
+			t.Fatalf("collected event %d is seq %d, gate %d", i, e.Seq, e.GateIndex)
+		}
+	}
+}
+
 func TestEventsResumeFromCursor(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1, EventBufferSize: 4096})
 	st := c.submit(inlineRequest("resume", gen.QFT(6)), http.StatusAccepted)

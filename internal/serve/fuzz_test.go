@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -68,4 +69,113 @@ func errText(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// payloadSeeds are the result payloads the server writes: the one
+// TestWriteStatusMatchesEncoder splices and a serve-hot-shaped one.
+func payloadSeeds(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, p := range []ResultPayload{
+		{
+			NumQubits: 3, GateCount: 4, Strategy: "memory", ResolvedStrategy: "memory",
+			ResolvedStrategyParams: json.RawMessage(`{ "threshold": 8, "note": "<&>" }`),
+			Backend:                "statevector", Seed: 7, MaxDDSize: 5, EstimatedFidelity: 0.97,
+			Rounds:  []RoundPayload{{GateIndex: 2, SizeBefore: 9, SizeAfter: 5, Achieved: 0.97}},
+			Samples: map[string]int{"000": 3, "111": 5},
+		},
+		hotPayload(),
+	} {
+		raw, err := json.Marshal(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, raw)
+	}
+	return out
+}
+
+// TestServerPayloadsDecodeWithoutReflection: the samples of every payload
+// the server writes take the reflection-free path.
+func TestServerPayloadsDecodeWithoutReflection(t *testing.T) {
+	for _, raw := range payloadSeeds(t) {
+		if _, _, ok := cutSamples(raw); !ok {
+			t.Errorf("samples of %s take the encoding/json path", raw)
+		}
+	}
+}
+
+// FuzzResultPayloadDecode: ResultPayload.UnmarshalJSON, called directly
+// or through json.Unmarshal, leaves the same value and returns the same
+// error as encoding/json decoding the plain struct, into a zero payload
+// and into one whose samples, rounds and noise parameters are set.
+func FuzzResultPayloadDecode(f *testing.F) {
+	for _, seed := range payloadSeeds(f) {
+		f.Add(seed)
+	}
+	for _, seed := range []string{
+		`{"num_qubits":2,"samples":{"00":1,"11":3},"runtime_ms":1.5}`,
+		`{"samples":{"0\u0031":1,"10":2}}`,
+		`{"samples":{ "01": 2 },"seed":3}`,
+		`{"samples" :{"01":2}}`,
+		` {"samples":{"01":2}}`,
+		`{"samples":null,"seed":3}`,
+		`{"samples":{}}`,
+		`{"samples":{"0":1,"0":2}}`,
+		`{"samples":{"0":1},"samples":{"1":2}}`,
+		`{"samples":{"0":1},"SAMPLES":{"1":2}}`,
+		`{"ſamples":{"1":2}}`,
+		`{"samples":{"é":1}}`,
+		"{\"samples\":{\"\xff\":1}}",
+		`{"samples":{"0":1.0}}`,
+		`{"samples":{"0":-0}}`,
+		`{"samples":{"0":-3}}`,
+		`{"samples":{"0":007}}`,
+		`{"samples":{"0":9223372036854775807}}`,
+		`{"samples":{"0":99999999999999999999}}`,
+		`{"samples":{"0":1},"num_qubits":"x"}`,
+		`{"samples":{"0":1},"rounds":[{"gate_index":1},{"size_after":2}],"noise_params":{"p":0.5}}`,
+		`{"resolved_strategy_params":{"samples":{"0":1}},"samples":{"1":1}}`,
+		`{"samples":{"0":1},}`,
+		`{"samples":{"0":1}} x`,
+		`null`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	type payload = ResultPayload
+	// The reference decode: the plain struct, named like the payload so
+	// that error texts compare equal.
+	type ResultPayload payload
+	starts := []func() payload{
+		func() payload { return payload{} },
+		func() payload {
+			return payload{
+				Samples:     map[string]int{"0": 7, "11": 2},
+				Rounds:      []RoundPayload{{GateIndex: 9, RemovedNodes: 4}},
+				NoiseParams: map[string]float64{"p": 0.1},
+			}
+		},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, start := range starts {
+			ref := ResultPayload(start())
+			refErr := json.Unmarshal(data, &ref)
+			direct := start()
+			directErr := direct.UnmarshalJSON(data)
+			viaJSON := start()
+			viaErr := json.Unmarshal(data, &viaJSON)
+			for _, got := range []struct {
+				how string
+				p   payload
+				err error
+			}{{"UnmarshalJSON", direct, directErr}, {"json.Unmarshal", viaJSON, viaErr}} {
+				if errText(got.err) != errText(refErr) {
+					t.Fatalf("%s of %q: error %v, encoding/json %v", got.how, data, got.err, refErr)
+				}
+				if !reflect.DeepEqual(got.p, payload(ref)) {
+					t.Fatalf("%s of %q:\n got %+v\nwant %+v", got.how, data, got.p, payload(ref))
+				}
+			}
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"time"
@@ -125,6 +126,39 @@ func DecodeRequest(body []byte) (JobRequest, error) {
 		return req, fmt.Errorf("decoding submission: %w", err)
 	}
 	return req, nil
+}
+
+// maxPresize caps the buffer ReadBody sizes from a declared length, so a
+// false Content-Length costs at most this much before any byte arrives.
+const maxPresize = 64 << 10
+
+// ReadBody reads r to EOF like io.ReadAll, into a buffer presized to
+// min(declared, limit, 64 KiB): declared is the body's Content-Length (-1
+// when absent) and limit the most the caller's reader yields. Past that
+// size, or without a declared length, the buffer grows as io.ReadAll's
+// does. ReadBody enforces no bound: the caller's http.MaxBytesReader or
+// io.LimitReader does, and its error is returned as read.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	n := min(declared, limit, maxPresize)
+	if n <= 0 {
+		return io.ReadAll(r)
+	}
+	// One spare byte lets the read that meets EOF land without growing a
+	// buffer the declared length filled exactly.
+	b := make([]byte, 0, n+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // compiled is a validated submission ready for the pool.

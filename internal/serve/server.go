@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -329,7 +328,7 @@ type Stats struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding submission: %w", err))
 		return
@@ -640,6 +639,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	switch status {
 	case StatusDone:
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 		w.WriteHeader(http.StatusOK)
 		w.Write(payload)
 	case "":
@@ -798,6 +798,9 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	b = append(b, result...)
 	b = append(b, "}\n"...)
 	w.Header().Set("Content-Type", "application/json")
+	// A declared length spares a body past net/http's 2 KiB buffer the
+	// chunked encoding, and lets the reader size its buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(code)
 	w.Write(b)
 }

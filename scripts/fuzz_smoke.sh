@@ -1,9 +1,9 @@
 #!/bin/sh
 # fuzz_smoke.sh runs every native fuzz target concurrently under one shared
 # wall-clock budget (FUZZ_SMOKE_BUDGET, default 10s), instead of the old
-# serial 10s-per-target loop. The targets fuzz different packages, so their
-# build caches and corpus directories never collide; total wall time is one
-# budget plus build overhead rather than targets x budget.
+# serial 10s-per-target loop. Each target keeps its corpus under its own
+# name, so concurrent targets never collide, even two in one package; total
+# wall time is one budget plus build overhead rather than targets x budget.
 #
 # Per-target output is captured to $TMPDIR logs and replayed only on
 # failure, so an interleaved success run stays readable.
@@ -20,6 +20,7 @@ FuzzQASMParse ./internal/qasm
 FuzzKrausChannel ./internal/density
 FuzzFromSpec ./internal/gen
 FuzzJobRequest ./internal/serve
+FuzzResultPayloadDecode ./internal/serve
 FuzzWeightTable ./internal/cnum'
 
 i=0
