@@ -111,7 +111,7 @@ type (
 	// purity, fidelity, probability, and sampling extraction.
 	DensityState = density.State
 	// NoiseChannel is a single-qubit Kraus channel; build one with
-	// NewNoiseChannel or density.FromKraus.
+	// NewNoiseChannel.
 	NoiseChannel = density.Channel
 	// NoiseKind names a built-in channel (density.Depolarizing, ...).
 	NoiseKind = density.Kind

@@ -1,8 +1,6 @@
 package atlas
 
 import (
-	"sort"
-
 	// The winner table references the "reorder" strategy; importing the
 	// order package registers it, so any consumer resolving a Config via
 	// core.NewStrategyByName finds every name the table can mention.
@@ -29,12 +27,6 @@ type Config struct {
 	Base, Order string
 }
 
-// Winner returns the committed winning configuration for a workload class.
-func Winner(class string) (Config, bool) {
-	c, ok := winners[class]
-	return c, ok
-}
-
 // Resolve returns the winner for class, falling back to the Generic entry
 // for unknown classes. The generated table guarantees Generic exists.
 func Resolve(class string) Config {
@@ -42,14 +34,4 @@ func Resolve(class string) Config {
 		return c
 	}
 	return winners[Generic]
-}
-
-// Classes returns every class with a committed winner, sorted.
-func Classes() []string {
-	out := make([]string, 0, len(winners))
-	for c := range winners {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

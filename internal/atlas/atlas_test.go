@@ -13,14 +13,14 @@ func TestWinnersCoverEveryGeneratorClass(t *testing.T) {
 		gen.ClassQFT, gen.ClassGrover, gen.ClassSupremacy, gen.ClassPairs,
 		gen.ClassQAOA, gen.ClassVQE, gen.ClassCliffordT, Generic,
 	} {
-		if _, ok := Winner(class); !ok {
+		if _, ok := winners[class]; !ok {
 			t.Errorf("no committed winner for class %q", class)
 		}
 	}
 }
 
 func TestResolveFallsBackToGeneric(t *testing.T) {
-	want, ok := Winner(Generic)
+	want, ok := winners[Generic]
 	if !ok {
 		t.Fatal("generated table is missing the generic entry")
 	}
@@ -32,23 +32,11 @@ func TestResolveFallsBackToGeneric(t *testing.T) {
 	}
 }
 
-func TestClassesSortedAndComplete(t *testing.T) {
-	classes := Classes()
-	if len(classes) != len(winners) {
-		t.Fatalf("Classes() returned %d entries, table has %d", len(classes), len(winners))
-	}
-	for i := 1; i < len(classes); i++ {
-		if classes[i-1] >= classes[i] {
-			t.Fatalf("Classes() not strictly sorted: %q before %q", classes[i-1], classes[i])
-		}
-	}
-}
-
 // TestWinnersInstantiate builds every committed configuration through the
 // strategy registry — the same call serve's compile path makes — so a stale
 // or hand-mangled winners_gen.go fails here rather than at submit time.
 func TestWinnersInstantiate(t *testing.T) {
-	for _, class := range Classes() {
+	for class := range winners {
 		cfg := Resolve(class)
 		if cfg.Class != class {
 			t.Errorf("%s: entry carries class %q", class, cfg.Class)

@@ -4,5 +4,5 @@
 // fidelity ≥ benchtab.AtlasFidelityFloor. The table is generated into
 // winners_gen.go by cmd/experiments (`make atlas`), committed alongside
 // docs/ATLAS.md, and kept fresh by the `make atlas-check` CI gate; serve's
-// strategy=auto resolves submissions through Winner.
+// strategy=auto resolves submissions through Resolve.
 package atlas

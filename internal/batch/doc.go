@@ -4,10 +4,11 @@
 //
 // There is one engine, Pool: a fixed set of workers draining a bounded
 // queue. NewPool accepts jobs one at a time and hands back a Handle per job
-// (Done/Result/Wait/Cancel), so long-lived callers — the HTTP simulation
-// service in internal/serve — can submit, poll, and cancel. Run executes a
-// closed batch as a pool whose queue holds the whole batch: it submits every
-// job in index order, closes the pool, and reports results in index order.
+// (Started/Cancel), so long-lived callers — the HTTP simulation service in
+// internal/serve — can submit, poll, and cancel; Job.Finalize delivers each
+// outcome. Run executes a closed batch as a pool whose queue holds the whole
+// batch: it submits every job in index order, closes the pool, and reports
+// results in index order.
 // This drives the Table I halves and the hyper-parameter sweeps in
 // internal/benchtab.
 //

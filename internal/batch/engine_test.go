@@ -214,7 +214,7 @@ func TestNeverStartedJobContract(t *testing.T) {
 		h2.Cancel(cause)
 		h1.Cancel(nil)
 		p.Close()
-		jr, _ := h2.Result()
+		jr := h2.res
 		checkNeverStarted(t, jr, cause)
 		if h2.Started() {
 			t.Error("a job canceled in the queue reports Started")
@@ -248,17 +248,14 @@ func TestTypedSentinels(t *testing.T) {
 	// nil cancel cause defaults to ErrCanceled and counts as canceled.
 	h2.Cancel(nil)
 	h1.Cancel(nil)
-	jr, err := h2.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	jr := wait(h2)
 	if !errors.Is(jr.Err, ErrCanceled) {
 		t.Errorf("queued job cancel cause = %v, want ErrCanceled", jr.Err)
 	}
 	if !jr.Canceled() {
 		t.Error("ErrCanceled outcome not classified as canceled")
 	}
-	if jr, _ := h1.Wait(context.Background()); !jr.Canceled() {
+	if jr := wait(h1); !jr.Canceled() {
 		t.Errorf("running job cancel outcome %v not classified as canceled", jr.Err)
 	}
 
@@ -280,9 +277,7 @@ func TestPoolStatePerWorker(t *testing.T) {
 		handles[i] = h
 	}
 	for _, h := range handles {
-		if _, err := h.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		wait(h)
 	}
 	st := p.State()
 	if st.Uptime <= 0 {

@@ -92,12 +92,11 @@ func TestPoolHandlePinsNoManager(t *testing.T) {
 		handles[i] = h
 	}
 	for _, h := range handles {
-		<-h.Done()
+		wait(h)
 	}
 	runtime.GC()
 	for i, h := range handles {
-		jr, _ := h.Result()
-		checkReleased(t, i, jr, wps[i])
+		checkReleased(t, i, h.res, wps[i])
 	}
 	runtime.KeepAlive(handles)
 }

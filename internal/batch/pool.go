@@ -93,8 +93,8 @@ type Handle struct {
 	cancel context.CancelCauseFunc
 
 	started atomic.Bool
-	done    chan struct{}
-	res     JobResult // written by the worker before done is closed
+	done    chan struct{} // closed by the worker once res is written
+	res     JobResult
 }
 
 // NewPool starts the workers and returns a pool ready for Submit.
@@ -308,41 +308,10 @@ func (p *Pool) workerStats(w int) WorkerStats {
 	return WorkerStats{Jobs: int(wc.jobs.Load()), Busy: time.Duration(wc.busyNanos.Load())}
 }
 
-// Index returns the job's submission index (the seed-derivation index).
-func (h *Handle) Index() int { return h.index }
-
 // Started reports whether a worker has started running the job. It keeps
 // reporting true after the job finishes, and never does for a job canceled
 // before it started.
 func (h *Handle) Started() bool { return h.started.Load() }
-
-// Done returns a channel closed when the job has finished (in any state).
-func (h *Handle) Done() <-chan struct{} { return h.done }
-
-// Result returns the job result and true once the job has finished, or a
-// zero JobResult and false while it is still queued or running.
-func (h *Handle) Result() (JobResult, bool) {
-	select {
-	case <-h.done:
-		return h.res, true
-	default:
-		return JobResult{}, false
-	}
-}
-
-// Wait blocks until the job finishes or ctx expires. Note that ctx expiring
-// does not cancel the job itself — use Cancel for that.
-func (h *Handle) Wait(ctx context.Context) (JobResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-h.done:
-		return h.res, nil
-	case <-ctx.Done():
-		return JobResult{}, context.Cause(ctx)
-	}
-}
 
 // Cancel aborts the job with the given cause (ErrCanceled when nil):
 // queued jobs finish without running (Worker -1, the cause as Err),

@@ -11,6 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
+// wait blocks until h's job has finished and returns its result.
+func wait(h *Handle) JobResult {
+	<-h.done
+	return h.res
+}
+
 func poolJob(seed int64) Job {
 	return Job{
 		Name:    "rct",
@@ -39,16 +45,13 @@ func TestPoolMatchesClosedBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Index() != i {
-			t.Fatalf("submission index %d, want %d", h.Index(), i)
+		if h.index != i {
+			t.Fatalf("submission index %d, want %d", h.index, i)
 		}
 		handles[i] = h
 	}
 	for i, h := range handles {
-		jr, err := h.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		jr := wait(h)
 		if jr.Err != nil {
 			t.Fatalf("job %d: %v", i, jr.Err)
 		}
@@ -89,11 +92,11 @@ func TestPoolQueueFullAndClosed(t *testing.T) {
 		t.Fatalf("third submit: err %v, want ErrQueueFull", err)
 	}
 	h1.Cancel(nil)
-	if jr, err := h1.Wait(context.Background()); err != nil || !jr.Canceled() {
-		t.Fatalf("canceled in-flight job: res %+v wait err %v", jr, err)
+	if jr := wait(h1); !jr.Canceled() {
+		t.Fatalf("canceled in-flight job: res %+v", jr)
 	}
-	if jr, err := h2.Wait(context.Background()); err != nil || jr.Err != nil {
-		t.Fatalf("queued job after cancel: %+v, %v", jr, err)
+	if jr := wait(h2); jr.Err != nil {
+		t.Fatalf("queued job after cancel: %+v", jr)
 	}
 	p.Close()
 	if _, err := p.Submit(poolJob(4)); !errors.Is(err, ErrShutdown) {
@@ -116,10 +119,7 @@ func TestPoolCancelQueued(t *testing.T) {
 	cause := errors.New("not needed anymore")
 	h2.Cancel(cause)
 	h1.Cancel(nil)
-	jr, err := h2.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	jr := wait(h2)
 	if !errors.Is(jr.Err, cause) {
 		t.Fatalf("queued cancel cause: got %v, want %v", jr.Err, cause)
 	}
@@ -139,10 +139,7 @@ func TestPoolJobTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := h.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	jr := wait(h)
 	if !errors.Is(jr.Err, sim.ErrDeadlineExceeded) {
 		t.Fatalf("err %v, want deadline exceeded", jr.Err)
 	}
@@ -175,9 +172,9 @@ func TestPoolFinalizeRunsOnWorkerWithLiveManager(t *testing.T) {
 		handles[i] = h
 	}
 	for i, h := range handles {
-		jr, err := h.Wait(context.Background())
-		if err != nil || jr.Err != nil {
-			t.Fatalf("job %d: %v / %v", i, err, jr.Err)
+		jr := wait(h)
+		if jr.Err != nil {
+			t.Fatalf("job %d: %v", i, jr.Err)
 		}
 		if jr.Name != "ghz-finalized" {
 			t.Errorf("job %d: Finalize mutation lost (name %q)", i, jr.Name)
@@ -202,12 +199,13 @@ func TestPoolShutdownCancelsOnContextExpiry(t *testing.T) {
 	if err := p.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("shutdown err %v, want deadline exceeded", err)
 	}
-	jr, ok := h.Result()
-	if !ok {
+	select {
+	case <-h.done:
+	default:
 		t.Fatal("job still unfinished after Shutdown returned")
 	}
-	if !jr.Canceled() {
-		t.Fatalf("job err %v, want canceled", jr.Err)
+	if !h.res.Canceled() {
+		t.Fatalf("job err %v, want canceled", h.res.Err)
 	}
 }
 

@@ -199,9 +199,6 @@ func (c *Circuit) H(q int) { c.Apply("h", nil, q) }
 // X appends a NOT.
 func (c *Circuit) X(q int) { c.Apply("x", nil, q) }
 
-// Y appends a Pauli-Y.
-func (c *Circuit) Y(q int) { c.Apply("y", nil, q) }
-
 // Z appends a Pauli-Z.
 func (c *Circuit) Z(q int) { c.Apply("z", nil, q) }
 
@@ -232,14 +229,6 @@ func (c *Circuit) RY(theta float64, q int) { c.Apply("ry", []float64{theta}, q) 
 // RZ appends a rotation around Z by theta.
 func (c *Circuit) RZ(theta float64, q int) { c.Apply("rz", []float64{theta}, q) }
 
-// P appends a phase gate diag(1, e^{iλ}).
-func (c *Circuit) P(lambda float64, q int) { c.Apply("p", []float64{lambda}, q) }
-
-// U appends the generic u3(θ,φ,λ) gate.
-func (c *Circuit) U(theta, phi, lambda float64, q int) {
-	c.Apply("u3", []float64{theta, phi, lambda}, q)
-}
-
 // CX appends a CNOT with the given control and target.
 func (c *Circuit) CX(ctrl, target int) { c.Apply("x", nil, target, dd.PosControl(ctrl)) }
 
@@ -254,15 +243,6 @@ func (c *Circuit) CP(lambda float64, ctrl, target int) {
 // CCX appends a Toffoli.
 func (c *Circuit) CCX(ctrl1, ctrl2, target int) {
 	c.Apply("x", nil, target, dd.PosControl(ctrl1), dd.PosControl(ctrl2))
-}
-
-// MCX appends a multi-controlled NOT.
-func (c *Circuit) MCX(ctrls []int, target int) {
-	controls := make([]dd.Control, len(ctrls))
-	for i, q := range ctrls {
-		controls[i] = dd.PosControl(q)
-	}
-	c.Apply("x", nil, target, controls...)
 }
 
 // MCZ appends a multi-controlled Z (used by Grover's diffusion operator).
@@ -296,19 +276,6 @@ func (c *Circuit) Reset(q int) {
 	c.Append(Gate{Kind: KindReset, Name: "reset", Target: q})
 }
 
-// AppendCircuit concatenates another circuit's gates (and block boundaries)
-// onto c. Both circuits must have the same qubit count.
-func (c *Circuit) AppendCircuit(o *Circuit) {
-	if o.NumQubits != c.NumQubits {
-		panic(fmt.Sprintf("circuit: appending %d-qubit circuit to %d-qubit circuit", o.NumQubits, c.NumQubits))
-	}
-	offset := len(c.gates)
-	c.gates = append(c.gates, o.gates...)
-	for _, b := range o.blocks {
-		c.blocks = append(c.blocks, b+offset)
-	}
-}
-
 // Inverse returns the adjoint circuit: gates reversed and inverted. Block
 // boundaries are mapped to the mirrored positions.
 func (c *Circuit) Inverse() (*Circuit, error) {
@@ -333,16 +300,6 @@ func (c *Circuit) Inverse() (*Circuit, error) {
 		}
 	}
 	return inv, nil
-}
-
-// CountByName returns a histogram of gate names (permutation gates count
-// under "perm").
-func (c *Circuit) CountByName() map[string]int {
-	out := make(map[string]int)
-	for _, g := range c.gates {
-		out[g.Name]++
-	}
-	return out
 }
 
 // Depth returns the circuit depth: the length of the longest chain of gates

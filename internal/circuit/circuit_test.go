@@ -265,28 +265,6 @@ func TestInverseCircuit(t *testing.T) {
 	}
 }
 
-func TestAppendCircuit(t *testing.T) {
-	a := New(2, "a")
-	a.H(0)
-	a.EndBlock()
-	b := New(2, "b")
-	b.X(1)
-	b.EndBlock()
-	a.AppendCircuit(b)
-	if a.Len() != 2 {
-		t.Fatalf("len %d", a.Len())
-	}
-	if got := a.Blocks(); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("blocks %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched qubit append did not panic")
-		}
-	}()
-	a.AppendCircuit(New(3, "c"))
-}
-
 func TestDepthAndCounts(t *testing.T) {
 	c := New(3, "d")
 	c.H(0) // layer 1
@@ -297,7 +275,10 @@ func TestDepthAndCounts(t *testing.T) {
 	if got := c.Depth(); got != 3 {
 		t.Errorf("depth %d, want 3", got)
 	}
-	counts := c.CountByName()
+	counts := map[string]int{}
+	for _, g := range c.Gates() {
+		counts[g.Name]++
+	}
 	if counts["h"] != 3 || counts["x"] != 2 {
 		t.Errorf("counts %v", counts)
 	}

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+
+	"repro/internal/cnum"
 )
 
 // Ring is a consistent-hash ring over a fixed set of backends. Each backend
@@ -52,7 +54,7 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 			// FNV alone clusters similar inputs ("b0#1" vs "b0#2"); the
 			// SplitMix64 finalizer spreads the points uniformly around the
 			// circle, which is what bounds per-backend load skew.
-			r.points = append(r.points, ringPoint{hash: mix64(h.Sum64()), idx: i})
+			r.points = append(r.points, ringPoint{hash: cnum.Mix64(h.Sum64()), idx: i})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool {
@@ -63,9 +65,6 @@ func NewRing(names []string, vnodes int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Backends returns the number of backends on the ring.
-func (r *Ring) Backends() int { return r.n }
 
 // Primary returns the backend index owning key.
 func (r *Ring) Primary(key uint64) int {
@@ -88,16 +87,6 @@ func (r *Ring) Order(key uint64) []int {
 		}
 	}
 	return out
-}
-
-// mix64 is the SplitMix64 finalizer: a cheap bijective avalanche.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }
 
 // at returns the index of the first ring point at or after key (wrapping).

@@ -2,8 +2,49 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
+
+// TestRingOrderGolden pins the ring layout bit for bit: the point hashes of
+// a one-point-per-backend ring, and the failover order of fixed keys on the
+// default 64-point ring. simd-router routes by these orders, so a change to
+// the point hash would move cached results to other backends.
+func TestRingOrderGolden(t *testing.T) {
+	r, err := NewRing([]string{"b0", "b1", "b2"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPoints := []ringPoint{
+		{0x4a4195b3922a10e7, 1},
+		{0x8a65293bba260ff7, 0},
+		{0xbc8a2136f2fe6bb6, 2},
+	}
+	if !slices.Equal(r.points, wantPoints) {
+		t.Errorf("one-point ring = %#x, want %#x", r.points, wantPoints)
+	}
+	for _, tc := range []struct {
+		names []string
+		key   uint64
+		want  []int
+	}{
+		{[]string{"b0", "b1", "b2"}, 0, []int{0, 1, 2}},
+		{[]string{"b0", "b1", "b2"}, 0x0123456789abcdef, []int{1, 0, 2}},
+		{[]string{"b0", "b1", "b2"}, 0x7fffffffffffffff, []int{0, 2, 1}},
+		{[]string{"b0", "b1", "b2"}, 0xdeadbeefcafef00d, []int{2, 1, 0}},
+		{[]string{"b0", "b1", "b2"}, 0xffffffffffffffff, []int{0, 1, 2}},
+		{[]string{"http://127.0.0.1:9001", "http://127.0.0.1:9002"}, 0x0123456789abcdef, []int{1, 0}},
+		{[]string{"http://127.0.0.1:9001", "http://127.0.0.1:9002"}, 0xffffffffffffffff, []int{0, 1}},
+	} {
+		r, err := NewRing(tc.names, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Order(tc.key); !slices.Equal(got, tc.want) {
+			t.Errorf("%v: Order(%#x) = %v, want %v", tc.names, tc.key, got, tc.want)
+		}
+	}
+}
 
 func TestRingOrderCoversAllBackendsOnce(t *testing.T) {
 	names := []string{"b0", "b1", "b2", "b3", "b4"}

@@ -129,20 +129,6 @@ func (t *Table) key(re, im float64) cellKey {
 	return cellKey{int64(math.Round(re / t.tol)), int64(math.Round(im / t.tol))}
 }
 
-// CanonicalHash returns the hash a value interned for c would carry. It
-// depends only on the tolerance grid cell, never on interning order, so
-// separate tables at the same tolerance can compare weights by hash.
-func (t *Table) CanonicalHash(c complex128) uint64 {
-	re, im := real(c), imag(c)
-	if re == 0 {
-		re = 0
-	}
-	if im == 0 {
-		im = 0
-	}
-	return cellHash(t.key(re, im))
-}
-
 // Lookup interns c and returns the canonical Value pointer. Values within the
 // tolerance of an already-interned value return the existing pointer; the
 // neighbouring grid cells are also probed so values straddling a cell
@@ -308,6 +294,3 @@ func Mix64(z uint64) uint64 {
 	z ^= z >> 31
 	return z
 }
-
-// IsZero reports whether v is the canonical zero of this table.
-func (t *Table) IsZero(v *Value) bool { return v == t.Zero }

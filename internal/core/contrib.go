@@ -26,20 +26,3 @@ func Contributions(m *dd.Manager, e dd.VEdge) map[*dd.VNode]float64 {
 	putScratch(sc)
 	return contrib
 }
-
-// LevelContributionSums returns, for each qubit level, the sum of the
-// contributions of the nodes on that level. By Definition 2 every entry is 1
-// for a normalized state (tested as an invariant). Each level sums in
-// ascending node-ID order, so repeated calls agree bit for bit.
-func LevelContributionSums(m *dd.Manager, e dd.VEdge, n int) []float64 {
-	sums := make([]float64, n)
-	sc := getScratch()
-	contributionsInto(m, e, sc)
-	for _, node := range sc.level {
-		if int(node.Var) < n {
-			sums[node.Var] += sc.contrib[node.Ord()]
-		}
-	}
-	putScratch(sc)
-	return sums
-}

@@ -49,7 +49,7 @@ func TestFidelityDrivenExplicitLocations(t *testing.T) {
 	if err := s.Init(100, []int{50, 60}); err != nil {
 		t.Fatal(err)
 	}
-	locs := s.PlannedLocations()
+	locs := s.planned
 	if len(locs) != 6 {
 		t.Fatalf("planned %d rounds, want 6: %v", len(locs), locs)
 	}
@@ -74,7 +74,7 @@ func TestPlanRoundsNeedsASuccessorGate(t *testing.T) {
 	if err := s.Init(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if locs := s.PlannedLocations(); len(locs) != 0 {
+	if locs := s.planned; len(locs) != 0 {
 		t.Errorf("1-gate circuit planned rounds at %v", locs)
 	}
 }

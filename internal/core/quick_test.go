@@ -78,7 +78,7 @@ func TestQuickLevelSums(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, s := range LevelContributionSums(m, e, tc.n) {
+		for _, s := range levelSums(Contributions(m, e), tc.n) {
 			if math.Abs(s-1) > 1e-9 {
 				return false
 			}

@@ -106,7 +106,7 @@ func TestFidelityParamsPlacementControls(t *testing.T) {
 	if err := fd.Init(20, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := fd.PlannedLocations(); len(got) == 0 || got[0] != 3 {
+	if got := fd.planned; len(got) == 0 || got[0] != 3 {
 		t.Errorf("explicit locations ignored: %v", got)
 	}
 }

@@ -178,18 +178,23 @@ func TestScratchContributionsMatchOracle(t *testing.T) {
 	}
 }
 
+// The per-node contributions that the level sums add up are the same bits
+// on every call, whatever pooled scratch the call reuses.
 func TestLevelContributionSumsRepeatable(t *testing.T) {
 	m := dd.New()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + rng.Intn(7)
 		e := randomState(t, m, n, 0.3+rng.Float64()*0.7, rng)
-		first := LevelContributionSums(m, e, n)
+		first := Contributions(m, e)
 		for rep := 0; rep < 5; rep++ {
-			again := LevelContributionSums(m, e, n)
-			for q := range first {
-				if math.Float64bits(again[q]) != math.Float64bits(first[q]) {
-					t.Fatalf("n=%d level %d: sum %v on one call, %v on another", n, q, first[q], again[q])
+			again := Contributions(m, e)
+			if len(again) != len(first) {
+				t.Fatalf("n=%d: %d contributing nodes on one call, %d on another", n, len(first), len(again))
+			}
+			for node, c := range first {
+				if math.Float64bits(again[node]) != math.Float64bits(c) {
+					t.Fatalf("n=%d level %d: contribution %v on one call, %v on another", n, node.Var, c, again[node])
 				}
 			}
 		}

@@ -87,9 +87,6 @@ func (s *MemoryDriven) Init(int, []int) error {
 	return nil
 }
 
-// CurrentThreshold returns the active (possibly grown) threshold.
-func (s *MemoryDriven) CurrentThreshold() int { return s.current }
-
 // AfterGate implements Strategy.
 func (s *MemoryDriven) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VEdge) (dd.VEdge, *Round, error) {
 	if size <= s.current {
@@ -206,13 +203,6 @@ func spreadLocations(locations []int, totalGates, rounds int) []int {
 			out = append(out, pick)
 		}
 	}
-	return out
-}
-
-// PlannedLocations returns the gate indices after which rounds will run.
-func (s *FidelityDriven) PlannedLocations() []int {
-	out := make([]int, len(s.planned))
-	copy(out, s.planned)
 	return out
 }
 

@@ -16,8 +16,8 @@ func TestMemoryDrivenThresholdDoubling(t *testing.T) {
 	if err := s.Init(100, nil); err != nil {
 		t.Fatal(err)
 	}
-	if s.CurrentThreshold() != 4 {
-		t.Fatalf("initial threshold %d", s.CurrentThreshold())
+	if s.current != 4 {
+		t.Fatalf("initial threshold %d", s.current)
 	}
 	// A dense random state on 6 qubits exceeds 4 nodes.
 	e := randomState(t, m, 6, 1.0, rng)
@@ -29,8 +29,8 @@ func TestMemoryDrivenThresholdDoubling(t *testing.T) {
 	if round == nil {
 		t.Fatal("approximation did not trigger above threshold")
 	}
-	if s.CurrentThreshold() != 8 {
-		t.Errorf("threshold after round = %d, want 8 (doubled)", s.CurrentThreshold())
+	if s.current != 8 {
+		t.Errorf("threshold after round = %d, want 8 (doubled)", s.current)
 	}
 	if round.Report.Achieved < 0.9-1e-9 {
 		t.Errorf("round fidelity %v below target", round.Report.Achieved)
@@ -73,7 +73,7 @@ func TestMemoryDrivenThresholdGrowth(t *testing.T) {
 		if _, _, err := s.AfterGate(m, 0, size, e); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.CurrentThreshold(); got != tc.want {
+		if got := s.current; got != tc.want {
 			t.Errorf("growth %v: threshold after one round = %d, want %d", tc.growth, got, tc.want)
 		}
 		if tc.want == math.MaxInt {
@@ -201,7 +201,7 @@ func TestFidelityDrivenSchedule(t *testing.T) {
 	if err := s.Init(50, []int{10, 20, 30, 40, 45, 47, 48}); err != nil {
 		t.Fatal(err)
 	}
-	locs := s.PlannedLocations()
+	locs := s.planned
 	if len(locs) != 6 {
 		t.Fatalf("planned %d rounds, want 6", len(locs))
 	}

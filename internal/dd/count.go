@@ -92,27 +92,6 @@ func CountVNodes(e VEdge) int {
 	return len(seen)
 }
 
-// CountMNodes returns the number of distinct non-terminal nodes reachable
-// from the operation edge e.
-func CountMNodes(e MEdge) int {
-	seen := make(map[*MNode]struct{})
-	var walk func(n *MNode)
-	walk = func(n *MNode) {
-		if n == nil || n.IsTerminal() {
-			return
-		}
-		if _, ok := seen[n]; ok {
-			return
-		}
-		seen[n] = struct{}{}
-		for i := 0; i < 4; i++ {
-			walk(n.E[i].N)
-		}
-	}
-	walk(e.N)
-	return len(seen)
-}
-
 // CollectVNodes returns all distinct non-terminal nodes reachable from e.
 // The traversal order is depth-first; callers needing level order should
 // sort by Var.

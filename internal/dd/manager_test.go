@@ -197,13 +197,3 @@ func TestStatsCounters(t *testing.T) {
 		t.Errorf("stats look empty: %+v", st)
 	}
 }
-
-func TestNumQubits(t *testing.T) {
-	m := New()
-	if NumQubits(m.VZero()) != 0 {
-		t.Error("zero edge qubits != 0")
-	}
-	if NumQubits(m.BasisState(7, 0)) != 7 {
-		t.Error("basis state qubit count wrong")
-	}
-}

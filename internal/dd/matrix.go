@@ -1,7 +1,5 @@
 package dd
 
-import "fmt"
-
 // Identity returns the identity operation DD on n qubits. The result is
 // cached inside the manager.
 func (m *Manager) Identity(n int) MEdge {
@@ -15,42 +13,6 @@ func (m *Manager) Identity(n int) MEdge {
 		m.idChain = append(m.idChain, next)
 	}
 	return m.idChain[n]
-}
-
-// FromMatrix builds a matrix DD from a dense 2^n × 2^n matrix given in
-// row-major order. Intended for tests and small operators.
-func (m *Manager) FromMatrix(mat [][]complex128) (MEdge, error) {
-	dim := len(mat)
-	n := 0
-	for 1<<uint(n) < dim {
-		n++
-	}
-	if dim == 0 || 1<<uint(n) != dim {
-		return MEdge{}, fmt.Errorf("dd: matrix dimension %d is not a power of two", dim)
-	}
-	for i, row := range mat {
-		if len(row) != dim {
-			return MEdge{}, fmt.Errorf("dd: matrix row %d has length %d, want %d", i, len(row), dim)
-		}
-	}
-	if n == 0 {
-		return m.mEdge(mat[0][0], m.mTerminal), nil
-	}
-	return m.fromMat(int32(n-1), 0, 0, mat), nil
-}
-
-func (m *Manager) fromMat(level int32, row, col int, mat [][]complex128) MEdge {
-	if level < 0 {
-		return m.mEdge(mat[row][col], m.mTerminal)
-	}
-	size := 1 << uint(level)
-	var e [4]MEdge
-	for r := 0; r < 2; r++ {
-		for c := 0; c < 2; c++ {
-			e[2*r+c] = m.fromMat(level-1, row+r*size, col+c*size, mat)
-		}
-	}
-	return m.MakeMNode(level, e)
 }
 
 // ToMatrix expands the n-qubit operation into a dense matrix. Intended for

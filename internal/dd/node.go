@@ -47,9 +47,6 @@ type MNode struct {
 	E    [4]MEdge
 }
 
-// ID returns the node's unique creation id.
-func (n *MNode) ID() uint64 { return n.id }
-
 // IsTerminal reports whether n is the terminal node.
 func (n *MNode) IsTerminal() bool { return n.Var == TerminalVar }
 

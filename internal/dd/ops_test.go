@@ -228,33 +228,8 @@ func TestIdentityDD(t *testing.T) {
 				}
 			}
 		}
-		if got := CountMNodes(id); got != n {
+		if got := countMNodes(id); got != n {
 			t.Errorf("Identity(%d) has %d nodes, want %d", n, got, n)
-		}
-	}
-}
-
-func TestFromToMatrixRoundTrip(t *testing.T) {
-	m := New()
-	rng := rand.New(rand.NewSource(16))
-	for n := 1; n <= 4; n++ {
-		dim := 1 << uint(n)
-		mat := make([][]complex128, dim)
-		for r := range mat {
-			mat[r] = make([]complex128, dim)
-			for c := range mat[r] {
-				if rng.Float64() < 0.3 {
-					mat[r][c] = complex(rng.NormFloat64(), rng.NormFloat64())
-				}
-			}
-		}
-		e, err := m.FromMatrix(mat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := m.ToMatrix(e, n)
-		for r := range mat {
-			vecApproxEq(t, got[r], mat[r], 1e-9, "matrix round trip")
 		}
 	}
 }

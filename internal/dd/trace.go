@@ -38,9 +38,10 @@ func (m *Manager) traceNode(n *MNode) complex128 {
 	return sum
 }
 
-// CountM is CountMNodes against a visited set retained on the manager, so
-// the density backend's per-gate DD size tracking allocates nothing at
-// steady state (the matrix counterpart of CountV). Not reentrant.
+// CountM counts the distinct non-terminal nodes reachable from e against a
+// visited set retained on the manager, so the density backend's per-gate DD
+// size tracking allocates nothing at steady state (the matrix counterpart of
+// CountV). Not reentrant.
 func (m *Manager) CountM(e MEdge) int {
 	if m.visitM == nil {
 		m.visitM = make(map[*MNode]struct{}, 256)

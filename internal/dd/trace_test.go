@@ -75,14 +75,35 @@ func TestCountMMatchesCountMNodes(t *testing.T) {
 	m := New()
 	v, _ := randomState(t, m, 4, rand.New(rand.NewSource(5)))
 	rho := m.OuterProduct(v, v)
-	if got, want := m.CountM(rho), CountMNodes(rho); got != want {
-		t.Errorf("CountM = %d, CountMNodes = %d", got, want)
+	if got, want := m.CountM(rho), countMNodes(rho); got != want {
+		t.Errorf("CountM = %d, countMNodes = %d", got, want)
 	}
 	cx := m.MakeGateDD(3, [4]complex128{0, 1, 1, 0}, 1, PosControl(0))
-	if got, want := m.CountM(cx), CountMNodes(cx); got != want {
-		t.Errorf("CountM(CX) = %d, CountMNodes = %d", got, want)
+	if got, want := m.CountM(cx), countMNodes(cx); got != want {
+		t.Errorf("CountM(CX) = %d, countMNodes = %d", got, want)
 	}
 	if got := m.CountM(m.MZero()); got != 0 {
 		t.Errorf("CountM(0) = %d", got)
 	}
+}
+
+// countMNodes returns the number of distinct non-terminal nodes reachable
+// from the operation edge e: the map-based oracle CountM is checked against.
+func countMNodes(e MEdge) int {
+	seen := make(map[*MNode]struct{})
+	var walk func(n *MNode)
+	walk = func(n *MNode) {
+		if n == nil || n.IsTerminal() {
+			return
+		}
+		if _, ok := seen[n]; ok {
+			return
+		}
+		seen[n] = struct{}{}
+		for i := 0; i < 4; i++ {
+			walk(n.E[i].N)
+		}
+	}
+	walk(e.N)
+	return len(seen)
 }

@@ -50,15 +50,6 @@ func (m *Manager) fromAmps(level int32, base uint64, vec []complex128) VEdge {
 	return m.MakeVNode(level, e0, e1)
 }
 
-// NumQubits returns the number of qubits spanned by the state edge (0 for
-// zero/terminal edges).
-func NumQubits(e VEdge) int {
-	if e.N == nil || e.N.IsTerminal() {
-		return 0
-	}
-	return int(e.N.Var) + 1
-}
-
 // Amplitude returns the amplitude of basis state idx in the n-qubit state e,
 // by multiplying the edge weights along the path (Example 4 of the paper).
 func (m *Manager) Amplitude(e VEdge, idx uint64, n int) complex128 {

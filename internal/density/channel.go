@@ -41,9 +41,8 @@ func Kinds() []Kind {
 const completenessTol = 1e-9
 
 // Channel is a single-qubit noise channel in Kraus form: ρ → Σ_k K_k ρ K_k†.
-// Construct with New (built-in kinds) or FromKraus (arbitrary operator
-// sets); both verify the completeness relation Σ K†K = I, so a Channel
-// value is trace-preserving by construction.
+// Construct with New, which verifies the completeness relation Σ K†K = I,
+// so a Channel value is trace-preserving by construction.
 type Channel struct {
 	kind Kind
 	p    float64
@@ -101,20 +100,6 @@ func New(kind Kind, p float64) (Channel, error) {
 	return c, nil
 }
 
-// FromKraus wraps an arbitrary single-qubit Kraus operator set, verifying
-// trace preservation. The kind is recorded as "custom".
-func FromKraus(ops [][4]complex128) (Channel, error) {
-	if len(ops) == 0 {
-		return Channel{}, fmt.Errorf("density: empty Kraus set")
-	}
-	if err := checkComplete(ops); err != nil {
-		return Channel{}, err
-	}
-	cp := make([][4]complex128, len(ops))
-	copy(cp, ops)
-	return Channel{kind: "custom", ops: cp}, nil
-}
-
 // checkComplete verifies the Kraus completeness relation Σ_k K_k† K_k = I
 // within completenessTol — the condition for the superoperator to preserve
 // the trace of every ρ.
@@ -144,14 +129,10 @@ func (c Channel) Kind() Kind { return c.kind }
 // P returns the channel strength the channel was built with.
 func (c Channel) P() float64 { return c.p }
 
-// Kraus returns the channel's Kraus operators (row-major 2×2 matrices). The
-// slice is shared; callers must not mutate it.
-func (c Channel) Kraus() [][4]complex128 { return c.ops }
-
 // MixedUnitary reports whether every Kraus operator is proportional to a
 // unitary, returning the state-independent branch probabilities when so.
 // Trajectory simulation uses this to skip per-branch norm computation.
 func (c Channel) MixedUnitary() ([]float64, bool) { return c.probs, c.probs != nil }
 
 // Identity reports whether the channel is a no-op (strength zero).
-func (c Channel) Identity() bool { return c.p == 0 && c.kind != "custom" }
+func (c Channel) Identity() bool { return c.p == 0 }

@@ -14,7 +14,7 @@ import (
 // and density backends share every piece of PR 2 infrastructure.
 //
 // Invariant: Tr ρ = 1 (within float tolerance). Unitary application and
-// trace-preserving channels maintain it; Check verifies it explicitly.
+// trace-preserving channels maintain it.
 type State struct {
 	M    *dd.Manager
 	N    int
@@ -50,13 +50,6 @@ func (s *State) ApplyKraus(ops []dd.MEdge) {
 		sum = s.M.AddMat(sum, term)
 	}
 	s.Root = sum
-}
-
-// ApplyChannel lifts the single-qubit channel to qubit q and applies it.
-// Loops that apply the same channel repeatedly should lift once with
-// Channel.Lift and call ApplyKraus to reuse the operator DDs.
-func (s *State) ApplyChannel(c Channel, q int) {
-	s.ApplyKraus(c.Lift(s.M, s.N, q))
 }
 
 // Lift builds the n-qubit operation DDs for the channel's Kraus operators
@@ -118,15 +111,6 @@ func (s *State) Probability(idx uint64) float64 {
 		node = child.N
 	}
 	return clamp01(real(w))
-}
-
-// Probabilities expands the full 2^n diagonal. Tests and small systems only.
-func (s *State) Probabilities() []float64 {
-	out := make([]float64, uint64(1)<<uint(s.N))
-	for i := range out {
-		out[i] = s.Probability(uint64(i))
-	}
-	return out
 }
 
 // Sample draws one basis state from the diagonal distribution of ρ without
@@ -234,23 +218,6 @@ func (s *State) ProjectQubit(q, bit int) {
 		return
 	}
 	s.NormalizeTrace()
-}
-
-// Size returns the number of nodes in the density DD.
-func (s *State) Size() int {
-	return s.M.CountM(s.Root)
-}
-
-// Check verifies Tr ρ = 1 within tol and that the DD is not the zero edge,
-// the invariants fuzzing asserts after every channel application.
-func (s *State) Check(tol float64) error {
-	if s.M.IsMZero(s.Root) {
-		return fmt.Errorf("density: state collapsed to the zero edge")
-	}
-	if tr := s.Trace(); math.Abs(tr-1) > tol {
-		return fmt.Errorf("density: trace drifted to %v (tolerance %v)", tr, tol)
-	}
-	return nil
 }
 
 func clamp01(x float64) float64 {

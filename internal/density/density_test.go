@@ -30,6 +30,15 @@ func randomPure(t *testing.T, m *dd.Manager, n int, rng *rand.Rand) (dd.VEdge, [
 	return v, amps
 }
 
+// diagonal expands the full 2^n diagonal of ρ.
+func diagonal(s *State) []float64 {
+	out := make([]float64, uint64(1)<<uint(s.N))
+	for i := range out {
+		out[i] = s.Probability(uint64(i))
+	}
+	return out
+}
+
 // denseApplyChannel applies a single-qubit Kraus channel to the dense density
 // matrix rho on qubit q of n — the O(4^n) oracle the DD path is checked
 // against.
@@ -94,12 +103,12 @@ func TestChannelConstruction(t *testing.T) {
 	if _, err := New("banana", 0.1); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	// FromKraus must reject a non-trace-preserving set.
-	if _, err := FromKraus([][4]complex128{{0.5, 0, 0, 0.5}}); err == nil {
-		t.Error("FromKraus accepted a trace-shrinking operator set")
+	// The completeness check New runs must reject a non-trace-preserving set.
+	if err := checkComplete([][4]complex128{{0.5, 0, 0, 0.5}}); err == nil {
+		t.Error("checkComplete accepted a trace-shrinking operator set")
 	}
-	if _, err := FromKraus(nil); err == nil {
-		t.Error("FromKraus accepted an empty set")
+	if err := checkComplete(nil); err == nil {
+		t.Error("checkComplete accepted an empty set")
 	}
 	// Mixed-unitary detection: depolarizing yes, amplitude damping no.
 	dep, _ := New(Depolarizing, 0.2)
@@ -125,8 +134,8 @@ func TestApplyChannelMatchesDenseOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := rng.Intn(n)
-			s.ApplyChannel(ch, q)
-			want = denseApplyChannel(want, ch.Kraus(), q, n)
+			s.ApplyKraus(ch.Lift(m, n, q))
+			want = denseApplyChannel(want, ch.ops, q, n)
 			got := m.ToMatrix(s.Root, n)
 			for r := range want {
 				for c := range want[r] {
@@ -136,8 +145,8 @@ func TestApplyChannelMatchesDenseOracle(t *testing.T) {
 					}
 				}
 			}
-			if err := s.Check(1e-9); err != nil {
-				t.Fatalf("%s n=%d: %v", kind, n, err)
+			if tr := s.Trace(); math.Abs(tr-1) > 1e-9 {
+				t.Fatalf("%s n=%d: trace drifted to %v", kind, n, tr)
 			}
 		}
 	}
@@ -175,8 +184,8 @@ func TestAmplitudeDampingLimits(t *testing.T) {
 	// γ = 1 maps |1⟩⟨1| to |0⟩⟨0| exactly.
 	s := NewBasis(m, 2, 0b11)
 	ch, _ := New(AmplitudeDamping, 1)
-	s.ApplyChannel(ch, 0)
-	s.ApplyChannel(ch, 1)
+	s.ApplyKraus(ch.Lift(m, 2, 0))
+	s.ApplyKraus(ch.Lift(m, 2, 1))
 	if p := s.Probability(0); math.Abs(p-1) > 1e-12 {
 		t.Errorf("P(|00⟩) after full damping = %v, want 1", p)
 	}
@@ -186,12 +195,12 @@ func TestAmplitudeDampingLimits(t *testing.T) {
 	// Partial damping of |1⟩⟨1|: P(1) = 1 − γ.
 	s2 := NewBasis(m, 1, 1)
 	ch2, _ := New(AmplitudeDamping, 0.3)
-	s2.ApplyChannel(ch2, 0)
+	s2.ApplyKraus(ch2.Lift(m, 1, 0))
 	if p := s2.Probability(1); math.Abs(p-0.7) > 1e-12 {
 		t.Errorf("P(|1⟩) after γ=0.3 damping = %v, want 0.7", p)
 	}
-	if err := s2.Check(1e-12); err != nil {
-		t.Error(err)
+	if tr := s2.Trace(); math.Abs(tr-1) > 1e-12 {
+		t.Errorf("trace after damping = %v", tr)
 	}
 }
 
@@ -202,7 +211,7 @@ func TestDepolarizingMixesTowardIdentity(t *testing.T) {
 	ch, _ := New(Depolarizing, 0.5)
 	before := s.Purity()
 	for q := 0; q < n; q++ {
-		s.ApplyChannel(ch, q)
+		s.ApplyKraus(ch.Lift(m, n, q))
 	}
 	after := s.Purity()
 	if after >= before {
@@ -216,7 +225,7 @@ func TestDepolarizingMixesTowardIdentity(t *testing.T) {
 	// likely.
 	s2 := NewBasis(m, 1, 0)
 	full, _ := New(Depolarizing, 0.75)
-	s2.ApplyChannel(full, 0)
+	s2.ApplyKraus(full.Lift(m, 1, 0))
 	if p := s2.Probability(0); math.Abs(p-0.5) > 1e-12 {
 		t.Errorf("fully depolarized P(0) = %v, want 0.5", p)
 	}
@@ -232,8 +241,8 @@ func TestSampleMatchesDiagonal(t *testing.T) {
 	v, _ := randomPure(t, m, n, rng)
 	s := FromPure(m, n, v)
 	ch, _ := New(Depolarizing, 0.2)
-	s.ApplyChannel(ch, 1)
-	probs := s.Probabilities()
+	s.ApplyKraus(ch.Lift(m, n, 1))
+	probs := diagonal(s)
 	var total float64
 	for _, p := range probs {
 		total += p
@@ -265,8 +274,8 @@ func TestMeasureQubitCollapses(t *testing.T) {
 		t.Fatalf("P(q0=1) = %v, want 0.5", p)
 	}
 	bit := s.MeasureQubit(0, rng)
-	if err := s.Check(1e-9); err != nil {
-		t.Fatal(err)
+	if tr := s.Trace(); math.Abs(tr-1) > 1e-9 {
+		t.Fatalf("trace after measurement = %v", tr)
 	}
 	if p := s.ProbabilityOne(1); math.Abs(p-float64(bit)) > 1e-9 {
 		t.Errorf("after measuring q0=%d, P(q1=1) = %v", bit, p)
@@ -289,7 +298,7 @@ func TestNormalizeTrace(t *testing.T) {
 	if tr := s.Trace(); math.Abs(tr-1) > 1e-12 {
 		t.Errorf("trace after normalize = %v", tr)
 	}
-	if s.Size() == 0 {
-		t.Error("Size() = 0 for nonzero state")
+	if m.CountM(s.Root) == 0 {
+		t.Error("CountM = 0 for nonzero state")
 	}
 }

@@ -119,9 +119,3 @@ func carryQubit(carry int, aq func(int) int, i int) int {
 	}
 	return aq(i - 1)
 }
-
-// AdderSumRegister extracts the b-register value from a sampled basis state
-// of a RippleCarryAdder circuit.
-func AdderSumRegister(sample uint64, n int) uint64 {
-	return sample >> uint(n+1) & (1<<uint(n) - 1)
-}

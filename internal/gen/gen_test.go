@@ -38,7 +38,9 @@ func TestQFTMatchesDFT(t *testing.T) {
 func TestInverseQFTInvertsQFT(t *testing.T) {
 	n := 4
 	c := QFT(n)
-	c.AppendCircuit(InverseQFT(n))
+	for _, g := range InverseQFT(n).Gates() {
+		c.Append(g)
+	}
 	for x := uint64(0); x < 1<<uint(n); x += 3 {
 		s := sim.New()
 		res, err := s.Run(c, sim.Options{InitialState: x})

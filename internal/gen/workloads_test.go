@@ -82,7 +82,10 @@ func TestCliffordTGateAndTCount(t *testing.T) {
 		if c.Len() != tc.gates {
 			t.Errorf("cliffordt n=%d: %d gates, want %d", tc.n, c.Len(), tc.gates)
 		}
-		counts := c.CountByName()
+		counts := map[string]int{}
+		for _, g := range c.Gates() {
+			counts[g.Name]++
+		}
 		if got := counts["t"] + counts["tdg"]; got != tc.tcount {
 			t.Errorf("cliffordt n=%d g=%d: t-count %d, want %d", tc.n, tc.gates, got, tc.tcount)
 		}

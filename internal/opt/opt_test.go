@@ -85,8 +85,8 @@ func TestRotationMerging(t *testing.T) {
 		t.Errorf("stats %+v", stats)
 	}
 	c2 := circuit.New(1, "rot2")
-	c2.P(0.25, 0)
-	c2.P(0.5, 0)
+	c2.Apply("p", []float64{0.25}, 0)
+	c2.Apply("p", []float64{0.5}, 0)
 	out2, _ := Optimize(c2)
 	if out2.Len() != 1 || math.Abs(out2.Gates()[0].Params[0]-0.75) > 1e-12 {
 		t.Fatalf("phase merge wrong: %v", out2.Gates())
@@ -97,7 +97,7 @@ func TestIdentityRemoval(t *testing.T) {
 	c := circuit.New(2, "ids")
 	c.Apply("id", nil, 0)
 	c.RX(0, 1)
-	c.P(2*math.Pi, 0)
+	c.Apply("p", []float64{2 * math.Pi}, 0)
 	c.X(1)
 	out, stats := Optimize(c)
 	if out.Len() != 1 || out.Gates()[0].Name != "x" {
@@ -167,7 +167,9 @@ func TestOptimizeShrinksRealCircuit(t *testing.T) {
 	// their mirror images).
 	n := 5
 	c := gen.QFT(n)
-	c.AppendCircuit(gen.InverseQFT(n))
+	for _, g := range gen.InverseQFT(n).Gates() {
+		c.Append(g)
+	}
 	out, _ := Optimize(c)
 	if out.Len() >= c.Len() {
 		t.Errorf("no shrink: %d -> %d gates", c.Len(), out.Len())

@@ -98,7 +98,7 @@ func TestExportUnsupported(t *testing.T) {
 		t.Error("negative control exported to QASM 2.0")
 	}
 	c3 := circuit.New(4, "mcx3")
-	c3.MCX([]int{1, 2, 3}, 0)
+	c3.Apply("x", nil, 0, dd.PosControl(1), dd.PosControl(2), dd.PosControl(3))
 	if _, err := Export(c3); err == nil {
 		t.Error("3-controlled X exported to QASM 2.0")
 	}

@@ -118,7 +118,10 @@ cz q[0], q[1];
 	if len(c.Blocks()) != 1 {
 		t.Errorf("barrier not mapped to block: %v", c.Blocks())
 	}
-	counts := c.CountByName()
+	counts := map[string]int{}
+	for _, g := range c.Gates() {
+		counts[g.Name]++
+	}
 	// ccx → 1 x-with-2-controls; swap → 3 cx; cswap → 3 ccx; cp → p; cz → z.
 	if counts["x"] != 1+3+3 || counts["p"] != 1 || counts["z"] != 1 {
 		t.Errorf("gate counts %v", counts)

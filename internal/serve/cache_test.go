@@ -79,7 +79,7 @@ func TestContentHashProperties(t *testing.T) {
 		t.Error("explicit seed must affect the content hash")
 	}
 	strat := base
-	strat.Strategy = StrategyMemory
+	strat.Strategy = "memory"
 	strat.StrategyParams = json.RawMessage(`{"threshold":64,"round_fidelity":0.9}`)
 	if h(base) == h(strat) {
 		t.Error("strategy must affect the content hash")

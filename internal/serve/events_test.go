@@ -72,7 +72,7 @@ func TestEventsStreamReplaysFinishedJob(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1, EventBufferSize: 4096})
 	circ := gen.RandomCliffordT(10, 200, 3)
 	req := inlineRequest("events", circ)
-	req.Strategy = StrategyMemory
+	req.Strategy = "memory"
 	req.StrategyParams = json.RawMessage(`{"threshold":16,"round_fidelity":0.97}`)
 	st := c.submit(req, http.StatusAccepted)
 	if got := c.await(st.ID); got.Status != StatusDone {
@@ -126,7 +126,7 @@ func TestEventsStreamWhileRunning(t *testing.T) {
 	// to finish promptly; correctness does not depend on the race since the
 	// bounded buffer replays whatever was missed.
 	req := inlineRequest("live-stream", gen.RandomCliffordT(11, 600, 1))
-	req.Strategy = StrategyMemory
+	req.Strategy = "memory"
 	req.StrategyParams = json.RawMessage(`{"threshold":64,"round_fidelity":0.95}`)
 	st := c.submit(req, http.StatusAccepted)
 	// Connect immediately — the stream must deliver live events and then
@@ -361,7 +361,7 @@ func TestRegisteredStrategyBadParamsRejected(t *testing.T) {
 func TestStrategyParamsForBuiltins(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	req := inlineRequest("builtin-params", gen.QFT(6))
-	req.Strategy = StrategyMemory
+	req.Strategy = "memory"
 	req.StrategyParams = json.RawMessage(`{"threshold": 8, "round_fidelity": 0.95}`)
 	st := c.submit(req, http.StatusAccepted)
 	if got := c.await(st.ID); got.Status != StatusDone {
@@ -386,12 +386,12 @@ func TestMisspeltStrategyParamsRejected(t *testing.T) {
 	const unknownField = "unknown field"
 	cases := []struct{ strategy, params, want string }{
 		{StrategyExact, `{"threshold":16}`, unknownField},
-		{StrategyMemory, `{"threshhold":16,"round_fidelity":0.9}`, unknownField},
-		{StrategyFidelity, `{"final_fidelity":0.8,"round_fidelty":0.9}`, unknownField},
-		{StrategyReplace, `{"node_budget":64,"floor":0.9}`, unknownField},
-		{StrategyReplace, `{"node_budget":64,"kinds":["delete"]}`, "core: unknown substitute kind"},
-		{StrategyReorder, `{"order":"scored","sift_threshhold":64}`, unknownField},
-		{StrategyReorder, `{"inner":"memory","inner_params":{"threshhold":16}}`, unknownField},
+		{"memory", `{"threshhold":16,"round_fidelity":0.9}`, unknownField},
+		{"fidelity", `{"final_fidelity":0.8,"round_fidelty":0.9}`, unknownField},
+		{"replace", `{"node_budget":64,"floor":0.9}`, unknownField},
+		{"replace", `{"node_budget":64,"kinds":["delete"]}`, "core: unknown substitute kind"},
+		{"reorder", `{"order":"scored","sift_threshhold":64}`, unknownField},
+		{"reorder", `{"inner":"memory","inner_params":{"threshhold":16}}`, unknownField},
 	}
 	for _, tc := range cases {
 		if _, err := core.NewStrategyByName(tc.strategy, json.RawMessage(tc.params)); err == nil ||

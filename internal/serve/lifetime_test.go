@@ -58,8 +58,9 @@ func TestFinishedJobPinsNoManager(t *testing.T) {
 		t.Fatal("finished job missing from the registry")
 	}
 	// The status flips to done inside Finalize; the pool releases the
-	// result's manager when Finalize returns, before closing Done.
-	<-js.handle.Done()
+	// result's manager when Finalize returns. Closing the pool waits until
+	// the worker is past the job; the registry still holds its handle.
+	s.pool.Close()
 	v, ok := probedManagers.Load("pinned")
 	if !ok {
 		t.Fatal("probe strategy never saw the manager")

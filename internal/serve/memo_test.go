@@ -57,7 +57,7 @@ func mustMarshal(t testing.TB, v any) []byte {
 // lookups as before: one miss for the run, one hit per repeat.
 func TestMemoRepeatIsByteIdentical(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
-	body := mustMarshal(t, JobRequest{Name: "ghz4", QASM: ghzQASM, Shots: 64, Strategy: StrategyFidelity,
+	body := mustMarshal(t, JobRequest{Name: "ghz4", QASM: ghzQASM, Shots: 64, Strategy: "fidelity",
 		StrategyParams: json.RawMessage(`{"final_fidelity":0.8,"round_fidelity":0.9}`)})
 	spaced := append([]byte(" "), body...)
 

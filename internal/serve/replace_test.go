@@ -10,7 +10,7 @@ import (
 // replaceRequest is the entangled-pairs workload submitted under the
 // node-replacement strategy.
 func replaceRequest(n int, params string) JobRequest {
-	req := JobRequest{Name: "pairs-replace", Qubits: n, Strategy: StrategyReplace,
+	req := JobRequest{Name: "pairs-replace", Qubits: n, Strategy: "replace",
 		StrategyParams: json.RawMessage(params)}
 	for i := 0; i < n/2; i++ {
 		req.Gates = append(req.Gates,
@@ -119,7 +119,7 @@ func TestReplaceRoundsOverSSE(t *testing.T) {
 func TestReplaceComposedUnderReorder(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	req := replaceRequest(12, "")
-	req.Strategy = StrategyReorder
+	req.Strategy = "reorder"
 	req.StrategyParams = json.RawMessage(`{"order":"identity","inner":"replace","inner_params":{"node_budget":24}}`)
 	st := c.await(c.submit(req, http.StatusAccepted).ID)
 	if st.Status != StatusDone {

@@ -21,23 +21,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Builtin strategy names accepted in JobRequest.Strategy. Any further name
-// registered through core.RegisterStrategy is accepted as well, with its
-// parameters passed via JobRequest.StrategyParams — this is how user-defined
-// strategies become reachable over HTTP.
+// Strategy names serve itself interprets. Every other name in
+// JobRequest.Strategy goes to the core.RegisterStrategy registry ("memory",
+// "fidelity", "replace", "reorder", and any name a caller registers), with
+// its parameters passed via JobRequest.StrategyParams — this is how
+// user-defined strategies become reachable over HTTP.
 const (
-	StrategyExact    = "exact"
-	StrategyMemory   = "memory"
-	StrategyFidelity = "fidelity"
-	// StrategyReplace is node replacement (arXiv 2507.04335): low-
-	// contribution nodes are swapped for cheaper substitutes instead of
-	// zeroed. Parameters via StrategyParams (core.ReplaceDrivenParams),
-	// e.g. {"node_budget":512,"fidelity_floor":0.9,"kinds":["collapse","promote"]}.
-	StrategyReplace = "replace"
-	// StrategyReorder wraps any other strategy with variable reordering; it
-	// takes parameters only through StrategyParams (see order.Params), e.g.
-	// {"order":"scored","sift":true,"inner":"memory","inner_params":{...}}.
-	StrategyReorder = "reorder"
+	StrategyExact = "exact"
 	// StrategyAuto classifies the submitted circuit by gate mix
 	// (gen.Classify) and installs the committed approximability-atlas winner
 	// for its workload class (internal/atlas, docs/ATLAS.md). It resolves

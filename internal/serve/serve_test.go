@@ -149,7 +149,7 @@ func TestCacheHitEndToEnd(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	req := JobRequest{
 		Name: "ghz4", QASM: ghzQASM,
-		Strategy: StrategyFidelity, StrategyParams: json.RawMessage(`{"final_fidelity":0.8,"round_fidelity":0.9}`),
+		Strategy: "fidelity", StrategyParams: json.RawMessage(`{"final_fidelity":0.8,"round_fidelity":0.9}`),
 		Shots: 256,
 	}
 	first := c.submit(req, http.StatusAccepted)
@@ -340,8 +340,8 @@ func TestValidationErrors(t *testing.T) {
 		{Qubits: 2, Gates: []GateSpec{{Name: "warp", Target: 0}}}, // unknown gate
 		{Qubits: 2, Gates: []GateSpec{{Name: "h", Target: 5}}},    // qubit range
 		{QASM: ghzQASM, Strategy: "psychic"},                      // unknown strategy
-		{QASM: ghzQASM, Strategy: StrategyMemory, StrategyParams: json.RawMessage(`{"threshold":-1,"round_fidelity":0.9}`)},
-		{QASM: ghzQASM, Strategy: StrategyFidelity, StrategyParams: json.RawMessage(`{"final_fidelity":0.9,"round_fidelity":0.5}`)},
+		{QASM: ghzQASM, Strategy: "memory", StrategyParams: json.RawMessage(`{"threshold":-1,"round_fidelity":0.9}`)},
+		{QASM: ghzQASM, Strategy: "fidelity", StrategyParams: json.RawMessage(`{"final_fidelity":0.9,"round_fidelity":0.5}`)},
 		{QASM: ghzQASM, Shots: 11},                             // above MaxShots
 		{Qubits: 9, Gates: []GateSpec{{Name: "h", Target: 0}}}, // above MaxQubits
 		{Qubits: 2, Gates: []GateSpec{{Name: "h", Target: 0}}, Blocks: []int{3}},

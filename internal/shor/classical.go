@@ -1,7 +1,5 @@
 package shor
 
-import "fmt"
-
 // Gcd returns the greatest common divisor of a and b.
 func Gcd(a, b uint64) uint64 {
 	for b != 0 {
@@ -48,23 +46,6 @@ func ModPow(a, e, m uint64) uint64 {
 		e >>= 1
 	}
 	return res
-}
-
-// MultiplicativeOrder returns the order of a modulo n (the smallest r > 0
-// with a^r ≡ 1), computed classically by iteration. Used by tests and to
-// grade sampled results; the quantum circuit of course does not call it.
-func MultiplicativeOrder(a, n uint64) (uint64, error) {
-	if Gcd(a, n) != 1 {
-		return 0, fmt.Errorf("shor: %d and %d are not coprime", a, n)
-	}
-	x := a % n
-	for r := uint64(1); r <= n; r++ {
-		if x == 1 {
-			return r, nil
-		}
-		x = ModMul(x, a, n)
-	}
-	return 0, fmt.Errorf("shor: order of %d mod %d not found", a, n)
 }
 
 // Convergent is one continued-fraction convergent p/q of a rational number.

@@ -62,7 +62,10 @@ func TestShorCircuitBlocks(t *testing.T) {
 	if len(blocks) != want {
 		t.Errorf("%d block boundaries, want %d", len(blocks), want)
 	}
-	counts := c.CountByName()
+	counts := map[string]int{}
+	for _, g := range c.Gates() {
+		counts[g.Name]++
+	}
 	if counts["perm"] != 2*in.Bits {
 		t.Errorf("%d modular multiplications, want %d", counts["perm"], 2*in.Bits)
 	}

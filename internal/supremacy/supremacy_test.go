@@ -124,7 +124,10 @@ func TestRuleConformance(t *testing.T) {
 		inCZPrev = inCZNow
 		start = end + 1
 	}
-	counts := c.CountByName()
+	counts := map[string]int{}
+	for _, g := range c.Gates() {
+		counts[g.Name]++
+	}
 	if counts["h"] != n {
 		t.Errorf("%d Hadamards, want %d", counts["h"], n)
 	}

@@ -36,7 +36,7 @@ func Equivalent(u, v *circuit.Circuit) (*Result, error) {
 	// left-to-right: start with I, multiply U's gates from the right side
 	// first (they act first), then V†'s gates.
 	prod := m.Identity(n)
-	res := &Result{MaxDDSize: dd.CountMNodes(prod)}
+	res := &Result{MaxDDSize: m.CountM(prod)}
 	apply := func(c *circuit.Circuit) error {
 		for _, g := range c.Gates() {
 			gd, err := g.DD(m, n)
@@ -44,7 +44,7 @@ func Equivalent(u, v *circuit.Circuit) (*Result, error) {
 				return err
 			}
 			prod = m.MulMat(gd, prod)
-			if size := dd.CountMNodes(prod); size > res.MaxDDSize {
+			if size := m.CountM(prod); size > res.MaxDDSize {
 				res.MaxDDSize = size
 			}
 		}

@@ -86,7 +86,9 @@ func TestQFTInverseCancellation(t *testing.T) {
 	// circuit.
 	n := 5
 	c := gen.QFT(n)
-	c.AppendCircuit(gen.InverseQFT(n))
+	for _, g := range gen.InverseQFT(n).Gates() {
+		c.Append(g)
+	}
 	empty := circuit.New(n, "empty")
 	res, err := Equivalent(c, empty)
 	if err != nil {
@@ -111,8 +113,12 @@ func TestCircuitInverseIsAdjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	both := circuit.New(4, "both")
-	both.AppendCircuit(c)
-	both.AppendCircuit(inv)
+	for _, g := range c.Gates() {
+		both.Append(g)
+	}
+	for _, g := range inv.Gates() {
+		both.Append(g)
+	}
 	res, err := Equivalent(both, circuit.New(4, "empty"))
 	if err != nil {
 		t.Fatal(err)
