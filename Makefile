@@ -186,9 +186,11 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## loc: print the non-test Go line count outside perfbench/ (the size
-## figure simplicity changes report)
+## figure simplicity changes report). testdata/ fixtures, which no build
+## compiles, and dot-directories such as the git-ignored .bench_build/ are
+## not counted.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path '*/testdata/*' -not -path '*/.*' | xargs cat | wc -l
 
 ## ci: everything the pipeline runs, in order
 ci: fmt-check vet doc-lint build examples race fuzz-smoke cover-check atlas-check simd-smoke cluster-smoke perfbench-check

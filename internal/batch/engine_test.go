@@ -230,17 +230,11 @@ func TestNeverStartedJobContract(t *testing.T) {
 func TestTypedSentinels(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, QueueDepth: 1})
 	slow := Job{Name: "slow", Circuit: gen.RandomCliffordT(14, 100000, 1)}
-	h1, err := p.Submit(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1, done1 := submit(t, p, slow)
 	for !h1.Started() {
 		time.Sleep(time.Millisecond)
 	}
-	h2, err := p.Submit(poolJob(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2, done2 := submit(t, p, poolJob(2))
 	if _, err := p.Submit(poolJob(3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: err %v, want ErrQueueFull", err)
 	}
@@ -248,14 +242,14 @@ func TestTypedSentinels(t *testing.T) {
 	// nil cancel cause defaults to ErrCanceled and counts as canceled.
 	h2.Cancel(nil)
 	h1.Cancel(nil)
-	jr := wait(h2)
+	jr := <-done2
 	if !errors.Is(jr.Err, ErrCanceled) {
 		t.Errorf("queued job cancel cause = %v, want ErrCanceled", jr.Err)
 	}
 	if !jr.Canceled() {
 		t.Error("ErrCanceled outcome not classified as canceled")
 	}
-	if jr := wait(h1); !jr.Canceled() {
+	if jr := <-done1; !jr.Canceled() {
 		t.Errorf("running job cancel outcome %v not classified as canceled", jr.Err)
 	}
 
@@ -268,16 +262,12 @@ func TestTypedSentinels(t *testing.T) {
 func TestPoolStatePerWorker(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
-	handles := make([]*Handle, 6)
-	for i := range handles {
-		h, err := p.Submit(poolJob(int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = h
+	results := make([]<-chan JobResult, 6)
+	for i := range results {
+		_, results[i] = submit(t, p, poolJob(int64(i)))
 	}
-	for _, h := range handles {
-		wait(h)
+	for _, done := range results {
+		<-done
 	}
 	st := p.State()
 	if st.Uptime <= 0 {
@@ -298,7 +288,7 @@ func TestPoolStatePerWorker(t *testing.T) {
 			}
 		}
 	}
-	if jobs != len(handles) {
-		t.Errorf("per-worker jobs sum to %d, want %d", jobs, len(handles))
+	if jobs != len(results) {
+		t.Errorf("per-worker jobs sum to %d, want %d", jobs, len(results))
 	}
 }

@@ -91,9 +91,7 @@ func TestPoolHandlePinsNoManager(t *testing.T) {
 		}
 		handles[i] = h
 	}
-	for _, h := range handles {
-		wait(h)
-	}
+	p.Close() // drains the queue: every handle holds its final result
 	runtime.GC()
 	for i, h := range handles {
 		checkReleased(t, i, h.res, wps[i])

@@ -93,7 +93,6 @@ type Handle struct {
 	cancel context.CancelCauseFunc
 
 	started atomic.Bool
-	done    chan struct{} // closed by the worker once res is written
 	res     JobResult
 }
 
@@ -166,7 +165,6 @@ func (p *Pool) worker(id int) {
 		// children (it would otherwise stay registered — and leak — for the
 		// pool's lifetime). The job is over, so the cause is never observed.
 		h.cancel(context.Canceled)
-		close(h.done)
 	}
 }
 
@@ -189,7 +187,6 @@ func (p *Pool) Submit(job Job) (*Handle, error) {
 		job:    job,
 		ctx:    ctx,
 		cancel: cancel,
-		done:   make(chan struct{}),
 	}
 	select {
 	case p.queue <- h:

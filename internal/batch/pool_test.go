@@ -11,10 +11,24 @@ import (
 	"repro/internal/sim"
 )
 
-// wait blocks until h's job has finished and returns its result.
-func wait(h *Handle) JobResult {
-	<-h.done
-	return h.res
+// submit submits job to p. The returned channel receives the job's result
+// from its Finalize hook (wrapped around the job's own), once the pool has
+// finished the job.
+func submit(t *testing.T, p *Pool, job Job) (*Handle, <-chan JobResult) {
+	t.Helper()
+	done := make(chan JobResult, 1)
+	hook := job.Finalize
+	job.Finalize = func(jr *JobResult) {
+		if hook != nil {
+			hook(jr)
+		}
+		done <- *jr
+	}
+	h, err := p.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, done
 }
 
 func poolJob(seed int64) Job {
@@ -39,19 +53,16 @@ func TestPoolMatchesClosedBatch(t *testing.T) {
 
 	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
-	handles := make([]*Handle, len(jobs))
+	results := make([]<-chan JobResult, len(jobs))
 	for i := range jobs {
-		h, err := p.Submit(jobs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		var h *Handle
+		h, results[i] = submit(t, p, jobs[i])
 		if h.index != i {
 			t.Fatalf("submission index %d, want %d", h.index, i)
 		}
-		handles[i] = h
 	}
-	for i, h := range handles {
-		jr := wait(h)
+	for i, done := range results {
+		jr := <-done
 		if jr.Err != nil {
 			t.Fatalf("job %d: %v", i, jr.Err)
 		}
@@ -76,26 +87,20 @@ func TestPoolQueueFullAndClosed(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, QueueDepth: 1})
 	// Block the single worker with a canceled-later job so the queue fills.
 	slow := Job{Name: "slow", Circuit: gen.RandomCliffordT(14, 100000, 1)}
-	h1, err := p.Submit(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1, done1 := submit(t, p, slow)
 	// Wait until the worker picked h1 up, then fill the one queue slot.
 	for !h1.Started() {
 		time.Sleep(time.Millisecond)
 	}
-	h2, err := p.Submit(poolJob(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, done2 := submit(t, p, poolJob(2))
 	if _, err := p.Submit(poolJob(3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit: err %v, want ErrQueueFull", err)
 	}
 	h1.Cancel(nil)
-	if jr := wait(h1); !jr.Canceled() {
+	if jr := <-done1; !jr.Canceled() {
 		t.Fatalf("canceled in-flight job: res %+v", jr)
 	}
-	if jr := wait(h2); jr.Err != nil {
+	if jr := <-done2; jr.Err != nil {
 		t.Fatalf("queued job after cancel: %+v", jr)
 	}
 	p.Close()
@@ -108,18 +113,12 @@ func TestPoolCancelQueued(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, QueueDepth: 4})
 	defer p.Close()
 	slow := Job{Name: "slow", Circuit: gen.RandomCliffordT(14, 100000, 1)}
-	h1, err := p.Submit(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := p.Submit(poolJob(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1, _ := submit(t, p, slow)
+	h2, done2 := submit(t, p, poolJob(1))
 	cause := errors.New("not needed anymore")
 	h2.Cancel(cause)
 	h1.Cancel(nil)
-	jr := wait(h2)
+	jr := <-done2
 	if !errors.Is(jr.Err, cause) {
 		t.Fatalf("queued cancel cause: got %v, want %v", jr.Err, cause)
 	}
@@ -131,15 +130,12 @@ func TestPoolCancelQueued(t *testing.T) {
 func TestPoolJobTimeout(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1})
 	defer p.Close()
-	h, err := p.Submit(Job{
+	_, done := submit(t, p, Job{
 		Name:    "slow",
 		Circuit: gen.RandomCliffordT(14, 100000, 1),
 		Timeout: 20 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr := wait(h)
+	jr := <-done
 	if !errors.Is(jr.Err, sim.ErrDeadlineExceeded) {
 		t.Fatalf("err %v, want deadline exceeded", jr.Err)
 	}
@@ -148,9 +144,9 @@ func TestPoolJobTimeout(t *testing.T) {
 func TestPoolFinalizeRunsOnWorkerWithLiveManager(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
-	handles := make([]*Handle, 6)
-	probs := make([]float64, len(handles))
-	for i := range handles {
+	results := make([]<-chan JobResult, 6)
+	probs := make([]float64, len(results))
+	for i := range results {
 		i := i
 		job := Job{
 			Name:    "ghz",
@@ -165,14 +161,10 @@ func TestPoolFinalizeRunsOnWorkerWithLiveManager(t *testing.T) {
 				r.Name = r.Name + "-finalized"
 			},
 		}
-		h, err := p.Submit(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = h
+		_, results[i] = submit(t, p, job)
 	}
-	for i, h := range handles {
-		jr := wait(h)
+	for i, done := range results {
+		jr := <-done
 		if jr.Err != nil {
 			t.Fatalf("job %d: %v", i, jr.Err)
 		}
@@ -187,10 +179,7 @@ func TestPoolFinalizeRunsOnWorkerWithLiveManager(t *testing.T) {
 
 func TestPoolShutdownCancelsOnContextExpiry(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1})
-	h, err := p.Submit(Job{Name: "slow", Circuit: gen.RandomCliffordT(14, 100000, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, done := submit(t, p, Job{Name: "slow", Circuit: gen.RandomCliffordT(14, 100000, 1)})
 	for !h.Started() {
 		time.Sleep(time.Millisecond)
 	}
@@ -200,12 +189,12 @@ func TestPoolShutdownCancelsOnContextExpiry(t *testing.T) {
 		t.Fatalf("shutdown err %v, want deadline exceeded", err)
 	}
 	select {
-	case <-h.done:
+	case jr := <-done:
+		if !jr.Canceled() {
+			t.Fatalf("job err %v, want canceled", jr.Err)
+		}
 	default:
 		t.Fatal("job still unfinished after Shutdown returned")
-	}
-	if !h.res.Canceled() {
-		t.Fatalf("job err %v, want canceled", h.res.Err)
 	}
 }
 

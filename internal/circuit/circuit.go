@@ -45,6 +45,23 @@ func (g Gate) Matrix() ([4]complex128, error) {
 	return Matrix1Q(g.Name, g.Params)
 }
 
+// Qubits lists the qubits g acts on: its target, or the whole register a
+// permutation spans, then its controls.
+func (g Gate) Qubits() []int {
+	qs := make([]int, 0, 1+g.PermWidth+len(g.Controls))
+	if g.Kind == KindPerm {
+		for q := range g.PermWidth {
+			qs = append(qs, q)
+		}
+	} else {
+		qs = append(qs, g.Target)
+	}
+	for _, c := range g.Controls {
+		qs = append(qs, c.Qubit)
+	}
+	return qs
+}
+
 // DD builds the gate's operation DD on n qubits in m: the controlled 2×2
 // matrix of a unitary, or the extended permutation of a permutation gate.
 func (g Gate) DD(m *dd.Manager, n int) (dd.MEdge, error) {
@@ -308,7 +325,7 @@ func (c *Circuit) Depth() int {
 	level := make([]int, c.NumQubits)
 	depth := 0
 	for _, g := range c.gates {
-		qubits := gateQubits(g)
+		qubits := g.Qubits()
 		maxLvl := 0
 		for _, q := range qubits {
 			if level[q] > maxLvl {
@@ -323,21 +340,6 @@ func (c *Circuit) Depth() int {
 		}
 	}
 	return depth
-}
-
-func gateQubits(g Gate) []int {
-	var qs []int
-	if g.Kind == KindPerm {
-		for q := 0; q < g.PermWidth; q++ {
-			qs = append(qs, q)
-		}
-	} else {
-		qs = append(qs, g.Target)
-	}
-	for _, c := range g.Controls {
-		qs = append(qs, c.Qubit)
-	}
-	return qs
 }
 
 // String summarizes the circuit.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -88,7 +89,7 @@ func (rt *Router) probeAll(ctx context.Context) {
 		wg.Add(1)
 		go func(m *member) {
 			defer wg.Done()
-			rt.observeMember(m, rt.probeOne(ctx, m))
+			rt.observe(m, rt.probeOne(ctx, m))
 		}(m)
 	}
 	wg.Wait()
@@ -99,37 +100,23 @@ func (rt *Router) probeAll(ctx context.Context) {
 func (rt *Router) probeOne(ctx context.Context, m *member) error {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.hc.Do(req)
+	resp, err := rt.forward(ctx, m, http.MethodGet, "/healthz", "", nil, nil)
 	if err != nil {
 		return err
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return &probeStatusError{code: resp.StatusCode}
+		return errors.New("healthz returned HTTP " + http.StatusText(resp.StatusCode))
 	}
 	return nil
 }
 
-type probeStatusError struct{ code int }
-
-func (e *probeStatusError) Error() string {
-	return "healthz returned HTTP " + http.StatusText(e.code)
-}
-
-// observeMember records one observation, counting router-level mark-down
-// transitions.
-func (rt *Router) observeMember(m *member, err error) {
-	if err == nil {
-		rt.observe(m, true, "")
+// observe folds one observation of m into its health: a nil err (a healthy
+// probe or a delivered request) is a success, anything else a failure.
+func (rt *Router) observe(m *member, err error) {
+	if err != nil {
+		m.observe(false, err.Error(), rt.cfg.MarkDownAfter, rt.cfg.MarkUpAfter)
 		return
 	}
-	rt.observe(m, false, err.Error())
-}
-
-func (rt *Router) observe(m *member, ok bool, errMsg string) {
-	m.observe(ok, errMsg, rt.cfg.MarkDownAfter, rt.cfg.MarkUpAfter)
+	m.observe(true, "", rt.cfg.MarkDownAfter, rt.cfg.MarkUpAfter)
 }

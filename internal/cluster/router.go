@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -206,7 +207,7 @@ func (rt *Router) Close() {
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := serve.ReadBody(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength, rt.cfg.MaxBodyBytes)
 	if err != nil {
-		writeRouterError(w, http.StatusBadRequest, fmt.Errorf("reading submission: %w", err), "")
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading submission: %w", err))
 		return
 	}
 	// The routing key is the same canonical content hash the backend result
@@ -221,7 +222,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			res.Hash, err = serve.CanonicalHash(req)
 		}
 		if err != nil {
-			writeRouterError(w, http.StatusBadRequest, err, "")
+			serve.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		rt.memo.Put(key, res)
@@ -237,18 +238,18 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if !m.up.Load() {
 			continue
 		}
-		resp, err := rt.forward(r.Context(), m, http.MethodPost, "/v1/jobs", "", bytes.NewReader(body))
+		resp, err := rt.forward(r.Context(), m, http.MethodPost, "/v1/jobs", "", bytes.NewReader(body), nil)
 		if err != nil {
 			// The caller's own canceled/expired request must not count
 			// against the backend's health.
 			if r.Context().Err() != nil {
-				writeRouterError(w, http.StatusBadRequest, r.Context().Err(), "")
+				serve.WriteError(w, http.StatusBadRequest, r.Context().Err())
 				return
 			}
-			rt.observe(m, false, err.Error())
+			rt.observe(m, err)
 			continue
 		}
-		rt.observe(m, true, "")
+		rt.observe(m, nil)
 		rt.routed.Add(1)
 		m.routed.Add(1)
 		route := RouteHash
@@ -270,13 +271,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Every candidate was marked down or unreachable: shed.
 	rt.shed.Add(1)
-	retry := rt.recoveryHorizon()
-	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-	writeRouterJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":          "no backend available for this submission",
-		"code":           CodeNoBackend,
-		"retry_after_ms": retry.Milliseconds(),
-	})
+	serve.WriteRetriable(w, errors.New("no backend available for this submission"),
+		rt.recoveryHorizon(), map[string]any{"code": CodeNoBackend})
 }
 
 // recoveryHorizon estimates how long until a down backend can return: the
@@ -296,54 +292,55 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	name, localID, ok := strings.Cut(routedID, idSep)
 	m := rt.byName[name]
 	if !ok || m == nil || localID == "" {
-		writeRouterError(w, http.StatusNotFound,
-			fmt.Errorf("unknown job %q (routed ids look like b0%sjob-000001)", routedID, idSep), "")
+		serve.WriteError(w, http.StatusNotFound,
+			fmt.Errorf("unknown job %q (routed ids look like b0%sjob-000001)", routedID, idSep))
 		return
 	}
 	if !m.up.Load() {
-		retry := rt.recoveryHorizon()
-		w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-		writeRouterJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":          fmt.Sprintf("backend %s (owner of %s) is marked down", name, routedID),
-			"code":           CodeBackendDown,
-			"retry_after_ms": retry.Milliseconds(),
-		})
+		serve.WriteRetriable(w, fmt.Errorf("backend %s (owner of %s) is marked down", name, routedID),
+			rt.recoveryHorizon(), map[string]any{"code": CodeBackendDown})
 		return
 	}
 	path := "/v1/jobs/" + localID
-	if suffix, okSuffix := pathSuffix(r.URL.Path); okSuffix {
+	suffix := pathSuffix(r.URL.Path)
+	if suffix != "" {
 		path += "/" + suffix
 	}
-	if suffix, _ := pathSuffix(r.URL.Path); suffix == "events" {
-		rt.proxyStream(w, r, m, path)
-		return
+	var h http.Header
+	if suffix == "events" {
+		h = http.Header{"Accept": {"text/event-stream"}}
+		// Resume cursors pass straight through: seqs are per-job, not per-router.
+		if last := r.Header.Get("Last-Event-ID"); last != "" {
+			h.Set("Last-Event-ID", last)
+		}
 	}
-	resp, err := rt.forward(r.Context(), m, r.Method, path, r.URL.RawQuery, nil)
+	resp, err := rt.forward(r.Context(), m, r.Method, path, r.URL.RawQuery, nil, h)
 	if err != nil {
 		if r.Context().Err() == nil {
-			rt.observe(m, false, err.Error())
+			rt.observe(m, err)
 		}
-		writeRouterError(w, http.StatusBadGateway,
-			fmt.Errorf("backend %s unreachable: %w", name, err), "")
+		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s unreachable: %w", name, err))
 		return
 	}
-	rt.observe(m, true, "")
+	rt.observe(m, nil)
 	w.Header().Set(HeaderBackend, m.name)
+	if suffix == "events" && resp.StatusCode == http.StatusOK {
+		pipeStream(w, resp)
+		return
+	}
 	rt.relay(w, resp, m)
 }
 
 // pathSuffix extracts the trailing segment after the job id ("result",
-// "events"), if any.
-func pathSuffix(p string) (string, bool) {
-	rest := strings.TrimPrefix(p, "/v1/jobs/")
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		return rest[i+1:], true
-	}
-	return "", false
+// "events"), or "" when there is none.
+func pathSuffix(p string) string {
+	_, suffix, _ := strings.Cut(strings.TrimPrefix(p, "/v1/jobs/"), "/")
+	return suffix
 }
 
-// forward performs one proxied request against a backend.
-func (rt *Router) forward(ctx context.Context, m *member, method, path, query string, body io.Reader) (*http.Response, error) {
+// forward makes one request to a backend, with header h when non-nil: every
+// request the router sends, probes and fan-outs included, goes through it.
+func (rt *Router) forward(ctx context.Context, m *member, method, path, query string, body io.Reader, h http.Header) (*http.Response, error) {
 	url := m.url + path
 	if query != "" {
 		url += "?" + query
@@ -351,6 +348,9 @@ func (rt *Router) forward(ctx context.Context, m *member, method, path, query st
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return nil, err
+	}
+	if h != nil {
+		req.Header = h
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -372,7 +372,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
 	}
 	raw, err := serve.ReadBody(io.LimitReader(resp.Body, maxRelayBytes), resp.ContentLength, maxRelayBytes)
 	if err != nil {
-		writeRouterError(w, http.StatusBadGateway, fmt.Errorf("reading backend response: %w", err), "")
+		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("reading backend response: %w", err))
 		return
 	}
 	if resp.StatusCode/100 == 2 {
@@ -410,50 +410,16 @@ func rewriteJobID(raw, prefix []byte) []byte {
 	return append(append(out, prefix...), rest...)
 }
 
-// proxyStream pipes a backend SSE stream (GET /v1/jobs/{id}/events) to the
+// pipeStream copies a backend SSE stream (GET /v1/jobs/{id}/events) to the
 // caller chunk by chunk, flushing after every read so live events are not
 // buffered, until either side closes.
-func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, m *member, path string) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeRouterError(w, http.StatusInternalServerError,
-			fmt.Errorf("response writer does not support streaming"), "")
-		return
-	}
-	url := m.url + path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
-	if err != nil {
-		writeRouterError(w, http.StatusInternalServerError, err, "")
-		return
-	}
-	// Resume cursors pass straight through: seqs are per-job, not per-router.
-	if last := r.Header.Get("Last-Event-ID"); last != "" {
-		req.Header.Set("Last-Event-ID", last)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		if r.Context().Err() == nil {
-			rt.observe(m, false, err.Error())
-		}
-		writeRouterError(w, http.StatusBadGateway,
-			fmt.Errorf("backend %s unreachable: %w", m.name, err), "")
-		return
-	}
+func pipeStream(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	rt.observe(m, true, "")
-	w.Header().Set(HeaderBackend, m.name)
-	if resp.StatusCode != http.StatusOK {
-		rt.relay(w, resp, m)
-		return
-	}
+	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	rc.Flush()
 	buf := make([]byte, 32<<10)
 	for {
 		n, err := resp.Body.Read(buf)
@@ -461,7 +427,7 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, m *member,
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
 			}
-			flusher.Flush()
+			rc.Flush()
 		}
 		if err != nil {
 			return
@@ -469,58 +435,59 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, m *member,
 	}
 }
 
-// handleList fans GET /v1/jobs out to every up backend and merges the
-// listings under routed ids. Down or unreachable backends are skipped and
-// named in the response so a partial listing is visible as such.
-func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	type listing struct {
-		Jobs []serve.JobStatus `json:"jobs"`
-	}
-	var (
-		mu          sync.Mutex
-		jobs        []serve.JobStatus
-		unreachable []string
-	)
+// fanOut GETs path from every up backend concurrently and decodes a 200
+// answer into decodeInto(i), i the backend's index. answered[i] reports
+// whether backend i was up, answered 200 and decoded cleanly.
+func (rt *Router) fanOut(ctx context.Context, path string, decodeInto func(i int) any) (answered []bool) {
+	answered = make([]bool, len(rt.members))
 	var wg sync.WaitGroup
-	for _, m := range rt.members {
+	for i, m := range rt.members {
 		if !m.up.Load() {
-			mu.Lock()
-			unreachable = append(unreachable, m.name)
-			mu.Unlock()
 			continue
 		}
 		wg.Add(1)
-		go func(m *member) {
+		go func() {
 			defer wg.Done()
-			resp, err := rt.forward(r.Context(), m, http.MethodGet, "/v1/jobs", "", nil)
+			resp, err := rt.forward(ctx, m, http.MethodGet, path, "", nil, nil)
 			if err != nil {
-				mu.Lock()
-				unreachable = append(unreachable, m.name)
-				mu.Unlock()
 				return
 			}
 			defer resp.Body.Close()
-			var l listing
-			if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
-				mu.Lock()
-				unreachable = append(unreachable, m.name)
-				mu.Unlock()
-				return
-			}
-			for i := range l.Jobs {
-				l.Jobs[i].ID = m.name + idSep + l.Jobs[i].ID
-			}
-			mu.Lock()
-			jobs = append(jobs, l.Jobs...)
-			mu.Unlock()
-		}(m)
+			answered[i] = resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(decodeInto(i)) == nil
+		}()
 	}
 	wg.Wait()
+	return answered
+}
+
+// handleList fans GET /v1/jobs out to every up backend and merges the
+// listings under routed ids, in backend order. Backends that are down,
+// unreachable or answer other than 200 are named in "unreachable", so a
+// partial listing is visible as such.
+func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
+	listings := make([]struct {
+		Jobs []serve.JobStatus `json:"jobs"`
+	}, len(rt.members))
+	answered := rt.fanOut(r.Context(), "/v1/jobs", func(i int) any { return &listings[i] })
+	var (
+		jobs        []serve.JobStatus
+		unreachable []string
+	)
+	for i, m := range rt.members {
+		if !answered[i] {
+			unreachable = append(unreachable, m.name)
+			continue
+		}
+		for _, j := range listings[i].Jobs {
+			j.ID = m.name + idSep + j.ID
+			jobs = append(jobs, j)
+		}
+	}
 	body := map[string]any{"jobs": jobs}
 	if len(unreachable) > 0 {
 		body["unreachable"] = unreachable
 	}
-	writeRouterJSON(w, http.StatusOK, body)
+	serve.WriteJSON(w, http.StatusOK, body)
 }
 
 // handleHealthz reports the router's own health: 200 while at least one
@@ -536,23 +503,9 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if up == 0 {
 		status, code = "no_backends", http.StatusServiceUnavailable
 	}
-	writeRouterJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"status": status, "backends_up": up, "backends": len(rt.members),
 	})
-}
-
-func writeRouterJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeRouterError(w http.ResponseWriter, code int, err error, errCode string) {
-	body := map[string]any{"error": err.Error()}
-	if errCode != "" {
-		body["code"] = errCode
-	}
-	writeRouterJSON(w, code, body)
 }
 
 // BackendStats is one backend's entry in ClusterStats: router-side
@@ -616,7 +569,10 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 		Rerouted: rt.rerouted.Load(),
 		Shed:     rt.shed.Load(),
 	}
-	var wg sync.WaitGroup
+	fctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	defer cancel()
+	live := make([]serve.Stats, len(rt.members))
+	answered := rt.fanOut(fctx, "/v1/stats", func(i int) any { return &live[i] })
 	for i, m := range rt.members {
 		bs := &st.Backends[i]
 		bs.Name, bs.URL, bs.Up = m.name, m.url, m.up.Load()
@@ -626,42 +582,24 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 		if !lastProbe.IsZero() {
 			bs.LastProbe = lastProbe.UTC().Format(time.RFC3339Nano)
 		}
-		if !bs.Up {
-			continue
-		}
-		wg.Add(1)
-		go func(m *member, bs *BackendStats) {
-			defer wg.Done()
-			fctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-			defer cancel()
-			resp, err := rt.forward(fctx, m, http.MethodGet, "/v1/stats", "", nil)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var bst serve.Stats
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&bst) != nil {
-				return
-			}
-			bs.Reachable = true
-			bs.Workers = bst.Pool.Workers
-			bs.QueueDepth = bst.Pool.QueueDepth
-			bs.Queued = bst.Pool.Queued
-			bs.Running = bst.Pool.Running
-			bs.Utilization = meanUtilization(bst.Pool)
-			bs.CacheHits = bst.Cache.Hits
-			bs.CacheMisses = bst.Cache.Misses
-			bs.CacheHitRate = hitRate(bst.Cache.Hits, bst.Cache.Misses)
-		}(m, bs)
-	}
-	wg.Wait()
-	for i := range st.Backends {
-		bs := &st.Backends[i]
 		if bs.Up {
 			st.Up++
 		} else {
 			st.Down++
 		}
+		if !answered[i] {
+			continue
+		}
+		bst := live[i]
+		bs.Reachable = true
+		bs.Workers = bst.Pool.Workers
+		bs.QueueDepth = bst.Pool.QueueDepth
+		bs.Queued = bst.Pool.Queued
+		bs.Running = bst.Pool.Running
+		bs.Utilization = meanUtilization(bst.Pool)
+		bs.CacheHits = bst.Cache.Hits
+		bs.CacheMisses = bst.Cache.Misses
+		bs.CacheHitRate = hitRate(bst.Cache.Hits, bst.Cache.Misses)
 		st.CacheHits += bs.CacheHits
 		st.CacheMisses += bs.CacheMisses
 	}
@@ -670,7 +608,7 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 }
 
 func (rt *Router) handleClusterStats(w http.ResponseWriter, r *http.Request) {
-	writeRouterJSON(w, http.StatusOK, rt.Stats(r.Context()))
+	serve.WriteJSON(w, http.StatusOK, rt.Stats(r.Context()))
 }
 
 func meanUtilization(p batch.PoolState) float64 {

@@ -58,7 +58,7 @@ func (m *Manager) ProbabilityOne(e VEdge, q, n int) float64 {
 	proj := m.MakeGateDD(n, [4]complex128{0, 0, 0, 1}, q)
 	projected := m.MulVec(proj, e)
 	norm := m.InnerProduct(projected, projected)
-	return clamp01(real(norm) / realNonZero(m.InnerProduct(e, e)))
+	return max(0, min(1, real(norm)/realNonZero(m.InnerProduct(e, e))))
 }
 
 // MeasureQubit measures qubit q of the n-qubit state, collapsing it. It
@@ -89,16 +89,6 @@ func (m *Manager) ProjectQubit(e VEdge, q, n, bit int) VEdge {
 	}
 	norm := m.Norm(projected)
 	return m.ScaleV(projected, complex(1/norm, 0))
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }
 
 func realNonZero(c complex128) float64 {

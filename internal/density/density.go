@@ -110,7 +110,7 @@ func (s *State) Probability(idx uint64) float64 {
 		w *= child.W.Complex()
 		node = child.N
 	}
-	return clamp01(real(w))
+	return max(0, min(1, real(w)))
 }
 
 // Sample draws one basis state from the diagonal distribution of ρ without
@@ -187,7 +187,7 @@ func (s *State) ProbabilityOne(q int) float64 {
 		panic(fmt.Sprintf("density: qubit %d out of range", q))
 	}
 	p1 := s.M.MakeGateDD(s.N, [4]complex128{0, 0, 0, 1}, q)
-	return clamp01(real(s.M.MTrace(s.M.MulMat(p1, s.Root))))
+	return max(0, min(1, real(s.M.MTrace(s.M.MulMat(p1, s.Root)))))
 }
 
 // MeasureQubit projectively measures qubit q, collapsing ρ → P_b ρ P_b / p_b
@@ -218,14 +218,4 @@ func (s *State) ProjectQubit(q, bit int) {
 		return
 	}
 	s.NormalizeTrace()
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }

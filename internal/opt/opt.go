@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 )
@@ -39,13 +40,13 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Stats) {
 			if !optimizable(gi) {
 				continue
 			}
-			qi := qubitSet(gi)
+			qi := gi.Qubits()
 			for j := i + 1; j < len(gates); j++ {
 				if removed[j] {
 					continue
 				}
 				gj := gates[j]
-				qj := qubitSet(gj)
+				qj := gj.Qubits()
 				if disjoint(qi, qj) {
 					continue // commutes trivially; keep scanning
 				}
@@ -96,24 +97,9 @@ func optimizable(g circuit.Gate) bool {
 	return g.Kind == circuit.KindUnitary
 }
 
-func qubitSet(g circuit.Gate) map[int]bool {
-	qs := make(map[int]bool, 1+len(g.Controls))
-	if g.Kind == circuit.KindPerm {
-		for q := 0; q < g.PermWidth; q++ {
-			qs[q] = true
-		}
-	} else {
-		qs[g.Target] = true
-	}
-	for _, c := range g.Controls {
-		qs[c.Qubit] = true
-	}
-	return qs
-}
-
-func disjoint(a, b map[int]bool) bool {
-	for q := range b {
-		if a[q] {
+func disjoint(a, b []int) bool {
+	for _, q := range b {
+		if slices.Contains(a, q) {
 			return false
 		}
 	}

@@ -87,11 +87,7 @@ func scored(c *circuit.Circuit) []int {
 		w[i] = make([]float64, n)
 	}
 	for _, g := range c.Gates() {
-		qs := make([]int, 0, 1+len(g.Controls))
-		qs = append(qs, g.Target)
-		for _, ctl := range g.Controls {
-			qs = append(qs, ctl.Qubit)
-		}
+		qs := g.Qubits()
 		for i := 0; i < len(qs); i++ {
 			for j := i + 1; j < len(qs); j++ {
 				a, b := qs[i], qs[j]

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -181,8 +182,10 @@ func (o jobObserver) OnGate(e core.GateEvent) {
 	o.buf.append(Event{Type: EventGate, GateIndex: e.Index, Size: e.Size})
 }
 
-func (o jobObserver) OnApproximation(r core.Round) {
-	rp := RoundPayload{
+// roundPayload is the API form of one approximation round, in results and
+// in approximation events alike.
+func roundPayload(r core.Round) RoundPayload {
+	return RoundPayload{
 		GateIndex:     r.GateIndex,
 		SizeBefore:    r.Report.SizeBefore,
 		SizeAfter:     r.Report.SizeAfter,
@@ -190,6 +193,10 @@ func (o jobObserver) OnApproximation(r core.Round) {
 		RemovedNodes:  r.Report.RemovedNodes,
 		ReplacedNodes: r.Report.ReplacedNodes,
 	}
+}
+
+func (o jobObserver) OnApproximation(r core.Round) {
+	rp := roundPayload(r)
 	o.buf.append(Event{Type: EventApproximation, GateIndex: r.GateIndex, Round: &rp})
 }
 
@@ -244,19 +251,19 @@ func (o jobObserver) OnFinish(e core.FinishEvent) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	js := s.job(r.PathValue("id"))
 	if js == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("response writer does not support streaming"))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("response writer does not support streaming"))
 		return
 	}
 	cursor := int64(0)
-	if from := firstNonEmpty(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("from")); from != "" {
+	if from := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("from")); from != "" {
 		n, err := strconv.ParseInt(from, 10, 64)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("malformed event cursor %q", from))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed event cursor %q", from))
 			return
 		}
 		if r.Header.Get("Last-Event-ID") != "" {
@@ -329,11 +336,4 @@ func writeSSE(w http.ResponseWriter, e Event) error {
 	}
 	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
 	return err
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }

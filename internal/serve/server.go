@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -181,7 +182,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux = mux
 	return s
@@ -330,7 +331,7 @@ type Stats struct {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding submission: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding submission: %w", err))
 		return
 	}
 	// A body resolved before skips decoding, parsing and hashing: the memo
@@ -340,7 +341,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var comp *compiled
 	if !memoHit {
 		if comp, err = s.compileBody(body); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		res = MemoEntry{Hash: comp.hash, Name: comp.req.Name}
@@ -350,7 +351,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("server shutting down: %w", batch.ErrShutdown))
 		return
 	}
@@ -369,7 +370,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// A memo hit whose result was evicted runs again; compiling the
 		// same bytes cannot fail where it succeeded before.
 		if comp, err = s.compileBody(body); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -392,12 +393,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.writeBackpressure(w, err)
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	js.handle = handle
 	s.register(js)
-	writeJSON(w, http.StatusAccepted, s.statusOf(js, false))
+	WriteJSON(w, http.StatusAccepted, s.statusOf(js, false))
 }
 
 // compileBody decodes and compiles a submission body.
@@ -504,14 +505,7 @@ func buildPayload(jr *batch.JobResult, comp *compiled) ResultPayload {
 		p.Purity = res.Purity
 	}
 	for _, r := range res.Rounds {
-		p.Rounds = append(p.Rounds, RoundPayload{
-			GateIndex:     r.GateIndex,
-			SizeBefore:    r.Report.SizeBefore,
-			SizeAfter:     r.Report.SizeAfter,
-			Achieved:      r.Report.Achieved,
-			RemovedNodes:  r.Report.RemovedNodes,
-			ReplacedNodes: r.Report.ReplacedNodes,
-		})
+		p.Rounds = append(p.Rounds, roundPayload(r))
 	}
 	if shots := comp.req.Shots; shots > 0 {
 		// Safe here (and only here): the pool drops the final state once
@@ -615,13 +609,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			out = append(out, s.statusOf(js, false))
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	js := s.job(r.PathValue("id"))
 	if js == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	writeStatus(w, http.StatusOK, s.statusOf(js, true))
@@ -630,7 +624,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	js := s.job(r.PathValue("id"))
 	if js == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	js.mu.Lock()
@@ -643,16 +637,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write(payload)
 	case "":
-		writeError(w, http.StatusConflict, errors.New("job has not finished"))
+		WriteError(w, http.StatusConflict, errors.New("job has not finished"))
 	default:
-		writeJSON(w, http.StatusConflict, map[string]string{"status": status, "error": errMsg})
+		WriteJSON(w, http.StatusConflict, map[string]string{"status": status, "error": errMsg})
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	js := s.job(r.PathValue("id"))
 	if js == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	if js.handle != nil && !js.done.Load() {
@@ -663,7 +657,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// legitimately finish before it observes the cancellation, and this
 	// endpoint never claims a terminal state that did not happen. Poll
 	// until the status is terminal to learn the outcome.
-	writeJSON(w, http.StatusOK, s.statusOf(js, false))
+	WriteJSON(w, http.StatusOK, s.statusOf(js, false))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -686,7 +680,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	st.Jobs["total"] = len(ids)
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // Serve listens on addr and serves the API until ctx is canceled, then
@@ -722,19 +716,12 @@ func Serve(ctx context.Context, addr string, cfg Config, grace time.Duration) er
 	return nil
 }
 
-// writeBackpressure renders a queue-full rejection as a *retriable* 503: a
-// Retry-After header (whole seconds, the HTTP-standard knob) plus
-// retry_after_ms and queue_depth envelope fields carrying the precise
-// estimate, so routers and clients can back off proportionally to the
-// backlog instead of hammering a saturated backend.
+// writeBackpressure renders a queue-full rejection as a retriable 503 whose
+// queue_depth field reports the backlog, so routers and clients can back off
+// proportionally to it instead of hammering a saturated backend.
 func (s *Server) writeBackpressure(w http.ResponseWriter, err error) {
 	st := s.pool.State()
-	retry := retryAfterEstimate(st)
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
-	writeErrorEnvelope(w, http.StatusServiceUnavailable, err, map[string]any{
-		"queue_depth":    st.Queued,
-		"retry_after_ms": retry.Milliseconds(),
-	})
+	WriteRetriable(w, err, retryAfterEstimate(st), map[string]any{"queue_depth": st.Queued})
 }
 
 // retryAfterEstimate projects how long the backlog should take to drain: a
@@ -776,20 +763,21 @@ func retryAfterSeconds(d time.Duration) int {
 	return s
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response with status code. simd and
+// simd-router answer through it and the two envelope writers below.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
-// writeStatus writes the bytes writeJSON would, but splices the stored
+// writeStatus writes the bytes WriteJSON would, but splices the stored
 // payload (json.Marshal output, which the encoder would only re-validate)
 // in as the last field, Result, after encoding the rest of st.
 func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	result := st.Result
 	if len(result) == 0 {
-		writeJSON(w, code, st)
+		WriteJSON(w, code, st)
 		return
 	}
 	st.Result = nil
@@ -805,19 +793,28 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	w.Write(b)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeErrorEnvelope(w, code, err, nil)
+// WriteError writes the error envelope ({"error": ..., "code": ...}) that
+// client.APIError decodes; "code" is set when err wraps a batch sentinel.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, envelope(err, nil))
 }
 
-// writeErrorEnvelope renders the error envelope ({"error": ..., "code": ...})
-// plus any extra machine-readable fields (queue_depth, retry_after_ms).
-func writeErrorEnvelope(w http.ResponseWriter, code int, err error, extra map[string]any) {
+// WriteRetriable writes a retriable 503: a Retry-After header (whole
+// seconds, the HTTP-standard knob) and an error envelope carrying the
+// precise backoff as retry_after_ms, plus the extra fields. An explicit
+// "code" in extra wins over the one err implies.
+func WriteRetriable(w http.ResponseWriter, err error, retry time.Duration, extra map[string]any) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
+	body := envelope(err, extra)
+	body["retry_after_ms"] = retry.Milliseconds()
+	WriteJSON(w, http.StatusServiceUnavailable, body)
+}
+
+func envelope(err error, extra map[string]any) map[string]any {
 	body := map[string]any{"error": err.Error()}
 	if c := errorCode(err); c != "" {
 		body["code"] = c
 	}
-	for k, v := range extra {
-		body[k] = v
-	}
-	writeJSON(w, code, body)
+	maps.Copy(body, extra)
+	return body
 }

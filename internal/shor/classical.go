@@ -1,5 +1,7 @@
 package shor
 
+import "math/bits"
+
 // Gcd returns the greatest common divisor of a and b.
 func Gcd(a, b uint64) uint64 {
 	for b != 0 {
@@ -8,27 +10,10 @@ func Gcd(a, b uint64) uint64 {
 	return a
 }
 
-// ModMul returns (a*b) mod m without overflow for m < 2^32.
+// ModMul returns (a*b) mod m for any m; it panics when m is zero.
 func ModMul(a, b, m uint64) uint64 {
-	if m == 0 {
-		panic("shor: modulus zero")
-	}
-	if m < 1<<32 {
-		return (a % m) * (b % m) % m
-	}
-	// Double-and-add fallback for large moduli (not hit by the paper's
-	// instances, kept for completeness).
-	a %= m
-	b %= m
-	var res uint64
-	for b > 0 {
-		if b&1 == 1 {
-			res = (res + a) % m
-		}
-		a = (a + a) % m
-		b >>= 1
-	}
-	return res
+	hi, lo := bits.Mul64(a, b)
+	return bits.Rem64(hi, lo, m)
 }
 
 // ModPow returns a^e mod m.

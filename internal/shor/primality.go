@@ -1,48 +1,15 @@
 package shor
 
-import "math"
+import (
+	"math"
+	"math/big"
+)
 
-// IsProbablePrime reports whether n is prime using deterministic
-// Miller–Rabin for 64-bit inputs (the witness set {2, 3, 5, 7, 11, 13, 17,
-// 19, 23, 29, 31, 37} is exact below 3.3·10^24). Shor's classical
-// preprocessing rejects primes before running the quantum part.
+// IsProbablePrime reports whether n is prime: math/big's Baillie–PSW test
+// is exact for 64-bit inputs. Shor's classical preprocessing rejects primes
+// before running the quantum part.
 func IsProbablePrime(n uint64) bool {
-	if n < 2 {
-		return false
-	}
-	for _, p := range []uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37} {
-		if n == p {
-			return true
-		}
-		if n%p == 0 {
-			return false
-		}
-	}
-	// n-1 = d·2^s with d odd.
-	d := n - 1
-	s := 0
-	for d%2 == 0 {
-		d /= 2
-		s++
-	}
-	for _, a := range []uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37} {
-		x := ModPow(a, d, n)
-		if x == 1 || x == n-1 {
-			continue
-		}
-		composite := true
-		for r := 1; r < s; r++ {
-			x = ModMul(x, x, n)
-			if x == n-1 {
-				composite = false
-				break
-			}
-		}
-		if composite {
-			return false
-		}
-	}
-	return true
+	return new(big.Int).SetUint64(n).ProbablyPrime(0)
 }
 
 // PerfectPower returns (b, k, true) if n = b^k for some k ≥ 2. Shor's
@@ -56,7 +23,7 @@ func PerfectPower(n uint64) (uint64, int, bool) {
 	maxK := int(math.Log2(float64(n))) + 1
 	for k := 2; k <= maxK; k++ {
 		b := integerKthRoot(n, k)
-		if b >= 2 && powUint64(b, k) == n {
+		if b >= 2 && powSaturating(b, k) == n {
 			return b, k, true
 		}
 	}
@@ -91,8 +58,6 @@ func powSaturating(b uint64, k int) uint64 {
 	return result
 }
 
-func powUint64(b uint64, k int) uint64 { return powSaturating(b, k) }
-
 // ClassifyInput categorizes n for Shor preprocessing.
 type InputClass int
 
@@ -116,7 +81,7 @@ func Classify(n uint64) (InputClass, uint64, uint64) {
 		return ClassPrime, 0, 0
 	default:
 		if b, k, ok := PerfectPower(n); ok {
-			return ClassPrimePower, b, powUint64(b, k-1)
+			return ClassPrimePower, b, powSaturating(b, k-1)
 		}
 		return ClassComposite, 0, 0
 	}

@@ -60,8 +60,8 @@ func TestPerfectPower(t *testing.T) {
 			t.Errorf("PerfectPower(%d) ok=%v, want %v", tc.n, ok, tc.ok)
 			continue
 		}
-		if ok && powUint64(b, k) != tc.n {
-			t.Errorf("PerfectPower(%d) = %d^%d = %d", tc.n, b, k, powUint64(b, k))
+		if ok && powSaturating(b, k) != tc.n {
+			t.Errorf("PerfectPower(%d) = %d^%d = %d", tc.n, b, k, powSaturating(b, k))
 		}
 	}
 }
@@ -71,7 +71,7 @@ func TestPerfectPowerQuick(t *testing.T) {
 	f := func(b8 uint8, k8 uint8) bool {
 		b := uint64(b8%60) + 2
 		k := int(k8%4) + 2
-		n := powUint64(b, k)
+		n := powSaturating(b, k)
 		if n > 1<<40 {
 			return true
 		}

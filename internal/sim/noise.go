@@ -129,19 +129,8 @@ func TrajectoryFidelity(c *circuit.Circuit, noise NoiseModel, trajectories int) 
 // gateTouches lists the qubits a gate acts on — the qubits that suffer noise
 // after it under either backend.
 func gateTouches(g circuit.Gate) []int {
-	var qs []int
-	switch g.Kind {
-	case circuit.KindPerm:
-		for q := 0; q < g.PermWidth; q++ {
-			qs = append(qs, q)
-		}
-	case circuit.KindMeasure, circuit.KindReset:
+	if g.Kind == circuit.KindMeasure || g.Kind == circuit.KindReset {
 		return nil // measurement is classical readout; no gate noise
-	default:
-		qs = append(qs, g.Target)
 	}
-	for _, ctl := range g.Controls {
-		qs = append(qs, ctl.Qubit)
-	}
-	return qs
+	return g.Qubits()
 }
