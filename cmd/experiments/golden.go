@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"go/format"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -27,26 +28,20 @@ const (
 // differ between two runs of the same code.
 var timingColumns = []string{"exact_seconds", "approx_seconds", "speedup"}
 
-// runGolden regenerates every golden from one run of the golden sections
-// and one atlas sweep, then writes them (mode "update") or fails naming
-// each committed file that differs (mode "check"). BENCH_atlas.json is
-// written in both modes: it carries the wall times CI uploads, and it is
-// gitignored, so it cannot drift.
+// golden is one committed golden file: its path relative to the
+// repository root and the bytes the code regenerates for it.
+type golden struct{ path, want string }
+
+// runGolden regenerates every golden, then writes them (mode "update") or
+// fails naming each committed file that differs (mode "check"), with paths
+// relative to the working directory, the repository root under `make`.
+// BENCH_atlas.json is written in both modes: it carries the wall times CI
+// uploads, and it is gitignored, so it cannot drift.
 func runGolden(mode string, e env) error {
 	if mode != "check" && mode != "update" {
 		return fmt.Errorf("-golden must be check or update, got %q", mode)
 	}
-	if e.scale != benchtab.PresetSmall || e.opts.BaseSeed != 0 {
-		return fmt.Errorf("-golden runs at -scale %s -seed 0 only, got -scale %s -seed %d",
-			benchtab.PresetSmall, e.scale, e.opts.BaseSeed)
-	}
-	e.golden = true
-
-	report, err := renderReport(e)
-	if err != nil {
-		return err
-	}
-	a, err := benchtab.SweepAtlas(context.Background(), e.opts)
+	goldens, a, err := renderGoldens(e)
 	if err != nil {
 		return err
 	}
@@ -57,27 +52,56 @@ func runGolden(mode string, e env) error {
 	if err := os.WriteFile(atlasJSONPath, append(blob, '\n'), 0o644); err != nil {
 		return err
 	}
-
-	goldens := []struct{ path, want string }{
-		{reportPath, report},
-		{atlasPath, renderAtlas(a)},
-		{winnersPath, renderWinners(a)},
-	}
-	var stale []string
-	for _, g := range goldens {
-		if mode == "update" {
+	if mode == "update" {
+		for _, g := range goldens {
 			if err := os.WriteFile(g.path, []byte(g.want), 0o644); err != nil {
 				return err
 			}
-		} else if got, err := os.ReadFile(g.path); err != nil || string(got) != g.want {
+		}
+	} else if err := checkGoldens(".", goldens); err != nil {
+		return err
+	}
+	fmt.Printf("experiments: golden %s: %s, %s and %s (%d atlas classes, %d cells)\n",
+		mode, reportPath, atlasPath, winnersPath, len(a.Rows), len(a.Cells))
+	return nil
+}
+
+// renderGoldens regenerates every golden from one run of the golden
+// sections and one atlas sweep, and returns the sweep for BENCH_atlas.json.
+func renderGoldens(e env) ([]golden, *benchtab.Atlas, error) {
+	if e.scale != benchtab.PresetSmall || e.opts.BaseSeed != 0 {
+		return nil, nil, fmt.Errorf("-golden runs at -scale %s -seed 0 only, got -scale %s -seed %d",
+			benchtab.PresetSmall, e.scale, e.opts.BaseSeed)
+	}
+	e.golden = true
+
+	report, err := renderReport(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := benchtab.SweepAtlas(context.Background(), e.opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []golden{
+		{reportPath, report},
+		{atlasPath, renderAtlas(a)},
+		{winnersPath, renderWinners(a)},
+	}, a, nil
+}
+
+// checkGoldens fails naming each golden whose committed file under root
+// differs from the regenerated bytes.
+func checkGoldens(root string, goldens []golden) error {
+	var stale []string
+	for _, g := range goldens {
+		if got, err := os.ReadFile(filepath.Join(root, g.path)); err != nil || string(got) != g.want {
 			stale = append(stale, g.path)
 		}
 	}
 	if len(stale) > 0 {
 		return fmt.Errorf("stale goldens (regenerate with `make atlas` and commit): %s", strings.Join(stale, ", "))
 	}
-	fmt.Printf("experiments: golden %s: %s, %s and %s (%d atlas classes, %d cells)\n",
-		mode, reportPath, atlasPath, winnersPath, len(a.Rows), len(a.Cells))
 	return nil
 }
 

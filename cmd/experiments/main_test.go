@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,5 +49,22 @@ func TestGoldenRejectsOtherScalesSeedsAndModes(t *testing.T) {
 		if err == nil {
 			t.Errorf("runGolden(%q) at -scale %s -seed %d accepted", tc.mode, tc.scale, tc.seed)
 		}
+	}
+}
+
+// TestGoldensAreFresh is `make atlas-check` in-process: it regenerates
+// docs/REPORT.md, docs/ATLAS.md and internal/atlas/winners_gen.go and fails
+// naming each committed file that differs, so a change that moves a golden
+// fails `go test ./...` too.
+func TestGoldensAreFresh(t *testing.T) {
+	goldens, _, err := renderGoldens(env{
+		scale: benchtab.PresetSmall,
+		opts:  benchtab.RunOptions{Parallel: runtime.GOMAXPROCS(0)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkGoldens("../..", goldens); err != nil {
+		t.Error(err)
 	}
 }

@@ -161,14 +161,17 @@ func (c *Circuit) checkQubit(q int) {
 	}
 }
 
-// Append adds a gate after validating targets and controls.
+// Append adds a gate after validating targets and controls. A unitary's
+// name is stored in its canonical spelling (u1 and phase as p, u as u3, i
+// as id).
 func (c *Circuit) Append(g Gate) {
 	switch g.Kind {
 	case KindUnitary:
-		c.checkQubit(g.Target)
-		if err := checkGate(g.Name, g.Params); err != nil {
+		e, err := lookup(g.Name, g.Params)
+		if err != nil {
 			panic(err.Error())
 		}
+		c.checkQubit(g.Target)
 		for i, ctl := range g.Controls {
 			c.checkQubit(ctl.Qubit)
 			dup := ctl.Qubit == g.Target
@@ -179,6 +182,7 @@ func (c *Circuit) Append(g Gate) {
 				panic(fmt.Sprintf("circuit: duplicate qubit %d in gate %q", ctl.Qubit, g.Name))
 			}
 		}
+		g.Name = e.canon
 	case KindPerm:
 		if g.PermWidth <= 0 || g.PermWidth > c.NumQubits {
 			panic(fmt.Sprintf("circuit: permutation width %d out of range", g.PermWidth))

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"reflect"
@@ -113,33 +114,71 @@ func TestUnknownGateRejected(t *testing.T) {
 	}
 }
 
+// TestInverseGateMatrices walks every spelling of the gate table, canonical
+// and alias: each matrix is unitary, and U·U⁻¹ = I with U⁻¹ built from
+// InverseGate's canonical name and parameters.
 func TestInverseGateMatrices(t *testing.T) {
-	cases := []struct {
-		name   string
-		params []float64
-	}{
-		{"x", nil}, {"h", nil}, {"s", nil}, {"sdg", nil}, {"t", nil}, {"tdg", nil},
-		{"sx", nil}, {"sy", nil},
-		{"rx", []float64{0.8}}, {"ry", []float64{-1.1}}, {"rz", []float64{2.2}},
-		{"p", []float64{0.3}}, {"u2", []float64{0.4, 1.7}}, {"u3", []float64{0.5, -0.6, 0.7}},
+	spellings := map[string]string{}
+	for name := range gates {
+		spellings[name] = name
 	}
-	for _, tc := range cases {
-		u, err := Matrix1Q(tc.name, tc.params)
+	for alias, canon := range aliases {
+		if _, ok := gates[canon]; !ok {
+			t.Errorf("alias %q names unknown gate %q", alias, canon)
+		}
+		spellings[alias] = canon
+	}
+	angles := []float64{0.8, -1.1, 2.2}
+	for name, canon := range spellings {
+		n, ok := GateParams(name)
+		if !ok || n != gates[canon].params {
+			t.Fatalf("GateParams(%s) = %d, %v", name, n, ok)
+		}
+		params := angles[:n:n]
+		u, err := Matrix1Q(name, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		invName, invParams, err := InverseGate(tc.name, tc.params)
+		if want, _ := Matrix1Q(canon, params); u != want {
+			t.Errorf("%s and %s have different matrices", name, canon)
+		}
+		if !isIdentity2x2(mul2x2(u, adjoint2x2(u)), 1e-12) {
+			t.Errorf("%s is not unitary: %v", name, u)
+		}
+		invName, invParams, err := InverseGate(name, params)
 		if err != nil {
-			t.Fatalf("InverseGate(%s): %v", tc.name, err)
+			t.Fatalf("InverseGate(%s): %v", name, err)
+		}
+		if _, ok := gates[invName]; !ok {
+			t.Errorf("InverseGate(%s) = %q, not a canonical name", name, invName)
 		}
 		v, err := Matrix1Q(invName, invParams)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !isIdentity2x2(mul2x2(u, v), 1e-12) {
-			t.Errorf("%s · %s != I", tc.name, invName)
+			t.Errorf("%s · %s != I", name, invName)
 		}
 	}
+}
+
+// TestAppendStoresCanonicalName checks that an alias is stored under its
+// canonical name, and that errors name the gate as spelled.
+func TestAppendStoresCanonicalName(t *testing.T) {
+	c := New(1, "aliases")
+	for alias, canon := range aliases {
+		n, _ := GateParams(alias)
+		c.Apply(alias, make([]float64, n), 0)
+		if got := c.Gates()[c.Len()-1].Name; got != canon {
+			t.Errorf("Apply(%q) stored %q, want %q", alias, got, canon)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `gate "u1" takes 1 parameter(s), got 0`) {
+			t.Errorf("u1 without its angle: panic %v", r)
+		}
+	}()
+	c.Apply("u1", nil, 0)
 }
 
 func TestBuilderAndBlocks(t *testing.T) {

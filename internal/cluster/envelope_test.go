@@ -187,3 +187,50 @@ func TestListFollowsBackendOrder(t *testing.T) {
 		t.Errorf("unreachable %v, want %v", l.Unreachable, want)
 	}
 }
+
+// TestListBoundedByProbeTimeout checks that GET /v1/jobs through the router
+// answers within a small multiple of ProbeTimeout when one backend accepts
+// the list fetch and never answers, and names that backend unreachable.
+func TestListBoundedByProbeTimeout(t *testing.T) {
+	const probe = 100 * time.Millisecond
+	release := make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			fmt.Fprint(w, `{"status":"ok"}`)
+			return
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer stuck.Close()
+	defer close(release)
+	rt, err := New(Config{Backends: []string{stuck.URL}, ProbeInterval: time.Hour, ProbeTimeout: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	hs := httptest.NewServer(rt.Handler())
+	defer hs.Close()
+
+	client := &http.Client{Timeout: 30 * probe}
+	start := time.Now()
+	resp, err := client.Get(hs.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("list did not answer within %v: %v", client.Timeout, err)
+	}
+	defer resp.Body.Close()
+	if elapsed := time.Since(start); elapsed > 10*probe {
+		t.Errorf("list took %v, want under %v", elapsed, 10*probe)
+	}
+	var l struct {
+		Unreachable []string `json:"unreachable"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"b0"}; !reflect.DeepEqual(l.Unreachable, want) {
+		t.Errorf("unreachable %v, want %v", l.Unreachable, want)
+	}
+}

@@ -435,10 +435,13 @@ func pipeStream(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// fanOut GETs path from every up backend concurrently and decodes a 200
-// answer into decodeInto(i), i the backend's index. answered[i] reports
-// whether backend i was up, answered 200 and decoded cleanly.
+// fanOut GETs path from every up backend concurrently, bounded by the probe
+// timeout, and decodes a 200 answer into decodeInto(i), i the backend's
+// index. answered[i] reports whether backend i was up, answered 200 in time
+// and decoded cleanly.
 func (rt *Router) fanOut(ctx context.Context, path string, decodeInto func(i int) any) (answered []bool) {
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	defer cancel()
 	answered = make([]bool, len(rt.members))
 	var wg sync.WaitGroup
 	for i, m := range rt.members {
@@ -569,10 +572,8 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 		Rerouted: rt.rerouted.Load(),
 		Shed:     rt.shed.Load(),
 	}
-	fctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-	defer cancel()
 	live := make([]serve.Stats, len(rt.members))
-	answered := rt.fanOut(fctx, "/v1/stats", func(i int) any { return &live[i] })
+	answered := rt.fanOut(ctx, "/v1/stats", func(i int) any { return &live[i] })
 	for i, m := range rt.members {
 		bs := &st.Backends[i]
 		bs.Name, bs.URL, bs.Up = m.name, m.url, m.up.Load()

@@ -15,8 +15,10 @@ type Stats struct {
 	Passes         int
 }
 
-// rotation axes whose adjacent applications merge by angle addition.
-var mergeable = map[string]bool{"rx": true, "ry": true, "rz": true, "p": true, "u1": true, "phase": true}
+// rotation axes whose adjacent applications merge by angle addition. Gate
+// names are canonical (circuit.Append stores them so), so aliases need no
+// entries here.
+var mergeable = map[string]bool{"rx": true, "ry": true, "rz": true, "p": true}
 
 const angleEps = 1e-12
 
@@ -132,7 +134,7 @@ func isInversePair(a, b circuit.Gate) bool {
 	if err != nil {
 		return false
 	}
-	if !namesMatch(invName, b.Name) || len(invParams) != len(b.Params) {
+	if invName != b.Name || len(invParams) != len(b.Params) {
 		return false
 	}
 	for i := range invParams {
@@ -143,25 +145,8 @@ func isInversePair(a, b circuit.Gate) bool {
 	return true
 }
 
-// namesMatch treats gate-name aliases as equal.
-func namesMatch(a, b string) bool {
-	alias := func(n string) string {
-		switch n {
-		case "u1", "phase":
-			return "p"
-		case "u":
-			return "u3"
-		case "i":
-			return "id"
-		default:
-			return n
-		}
-	}
-	return alias(a) == alias(b)
-}
-
 // anglesEqual compares rotation angles modulo 4π (the period of SU(2)
-// rotations; p/u1 have period 2π, for which 4π-equality is sufficient too).
+// rotations; p has period 2π, for which 4π-equality is sufficient too).
 func anglesEqual(a, b float64) bool {
 	d := math.Mod(a-b, 4*math.Pi)
 	if d < 0 {
@@ -171,24 +156,12 @@ func anglesEqual(a, b float64) bool {
 }
 
 func mergeRotations(a, b circuit.Gate) (circuit.Gate, bool) {
-	if !namesMatch(a.Name, b.Name) || !mergeable[aliasName(a.Name)] {
-		return circuit.Gate{}, false
-	}
-	if len(a.Params) != 1 || len(b.Params) != 1 {
+	if a.Name != b.Name || !mergeable[a.Name] {
 		return circuit.Gate{}, false
 	}
 	merged := a
 	merged.Params = []float64{a.Params[0] + b.Params[0]}
 	return merged, true
-}
-
-func aliasName(n string) string {
-	switch n {
-	case "u1", "phase":
-		return "p"
-	default:
-		return n
-	}
 }
 
 // isIdentityGate recognizes explicit identities and zero-angle rotations.
@@ -197,14 +170,11 @@ func isIdentityGate(g circuit.Gate) bool {
 		return false
 	}
 	switch g.Name {
-	case "id", "i":
+	case "id":
 		return true
 	case "rx", "ry", "rz":
-		return len(g.Params) == 1 && anglesEqual(g.Params[0], 0)
-	case "p", "u1", "phase":
-		if len(g.Params) != 1 {
-			return false
-		}
+		return anglesEqual(g.Params[0], 0)
+	case "p":
 		d := math.Mod(g.Params[0], 2*math.Pi)
 		if d < 0 {
 			d += 2 * math.Pi

@@ -7,11 +7,12 @@ import (
 	"repro/internal/circuit"
 )
 
-// Export renders a circuit as OpenQASM 2.0 source. Gates with more controls
-// than QASM's standard library supports are emitted via ccx/ccz where
-// possible; permutation gates and >2 controls (beyond ccx/ccz) are not
-// expressible in the plain 2.0 gate set and produce an error. Block
-// boundaries are emitted as barriers.
+// Export renders a circuit as OpenQASM 2.0 source. Single-qubit gates keep
+// their canonical names; controlled gates take their spelling from the
+// parser's table (cx, cp, ccx, ...). Permutation gates, negative controls
+// and controlled gates the table has no spelling for are not expressible
+// in the plain 2.0 gate set and produce an error. Block boundaries are
+// emitted as barriers.
 func Export(c *circuit.Circuit) (string, error) {
 	var b strings.Builder
 	b.WriteString("OPENQASM 2.0;\n")
@@ -55,44 +56,18 @@ func exportGate(g circuit.Gate) (string, error) {
 		}
 		params = "(" + strings.Join(parts, ",") + ")"
 	}
-	q := func(i int) string { return fmt.Sprintf("q[%d]", i) }
-
-	switch len(g.Controls) {
-	case 0:
-		name := g.Name
-		if name == "u" {
-			name = "u3"
-		}
-		return fmt.Sprintf("%s%s %s;", name, params, q(g.Target)), nil
-	case 1:
-		ctl := g.Controls[0].Qubit
-		switch g.Name {
-		case "x":
-			return fmt.Sprintf("cx %s, %s;", q(ctl), q(g.Target)), nil
-		case "y":
-			return fmt.Sprintf("cy %s, %s;", q(ctl), q(g.Target)), nil
-		case "z":
-			return fmt.Sprintf("cz %s, %s;", q(ctl), q(g.Target)), nil
-		case "h":
-			return fmt.Sprintf("ch %s, %s;", q(ctl), q(g.Target)), nil
-		case "p", "u1", "phase":
-			return fmt.Sprintf("cp%s %s, %s;", params, q(ctl), q(g.Target)), nil
-		case "rz":
-			return fmt.Sprintf("crz%s %s, %s;", params, q(ctl), q(g.Target)), nil
-		default:
-			return "", fmt.Errorf("no standard controlled form for gate %q", g.Name)
-		}
-	case 2:
-		c1, c2 := g.Controls[0].Qubit, g.Controls[1].Qubit
-		switch g.Name {
-		case "x":
-			return fmt.Sprintf("ccx %s, %s, %s;", q(c1), q(c2), q(g.Target)), nil
-		case "z":
-			return fmt.Sprintf("ccz %s, %s, %s;", q(c1), q(c2), q(g.Target)), nil
-		default:
-			return "", fmt.Errorf("no standard doubly-controlled form for gate %q", g.Name)
-		}
-	default:
-		return "", fmt.Errorf("gate %q has %d controls; OpenQASM 2.0 standard gates stop at 2", g.Name, len(g.Controls))
+	if len(g.Controls) == 0 {
+		return fmt.Sprintf("%s%s q[%d];", g.Name, params, g.Target), nil
 	}
+	name := strings.Repeat("c", len(g.Controls)) + g.Name
+	if base, _, ok := spelling(name); !ok || base != g.Name {
+		return "", fmt.Errorf("gate %q with %d control(s) has no OpenQASM 2.0 form", g.Name, len(g.Controls))
+	}
+	var b strings.Builder
+	b.WriteString(name + params)
+	for _, ctl := range g.Controls {
+		fmt.Fprintf(&b, " q[%d],", ctl.Qubit)
+	}
+	fmt.Fprintf(&b, " q[%d];", g.Target)
+	return b.String(), nil
 }

@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -106,5 +107,38 @@ func TestExportUnsupported(t *testing.T) {
 	c4.Apply("t", nil, 0, dd.PosControl(1))
 	if _, err := Export(c4); err == nil {
 		t.Error("controlled-T exported without a standard form")
+	}
+}
+
+// TestSpellingRoundTrip parses one statement per row of the multi-qubit
+// spelling table, exports the circuit and parses the export again: both
+// parses must give the same canonical bytes.
+func TestSpellingRoundTrip(t *testing.T) {
+	for _, name := range []string{"cx", "cy", "cz", "ch", "cp", "cu1", "crz", "ccx", "ccz", "swap", "cswap"} {
+		base, qubits, ok := spelling(name)
+		if !ok {
+			t.Fatalf("%s is not in the spelling table", name)
+		}
+		stmt := name
+		if n, _ := circuit.GateParams(base); n > 0 {
+			stmt += "(0.375)"
+		}
+		operands := []string{"q[2]", "q[0]", "q[3]"}[:qubits]
+		src := "qreg q[4];\n" + stmt + " " + strings.Join(operands, ", ") + ";\n"
+		first, err := Parse(src, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out, err := Export(first.Circuit)
+		if err != nil {
+			t.Fatalf("%s: export: %v", name, err)
+		}
+		again, err := Parse(out, name)
+		if err != nil {
+			t.Fatalf("%s: reparse: %v\n%s", name, err, out)
+		}
+		if !bytes.Equal(first.Circuit.AppendCanonical(nil), again.Circuit.AppendCanonical(nil)) {
+			t.Errorf("%s: round trip changed the canonical bytes:\n%s", name, out)
+		}
 	}
 }

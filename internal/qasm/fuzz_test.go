@@ -30,6 +30,7 @@ var fuzzSeeds = []string{
 	"qreg \u00e9t\u00e9[1];\nx \u00e9t\u00e9[0];\n",     // UTF-8 identifier
 	"qreg q[2];\nbarrier q;\nbarrier q;\nh q[0];\nbarrier q;\nbarrier q;\n",
 	"gate foo a { x a; }\n",
+	"qreg q[2];\nphase(pi/8) q[0];\nu1(pi/8) q[1];\ni q[0];\ncu1(0.5) q[0], q[1];\n", // aliases
 }
 
 // FuzzQASMParse asserts that Parse never panics on arbitrary input, that it

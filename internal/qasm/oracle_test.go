@@ -22,7 +22,9 @@ import (
 // circuit.Apply once the source is read) as a test oracle: FuzzQASMParse
 // and TestParseMatchesOracle require Parse to agree with oldParse on the
 // canonical circuit encoding, the registers, the measurements and the
-// error text of every input.
+// error text of every input. Its gate vocabulary follows circuit's: it
+// also takes the phase spelling the parser gained from circuit's alias
+// table.
 
 // checkMatchesOracle fails t unless Parse and oldParse agree on src: the
 // same error text, or the same canonical circuit encoding, registers and
@@ -259,7 +261,7 @@ var oldGateSpec = map[string]struct{ qubits, params int }{
 	"x": {1, 0}, "y": {1, 0}, "z": {1, 0}, "h": {1, 0}, "s": {1, 0},
 	"sdg": {1, 0}, "t": {1, 0}, "tdg": {1, 0}, "sx": {1, 0}, "sxdg": {1, 0},
 	"sy": {1, 0}, "sydg": {1, 0}, "id": {1, 0}, "i": {1, 0},
-	"rx": {1, 1}, "ry": {1, 1}, "rz": {1, 1}, "p": {1, 1}, "u1": {1, 1},
+	"rx": {1, 1}, "ry": {1, 1}, "rz": {1, 1}, "p": {1, 1}, "u1": {1, 1}, "phase": {1, 1},
 	"u2": {1, 2}, "u3": {1, 3}, "u": {1, 3},
 	"cx": {2, 0}, "cy": {2, 0}, "cz": {2, 0}, "ch": {2, 0},
 	"cp": {2, 1}, "cu1": {2, 1}, "crz": {2, 1},
@@ -295,7 +297,7 @@ func oldApplyOp(c *circuit.Circuit, op oldOperation) error {
 	switch op.name {
 	case "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "sy", "sydg", "id", "i":
 		c.Apply(op.name, nil, q[0])
-	case "rx", "ry", "rz", "p", "u1":
+	case "rx", "ry", "rz", "p", "u1", "phase":
 		c.Apply(op.name, op.params, q[0])
 	case "u2", "u3":
 		c.Apply(op.name, op.params, q[0])

@@ -82,35 +82,39 @@ func Parse(src, name string) (*Program, error) {
 	return &Program{Circuit: p.c, Registers: p.qregs, Measurements: p.meas}, nil
 }
 
-// gateArity fixes the operand and parameter arity of every supported gate,
-// so malformed statements become parse errors instead of panics deeper in
-// the circuit builder.
-func gateArity(name string) (qubits, params int, ok bool) {
+// spelling is the one table of multi-qubit QASM gates, read by Parse and
+// Export alike. It maps a gate onto its circuit base gate with the leading
+// qubits-1 operands as positive controls, or, with no base, onto a swap of
+// the last two operands under the others, expanded to three x gates.
+// Export spells a gate under k controls as k c's before its name, so cu1
+// parses but exports as cp. Single-qubit gates keep their circuit names,
+// aliases included. (A switch, not a map: Parse reads it per statement.)
+func spelling(name string) (base string, qubits int, ok bool) {
 	switch name {
-	case "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "sy", "sydg", "id", "i":
-		return 1, 0, true
-	case "rx", "ry", "rz", "p", "u1":
-		return 1, 1, true
-	case "u2":
-		return 1, 2, true
-	case "u3", "u":
-		return 1, 3, true
-	case "cx", "cy", "cz", "ch", "swap":
-		return 2, 0, true
-	case "cp", "cu1", "crz":
-		return 2, 1, true
-	case "ccx", "ccz", "cswap":
-		return 3, 0, true
+	case "cx", "cy", "cz", "ch", "cp", "crz":
+		return name[1:], 2, true
+	case "cu1":
+		return "p", 2, true
+	case "ccx", "ccz":
+		return name[2:], 3, true
+	case "swap":
+		return "", 2, true
+	case "cswap":
+		return "", 3, true
 	}
-	return 0, 0, false
+	return "", 0, false
 }
 
 // emit validates the gate statement just read (its operands in p.qubits
 // and p.params) and appends its expansion to the circuit.
 func (p *parser) emit(name string) error {
-	nq, np, ok := gateArity(name)
+	base, nq := name, 1
+	np, ok := circuit.GateParams(name)
 	if !ok {
-		return fmt.Errorf("qasm: unsupported gate %q", name)
+		if base, nq, ok = spelling(name); !ok {
+			return fmt.Errorf("qasm: unsupported gate %q", name)
+		}
+		np, _ = circuit.GateParams(base)
 	}
 	q := p.qubits
 	if len(q) != nq {
@@ -131,32 +135,19 @@ func (p *parser) emit(name string) error {
 			}
 		}
 	}
-	switch name {
-	case "u":
-		// Normalized to u3 so export/reparse round trips to the same
-		// canonical encoding.
-		p.add("u3", q[0])
-	case "cx", "cy", "cz", "ch":
-		p.add(name[1:], q[1], q[0])
-	case "cp", "cu1":
-		p.add("p", q[1], q[0])
-	case "crz":
-		p.add("rz", q[1], q[0])
-	case "ccx", "ccz":
-		p.add(name[2:], q[2], q[0], q[1])
-	case "swap":
+	switch {
+	case base != "":
+		p.add(base, q[len(q)-1], q[:len(q)-1]...)
+	case len(q) == 2:
 		// Three CNOTs, as circuit.SWAP builds it.
 		p.add("x", q[1], q[0])
 		p.add("x", q[0], q[1])
 		p.add("x", q[1], q[0])
-	case "cswap":
+	default:
 		// Fredkin via three Toffolis.
 		p.add("x", q[2], q[0], q[1])
 		p.add("x", q[1], q[0], q[2])
 		p.add("x", q[2], q[0], q[1])
-	default:
-		// The single-qubit gates keep their QASM name.
-		p.add(name, q[0])
 	}
 	return nil
 }

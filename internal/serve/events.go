@@ -254,11 +254,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		WriteError(w, http.StatusInternalServerError, fmt.Errorf("response writer does not support streaming"))
-		return
-	}
 	cursor := int64(0)
 	if from := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("from")); from != "" {
 		n, err := strconv.ParseInt(from, 10, 64)
@@ -275,7 +270,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	rc := http.NewResponseController(w)
+	rc.Flush()
 
 	ctx := r.Context()
 	// Wake the wait loop when the client disconnects; the request context
@@ -299,7 +295,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
-			flusher.Flush()
+			rc.Flush()
 		}
 		if done && len(batch) == 0 {
 			return

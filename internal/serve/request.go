@@ -41,8 +41,9 @@ const (
 
 // GateSpec is one gate of an inline circuit submission.
 type GateSpec struct {
-	// Name is a gate from the standard set the circuit IR accepts (h, x,
-	// cx via controls, rz, u, ...), or "measure"/"reset".
+	// Name is a single-qubit gate of the circuit IR's table (h, x, rz,
+	// u3, ..., with cx as x under Controls) or one of its aliases, which
+	// the circuit stores under the canonical name; or "measure"/"reset".
 	Name string `json:"name"`
 	// Params are the gate's rotation angles, when it takes any.
 	Params []float64 `json:"params,omitempty"`
@@ -391,7 +392,8 @@ func buildInline(req JobRequest) (*circuit.Circuit, error) {
 }
 
 func appendGate(c *circuit.Circuit, g GateSpec) (err error) {
-	// The IR panics on out-of-range qubits; surface that as a request error.
+	// The IR panics on unknown gates, wrong parameter counts and bad
+	// qubits; surface that as a request error.
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%v", r)
@@ -413,11 +415,6 @@ func appendGate(c *circuit.Circuit, g GateSpec) (err error) {
 	}
 	for _, q := range g.NegControls {
 		controls = append(controls, dd.NegControl(q))
-	}
-	// Validate the gate name eagerly: Apply stores it, but an unknown name
-	// would only fail at simulation time.
-	if _, err := circuit.Matrix1Q(g.Name, g.Params); err != nil {
-		return err
 	}
 	c.Apply(g.Name, g.Params, g.Target, controls...)
 	return nil
