@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/order"
 )
 
@@ -46,7 +47,7 @@ func SweepOrderings(ctx context.Context, circs []*circuit.Circuit, orders []stri
 	for _, c := range circs {
 		for _, name := range names {
 			cells = append(cells, cell{name: c.Name + "/" + name, circuit: c, registry: "reorder",
-				params: mustJSON(order.Params{Order: name, Sift: sift && name != order.Identity})})
+				params: mustJSON(core.ReorderPolicy{Static: name, Sift: sift && name != order.Identity})})
 		}
 	}
 	jrs, err := runAll(ctx, cells, opts)

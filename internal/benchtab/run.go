@@ -58,12 +58,16 @@ func (c cell) strategy() core.Strategy {
 }
 
 // run executes one batch job per cell, results in cell order. It rejects an
-// invalid strategy config before any job runs; per-job failures are left in
-// the results.
+// invalid strategy config (one its factory or Init refuses) before any job
+// runs; per-job failures are left in the results.
 func run(ctx context.Context, cells []cell, opts RunOptions) ([]batch.JobResult, error) {
 	jobs := make([]batch.Job, len(cells))
 	for i, c := range cells {
-		if _, err := core.NewStrategyByName(c.registry, json.RawMessage(c.params)); err != nil {
+		s, err := core.NewStrategyByName(c.registry, json.RawMessage(c.params))
+		if err == nil && c.circuit != nil { // a nil circuit fails as its own job
+			err = s.Init(c.circuit.Len(), c.circuit.Blocks())
+		}
+		if err != nil {
 			return nil, fmt.Errorf("benchtab: %s: %w", c.name, err)
 		}
 		jobs[i] = batch.Job{

@@ -12,19 +12,27 @@ import (
 
 // TestRunRejectsInvalidConfigBeforeRunning: one malformed strategy config
 // fails the whole grid before any job starts, instead of panicking inside a
-// batch worker halfway through.
+// batch worker halfway through: params the factory cannot decode, and
+// values only the strategy's Init rejects.
 func TestRunRejectsInvalidConfigBeforeRunning(t *testing.T) {
 	c := gen.QFT(4)
 	started := 0
 	count := func(*batch.JobResult) { started++ }
-	cells := []cell{
-		{name: "ok", circuit: c, registry: "memory", params: `{"threshold":8,"round_fidelity":0.9}`, finalize: count},
-		{name: "bad", circuit: c, registry: "memory", params: `{"threshold":"eight"}`, finalize: count},
-		{name: "unknown", circuit: c, registry: "no-such-strategy", finalize: count},
-	}
-	_, err := run(context.Background(), cells, RunOptions{})
-	if err == nil || !strings.Contains(err.Error(), "bad") {
-		t.Fatalf("run = %v, want the bad cell's config error", err)
+	for _, bad := range []struct{ registry, params string }{
+		{"memory", `{"threshold":"eight"}`},
+		{"memory", `{"threshold":-8,"round_fidelity":0.9}`},
+		{"replace", `{"node_budget":16,"kinds":["delete"]}`},
+		{"reorder", `{"order":"sideways"}`},
+	} {
+		cells := []cell{
+			{name: "ok", circuit: c, registry: "memory", params: `{"threshold":8,"round_fidelity":0.9}`, finalize: count},
+			{name: "bad", circuit: c, registry: bad.registry, params: bad.params, finalize: count},
+			{name: "unknown", circuit: c, registry: "no-such-strategy", finalize: count},
+		}
+		_, err := run(context.Background(), cells, RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), "bad") {
+			t.Fatalf("%s %s: run = %v, want the bad cell's config error", bad.registry, bad.params, err)
+		}
 	}
 	if started != 0 {
 		t.Errorf("%d jobs ran before the config error", started)

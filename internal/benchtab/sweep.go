@@ -36,7 +36,7 @@ func SweepThreshold(ctx context.Context, c *circuit.Circuit, thresholds []int, f
 	cells := []cell{{name: "exact", circuit: c}}
 	for _, th := range thresholds {
 		cells = append(cells, cell{name: fmt.Sprintf("threshold=%d", th), circuit: c, registry: "memory",
-			params: mustJSON(core.MemoryDrivenParams{Threshold: th, RoundFidelity: fround, Growth: growth})})
+			params: mustJSON(core.MemoryDriven{Threshold: th, RoundFidelity: fround, Growth: growth})})
 	}
 	return runSweep(ctx, cells, opts)
 }
@@ -51,7 +51,7 @@ func SweepRoundFidelity(ctx context.Context, inst *shor.Instance, frounds []floa
 	cells := []cell{{name: "exact", circuit: c}}
 	for _, fr := range frounds {
 		cells = append(cells, cell{name: fmt.Sprintf("fround=%g", fr), circuit: c, registry: "fidelity",
-			params: mustJSON(core.FidelityDrivenParams{FinalFidelity: ffinal, RoundFidelity: fr, Locations: locations})})
+			params: mustJSON(core.FidelityDriven{FinalFidelity: ffinal, RoundFidelity: fr, Locations: locations})})
 	}
 	return runSweep(ctx, cells, opts)
 }

@@ -104,7 +104,7 @@ func (s Suite) RunMemoryDriven(ctx context.Context, opts RunOptions) ([]Row, err
 		}
 		b := benchmark{approach: "memory-driven", name: cs.Config.Name(), qubits: cs.Config.Qubits(), circuit: circ}
 		for _, fround := range cs.Frounds {
-			b.rows = append(b.rows, config{fround, "memory", mustJSON(core.MemoryDrivenParams{
+			b.rows = append(b.rows, config{fround, "memory", mustJSON(core.MemoryDriven{
 				Threshold: cs.Threshold, RoundFidelity: fround, Growth: cs.Growth,
 			})})
 		}
@@ -125,7 +125,7 @@ func (s Suite) RunFidelityDriven(ctx context.Context, opts RunOptions) ([]Row, e
 		}
 		circ := inst.BuildCircuit()
 		benches[i] = benchmark{approach: "fidelity-driven", name: inst.Name(), qubits: inst.Qubits, circuit: circ,
-			rows: []config{{cs.RoundFidelity, "fidelity", mustJSON(core.FidelityDrivenParams{
+			rows: []config{{cs.RoundFidelity, "fidelity", mustJSON(core.FidelityDriven{
 				FinalFidelity: cs.FinalFidelity, RoundFidelity: cs.RoundFidelity,
 				Locations: inst.IQFTBoundaries(circ),
 			})}}}

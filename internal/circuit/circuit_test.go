@@ -11,10 +11,6 @@ import (
 	"repro/internal/dd"
 )
 
-var allFixedGates = []string{
-	"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "sy", "sydg",
-}
-
 func mul2x2(a, b [4]complex128) [4]complex128 {
 	return [4]complex128{
 		a[0]*b[0] + a[1]*b[2], a[0]*b[1] + a[1]*b[3],
@@ -30,30 +26,6 @@ func isIdentity2x2(u [4]complex128, tol float64) bool {
 func adjoint2x2(u [4]complex128) [4]complex128 {
 	conj := func(c complex128) complex128 { return complex(real(c), -imag(c)) }
 	return [4]complex128{conj(u[0]), conj(u[2]), conj(u[1]), conj(u[3])}
-}
-
-func TestAllGatesAreUnitary(t *testing.T) {
-	cases := map[string][]float64{}
-	for _, name := range allFixedGates {
-		cases[name] = nil
-	}
-	cases["rx"] = []float64{0.7}
-	cases["ry"] = []float64{1.3}
-	cases["rz"] = []float64{-2.1}
-	cases["p"] = []float64{0.9}
-	cases["u1"] = []float64{0.4}
-	cases["u2"] = []float64{0.3, -1.2}
-	cases["u3"] = []float64{1.1, 0.2, -0.8}
-	cases["u"] = []float64{0.5, 0.6, 0.7}
-	for name, params := range cases {
-		u, err := Matrix1Q(name, params)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !isIdentity2x2(mul2x2(u, adjoint2x2(u)), 1e-12) {
-			t.Errorf("%s is not unitary: %v", name, u)
-		}
-	}
 }
 
 func TestSquareRootGates(t *testing.T) {

@@ -11,8 +11,9 @@ import (
 
 // StrategyFactory builds a fresh Strategy from JSON-encoded parameters.
 // Factories must return a new instance on every call (strategies are stateful
-// per run) and should reject unknown fields or invalid parameters with an
-// error; params may be nil or empty when the caller supplied none.
+// per run) and should reject unknown fields with an error (DecodeParams);
+// checking the values is Init's job. params may be nil or empty when the
+// caller supplied none.
 type StrategyFactory func(params json.RawMessage) (Strategy, error)
 
 var (
@@ -77,34 +78,6 @@ func StrategyNames() []string {
 	return names
 }
 
-// MemoryDrivenParams are the JSON parameters of the builtin "memory"
-// strategy (Section IV-B). Zero values select MemoryDriven's defaults; the
-// threshold itself is validated by Init.
-type MemoryDrivenParams struct {
-	Threshold     int     `json:"threshold"`
-	RoundFidelity float64 `json:"round_fidelity"`
-	Growth        float64 `json:"growth,omitempty"`
-}
-
-// FidelityDrivenParams are the JSON parameters of the builtin "fidelity"
-// strategy (Section IV-C). Locations overrides the automatic late-block
-// placement.
-type FidelityDrivenParams struct {
-	FinalFidelity float64 `json:"final_fidelity"`
-	RoundFidelity float64 `json:"round_fidelity"`
-	Locations     []int   `json:"locations,omitempty"`
-}
-
-// ReplaceDrivenParams are the JSON parameters of the builtin "replace"
-// strategy (node replacement, arXiv 2507.04335). NodeBudget is required;
-// FidelityFloor 0 means no floor; Kinds is the substitute preference order
-// ("collapse", "promote"), defaulting to both in that order.
-type ReplaceDrivenParams struct {
-	NodeBudget    int      `json:"node_budget"`
-	FidelityFloor float64  `json:"fidelity_floor,omitempty"`
-	Kinds         []string `json:"kinds,omitempty"`
-}
-
 // DecodeParams decodes a strategy's JSON parameters into into, rejecting
 // unknown fields and trailing data so a misspelt key fails instead of
 // silently running with a default. Empty params leave into untouched.
@@ -123,6 +96,20 @@ func DecodeParams(params json.RawMessage, into any) error {
 	return nil
 }
 
+// decodeStrategy is the factory of a strategy whose parameters are its own
+// JSON-tagged fields: it decodes params into a fresh *T and leaves every
+// semantic check to Init.
+func decodeStrategy[T any, PT interface {
+	*T
+	Strategy
+}](params json.RawMessage) (Strategy, error) {
+	s := PT(new(T))
+	if err := DecodeParams(params, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func init() {
 	must := func(err error) {
 		if err != nil {
@@ -136,33 +123,7 @@ func init() {
 		}
 		return Exact{}, nil
 	}))
-	must(RegisterStrategy("memory", func(params json.RawMessage) (Strategy, error) {
-		var p MemoryDrivenParams
-		if err := DecodeParams(params, &p); err != nil {
-			return nil, err
-		}
-		return &MemoryDriven{Threshold: p.Threshold, RoundFidelity: p.RoundFidelity, Growth: p.Growth}, nil
-	}))
-	must(RegisterStrategy("replace", func(params json.RawMessage) (Strategy, error) {
-		var p ReplaceDrivenParams
-		if err := DecodeParams(params, &p); err != nil {
-			return nil, err
-		}
-		kinds, err := ParseSubstituteKinds(p.Kinds)
-		if err != nil {
-			return nil, err
-		}
-		return &ReplaceDriven{NodeBudget: p.NodeBudget, FidelityFloor: p.FidelityFloor, Kinds: kinds}, nil
-	}))
-	must(RegisterStrategy("fidelity", func(params json.RawMessage) (Strategy, error) {
-		var p FidelityDrivenParams
-		if err := DecodeParams(params, &p); err != nil {
-			return nil, err
-		}
-		return &FidelityDriven{
-			FinalFidelity: p.FinalFidelity,
-			RoundFidelity: p.RoundFidelity,
-			Locations:     p.Locations,
-		}, nil
-	}))
+	must(RegisterStrategy("memory", decodeStrategy[MemoryDriven]))
+	must(RegisterStrategy("fidelity", decodeStrategy[FidelityDriven]))
+	must(RegisterStrategy("replace", decodeStrategy[ReplaceDriven]))
 }

@@ -10,18 +10,18 @@ type ReorderPolicy struct {
 	// Static names the qubit→level ordering installed at session start:
 	// "identity", "reversed", or "scored" (gate-locality heuristic). Empty
 	// keeps the manager's current order.
-	Static string
+	Static string `json:"order,omitempty"`
 	// Sift enables dynamic sifting passes at the between-gate safe point.
-	Sift bool
+	Sift bool `json:"sift,omitempty"`
 	// SiftThreshold is the state-DD node count that triggers a pass
 	// (0 = 4096). After a pass the effective threshold grows so a workload
 	// sifting cannot compress is not re-sifted after every gate.
-	SiftThreshold int
+	SiftThreshold int `json:"sift_threshold,omitempty"`
 	// SiftMaxPasses caps the passes per run (0 = 2).
-	SiftMaxPasses int
+	SiftMaxPasses int `json:"sift_max_passes,omitempty"`
 	// SiftMaxVars caps the qubits sifted per pass, widest level first
 	// (0 = all).
-	SiftMaxVars int
+	SiftMaxVars int `json:"sift_max_vars,omitempty"`
 }
 
 // Reorderer is implemented by strategies that request variable reordering.

@@ -28,7 +28,7 @@ const (
 	SubstitutePromote SubstituteKind = "promote"
 	// substituteDelete is the delete pass's edit: the node becomes the zero
 	// vector, severing every path through it. It is internal to the
-	// package; ParseSubstituteKinds and ReplaceDriven.Init reject it.
+	// package; ReplaceDriven.Init rejects it.
 	substituteDelete SubstituteKind = "delete"
 )
 
@@ -37,33 +37,6 @@ const (
 // overdraw the fidelity budget.
 func DefaultSubstitutes() []SubstituteKind {
 	return []SubstituteKind{SubstituteCollapse, SubstitutePromote}
-}
-
-// ParseSubstituteKinds validates a list of kind names (as they appear in
-// JSON strategy params) preserving order; nil or empty input selects
-// DefaultSubstitutes.
-func ParseSubstituteKinds(names []string) ([]SubstituteKind, error) {
-	if len(names) == 0 {
-		return DefaultSubstitutes(), nil
-	}
-	out := make([]SubstituteKind, 0, len(names))
-	for _, s := range names {
-		k := SubstituteKind(s)
-		if err := checkKind(k); err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// checkKind accepts the public substitute kinds only.
-func checkKind(k SubstituteKind) error {
-	if k != SubstituteCollapse && k != SubstitutePromote {
-		return fmt.Errorf("core: unknown substitute kind %q (known: %q, %q)",
-			k, SubstituteCollapse, SubstitutePromote)
-	}
-	return nil
 }
 
 // dominantPathAbs2 returns |w|², the squared magnitude of the dominant basis
@@ -276,13 +249,13 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 // reached no further rounds run.
 type ReplaceDriven struct {
 	// NodeBudget is the node-count ceiling the state is shrunk back to.
-	NodeBudget int
+	NodeBudget int `json:"node_budget"`
 	// FidelityFloor is the cumulative fidelity the strategy refuses to go
 	// below across all rounds; 0 means no floor.
-	FidelityFloor float64
+	FidelityFloor float64 `json:"fidelity_floor,omitempty"`
 	// Kinds is the substitute preference order; nil selects
 	// DefaultSubstitutes (collapse, then promote).
-	Kinds []SubstituteKind
+	Kinds []SubstituteKind `json:"kinds,omitempty"`
 
 	fid       float64
 	exhausted bool
@@ -303,8 +276,9 @@ func (s *ReplaceDriven) Init(int, []int) error {
 		s.Kinds = DefaultSubstitutes()
 	}
 	for _, k := range s.Kinds {
-		if err := checkKind(k); err != nil {
-			return err
+		if k != SubstituteCollapse && k != SubstitutePromote {
+			return fmt.Errorf("core: unknown substitute kind %q (known: %q, %q)",
+				k, SubstituteCollapse, SubstitutePromote)
 		}
 	}
 	s.fid = 1

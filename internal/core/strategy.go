@@ -56,12 +56,12 @@ func (Exact) AfterGate(_ *dd.Manager, _, _ int, state dd.VEdge) (dd.VEdge, *Roun
 // rounds stays bounded.
 type MemoryDriven struct {
 	// Threshold is the initial node-count threshold.
-	Threshold int
+	Threshold int `json:"threshold"`
 	// RoundFidelity is the per-round target fidelity f_round.
-	RoundFidelity float64
+	RoundFidelity float64 `json:"round_fidelity"`
 	// Growth is the threshold multiplier applied after every round;
 	// 0 means the paper's default of 2.
-	Growth float64
+	Growth float64 `json:"growth,omitempty"`
 
 	current int
 }
@@ -117,15 +117,15 @@ func (s *MemoryDriven) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VEdg
 // spaced otherwise.
 type FidelityDriven struct {
 	// FinalFidelity is the guaranteed lower bound f_final for the end state.
-	FinalFidelity float64
+	FinalFidelity float64 `json:"final_fidelity"`
 	// RoundFidelity is the per-round target f_round.
-	RoundFidelity float64
+	RoundFidelity float64 `json:"round_fidelity"`
 	// Locations, when non-empty, overrides automatic placement with
 	// explicit gate indices (the paper's "exploiting knowledge of the
 	// algorithm" mode: Shor places rounds across the inverse QFT). When
 	// more locations than rounds are given, an evenly spaced subset is
 	// used so the rounds cover the whole region.
-	Locations []int
+	Locations []int `json:"locations,omitempty"`
 
 	schedule map[int]bool
 	planned  []int
@@ -144,20 +144,26 @@ func (s *FidelityDriven) Name() string { return "fidelity-driven" }
 // f_final (Section IV-C). The quotient of logarithms only seeds an integer
 // search on f_round^k itself, whose comparison forgives a few ulps, so an
 // f_final that is an exact power of f_round (0.81 = 0.9²) gets every round.
+// The count saturates at maxRounds, where float64 still tells k from k+1.
 func (s *FidelityDriven) MaxRounds() int {
 	if s.RoundFidelity >= 1 {
 		return 0
 	}
 	floor := s.FinalFidelity * (1 - 0x1p-50)
-	k := max(0, int(math.Log(s.FinalFidelity)/math.Log(s.RoundFidelity)))
+	k := min(max(0, int(math.Log(s.FinalFidelity)/math.Log(s.RoundFidelity))), maxRounds)
 	for k > 0 && math.Pow(s.RoundFidelity, float64(k)) < floor {
 		k--
 	}
-	for math.Pow(s.RoundFidelity, float64(k+1)) >= floor {
+	for k < maxRounds && math.Pow(s.RoundFidelity, float64(k+1)) >= floor {
 		k++
 	}
 	return k
 }
+
+// maxRounds caps MaxRounds at 2^53: beyond it float64(k+1) == float64(k),
+// so the search would never end. An f_round an ulp below 1 with a tiny
+// f_final asks for ~6e18 rounds; no circuit has that many gates.
+const maxRounds = 1 << 53
 
 // Init implements Strategy.
 func (s *FidelityDriven) Init(totalGates int, blocks []int) error {
@@ -171,7 +177,10 @@ func (s *FidelityDriven) Init(totalGates int, blocks []int) error {
 		return fmt.Errorf("core: round fidelity %v below final fidelity %v (a single round would already violate the bound)",
 			s.RoundFidelity, s.FinalFidelity)
 	}
-	rounds := s.MaxRounds()
+	// A round follows one of gates 0..totalGates-2, so more rounds than
+	// that plan nothing new (the even spacing already covers every index)
+	// and would only size the plan by the fidelity budget.
+	rounds := min(s.MaxRounds(), totalGates-1)
 	if len(s.Locations) > 0 {
 		s.planned = spreadLocations(s.Locations, totalGates, rounds)
 	} else {

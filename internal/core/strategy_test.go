@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/dd"
 )
@@ -140,6 +141,40 @@ func TestFidelityDrivenMaxRoundsTable(t *testing.T) {
 		if got := NewFidelityDriven(tc.final, tc.round).MaxRounds(); got != tc.want {
 			t.Error(tc.final, tc.round, got, tc.want)
 		}
+	}
+}
+
+// TestFidelityDrivenInitIsBounded: Init returns promptly and plans at most
+// one round per gate that has a successor, however many rounds the fidelity
+// budget allows. The first input allows ~6e18 rounds, past 2^53 where
+// float64(k+1) == float64(k), so an unbounded MaxRounds search never ends;
+// the second allows 1.15e12, which would size an evenly spaced plan of
+// about 9 TB.
+func TestFidelityDrivenInitIsBounded(t *testing.T) {
+	const gates = 50
+	for _, tc := range []struct {
+		name         string
+		final, round float64
+	}{
+		{"maxrounds", 1e-300, 0.9999999999999999},
+		{"plan", 1e-5, 0.99999999999},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewFidelityDriven(tc.final, tc.round)
+			done := make(chan error, 1)
+			go func() { done <- s.Init(gates, nil) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Init did not return within 1s")
+			}
+			if len(s.planned) > gates-1 {
+				t.Errorf("planned %d rounds on %d gates", len(s.planned), gates)
+			}
+		})
 	}
 }
 

@@ -31,17 +31,6 @@ func (m *Manager) CountV(e VEdge) int {
 	return countVWalk(e.N, m.beginWalk())
 }
 
-// countRootNodes returns the number of distinct non-terminal nodes reachable
-// from any of the roots (the combined DD size sifting minimizes).
-func (m *Manager) countRootNodes(roots []VEdge) int {
-	stamp := m.beginWalk()
-	total := 0
-	for _, r := range roots {
-		total += countVWalk(r.N, stamp)
-	}
-	return total
-}
-
 func countVWalk(n *VNode, stamp uint32) int {
 	if n == nil || n.IsTerminal() || n.walk == stamp {
 		return 0

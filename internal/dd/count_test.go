@@ -24,7 +24,7 @@ func TestCountVAcrossStampWrap(t *testing.T) {
 		{"b, stamp 2^32-1", func() int { return m.CountV(b) }, wantB},
 		{"a, wrapped to stamp 1", func() int { return m.CountV(a) }, wantA},
 		{"b, stamp 2", func() int { return m.CountV(b) }, wantB},
-		{"a and b, stamp 3", func() int { return m.countRootNodes([]VEdge{a, b}) }, wantA + wantB - shared(a, b)},
+		{"a, stamp 3", func() int { return m.CountV(a) }, wantA},
 	}
 	for i, c := range counts {
 		if i == 1 {
@@ -34,21 +34,6 @@ func TestCountVAcrossStampWrap(t *testing.T) {
 			t.Fatalf("count of %s = %d, want %d", c.name, got, c.want)
 		}
 	}
-}
-
-// shared counts the nodes reachable from both a and b.
-func shared(a, b VEdge) int {
-	inA := map[*VNode]bool{}
-	for _, n := range CollectVNodes(a) {
-		inA[n] = true
-	}
-	count := 0
-	for _, n := range CollectVNodes(b) {
-		if inA[n] {
-			count++
-		}
-	}
-	return count
 }
 
 func TestNumberVNodes(t *testing.T) {

@@ -139,8 +139,7 @@ func TestSwapAdjacentLevelsPreservesSemantics(t *testing.T) {
 	e, vec := randomState(t, m, n, rng)
 	for l := 0; l < n-1; l++ {
 		before := m.Order(n)
-		roots := m.SwapAdjacentLevels(l, []VEdge{e})
-		e = roots[0]
+		e = m.SwapAdjacentLevels(l, e)
 		after := m.Order(n)
 		qa, qb := -1, -1
 		for q := 0; q < n; q++ {
@@ -175,9 +174,8 @@ func TestSwapRoundTripRestoresStructure(t *testing.T) {
 	e, _ := randomState(t, m, n, rng)
 	size := CountVNodes(e)
 	order := m.Order(n)
-	roots := m.SwapAdjacentLevels(2, []VEdge{e})
-	roots = m.SwapAdjacentLevels(2, roots)
-	if got := CountVNodes(roots[0]); got != size {
+	e = m.SwapAdjacentLevels(2, m.SwapAdjacentLevels(2, e))
+	if got := CountVNodes(e); got != size {
 		t.Fatalf("double swap changed node count %d -> %d", size, got)
 	}
 	after := m.Order(n)
@@ -212,8 +210,7 @@ func TestSiftShrinksEntangledPairs(t *testing.T) {
 	before := m.ToVector(state, n)
 	sizeBefore := CountVNodes(state)
 
-	roots, rep := m.Sift(n, []VEdge{state}, SiftConfig{})
-	state = roots[0]
+	state, rep := m.Sift(n, state, 0)
 	if rep.SizeBefore != sizeBefore {
 		t.Fatalf("report SizeBefore = %d, want %d", rep.SizeBefore, sizeBefore)
 	}
@@ -246,7 +243,7 @@ func TestSiftDeterministic(t *testing.T) {
 	run := func() ([]int, SiftReport) {
 		m := New()
 		state := pairedState(t, m, 8)
-		_, rep := m.Sift(8, []VEdge{state}, SiftConfig{MaxVars: 4})
+		_, rep := m.Sift(8, state, 4)
 		return m.Order(8), rep
 	}
 	o1, r1 := run()

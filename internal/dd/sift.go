@@ -2,21 +2,9 @@ package dd
 
 import "sort"
 
-// SiftConfig bounds a dynamic-reordering pass.
-type SiftConfig struct {
-	// MaxVars caps how many qubits are sifted, widest level first
-	// (0 = all). Sifting one qubit costs ~2n adjacent swaps, so this is the
-	// main cost knob.
-	MaxVars int
-	// KeepMatrices lists operation DDs that must survive the pass's final
-	// Cleanup. Omit DDs that are stale under the new order (gate caches):
-	// letting the sweep recycle them is the point.
-	KeepMatrices []MEdge
-}
-
 // SiftReport summarizes one sifting pass.
 type SiftReport struct {
-	// SizeBefore and SizeAfter are the combined root node counts around the
+	// SizeBefore and SizeAfter are the root's node counts around the
 	// pass; SizeAfter ≤ SizeBefore always (a variable is returned to its
 	// best observed position before the next one is sifted).
 	SizeBefore, SizeAfter int
@@ -27,22 +15,23 @@ type SiftReport struct {
 }
 
 // Sift runs one pass of Rudell-style variable sifting over the n-qubit
-// vector DDs rooted at roots: each candidate qubit (widest level first) is
+// vector DD rooted at root: each candidate qubit (widest level first) is
 // moved through every position via SwapAdjacentLevels and parked at the one
-// minimizing the combined node count, then the next candidate is sifted
-// under the updated order. The pass finishes with a Cleanup rooted at the
-// rewritten roots (plus cfg.KeepMatrices), returning every transient node
-// built while exploring positions to the pool free stacks and invalidating
-// the compute caches.
+// minimizing the node count, then the next candidate is sifted under the
+// updated order. maxVars caps how many qubits are sifted (0 = all); sifting
+// one costs ~2n adjacent swaps, so it is the main cost knob. The pass
+// finishes with a Cleanup rooted at the rewritten root, returning every
+// transient node built while exploring positions to the pool free stacks
+// and invalidating the compute caches.
 //
-// The rewritten roots are returned in order; as with Cleanup, edges not
-// listed in roots become invalid. The pass is deterministic: candidate
-// order, tie-breaking, and the swap rewrites depend only on the DD contents.
-func (m *Manager) Sift(n int, roots []VEdge, cfg SiftConfig) ([]VEdge, SiftReport) {
-	rep := SiftReport{SizeBefore: m.countRootNodes(roots)}
+// The rewritten root is returned; as with Cleanup, every other edge becomes
+// invalid. The pass is deterministic: candidate order, tie-breaking, and
+// the swap rewrites depend only on the DD contents.
+func (m *Manager) Sift(n int, root VEdge, maxVars int) (VEdge, SiftReport) {
+	rep := SiftReport{SizeBefore: m.CountV(root)}
 	rep.SizeAfter = rep.SizeBefore
 	if n < 2 {
-		return roots, rep
+		return root, rep
 	}
 
 	// Candidate qubits, widest current level first (ties: lower qubit).
@@ -60,9 +49,7 @@ func (m *Manager) Sift(n int, roots []VEdge, cfg SiftConfig) ([]VEdge, SiftRepor
 		walk(node.E[0].N)
 		walk(node.E[1].N)
 	}
-	for _, r := range roots {
-		walk(r.N)
-	}
+	walk(root.N)
 	cands := make([]int, n)
 	for q := range cands {
 		cands[q] = q
@@ -70,13 +57,13 @@ func (m *Manager) Sift(n int, roots []VEdge, cfg SiftConfig) ([]VEdge, SiftRepor
 	sort.SliceStable(cands, func(i, j int) bool {
 		return width[cands[i]] > width[cands[j]]
 	})
-	if cfg.MaxVars > 0 && cfg.MaxVars < len(cands) {
-		cands = cands[:cfg.MaxVars]
+	if maxVars > 0 && maxVars < len(cands) {
+		cands = cands[:maxVars]
 	}
 
 	size := rep.SizeBefore
 	swap := func(l int) {
-		roots = m.SwapAdjacentLevels(l, roots)
+		root = m.SwapAdjacentLevels(l, root)
 		rep.Swaps++
 	}
 	for _, q := range cands {
@@ -85,14 +72,14 @@ func (m *Manager) Sift(n int, roots []VEdge, cfg SiftConfig) ([]VEdge, SiftRepor
 		// Down to the bottom…
 		for l := start; l > 0; l-- {
 			swap(l - 1)
-			if s := m.countRootNodes(roots); s < best {
+			if s := m.CountV(root); s < best {
 				best, bestPos = s, l-1
 			}
 		}
 		// …up to the top…
 		for l := 0; l < n-1; l++ {
 			swap(l)
-			if s := m.countRootNodes(roots); s < best {
+			if s := m.CountV(root); s < best {
 				best, bestPos = s, l+1
 			}
 		}
@@ -106,7 +93,7 @@ func (m *Manager) Sift(n int, roots []VEdge, cfg SiftConfig) ([]VEdge, SiftRepor
 	rep.SizeAfter = size
 
 	// Recycle every transient built while exploring and drop stale compute
-	// entries; the caller's roots (and any kept matrices) survive.
-	m.Cleanup(roots, cfg.KeepMatrices)
-	return roots, rep
+	// entries; the caller's root survives.
+	m.Cleanup([]VEdge{root}, nil)
+	return root, rep
 }

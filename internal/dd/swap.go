@@ -3,11 +3,11 @@ package dd
 import "fmt"
 
 // SwapAdjacentLevels exchanges the variables at levels l and l+1 of the
-// vector DDs rooted at roots, returning the rewritten roots in order. This is
-// the adjacent-swap primitive of dynamic reordering (Rudell sifting): only
-// nodes at level l+1 and above are rebuilt — everything below the swapped
-// pair is shared untouched — and the manager's qubit→level map is updated so
-// the states keep their meaning.
+// vector DD rooted at root, returning the rewritten root. This is the
+// adjacent-swap primitive of dynamic reordering (Rudell sifting): only nodes
+// at level l+1 and above are rebuilt — everything below the swapped pair is
+// shared untouched — and the manager's qubit→level map is updated so the
+// state keeps its meaning.
 //
 // The rebuilt nodes go through the unique tables like any other creation;
 // the displaced originals stay interned (and structurally valid) until the
@@ -17,10 +17,10 @@ import "fmt"
 // must drop them (the simulation session does, and Sift finishes with a
 // Cleanup that also recycles the transients).
 //
-// Edges reachable from the manager but not listed in roots are not rewritten
-// and keep their old-order meaning; like Cleanup, callers must pass every
-// edge they intend to keep using.
-func (m *Manager) SwapAdjacentLevels(l int, roots []VEdge) []VEdge {
+// Edges reachable from the manager other than root are not rewritten and
+// keep their old-order meaning, so the root is the one edge a caller can
+// keep using.
+func (m *Manager) SwapAdjacentLevels(l int, root VEdge) VEdge {
 	if l < 0 {
 		panic(fmt.Sprintf("dd: SwapAdjacentLevels level %d negative", l))
 	}
@@ -72,16 +72,10 @@ func (m *Manager) SwapAdjacentLevels(l int, roots []VEdge) []VEdge {
 		return res
 	}
 
-	out := make([]VEdge, len(roots))
-	for i, r := range roots {
-		if m.IsVZero(r) || r.N.IsTerminal() || r.N.Var < upper {
-			out[i] = r
-			continue
-		}
-		nr := rewrite(r.N)
-		out[i] = m.ScaleV(nr, r.W.Complex())
+	if !m.IsVZero(root) && !root.N.IsTerminal() && root.N.Var >= upper {
+		root = m.ScaleV(rewrite(root.N), root.W.Complex())
 	}
 	m.swapOrderLevels(l)
 	m.levelSwaps++
-	return out
+	return root
 }

@@ -115,8 +115,9 @@ func TestReorderStrategyRegistry(t *testing.T) {
 		t.Fatalf("Name() = %q", got)
 	}
 
-	if _, err := core.NewStrategyByName("reorder", json.RawMessage(`{"order":"nope"}`)); err == nil {
-		t.Fatal("bad ordering name accepted")
+	// The factory only decodes; Init rejects a bad ordering name.
+	if st, err := core.NewStrategyByName("reorder", json.RawMessage(`{"order":"nope"}`)); err != nil || st.Init(10, nil) == nil {
+		t.Fatalf("bad ordering name: build error %v, or Init accepted it", err)
 	}
 	if _, err := core.NewStrategyByName("reorder", json.RawMessage(`{"inner":"reorder"}`)); err == nil {
 		t.Fatal("self-nesting accepted")

@@ -63,17 +63,11 @@ func (s *Strategy) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VEdge) (
 // ReorderPolicy implements core.Reorderer.
 func (s *Strategy) ReorderPolicy() core.ReorderPolicy { return s.policy }
 
-// Params are the JSON parameters of the "reorder" strategy.
+// Params are the JSON parameters of the "reorder" strategy: the policy's
+// own fields ("order", default "identity"; "sift" and its bounds, whose
+// zero values select the session defaults) plus the wrapped strategy.
 type Params struct {
-	// Order is the static ordering installed at session start: "identity"
-	// (default), "reversed", or "scored".
-	Order string `json:"order,omitempty"`
-	// Sift enables dynamic sifting passes; the remaining fields bound them
-	// (zero values select the session defaults).
-	Sift          bool `json:"sift,omitempty"`
-	SiftThreshold int  `json:"sift_threshold,omitempty"`
-	SiftMaxPasses int  `json:"sift_max_passes,omitempty"`
-	SiftMaxVars   int  `json:"sift_max_vars,omitempty"`
+	core.ReorderPolicy
 	// Inner selects the wrapped approximation strategy by registry name
 	// (default "exact"); InnerParams carries its JSON parameters verbatim.
 	Inner       string          `json:"inner,omitempty"`
@@ -86,11 +80,8 @@ func init() {
 		if err := core.DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
-		if p.Order == "" {
-			p.Order = Identity
-		}
-		if !Valid(p.Order) {
-			return nil, fmt.Errorf("order: unknown ordering %q (supported: %v)", p.Order, Names())
+		if p.Static == "" {
+			p.Static = Identity
 		}
 		if p.Inner == "reorder" {
 			return nil, fmt.Errorf("order: reorder cannot wrap itself")
@@ -99,13 +90,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewReorder(core.ReorderPolicy{
-			Static:        p.Order,
-			Sift:          p.Sift,
-			SiftThreshold: p.SiftThreshold,
-			SiftMaxPasses: p.SiftMaxPasses,
-			SiftMaxVars:   p.SiftMaxVars,
-		}, inner), nil
+		return NewReorder(p.ReorderPolicy, inner), nil
 	})
 	if err != nil {
 		panic(err)

@@ -379,8 +379,8 @@ func TestStrategyParamsForBuiltins(t *testing.T) {
 
 // TestMisspeltStrategyParamsRejected: every builtin factory rejects an
 // unknown parameter key instead of running with its default, both in
-// process and as a 400 at submission. The replace strategy also rejects the
-// delete pass's internal substitute kind.
+// process and as a 400 at submission. The replace strategy's Init also
+// rejects the delete pass's internal substitute kind.
 func TestMisspeltStrategyParamsRejected(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	const unknownField = "unknown field"
@@ -394,9 +394,12 @@ func TestMisspeltStrategyParamsRejected(t *testing.T) {
 		{"reorder", `{"inner":"memory","inner_params":{"threshhold":16}}`, unknownField},
 	}
 	for _, tc := range cases {
-		if _, err := core.NewStrategyByName(tc.strategy, json.RawMessage(tc.params)); err == nil ||
-			!strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s %s: NewStrategyByName error %v, want %q", tc.strategy, tc.params, err, tc.want)
+		s, err := core.NewStrategyByName(tc.strategy, json.RawMessage(tc.params))
+		if err == nil {
+			err = s.Init(4, nil)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: NewStrategyByName or Init error %v, want %q", tc.strategy, tc.params, err, tc.want)
 		}
 		req := inlineRequest("misspelt", gen.QFT(4))
 		req.Strategy, req.StrategyParams = tc.strategy, json.RawMessage(tc.params)

@@ -25,6 +25,8 @@ func FuzzJobRequest(f *testing.F) {
 		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"auto","noise":"dephasing","noise_params":{"p":0.1},"backend":"statevector"}`,
 		`{"qubits":2,"gates":[{"name":"h","target":0}],"strategy":"exact","strategy_params":{"x":1},"noise_params":{"p":0.1}}`,
 		`{"qubits":2,"gates":[{"name":"h","target":0}],"noise":"amplitude_damping","noise_params":{"p":0.1,"gamma":0.2,"seed":5}}`,
+		`{"qubits":2,"gates":[{"name":"h","target":0},{"name":"h","target":1}],"strategy":"fidelity","strategy_params":{"final_fidelity":1e-300,"round_fidelity":0.9999999999999999}}`,
+		`{"qubits":2,"gates":[{"name":"h","target":0},{"name":"h","target":1}],"strategy":"fidelity","strategy_params":{"final_fidelity":1e-5,"round_fidelity":0.99999999999}}`,
 	} {
 		f.Add([]byte(seed))
 	}

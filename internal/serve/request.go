@@ -76,7 +76,8 @@ type JobRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	// StrategyParams carries the strategy's JSON parameters verbatim to
 	// its registered factory, e.g. {"threshold":4096,"round_fidelity":0.99}
-	// for "memory" (core.MemoryDrivenParams). Unknown keys are rejected.
+	// for "memory": the keys are the JSON tags of the strategy's struct
+	// (core.MemoryDriven). Unknown keys are rejected.
 	StrategyParams json.RawMessage `json:"strategy_params,omitempty"`
 
 	// Backend selects the state representation: "statevector" (the

@@ -63,7 +63,7 @@ type Session struct {
 	// core.Reorderer with Sift enabled; see maybeSift).
 	sift          bool
 	siftThreshold int
-	siftCfg       dd.SiftConfig
+	siftMaxVars   int
 	siftMaxPasses int
 
 	start      time.Time
@@ -202,7 +202,7 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 		if ses.siftMaxPasses <= 0 {
 			ses.siftMaxPasses = 2
 		}
-		ses.siftCfg = dd.SiftConfig{MaxVars: policy.SiftMaxVars}
+		ses.siftMaxVars = policy.SiftMaxVars
 	}
 	return nil
 }
@@ -505,8 +505,8 @@ func (ses *Session) maybeSift(gateIdx, size int) {
 		return
 	}
 	m := ses.sim.M
-	roots, rep := m.Sift(ses.c.NumQubits, []dd.VEdge{ses.state}, ses.siftCfg)
-	ses.state = roots[0]
+	state, rep := m.Sift(ses.c.NumQubits, ses.state, ses.siftMaxVars)
+	ses.state = state
 	ses.sim.clearGateCache()
 	// Lifted channel DDs were built under the old order; rebuild them.
 	for q := range ses.chanDDs {
