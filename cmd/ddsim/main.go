@@ -180,13 +180,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	if *shots > 0 {
-		rng := rand.New(rand.NewSource(*seed))
-		var hist map[uint64]int
-		if res.Density != nil {
-			hist = res.Density.SampleMany(*shots, rng)
-		} else {
-			hist = s.M.SampleMany(res.Final, circ.NumQubits, *shots, rng)
-		}
+		hist := res.Sample(*shots, rand.New(rand.NewSource(*seed)))
 		// Most frequent first, ties by index, so the listing (and which
 		// outcomes the 32-line cut keeps) is the same on every run.
 		outcomes := slices.Collect(maps.Keys(hist))

@@ -38,7 +38,7 @@ func (r Report) NoOp() bool { return r.RemovedNodes == 0 && r.ReplacedNodes == 0
 // are counted once per killed node), so staying within budget keeps
 // ‖P_I ψ‖² ≥ fround.
 func ApproximateToFidelity(m *dd.Manager, e dd.VEdge, fround float64) (dd.VEdge, Report, error) {
-	if fround <= 0 || fround > 1 {
+	if !(fround > 0 && fround <= 1) {
 		return e, Report{}, fmt.Errorf("core: round fidelity %v outside (0, 1]", fround)
 	}
 	budget := 1 - fround

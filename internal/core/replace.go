@@ -117,7 +117,7 @@ func ApproximateToSizeReplace(m *dd.Manager, e dd.VEdge, maxNodes int, minFideli
 	if maxNodes < 1 {
 		return e, Report{}, fmt.Errorf("core: size target %d must be positive", maxNodes)
 	}
-	if minFidelity < 0 || minFidelity >= 1 {
+	if !(minFidelity >= 0 && minFidelity < 1) {
 		return e, Report{}, fmt.Errorf("core: fidelity floor %v outside [0, 1)", minFidelity)
 	}
 	if len(kinds) == 0 {
@@ -269,7 +269,7 @@ func (s *ReplaceDriven) Init(int, []int) error {
 	if s.NodeBudget <= 0 {
 		return fmt.Errorf("core: replace node budget %d must be positive", s.NodeBudget)
 	}
-	if s.FidelityFloor < 0 || s.FidelityFloor >= 1 {
+	if !(s.FidelityFloor >= 0 && s.FidelityFloor < 1) {
 		return fmt.Errorf("core: replace fidelity floor %v outside [0, 1)", s.FidelityFloor)
 	}
 	if len(s.Kinds) == 0 {

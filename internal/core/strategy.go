@@ -74,13 +74,13 @@ func (s *MemoryDriven) Init(int, []int) error {
 	if s.Threshold <= 0 {
 		return fmt.Errorf("core: memory-driven threshold %d must be positive", s.Threshold)
 	}
-	if s.RoundFidelity <= 0 || s.RoundFidelity > 1 {
+	if !(s.RoundFidelity > 0 && s.RoundFidelity <= 1) {
 		return fmt.Errorf("core: memory-driven round fidelity %v outside (0, 1]", s.RoundFidelity)
 	}
 	if s.Growth == 0 {
 		s.Growth = 2
 	}
-	if s.Growth < 1 {
+	if !(s.Growth >= 1) {
 		return fmt.Errorf("core: memory-driven growth %v must be ≥ 1", s.Growth)
 	}
 	s.current = s.Threshold
@@ -167,10 +167,10 @@ const maxRounds = 1 << 53
 
 // Init implements Strategy.
 func (s *FidelityDriven) Init(totalGates int, blocks []int) error {
-	if s.FinalFidelity <= 0 || s.FinalFidelity > 1 {
+	if !(s.FinalFidelity > 0 && s.FinalFidelity <= 1) {
 		return fmt.Errorf("core: final fidelity %v outside (0, 1]", s.FinalFidelity)
 	}
-	if s.RoundFidelity <= 0 || s.RoundFidelity > 1 {
+	if !(s.RoundFidelity > 0 && s.RoundFidelity <= 1) {
 		return fmt.Errorf("core: round fidelity %v outside (0, 1]", s.RoundFidelity)
 	}
 	if s.RoundFidelity < s.FinalFidelity {

@@ -190,6 +190,37 @@ func TestFidelityDrivenValidation(t *testing.T) {
 	}
 }
 
+func TestFidelityChecksRejectNaN(t *testing.T) {
+	// Every fidelity range check must reject NaN, for which each of the
+	// comparisons x <= 0 and x > 1 is false.
+	nan := math.NaN()
+	m := dd.New()
+	state := m.BasisState(2, 0)
+	checks := []struct {
+		name string
+		err  func() error
+	}{
+		{"memory round_fidelity", func() error { return (&MemoryDriven{Threshold: 10, RoundFidelity: nan}).Init(1, nil) }},
+		{"memory growth", func() error { return (&MemoryDriven{Threshold: 10, RoundFidelity: 0.9, Growth: nan}).Init(1, nil) }},
+		{"fidelity final_fidelity", func() error { return NewFidelityDriven(nan, 0.9).Init(10, nil) }},
+		{"fidelity round_fidelity", func() error { return NewFidelityDriven(0.5, nan).Init(10, nil) }},
+		{"replace fidelity_floor", func() error { return (&ReplaceDriven{NodeBudget: 4, FidelityFloor: nan}).Init(10, nil) }},
+		{"ApproximateToFidelity", func() error {
+			_, _, err := ApproximateToFidelity(m, state, nan)
+			return err
+		}},
+		{"ApproximateToSizeReplace", func() error {
+			_, _, err := ApproximateToSizeReplace(m, state, 1, nan, nil)
+			return err
+		}},
+	}
+	for _, c := range checks {
+		if c.err() == nil {
+			t.Errorf("%s: NaN accepted", c.name)
+		}
+	}
+}
+
 func TestPlanRoundsWithBlocks(t *testing.T) {
 	blocks := []int{9, 19, 29, 39, 49, 59, 69, 79}
 	got := PlanRounds(100, blocks, 3)

@@ -1,37 +1,109 @@
 package dd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
+// stampWalks builds, on m, vector states, mixed density matrices and a
+// gate product without running any walk, and returns one stamped walk of
+// each kind, each over a DD of its own, so that every walk's nodes carry
+// that walk's stamp when the next one begins. Each walk's result compares
+// with reflect.DeepEqual across managers built by the same call.
+func stampWalks(t *testing.T, m *Manager) []stampWalk {
+	t.Helper()
+	const n = 5
+	rng := rand.New(rand.NewSource(9))
+	state := func(n int) VEdge {
+		e, _ := randomState(t, m, n, rng)
+		return e
+	}
+	mixed := func() MEdge {
+		a, b := state(n), state(n)
+		half := complex(0.5, 0)
+		return m.AddMat(m.ScaleM(m.OuterProduct(a, a), half), m.ScaleM(m.OuterProduct(b, b), half))
+	}
+	a, b := state(n), state(n-1)
+	rho1, rho2, rho3 := mixed(), mixed(), mixed()
+	g := m.Identity(n)
+	for _, tg := range randomGateSeq(n, 6, rng) {
+		g = m.MulMat(m.MakeGateDD(n, tg.u, tg.target, tg.controls...), g)
+	}
+	return []stampWalk{
+		{"CountV a", func() any { return m.CountV(a) }, func() any { return CountVNodes(a) }},
+		{"CountM rho1", func() any { return m.CountM(rho1) }, func() any { return countMNodes(rho1) }},
+		{"NumberVNodes b", func() any { return len(m.NumberVNodes(nil, b)) }, func() any { return len(CollectVNodes(b)) }},
+		{"MTrace rho2", func() any { return m.MTrace(rho2) }, nil},
+		{"ConjugateTranspose g", func() any { return m.ToMatrix(m.ConjugateTranspose(g), n) }, nil},
+		{"SampleDiagonal rho3", func() any { return m.SampleDiagonal(rho3, n, 64, rand.New(rand.NewSource(5))) }, nil},
+	}
+}
+
+// stampWalk is one stamped walk and, where one exists, the map-based walk
+// it must agree with.
+type stampWalk struct {
+	name string
+	walk func() any
+	ref  func() any
+}
+
+// run returns the walk's result, or the value it panicked with (a stale
+// stamp sends MTrace and ConjugateTranspose to a per-node result that the
+// walk never stored).
+func (w stampWalk) run() (res any) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = fmt.Sprint("panic: ", r)
+		}
+	}()
+	return w.walk()
+}
+
 func TestCountVAcrossStampWrap(t *testing.T) {
 	// A stamp handed out once comes round again only when the counter
-	// wraps. The wrap must clear the stamps that nodes no walk reached
-	// since still carry, or a node stamped 2^32 walks ago reads as visited.
-	rng := rand.New(rand.NewSource(9))
-	m := New()
-	a, _ := randomState(t, m, 7, rng)
-	b, _ := randomState(t, m, 6, rng)
-	wantA, wantB := CountVNodes(a), CountVNodes(b)
-	counts := []struct {
-		name string
-		got  func() int
-		want int
-	}{
-		{"a, stamp 1", func() int { return m.CountV(a) }, wantA},
-		{"b, stamp 2^32-1", func() int { return m.CountV(b) }, wantB},
-		{"a, wrapped to stamp 1", func() int { return m.CountV(a) }, wantA},
-		{"b, stamp 2", func() int { return m.CountV(b) }, wantB},
-		{"a, stamp 3", func() int { return m.CountV(a) }, wantA},
-	}
-	for i, c := range counts {
-		if i == 1 {
-			m.walkStamp = math.MaxUint32 - 1 // skip the walks in between
+	// wraps. The wrap must clear the stamps that nodes of both kinds still
+	// carry, or a node stamped 2^32 walks ago reads as visited. Every walk
+	// runs at stamps 1, 2, ... on a fresh manager, then, once the counter
+	// wraps, at the same stamps again. Each must return its map-based
+	// reference, or else what it returns as the only walk on a fresh
+	// manager.
+	var want []any
+	for _, w := range stampWalks(t, New()) {
+		if w.ref == nil {
+			w.ref = w.run
 		}
-		if got := c.got(); got != c.want {
-			t.Fatalf("count of %s = %d, want %d", c.name, got, c.want)
+		want = append(want, w.ref())
+	}
+	m := New()
+	walks := stampWalks(t, m)
+	for pass, label := range []string{"first stamps", "wrapped stamps"} {
+		if pass == 1 {
+			m.walkStamp = math.MaxUint32 // skip the walks in between
+		}
+		for i, w := range walks {
+			if got := w.run(); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s, %s = %.80v, want %.80v", w.name, label, fmt.Sprint(got), fmt.Sprint(want[i]))
+			}
+		}
+	}
+}
+
+func TestMixedKindWalks(t *testing.T) {
+	// Vector and matrix walks share one stamp counter. Interleaved on one
+	// manager in shuffled order, each walk must return what it returns as
+	// the only walk on a fresh manager.
+	m := New()
+	walks := stampWalks(t, m)
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 4; round++ {
+		for _, i := range rng.Perm(len(walks)) {
+			want := stampWalks(t, New())[i].run()
+			if got := walks[i].run(); !reflect.DeepEqual(got, want) {
+				t.Errorf("round %d: %s = %.80v, want %.80v", round, walks[i].name, fmt.Sprint(got), fmt.Sprint(want))
+			}
 		}
 	}
 }

@@ -25,24 +25,31 @@
 // Memory system: nodes live in per-manager pools (one generic nodePool type
 // per node kind: chunked arrays with a LIFO free stack) and are interned
 // through per-variable hashed unique tables whose buckets chain nodes
-// intrusively via the node's next pointer. The five compute caches (add,
-// madd, mul, mm, ip) are instances of one generic computeCache type:
+// intrusively via the node's next pointer. Both node kinds embed one
+// nodeHeader, and one generic levelTable type serves both: it owns a
+// level's buckets and count, grows them, sweeps them, and links new nodes
+// (levelTable.link is the one place any node is interned); only the
+// chain-compare loops of the lookups stay per kind. The five compute caches
+// (add, madd, mul, mm, ip) are instances of one generic computeCache type:
 // power-of-two arrays with overwrite-on-collision eviction and
 // generation-tag invalidation, so ClearCaches is O(1). Each starts at 1 Ki
 // entries and doubles under miss pressure up to a cap, so cache memory is
 // bounded. Cleanup is a mark-sweep pass: live nodes are stamped with the
 // current GC generation and dead nodes are unlinked from their buckets onto
-// the free stacks for recycling. Vector-node walks (CountV, NumberVNodes,
-// and sifting's level widths and size checks) keep no visited set: each
-// marks the nodes it reaches with a fresh per-manager visit stamp stored in
-// the node, so a walk allocates nothing and walks are not reentrant (one
-// must finish before the next begins); a wrap of the 32-bit stamp resets
-// every interned node's stamp once. NumberVNodes also numbers the nodes in walk order
-// (VNode.Ord), so the approximation passes keep per-node state in slices
-// indexed by that ordinal. Stats and Pool snapshot the counters
-// (per-cache hits/misses/evictions, node traffic, pool occupancy); the
-// simulation service surfaces them per worker
-// on its /v1/stats endpoint. See docs/ARCHITECTURE.md and the
+// the free stacks for recycling.
+//
+// Node walks of both kinds (CountV, NumberVNodes, sifting's size checks,
+// CountM, MTrace, ConjugateTranspose, SampleDiagonal) keep no visited set:
+// they mark nodes with a stamp from one per-manager visit counter and keep
+// per-node results in retained slices indexed by the order the walk
+// reaches the nodes (VNode.Ord for the approximation passes), so the
+// manager holds no map keyed by node. Walks are not reentrant, across
+// kinds too: a matrix walk must never run inside a vector walk, nor the
+// other way round (see count.go).
+//
+// Stats and Pool snapshot the counters (per-cache hits/misses/evictions,
+// node traffic, pool occupancy); the simulation service surfaces them per
+// worker on its /v1/stats endpoint. See docs/ARCHITECTURE.md and the
 // "Architecture: DD memory system" section of the README for the full
 // design.
 package dd

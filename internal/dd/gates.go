@@ -69,21 +69,7 @@ func (m *Manager) MakeGateDD(n int, u [4]complex128, target int, controls ...Con
 		}
 	}
 
-	e := m.MakeMNode(int32(tLevel), em)
-
-	for q := tLevel + 1; q < n; q++ {
-		idBelow := m.Identity(q)
-		if positive, isCtrl := ctrl[q]; isCtrl {
-			if positive {
-				e = m.MakeMNode(int32(q), [4]MEdge{idBelow, zero, zero, e})
-			} else {
-				e = m.MakeMNode(int32(q), [4]MEdge{e, zero, zero, idBelow})
-			}
-		} else {
-			e = m.MakeMNode(int32(q), [4]MEdge{e, zero, zero, e})
-		}
-	}
-	return e
+	return m.liftAbove(m.MakeMNode(int32(tLevel), em), tLevel+1, n, ctrl)
 }
 
 // ExtendMatrix lifts an operation DD covering qubits [0, fromLevel) to the
@@ -107,8 +93,15 @@ func (m *Manager) ExtendMatrix(e MEdge, fromLevel, n int, controls ...Control) M
 		}
 		ctrl[c.Qubit] = c.Positive
 	}
+	return m.liftAbove(e, fromLevel, n, ctrl)
+}
+
+// liftAbove extends the operation e on levels [0, from) level by level up
+// to n: identity structure on uninvolved levels, identity-vs-e branching at
+// the control levels ctrl maps to their polarity.
+func (m *Manager) liftAbove(e MEdge, from, n int, ctrl map[int]bool) MEdge {
 	zero := m.MZero()
-	for q := fromLevel; q < n; q++ {
+	for q := from; q < n; q++ {
 		idBelow := m.Identity(q)
 		if positive, isCtrl := ctrl[q]; isCtrl {
 			if positive {

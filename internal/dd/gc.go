@@ -30,42 +30,8 @@ func (m *Manager) Cleanup(vRoots []VEdge, mRoots []MEdge) {
 		m.markM(e.N)
 	}
 
-	for i := range m.vLevels {
-		lt := &m.vLevels[i]
-		for b, head := range lt.buckets {
-			var keep *VNode
-			for n := head; n != nil; {
-				next := n.next
-				if n.gen == m.gcGen {
-					n.next = keep
-					keep = n
-				} else {
-					lt.count--
-					m.vPool.release(n)
-				}
-				n = next
-			}
-			lt.buckets[b] = keep
-		}
-	}
-	for i := range m.mLevels {
-		lt := &m.mLevels[i]
-		for b, head := range lt.buckets {
-			var keep *MNode
-			for n := head; n != nil; {
-				next := n.next
-				if n.gen == m.gcGen {
-					n.next = keep
-					keep = n
-				} else {
-					lt.count--
-					m.mPool.release(n)
-				}
-				n = next
-			}
-			lt.buckets[b] = keep
-		}
-	}
+	m.vNodes.sweep(m.gcGen)
+	m.mNodes.sweep(m.gcGen)
 
 	m.cleanups++
 	m.ClearCaches()

@@ -86,7 +86,7 @@ func TestCleanupRecyclesPooledNodes(t *testing.T) {
 		m.Cleanup(nil, nil)
 		checkSlots("after Cleanup")
 
-		free := append([]*VNode(nil), m.vPool.free...)
+		free := append([]*VNode(nil), m.vNodes.pool.free...)
 		one := VEdge{W: m.CN.One, N: m.vTerminal}
 		for i, e := range [][2]VEdge{{one, m.VZero()}, {m.VZero(), one}} {
 			if got, want := m.MakeVNode(0, e[0], e[1]).N, free[len(free)-1-i]; got != want {

@@ -16,11 +16,9 @@ type Manager struct {
 	vTerminal *VNode
 	mTerminal *MNode
 
-	// Per-variable unique tables (see unique.go) and node pools.
-	vLevels []vLevelTable
-	mLevels []mLevelTable
-	vPool   nodePool[VNode]
-	mPool   nodePool[MNode]
+	// Per-variable unique tables and node pools (see unique.go).
+	vNodes uniqueTable[VNode, *VNode]
+	mNodes uniqueTable[MNode, *MNode]
 
 	// Bounded compute caches (see cache.go), invalidated together by
 	// ClearCaches.
@@ -43,25 +41,21 @@ type Manager struct {
 
 	nextID uint64
 
-	// walkStamp is the visit stamp of the latest vector-node walk (see
-	// count.go): CountV and NumberVNodes mark nodes with it instead of
-	// filling a visited set.
+	// walkStamp is the visit stamp of the latest node walk of either kind
+	// (see count.go): walks mark nodes with it instead of filling a
+	// visited set.
 	walkStamp uint32
 
-	// visitM, traceMemo and adjointMemo are the retained scratch behind
-	// CountM, MTrace and ConjugateTranspose (hot in the density backend's
-	// per-gate loop), so they allocate nothing at steady state. Each is
-	// cleared per call, never across calls, so node recycling cannot leave
-	// stale entries behind.
-	visitM      map[*MNode]struct{}
-	traceMemo   map[*MNode]complex128
-	adjointMemo map[*MNode]MEdge
+	// traces and adjoints are the retained per-node results of MTrace and
+	// ConjugateTranspose (hot in the density backend's per-gate loop),
+	// indexed by the ord their stamped walk gives each node, so the walks
+	// allocate nothing at steady state.
+	traces   []complex128
+	adjoints []MEdge
 
 	// Stats counters.
-	vNodesCreated uint64
-	mNodesCreated uint64
-	cleanups      uint64
-	levelSwaps    uint64
+	cleanups   uint64
+	levelSwaps uint64
 }
 
 // New returns a Manager with a fresh complex table at the default tolerance.
@@ -78,8 +72,8 @@ func NewWithTable(cn *cnum.Table) *Manager {
 		ip:    newComputeCache[ipKey, complex128](ipCacheMax),
 		gcGen: 1,
 	}
-	m.vTerminal = &VNode{id: m.newID(), Var: TerminalVar}
-	m.mTerminal = &MNode{id: m.newID(), Var: TerminalVar}
+	m.vTerminal = &VNode{nodeHeader: nodeHeader[VNode]{id: m.newID(), Var: TerminalVar}}
+	m.mTerminal = &MNode{nodeHeader: nodeHeader[MNode]{id: m.newID(), Var: TerminalVar}}
 	m.idChain = []MEdge{{W: cn.One, N: m.mTerminal}}
 	return m
 }
@@ -182,10 +176,12 @@ type Stats struct {
 // Stats returns a snapshot of the manager counters.
 func (m *Manager) Stats() Stats {
 	s := Stats{
-		VNodesCreated:  m.vNodesCreated,
-		MNodesCreated:  m.mNodesCreated,
-		VNodesRecycled: m.vPool.recycled,
-		MNodesRecycled: m.mPool.recycled,
+		VUniqueSize:    m.vNodes.live(),
+		MUniqueSize:    m.mNodes.live(),
+		VNodesCreated:  m.vNodes.created(),
+		MNodesCreated:  m.mNodes.created(),
+		VNodesRecycled: m.vNodes.pool.recycled,
+		MNodesRecycled: m.mNodes.pool.recycled,
 		Add:            m.add.stats,
 		MAdd:           m.madd.stats,
 		Mul:            m.mul.stats,
@@ -195,8 +191,6 @@ func (m *Manager) Stats() Stats {
 		LevelSwaps:     m.levelSwaps,
 		ComplexValues:  m.CN.Size(),
 	}
-	s.VUniqueSize = m.vLiveCount()
-	s.MUniqueSize = m.mLiveCount()
 	for _, c := range []CacheStats{s.Add, s.MAdd, s.Mul, s.MM, s.IP} {
 		s.CacheHits += c.Hits
 		s.CacheMisses += c.Misses
@@ -221,10 +215,10 @@ type PoolStats struct {
 // Pool returns a snapshot of node-pool occupancy across both node kinds.
 func (m *Manager) Pool() PoolStats {
 	return PoolStats{
-		Live:     m.vLiveCount() + m.mLiveCount(),
-		Free:     len(m.vPool.free) + len(m.mPool.free),
-		Capacity: m.vPool.allocated + m.mPool.allocated,
-		Recycled: m.vPool.recycled + m.mPool.recycled,
+		Live:     m.vNodes.live() + m.mNodes.live(),
+		Free:     len(m.vNodes.pool.free) + len(m.mNodes.pool.free),
+		Capacity: m.vNodes.pool.allocated + m.mNodes.pool.allocated,
+		Recycled: m.vNodes.pool.recycled + m.mNodes.pool.recycled,
 	}
 }
 

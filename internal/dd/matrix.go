@@ -45,40 +45,39 @@ func (m *Manager) fillMatrix(w complex128, node *MNode, level, row, col int, out
 }
 
 // ConjugateTranspose returns the conjugate transpose (adjoint) of the
-// operation DD.
+// operation DD. It is a stamped walk: not reentrant.
 func (m *Manager) ConjugateTranspose(e MEdge) MEdge {
-	if m.adjointMemo == nil {
-		m.adjointMemo = make(map[*MNode]MEdge, 256)
-	} else {
-		clear(m.adjointMemo)
-	}
-	res := m.adjointNode(e.N)
+	m.adjoints = m.adjoints[:0]
+	res := m.adjointWalk(e.N, m.beginWalk())
 	w := e.W.Complex()
 	return m.ScaleM(res, complex(real(w), -imag(w)))
 }
 
-// adjointNode returns the adjoint of the weight-stripped subtree under n,
-// memoized per node: an operator DD shares children across its edges, so
-// without the memo the walk visits every path (2^n calls for a lifted
-// single-qubit operator).
-func (m *Manager) adjointNode(n *MNode) MEdge {
+// adjointWalk returns the adjoint of the weight-stripped subtree under n,
+// computed once per distinct node: an operator DD shares children across
+// its edges, so a walk without the stamp visits every path (2^n calls for a
+// lifted single-qubit operator). The nodes it creates carry no stamp of
+// this walk, so only the input's nodes read as visited.
+func (m *Manager) adjointWalk(n *MNode, stamp uint32) MEdge {
 	if n.IsTerminal() {
 		return MEdge{W: m.CN.One, N: m.mTerminal}
 	}
-	if r, ok := m.adjointMemo[n]; ok {
-		return r
+	if n.walk == stamp {
+		return m.adjoints[n.ord]
 	}
 	var e [4]MEdge
 	for r := 0; r < 2; r++ {
 		for c := 0; c < 2; c++ {
 			child := n.E[2*r+c]
-			sub := m.adjointNode(child.N)
+			sub := m.adjointWalk(child.N, stamp)
 			w := child.W.Complex()
 			// Transpose swaps (r,c); adjoint also conjugates.
 			e[2*c+r] = m.ScaleM(sub, complex(real(w), -imag(w)))
 		}
 	}
 	r := m.MakeMNode(n.Var, e)
-	m.adjointMemo[n] = r
+	n.walk = stamp
+	n.ord = uint32(len(m.adjoints))
+	m.adjoints = append(m.adjoints, r)
 	return r
 }

@@ -5,17 +5,27 @@ import "repro/internal/cnum"
 // TerminalVar is the Var value of the terminal node.
 const TerminalVar int32 = -1
 
-// VNode is a vector (state) DD node. Nodes must only be created through
-// Manager.MakeVNode so that they are normalized and interned.
-type VNode struct {
+// nodeHeader holds the fields both node kinds carry for the unique tables
+// (unique.go), the garbage collector (gc.go) and the stamped walks
+// (count.go). T is the node type embedding it.
+type nodeHeader[T any] struct {
 	id   uint64
 	hash uint64 // unique-table hash of (child weights, child ids)
-	next *VNode // unique-table bucket chain
+	next *T     // unique-table bucket chain
 	gen  uint32 // GC mark stamp (== Manager.gcGen when live at last sweep)
-	Var  int32  // qubit index; TerminalVar for the terminal
-	walk uint32 // visit stamp of the last manager walk that reached n (see count.go)
-	ord  uint32 // n's index in the output of the last NumberVNodes that reached it
-	E    [2]VEdge
+	Var  int32  // the node's DD level; TerminalVar for the terminal
+	walk uint32 // visit stamp of the last manager walk that reached the node
+	ord  uint32 // the node's index in the last stamped walk that numbered it
+}
+
+func (h *nodeHeader[T]) header() *nodeHeader[T] { return h }
+
+// VNode is a vector (state) DD node at level Var. Nodes must only be
+// created through Manager.MakeVNode so that they are normalized and
+// interned.
+type VNode struct {
+	nodeHeader[VNode]
+	E [2]VEdge
 }
 
 // ID returns the node's unique creation id (stable for the Manager lifetime).
@@ -35,16 +45,12 @@ type VEdge struct {
 	N *VNode
 }
 
-// MNode is a matrix (operation) DD node. Children are indexed row-major:
-// E[2*r+c] is the quadrant for output bit r and input bit c of the node's
-// qubit. Nodes must only be created through Manager.MakeMNode.
+// MNode is a matrix (operation) DD node at level Var. Children are indexed
+// row-major: E[2*r+c] is the quadrant for output bit r and input bit c of
+// the node's qubit. Nodes must only be created through Manager.MakeMNode.
 type MNode struct {
-	id   uint64
-	hash uint64
-	next *MNode
-	gen  uint32
-	Var  int32
-	E    [4]MEdge
+	nodeHeader[MNode]
+	E [4]MEdge
 }
 
 // IsTerminal reports whether n is the terminal node.

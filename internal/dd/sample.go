@@ -2,6 +2,7 @@ package dd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -39,6 +40,64 @@ func (m *Manager) SampleMany(e VEdge, n, shots int, rng *rand.Rand) map[uint64]i
 	hist := make(map[uint64]int)
 	for i := 0; i < shots; i++ {
 		hist[m.Sample(e, n, rng)]++
+	}
+	return hist
+}
+
+// DiagonalProbability returns the diagonal entry e[idx][idx] of the n-qubit
+// density matrix e, clamped to [0, 1]: the probability of measuring basis
+// state idx. Cost is one root-to-terminal walk.
+func (m *Manager) DiagonalProbability(e MEdge, idx uint64, n int) float64 {
+	w, node := e.W.Complex(), e.N
+	for l := n - 1; l >= 0; l-- {
+		if w == 0 {
+			return 0
+		}
+		if node.IsTerminal() {
+			panic("dd: DiagonalProbability reached terminal early (qubit count mismatch)")
+		}
+		bit := idx >> uint(m.LevelQubit(l)) & 1
+		child := node.E[3*bit] // quadrant (0,0) or (1,1)
+		w *= child.W.Complex()
+		node = child.N
+	}
+	return max(0, min(1, real(w)))
+}
+
+// SampleDiagonal draws shots samples from the diagonal distribution of the
+// n-qubit density matrix e without collapsing it, and returns a histogram
+// of basis states. One MTrace walk gives every node's trace; at each node
+// of a shot's root-to-terminal walk the conditional bit probabilities are
+// then the partial diagonal sums Re(W · w_b · tr(child_b)), which are
+// nonnegative for a positive semidefinite e.
+func (m *Manager) SampleDiagonal(e MEdge, n, shots int, rng *rand.Rand) map[uint64]int {
+	if shots > 0 && m.IsMZero(e) {
+		panic("dd: SampleDiagonal on zero state")
+	}
+	m.MTrace(e)
+	stamp := m.walkStamp // traceWalk at the finished walk's stamp reads its stored traces
+	hist := make(map[uint64]int)
+	for i := 0; i < shots; i++ {
+		var idx uint64
+		w, node := e.W.Complex(), e.N
+		for l := n - 1; l >= 0; l-- {
+			if node.IsTerminal() {
+				panic("dd: SampleDiagonal reached terminal early (qubit count mismatch)")
+			}
+			c0, c1 := node.E[0], node.E[3]
+			p0 := math.Max(0, real(w*c0.W.Complex()*m.traceWalk(c0.N, stamp)))
+			p1 := math.Max(0, real(w*c1.W.Complex()*m.traceWalk(c1.N, stamp)))
+			r := rng.Float64() * (p0 + p1)
+			var bit uint64
+			if r >= p0 {
+				bit = 1
+			}
+			idx |= bit << uint(m.LevelQubit(l))
+			child := node.E[3*bit]
+			w *= child.W.Complex()
+			node = child.N
+		}
+		hist[idx]++
 	}
 	return hist
 }

@@ -36,20 +36,11 @@ func (m *Manager) Sift(n int, root VEdge, maxVars int) (VEdge, SiftReport) {
 
 	// Candidate qubits, widest current level first (ties: lower qubit).
 	width := make([]int, n)
-	stamp := m.beginWalk()
-	var walk func(node *VNode)
-	walk = func(node *VNode) {
-		if node == nil || node.IsTerminal() || node.walk == stamp {
-			return
-		}
-		node.walk = stamp
+	for _, node := range m.NumberVNodes(nil, root) {
 		if int(node.Var) < n {
 			width[m.LevelQubit(int(node.Var))]++
 		}
-		walk(node.E[0].N)
-		walk(node.E[1].N)
 	}
-	walk(root.N)
 	cands := make([]int, n)
 	for q := range cands {
 		cands[q] = q

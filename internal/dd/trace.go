@@ -3,28 +3,27 @@ package dd
 // MTrace returns the trace of the operation DD e: Σ_i e[i][i]. For a density
 // matrix this is the total probability mass, which exact channel application
 // preserves at 1 (the density backend asserts this invariant after every
-// superoperator). The traversal is memoized per distinct node, so the cost is
-// linear in the DD size rather than the 2^n diagonal length.
+// superoperator). It is a stamped walk (not reentrant) that computes each
+// distinct node's trace once, so the cost is linear in the DD size rather
+// than the 2^n diagonal length.
 func (m *Manager) MTrace(e MEdge) complex128 {
 	if m.IsMZero(e) {
 		return 0
 	}
-	if m.traceMemo == nil {
-		m.traceMemo = make(map[*MNode]complex128, 256)
-	} else {
-		clear(m.traceMemo)
-	}
-	return e.W.Complex() * m.traceNode(e.N)
+	m.traces = m.traces[:0]
+	return e.W.Complex() * m.traceWalk(e.N, m.beginWalk())
 }
 
-// traceNode computes the trace of the weight-stripped subtree under n. Only
+// traceWalk computes the trace of the weight-stripped subtree under n. Only
 // the diagonal quadrants (E[0]: both bits 0, E[3]: both bits 1) contribute.
-func (m *Manager) traceNode(n *MNode) complex128 {
+// Once the walk with this stamp has finished, it reads back the trace it
+// stored for any node it reached.
+func (m *Manager) traceWalk(n *MNode, stamp uint32) complex128 {
 	if n.IsTerminal() {
 		return 1
 	}
-	if t, ok := m.traceMemo[n]; ok {
-		return t
+	if n.walk == stamp {
+		return m.traces[n.ord]
 	}
 	var sum complex128
 	for _, c := range [2]int{0, 3} {
@@ -32,37 +31,12 @@ func (m *Manager) traceNode(n *MNode) complex128 {
 		if m.IsMZero(child) {
 			continue
 		}
-		sum += child.W.Complex() * m.traceNode(child.N)
+		sum += child.W.Complex() * m.traceWalk(child.N, stamp)
 	}
-	m.traceMemo[n] = sum
+	n.walk = stamp
+	n.ord = uint32(len(m.traces))
+	m.traces = append(m.traces, sum)
 	return sum
-}
-
-// CountM counts the distinct non-terminal nodes reachable from e against a
-// visited set retained on the manager, so the density backend's per-gate DD
-// size tracking allocates nothing at steady state (the matrix counterpart of
-// CountV). Not reentrant.
-func (m *Manager) CountM(e MEdge) int {
-	if m.visitM == nil {
-		m.visitM = make(map[*MNode]struct{}, 256)
-	} else {
-		clear(m.visitM)
-	}
-	m.countMWalk(e.N)
-	return len(m.visitM)
-}
-
-func (m *Manager) countMWalk(n *MNode) {
-	if n == nil || n.IsTerminal() {
-		return
-	}
-	if _, ok := m.visitM[n]; ok {
-		return
-	}
-	m.visitM[n] = struct{}{}
-	for i := 0; i < 4; i++ {
-		m.countMWalk(n.E[i].N)
-	}
 }
 
 // OuterProduct builds the matrix DD |a⟩⟨b| from two state DDs over the same

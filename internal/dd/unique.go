@@ -52,26 +52,42 @@ func mNodeHash(e *[4]MEdge) uint64 {
 	return hashFinish(h)
 }
 
-// vLevelTable is the unique table for one variable of the vector DD.
-type vLevelTable struct {
-	buckets []*VNode
+// tableNode is what the unique tables need of a node kind: a pointer to
+// the node header it embeds.
+type tableNode[T any] interface {
+	*T
+	header() *nodeHeader[T]
+}
+
+// levelTable is the unique table for one variable of one node kind.
+type levelTable[T any, P tableNode[T]] struct {
+	buckets []*T
 	count   int
 }
 
-// mLevelTable is the unique table for one variable of the matrix DD.
-type mLevelTable struct {
-	buckets []*MNode
-	count   int
+// link interns n, whose children the caller has set, as the node of level
+// v with hash h, numbered id and live in GC generation gen: the one place a
+// node of either kind enters a unique table. hd is n's header, passed in to
+// spare this per-creation path an indirect call through P.
+func (t *levelTable[T, P]) link(n *T, hd *nodeHeader[T], v int32, h, id uint64, gen uint32) {
+	idx := h & uint64(len(t.buckets)-1)
+	*hd = nodeHeader[T]{id: id, hash: h, next: t.buckets[idx], gen: gen, Var: v}
+	t.buckets[idx] = n
+	t.count++
+	if t.count > uniqueMaxLoad*len(t.buckets) {
+		t.grow()
+	}
 }
 
-func (t *vLevelTable) grow() {
-	nb := make([]*VNode, 2*len(t.buckets))
+func (t *levelTable[T, P]) grow() {
+	nb := make([]*T, 2*len(t.buckets))
 	mask := uint64(len(nb) - 1)
-	for _, head := range t.buckets {
-		for n := head; n != nil; {
-			next := n.next
-			idx := n.hash & mask
-			n.next = nb[idx]
+	for _, n := range t.buckets {
+		for n != nil {
+			h := P(n).header()
+			next := h.next
+			idx := h.hash & mask
+			h.next = nb[idx]
 			nb[idx] = n
 			n = next
 		}
@@ -79,89 +95,100 @@ func (t *vLevelTable) grow() {
 	t.buckets = nb
 }
 
-func (t *mLevelTable) grow() {
-	nb := make([]*MNode, 2*len(t.buckets))
-	mask := uint64(len(nb) - 1)
-	for _, head := range t.buckets {
-		for n := head; n != nil; {
-			next := n.next
-			idx := n.hash & mask
-			n.next = nb[idx]
-			nb[idx] = n
+// sweep unlinks every node not stamped live in generation gen and releases
+// it to pool.
+func (t *levelTable[T, P]) sweep(gen uint32, pool *nodePool[T]) {
+	for b, n := range t.buckets {
+		var keep *T
+		for n != nil {
+			h := P(n).header()
+			next := h.next
+			if h.gen == gen {
+				h.next = keep
+				keep = n
+			} else {
+				t.count--
+				pool.release(n)
+			}
 			n = next
 		}
+		t.buckets[b] = keep
 	}
-	t.buckets = nb
 }
 
-// vLiveCount returns the number of vector nodes interned across all levels.
-func (m *Manager) vLiveCount() int {
+// uniqueTable holds one node kind's level tables and the pool that feeds
+// them.
+type uniqueTable[T any, P tableNode[T]] struct {
+	levels []levelTable[T, P]
+	pool   nodePool[T]
+}
+
+// level returns the table for variable v, growing the level slice on demand.
+func (u *uniqueTable[T, P]) level(v int32) *levelTable[T, P] {
+	for int(v) >= len(u.levels) {
+		u.levels = append(u.levels, levelTable[T, P]{buckets: make([]*T, uniqueInitialBuckets)})
+	}
+	return &u.levels[v]
+}
+
+// live returns the number of nodes interned across all levels.
+func (u *uniqueTable[T, P]) live() int {
 	total := 0
-	for i := range m.vLevels {
-		total += m.vLevels[i].count
+	for i := range u.levels {
+		total += u.levels[i].count
 	}
 	return total
 }
 
-// mLiveCount returns the number of matrix nodes interned across all levels.
-func (m *Manager) mLiveCount() int {
-	total := 0
-	for i := range m.mLevels {
-		total += m.mLevels[i].count
-	}
-	return total
+// created returns the number of nodes ever interned: every pool allocation
+// is linked, so it is the chunk slots handed out plus the recycled ones.
+func (u *uniqueTable[T, P]) created() uint64 {
+	return uint64(u.pool.allocated) + u.pool.recycled
 }
 
-// vLevel returns the table for variable v, growing the level slice on demand.
-func (m *Manager) vLevel(v int32) *vLevelTable {
-	for int(v) >= len(m.vLevels) {
-		m.vLevels = append(m.vLevels, vLevelTable{buckets: make([]*VNode, uniqueInitialBuckets)})
+// sweep releases every node not stamped live in generation gen.
+func (u *uniqueTable[T, P]) sweep(gen uint32) {
+	for i := range u.levels {
+		u.levels[i].sweep(gen, &u.pool)
 	}
-	return &m.vLevels[v]
 }
 
-func (m *Manager) mLevel(v int32) *mLevelTable {
-	for int(v) >= len(m.mLevels) {
-		m.mLevels = append(m.mLevels, mLevelTable{buckets: make([]*MNode, uniqueInitialBuckets)})
+// resetWalks clears every interned node's visit stamp.
+func (u *uniqueTable[T, P]) resetWalks() {
+	for i := range u.levels {
+		for _, n := range u.levels[i].buckets {
+			for n != nil {
+				h := P(n).header()
+				h.walk = 0
+				n = h.next
+			}
+		}
 	}
-	return &m.mLevels[v]
 }
 
 // vLookupInsert interns the node (v; e0, e1) — the children must already be
 // canonical — returning an existing node or allocating one from the pool.
 func (m *Manager) vLookupInsert(v int32, e0, e1 VEdge) *VNode {
 	h := vNodeHash(e0, e1)
-	lt := m.vLevel(v)
-	idx := h & uint64(len(lt.buckets)-1)
-	for n := lt.buckets[idx]; n != nil; n = n.next {
+	lt := m.vNodes.level(v)
+	for n := lt.buckets[h&uint64(len(lt.buckets)-1)]; n != nil; n = n.next {
 		if n.hash == h && n.E[0].W == e0.W && n.E[0].N == e0.N &&
 			n.E[1].W == e1.W && n.E[1].N == e1.N {
 			return n
 		}
 	}
-	n := m.vPool.alloc()
-	n.id = m.newID()
-	n.hash = h
-	n.gen = m.gcGen
-	n.Var = v
+	n := m.vNodes.pool.alloc()
 	n.E = [2]VEdge{e0, e1}
-	n.next = lt.buckets[idx]
-	lt.buckets[idx] = n
-	lt.count++
-	m.vNodesCreated++
-	if lt.count > uniqueMaxLoad*len(lt.buckets) {
-		lt.grow()
-	}
+	lt.link(n, &n.nodeHeader, v, h, m.newID(), m.gcGen)
 	return n
 }
 
 // mLookupInsert is vLookupInsert for matrix nodes.
 func (m *Manager) mLookupInsert(v int32, e *[4]MEdge) *MNode {
 	h := mNodeHash(e)
-	lt := m.mLevel(v)
-	idx := h & uint64(len(lt.buckets)-1)
+	lt := m.mNodes.level(v)
 next:
-	for n := lt.buckets[idx]; n != nil; n = n.next {
+	for n := lt.buckets[h&uint64(len(lt.buckets)-1)]; n != nil; n = n.next {
 		if n.hash != h {
 			continue
 		}
@@ -172,19 +199,9 @@ next:
 		}
 		return n
 	}
-	n := m.mPool.alloc()
-	n.id = m.newID()
-	n.hash = h
-	n.gen = m.gcGen
-	n.Var = v
+	n := m.mNodes.pool.alloc()
 	n.E = *e
-	n.next = lt.buckets[idx]
-	lt.buckets[idx] = n
-	lt.count++
-	m.mNodesCreated++
-	if lt.count > uniqueMaxLoad*len(lt.buckets) {
-		lt.grow()
-	}
+	lt.link(n, &n.nodeHeader, v, h, m.newID(), m.gcGen)
 	return n
 }
 

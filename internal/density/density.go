@@ -2,7 +2,6 @@ package density
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dd"
@@ -96,88 +95,13 @@ func (s *State) FidelityPure(psi dd.VEdge) float64 {
 // Probability returns the diagonal entry ρ[idx][idx]: the probability of
 // measuring basis state idx. Cost is one root-to-terminal walk.
 func (s *State) Probability(idx uint64) float64 {
-	w := s.Root.W.Complex()
-	node := s.Root.N
-	for l := s.N - 1; l >= 0; l-- {
-		if w == 0 {
-			return 0
-		}
-		if node.IsTerminal() {
-			panic("density: Probability reached terminal early (qubit count mismatch)")
-		}
-		bit := idx >> uint(s.M.LevelQubit(l)) & 1
-		child := node.E[3*bit] // quadrant (0,0) or (1,1)
-		w *= child.W.Complex()
-		node = child.N
-	}
-	return max(0, min(1, real(w)))
+	return s.M.DiagonalProbability(s.Root, idx, s.N)
 }
 
-// Sample draws one basis state from the diagonal distribution of ρ without
-// collapsing it. At each node the conditional bit probabilities are the
-// partial diagonal sums Re(W · w_b · tr(child_b)), which are nonnegative for
-// a positive semidefinite ρ. The per-subtree traces are memoized in memo
-// (pass the same map across shots to amortize the walk).
-func (s *State) Sample(rng *rand.Rand, memo map[*dd.MNode]complex128) uint64 {
-	if s.M.IsMZero(s.Root) {
-		panic("density: Sample on zero state")
-	}
-	if memo == nil {
-		memo = make(map[*dd.MNode]complex128)
-	}
-	var idx uint64
-	w := s.Root.W.Complex()
-	node := s.Root.N
-	for l := s.N - 1; l >= 0; l-- {
-		if node.IsTerminal() {
-			panic("density: Sample reached terminal early (qubit count mismatch)")
-		}
-		c0, c1 := node.E[0], node.E[3]
-		p0 := math.Max(0, real(w*c0.W.Complex()*diagTrace(s.M, c0.N, memo)))
-		p1 := math.Max(0, real(w*c1.W.Complex()*diagTrace(s.M, c1.N, memo)))
-		r := rng.Float64() * (p0 + p1)
-		var bit uint64
-		if r >= p0 {
-			bit = 1
-		}
-		idx |= bit << uint(s.M.LevelQubit(l))
-		child := node.E[3*bit]
-		w *= child.W.Complex()
-		node = child.N
-	}
-	return idx
-}
-
-// SampleMany draws shots samples and returns a histogram of basis states,
-// sharing one trace memo across all shots.
+// SampleMany draws shots samples from the diagonal distribution of ρ
+// without collapsing it, and returns a histogram of basis states.
 func (s *State) SampleMany(shots int, rng *rand.Rand) map[uint64]int {
-	memo := make(map[*dd.MNode]complex128)
-	hist := make(map[uint64]int)
-	for i := 0; i < shots; i++ {
-		hist[s.Sample(rng, memo)]++
-	}
-	return hist
-}
-
-// diagTrace returns the trace of the weight-stripped subtree under n
-// (diagonal quadrants only), memoized in memo.
-func diagTrace(m *dd.Manager, n *dd.MNode, memo map[*dd.MNode]complex128) complex128 {
-	if n.IsTerminal() {
-		return 1
-	}
-	if t, ok := memo[n]; ok {
-		return t
-	}
-	var sum complex128
-	for _, q := range [2]int{0, 3} {
-		child := n.E[q]
-		if m.IsMZero(child) {
-			continue
-		}
-		sum += child.W.Complex() * diagTrace(m, child.N, memo)
-	}
-	memo[n] = sum
-	return sum
+	return s.M.SampleDiagonal(s.Root, s.N, shots, rng)
 }
 
 // ProbabilityOne returns the probability that measuring qubit q yields 1:

@@ -13,7 +13,10 @@
 // Σ K†K = I at construction, so every Channel value is trace-preserving.
 // Extraction helpers cover the quantities the rest of the system needs:
 // Trace, Purity (Tr ρ²), FidelityPure (⟨ψ|ρ|ψ⟩), diagonal probabilities,
-// and sampling without collapse.
+// and sampling without collapse. The package walks no DD itself: traces and
+// samples come from the manager (dd.Manager.MTrace and SampleDiagonal), so
+// the one visit stamp and the retained per-node results of internal/dd
+// serve the density backend too.
 //
 // The package is driven through the backend seam in internal/sim: a Session
 // with Options.Backend = BackendDensity routes the same gate loop, observer

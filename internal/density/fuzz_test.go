@@ -13,8 +13,9 @@ import (
 // parameters: any (kind, strength) pair must either be rejected at
 // construction or produce a trace-preserving superoperator that leaves ρ a
 // well-formed DD — trace pinned to 1, purity in (0, 1], diagonal a
-// probability distribution, and no severed (zero) root. The strength arrives
-// as raw float64 bits so the mutation engine reaches NaN, infinities, and
+// probability distribution, samples only of outcomes with positive
+// probability, and no severed (zero) root. The strength arrives as raw
+// float64 bits so the mutation engine reaches NaN, infinities, and
 // subnormals, not just in-range values.
 func FuzzKrausChannel(f *testing.F) {
 	kinds := Kinds()
@@ -85,6 +86,17 @@ func FuzzKrausChannel(f *testing.F) {
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("%s p=%v: diagonal sums to %v", kind, p, sum)
+		}
+		const shots = 64
+		total := 0
+		for idx, count := range den.SampleMany(shots, rand.New(rand.NewSource(stateSeed))) {
+			if prob := den.Probability(idx); prob <= 0 {
+				t.Fatalf("%s p=%v: sampled |%0*b⟩ %d times, but its probability is %v", kind, p, n, idx, count, prob)
+			}
+			total += count
+		}
+		if total != shots {
+			t.Fatalf("%s p=%v: histogram holds %d of %d shots", kind, p, total, shots)
 		}
 	})
 }

@@ -145,13 +145,13 @@ func TestReplaceComposedUnderReorder(t *testing.T) {
 // 400 at submission time (compile validates by building one instance).
 func TestReplaceParamsValidatedAtSubmit(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
-	for _, params := range []string{
-		`{"node_budget":0}`,
-		`{"node_budget":16,"fidelity_floor":1.5}`,
-		`{"node_budget":16,"kinds":["vanish"]}`,
+	for _, tc := range []struct{ name, params string }{
+		{"zero_budget", `{"node_budget":0}`},
+		{"floor_above_one", `{"node_budget":16,"fidelity_floor":1.5}`},
+		{"unknown_kind", `{"node_budget":16,"kinds":["vanish"]}`},
 	} {
-		t.Run(params, func(t *testing.T) {
-			req := replaceRequest(4, params)
+		t.Run(tc.name, func(t *testing.T) {
+			req := replaceRequest(4, tc.params)
 			resp := c.submit(req, http.StatusBadRequest)
 			if resp.Error == "" {
 				t.Fatalf("no error in %+v", resp)

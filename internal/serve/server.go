@@ -510,13 +510,7 @@ func buildPayload(jr *batch.JobResult, comp *compiled) ResultPayload {
 	if shots := comp.req.Shots; shots > 0 {
 		// Safe here (and only here): the pool drops the final state once
 		// Finalize returns.
-		rng := rand.New(rand.NewSource(comp.opts.MeasurementSeed))
-		var hist map[uint64]int
-		if res.Density != nil {
-			hist = res.Density.SampleMany(shots, rng)
-		} else {
-			hist = res.Manager.SampleMany(res.Final, res.NumQubits, shots, rng)
-		}
+		hist := res.Sample(shots, rand.New(rand.NewSource(comp.opts.MeasurementSeed)))
 		p.Samples = make(map[string]int, len(hist))
 		for idx, count := range hist {
 			p.Samples[fmt.Sprintf("%0*b", res.NumQubits, idx)] = count

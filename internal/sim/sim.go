@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"time"
 
@@ -154,6 +155,17 @@ type Result struct {
 	// WeightTable reports complex-weight-table pressure over this run, so
 	// long sweeps can spot unbounded interning growth.
 	WeightTable WeightTableStats
+}
+
+// Sample draws shots samples from the final state's measurement
+// distribution without collapsing it, and returns a histogram of basis
+// states: the diagonal of Density on the density backend, Final otherwise.
+// For batch and pool jobs it must run inside Job.Finalize.
+func (r *Result) Sample(shots int, rng *rand.Rand) map[uint64]int {
+	if r.Density != nil {
+		return r.Density.SampleMany(shots, rng)
+	}
+	return r.Manager.SampleMany(r.Final, r.NumQubits, shots, rng)
 }
 
 // WeightTableStats describes cnum.Table pressure during one simulation run.
