@@ -49,8 +49,9 @@ bench:
 
 ## bench-smoke: dd + cnum + batch + session + approximation-pass benchmarks,
 ## the QASM front end (qasm.Parse and serve.CanonicalHash on a 400-gate
-## Clifford+T and a 14-qubit QFT export), result decoding (a 256-shot,
-## 16-qubit serve.ResultPayload) and the router round trip (submit
+## Clifford+T and a 14-qubit QFT export), result and status decoding (a
+## 256-shot, 16-qubit serve.ResultPayload, bare and in a cached status
+## body) and the router round trip (submit
 ## -> terminal through simd-router and 2 backends, hit and miss, with
 ## p99-ns), captured as the raw go-test JSON
 ## stream (BENCH_dd.json) and parsed by scripts/benchsummary into the
@@ -65,14 +66,15 @@ bench-smoke:
 		./internal/benchtab >> BENCH_dd.json
 	$(GO) test -run '^$$' -bench 'ApproximationPrimitive' -benchtime 100ms -count 5 -benchmem -json \
 		. >> BENCH_dd.json
-	$(GO) test -run '^$$' -bench 'QASMParse|CanonicalHash|ResultDecode' -benchtime 100ms -count 5 -benchmem -json \
+	$(GO) test -run '^$$' -bench 'QASMParse|CanonicalHash|ResultDecode|StatusDecode' -benchtime 100ms -count 5 -benchmem -json \
 		./internal/qasm ./internal/serve >> BENCH_dd.json
 	$(GO) test -run '^$$' -bench 'RouterRoundTrip' -benchtime 1s -count 3 -benchmem -json \
 		./internal/cluster >> BENCH_dd.json
 	$(GO) run ./scripts/benchsummary -in BENCH_dd.json -out BENCH_summary.json
 
 ## bench-check: the perf-regression gate — fail when a Gate/Batch/Session/
-## ApproximationPrimitive/QASMParse/CanonicalHash/ResultDecode/RouterRoundTrip
+## ApproximationPrimitive/QASMParse/CanonicalHash/ResultDecode/StatusDecode/
+## RouterRoundTrip
 ## benchmark's gated time (ns/op, or p99-ns for RouterRoundTrip/hit),
 ## allocs/op, or B/op regressed more than
 ## BENCH_CHECK_THRESHOLD against the committed bench_baseline.json

@@ -29,10 +29,13 @@
 //	final, err := cl.Run(ctx, req, nil) // nil: no event callback
 //
 // Every JSON response is read whole, into a buffer sized from its
-// Content-Length (serve.ReadBody), and decoded with one json.Unmarshal:
-// a body with anything but white space after its JSON value is an error.
-// ResultPayload decodes its samples without reflection when they are in
-// the form the service writes, and through encoding/json otherwise.
+// Content-Length (serve.ReadBody), and decoded as encoding/json decodes
+// it: a body with anything but white space after its JSON value is an
+// error. A job status in the form the service writes is decoded in one
+// validating pass (serve.DecodeStatus), and its Result aliases the
+// response body instead of copying it. ResultPayload decodes its samples
+// without reflection when they are in the form the service writes, and
+// through encoding/json otherwise.
 package client
 
 import (
@@ -477,13 +480,24 @@ func (c *Client) doJSON(req *http.Request, out any) error {
 		_, err := io.Copy(io.Discard, resp.Body)
 		return err
 	}
-	// One sized read, then one Unmarshal: no Decoder buffers to grow, and
-	// a body with anything but space after its value is rejected.
+	// One sized read, then one decode: no Decoder buffers to grow, and a
+	// body with anything but space after its value is rejected. Statuses
+	// and results decode as encoding/json would, but skip its pre-scan of
+	// the whole body when in the form the service writes; a status's
+	// Result then aliases raw.
 	raw, err := serve.ReadBody(resp.Body, resp.ContentLength, math.MaxInt64)
 	if err != nil {
 		return fmt.Errorf("client: reading %s %s response: %w", req.Method, req.URL.Path, err)
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	switch out := out.(type) {
+	case *JobStatus:
+		err = serve.DecodeStatus(raw, out)
+	case *ResultPayload:
+		err = out.UnmarshalJSON(raw)
+	default:
+		err = json.Unmarshal(raw, out)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decoding %s %s response: %w", req.Method, req.URL.Path, err)
 	}
 	return nil

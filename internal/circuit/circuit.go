@@ -161,10 +161,11 @@ func (c *Circuit) checkQubit(q int) {
 	}
 }
 
-// Append adds a gate after validating targets and controls. A unitary's
-// name is stored in its canonical spelling (u1 and phase as p, u as u3, i
-// as id).
-func (c *Circuit) Append(g Gate) {
+// Append adds a copy of g after validating targets and controls; g itself
+// is not modified. A unitary's name is stored in its canonical spelling
+// (u1 and phase as p, u as u3, i as id).
+func (c *Circuit) Append(g *Gate) {
+	name := g.Name
 	switch g.Kind {
 	case KindUnitary:
 		e, err := lookup(g.Name, g.Params)
@@ -182,7 +183,7 @@ func (c *Circuit) Append(g Gate) {
 				panic(fmt.Sprintf("circuit: duplicate qubit %d in gate %q", ctl.Qubit, g.Name))
 			}
 		}
-		g.Name = e.canon
+		name = e.canon
 	case KindPerm:
 		if g.PermWidth <= 0 || g.PermWidth > c.NumQubits {
 			panic(fmt.Sprintf("circuit: permutation width %d out of range", g.PermWidth))
@@ -204,12 +205,13 @@ func (c *Circuit) Append(g Gate) {
 	default:
 		panic(fmt.Sprintf("circuit: unknown gate kind %d", g.Kind))
 	}
-	c.gates = append(c.gates, g)
+	c.gates = append(c.gates, *g)
+	c.gates[len(c.gates)-1].Name = name
 }
 
 // Apply appends a named single-qubit gate with optional controls.
 func (c *Circuit) Apply(name string, params []float64, target int, controls ...dd.Control) {
-	c.Append(Gate{Kind: KindUnitary, Name: name, Params: params, Target: target, Controls: controls})
+	c.Append(&Gate{Kind: KindUnitary, Name: name, Params: params, Target: target, Controls: controls})
 }
 
 // Convenience builders for the common gate set.
@@ -284,17 +286,17 @@ func (c *Circuit) SWAP(a, b int) {
 
 // Permutation appends a permutation gate on the width low qubits.
 func (c *Circuit) Permutation(perm []int, width int, controls ...dd.Control) {
-	c.Append(Gate{Kind: KindPerm, Name: "perm", Perm: perm, PermWidth: width, Controls: controls})
+	c.Append(&Gate{Kind: KindPerm, Name: "perm", Perm: perm, PermWidth: width, Controls: controls})
 }
 
 // Measure appends a mid-circuit computational-basis measurement of q.
 func (c *Circuit) Measure(q int) {
-	c.Append(Gate{Kind: KindMeasure, Name: "measure", Target: q})
+	c.Append(&Gate{Kind: KindMeasure, Name: "measure", Target: q})
 }
 
 // Reset appends a reset of q to |0⟩ (measure, then conditionally flip).
 func (c *Circuit) Reset(q int) {
-	c.Append(Gate{Kind: KindReset, Name: "reset", Target: q})
+	c.Append(&Gate{Kind: KindReset, Name: "reset", Target: q})
 }
 
 // Inverse returns the adjoint circuit: gates reversed and inverted. Block

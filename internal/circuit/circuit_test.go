@@ -221,13 +221,13 @@ func TestAppendPanicMessages(t *testing.T) {
 					t.Errorf("%v: panic %v, want %q", tc.g, got, tc.want)
 				}
 			}()
-			c.Append(tc.g)
+			c.Append(&tc.g)
 		}()
 	}
 	g := Gate{Name: "u3", Target: 0, Params: []float64{1, 2, 3},
 		Controls: []dd.Control{dd.PosControl(1), dd.PosControl(2), dd.NegControl(3)}}
 	c.Grow(1000)
-	if allocs := testing.AllocsPerRun(100, func() { c.Append(g) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { c.Append(&g) }); allocs != 0 {
 		t.Errorf("Append allocated %v times per gate", allocs)
 	}
 }

@@ -362,9 +362,10 @@ func (rt *Router) forward(ctx context.Context, m *member, method, path, query st
 const maxRelayBytes = 64 << 20
 
 // relay copies a backend response to the caller. 2xx JobStatus bodies get
-// their job id rewritten to the routed form; other bodies (error envelopes,
-// result payloads) pass through byte-identically, with Retry-After and
-// Content-Type preserved.
+// their job id rewritten to the routed form by writing m.idPrefix and then
+// the rest of the body as read, so no copy of the body is made; other
+// bodies (error envelopes, result payloads) pass through byte-identically,
+// with Retry-After and Content-Type preserved.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
 	defer resp.Body.Close()
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
@@ -375,16 +376,18 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("reading backend response: %w", err))
 		return
 	}
+	var head []byte
 	if resp.StatusCode/100 == 2 {
-		raw = rewriteJobID(raw, m.idPrefix)
+		head, raw = rewriteJobID(raw, m.idPrefix)
 	}
 	ct := resp.Header.Get("Content-Type")
 	if ct == "" {
 		ct = "application/json"
 	}
 	w.Header().Set("Content-Type", ct)
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(raw)))
 	w.WriteHeader(resp.StatusCode)
+	w.Write(head)
 	w.Write(raw)
 }
 
@@ -398,16 +401,17 @@ func routedIDPrefix(name string) []byte {
 	return append([]byte(statusLead), esc[1:len(esc)-1]...)
 }
 
-// rewriteJobID splices prefix (a routedIDPrefix) over the opening of a
-// JobStatus body, leaving every other byte as is. Bodies that do not open
-// with a non-empty id (results, lists, error envelopes) return unmodified.
-func rewriteJobID(raw, prefix []byte) []byte {
+// rewriteJobID splits a JobStatus body into the two parts that, written one
+// after the other, give it a routed id: prefix (a routedIDPrefix) in place
+// of the body's opening statusLead, and the rest of the body, every byte as
+// is. A body that does not open with a non-empty id (results, lists, error
+// envelopes) comes back whole as rest, after an empty head.
+func rewriteJobID(raw, prefix []byte) (head, rest []byte) {
 	rest, ok := bytes.CutPrefix(raw, []byte(statusLead))
 	if !ok || len(rest) == 0 || rest[0] == '"' {
-		return raw
+		return nil, raw
 	}
-	out := make([]byte, 0, len(prefix)+len(rest))
-	return append(append(out, prefix...), rest...)
+	return prefix, rest
 }
 
 // pipeStream copies a backend SSE stream (GET /v1/jobs/{id}/events) to the

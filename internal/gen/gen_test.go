@@ -39,7 +39,7 @@ func TestInverseQFTInvertsQFT(t *testing.T) {
 	n := 4
 	c := QFT(n)
 	for _, g := range InverseQFT(n).Gates() {
-		c.Append(g)
+		c.Append(&g)
 	}
 	for x := uint64(0); x < 1<<uint(n); x += 3 {
 		s := sim.New()

@@ -89,8 +89,8 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Stats) {
 	}
 
 	out := circuit.New(c.NumQubits, c.Name+"_opt")
-	for _, g := range gates {
-		out.Append(g)
+	for i := range gates {
+		out.Append(&gates[i])
 	}
 	return out, stats
 }

@@ -168,7 +168,7 @@ func TestOptimizeShrinksRealCircuit(t *testing.T) {
 	n := 5
 	c := gen.QFT(n)
 	for _, g := range gen.InverseQFT(n).Gates() {
-		c.Append(g)
+		c.Append(&g)
 	}
 	out, _ := Optimize(c)
 	if out.Len() >= c.Len() {

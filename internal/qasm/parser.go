@@ -168,7 +168,7 @@ func (p *parser) add(name string, target int, ctls ...int) {
 		}
 		g.Controls = p.ctlSlab[at:len(p.ctlSlab):len(p.ctlSlab)]
 	}
-	p.c.Append(g)
+	p.c.Append(&g)
 }
 
 func (p *parser) cur() token  { return p.tok }

@@ -58,6 +58,21 @@ func BenchmarkResultDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkStatusDecode times the client's decode of a serve-hot-shaped
+// cache hit: the status body writeStatus writes around hotPayload, through
+// DecodeStatus as client.Submit decodes it.
+func BenchmarkStatusDecode(b *testing.B) {
+	body := statusSeeds(b)[0]
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var st JobStatus
+		if err := DecodeStatus(body, &st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // hotPayload is a 16-qubit, 256-shot exact-run payload whose outcomes are
 // drawn uniformly from a fixed seed.
 func hotPayload() ResultPayload {

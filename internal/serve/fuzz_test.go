@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzJobRequest drives arbitrary bodies through DecodeRequest, compile and
@@ -97,19 +102,23 @@ func payloadSeeds(tb testing.TB) [][]byte {
 }
 
 // TestServerPayloadsDecodeWithoutReflection: the samples of every payload
-// the server writes take the reflection-free path.
+// the server writes take the reflection-free path, also when the payload
+// is a whole response body ending in the encoder's newline.
 func TestServerPayloadsDecodeWithoutReflection(t *testing.T) {
 	for _, raw := range payloadSeeds(t) {
-		if _, _, ok := cutSamples(raw); !ok {
-			t.Errorf("samples of %s take the encoding/json path", raw)
+		for _, body := range [][]byte{raw, append(raw, '\n')} {
+			if _, _, ok := cutSamples(body); !ok {
+				t.Errorf("samples of %q take the encoding/json path", body)
+			}
 		}
 	}
 }
 
 // FuzzResultPayloadDecode: ResultPayload.UnmarshalJSON, called directly
-// or through json.Unmarshal, leaves the same value and returns the same
-// error as encoding/json decoding the plain struct, into a zero payload
-// and into one whose samples, rounds and noise parameters are set.
+// on a whole body as the client calls it or through json.Unmarshal, leaves
+// the same value and returns the same error as encoding/json decoding the
+// plain struct, into a zero payload and into one whose samples, rounds and
+// noise parameters are set.
 func FuzzResultPayloadDecode(f *testing.F) {
 	for _, seed := range payloadSeeds(f) {
 		f.Add(seed)
@@ -139,8 +148,19 @@ func FuzzResultPayloadDecode(f *testing.F) {
 		`{"resolved_strategy_params":{"samples":{"0":1}},"samples":{"1":1}}`,
 		`{"samples":{"0":1},}`,
 		`{"samples":{"0":1}} x`,
+		`{"samples":{"0":1}}` + "\n",
+		`{"samples":{"0":1},"seed":2} ` + "\t\r\n",
+		"\n" + `{"samples":{"0":1}}`,
+		`{"samples":{"0":1},"seed" :2}`,
+		`{"samples":{"0":1},"seed": 2}`,
+		`{"samples":{"0":1},"seed":2 }`,
+		`{"samples":{"0":1},"rounds":[{"gate_index":01}]}`,
+		`{"samples":{"0":1},"noise":"\u00zz"}`,
+		"{\"samples\":{\"0\":1},\"noise\":\"\x01\"}",
+		`{"samples":{"0":1},"seed":2}}`,
 		`null`,
 		`[]`,
+		` `,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -180,4 +200,168 @@ func FuzzResultPayloadDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// statusSeeds are status bodies as the server writes them: a serve-hot
+// cache hit, a finished job with a small payload, a failed job and a
+// queued one.
+func statusSeeds(tb testing.TB) [][]byte {
+	payloads := payloadSeeds(tb)
+	created := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
+	var out [][]byte
+	for _, js := range []*jobState{
+		{id: "job-000001", name: "cliffordt16x400-3", hash: "ab12", cached: true, created: created, status: StatusDone, payload: payloads[1]},
+		{id: "job-000002", hash: "cd34", created: created, status: StatusDone, payload: payloads[0]},
+		{id: "job-000003", name: "f", hash: "ef56", created: created, status: StatusFailed, errMsg: "boom"},
+		{id: "job-000004", hash: "0178", created: created},
+	} {
+		rec := httptest.NewRecorder()
+		writeStatus(rec, http.StatusOK, (&Server{}).statusOf(js, true))
+		out = append(out, rec.Body.Bytes())
+	}
+	return out
+}
+
+// TestServerStatusesDecodeInOnePass: every status body seeded above takes
+// DecodeStatus's one pass, and a result aliases the body.
+func TestServerStatusesDecodeInOnePass(t *testing.T) {
+	for _, body := range statusSeeds(t) {
+		var st JobStatus
+		if !decodeStatus(body, &st) {
+			t.Errorf("%s takes the encoding/json path", body)
+			continue
+		}
+		if at := bytes.Index(body, []byte(`"result":`)); at >= 0 && &st.Result[0] != &body[at+len(`"result":`)] {
+			t.Errorf("Result of %s is a copy, not a slice of the body", body)
+		}
+	}
+}
+
+// FuzzDecodeStatus: DecodeStatus leaves the same status and returns the
+// same error as json.Unmarshal, into a zero status and into one whose
+// every field is set, with Result equal byte for byte.
+func FuzzDecodeStatus(f *testing.F) {
+	for _, seed := range statusSeeds(f) {
+		f.Add(seed)
+	}
+	for _, seed := range []string{
+		`{"id":"a","status":"done","result": {"x":1} }` + "\n",
+		` { "id" : "a" , "cached" : true } ` + "\r\n\t",
+		"{\"result\":\t[1, 2]\r\n}",
+		`{"result" :null}`,
+		`{}`,
+		`{ }`,
+		`{"i\u0064":"a"}`,
+		`{"ID":"a","Status":"done","CACHED":true}`,
+		`{"ſtatus":"x","submitted_At":"y"}`,
+		`{"id":"a\"b","error":"\u003c"}`,
+		`{"id":"é"}`,
+		"{\"id\":\"\xff\"}",
+		`{"id":"a","id":"b"}`,
+		`{"cached":true,"cached":false}`,
+		`{"id":null,"cached":null,"result":null}`,
+		`null`,
+		`{"id":"a"}x`,
+		`{"id":"a"}{}`,
+		`{"id":"a","result":{}}}`,
+		`{"id":"a",}`,
+		`{"id":"a" "status":"b"}`,
+		`{"result":}`,
+		`{"result":{},"id":"a"}`,
+		`{"extra":1,"id":"a"}`,
+		`{"id":1}`,
+		`{"cached":"true"}`,
+		`{"cached":tru}`,
+		`{"cached":truex}`,
+		`{"result":"str"}`,
+		`{"result":01}`,
+		`{"result":-}`,
+		`{"result":1.}`,
+		`{"result":1e}`,
+		`{"result":[1.5e+3,-0.0,2E-7,0,-12]}`,
+		`{"result":"\u12"}`,
+		`{"result":"\uZZZZ"}`,
+		`{"result":"\x"}`,
+		"{\"id\":\"a\x01\"}",
+		"{\"result\":\"\t\"}",
+	} {
+		f.Add([]byte(seed))
+	}
+	starts := []func() JobStatus{
+		func() JobStatus { return JobStatus{} },
+		func() JobStatus {
+			return JobStatus{ID: "old-id", Name: "old-name", Status: StatusQueued, Cached: true, Hash: "old-hash",
+				Submitted: "old-time", Error: "old-error", Result: json.RawMessage([]byte(`{"old":true}`))}
+		},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, start := range starts {
+			want := start()
+			wantErr := json.Unmarshal(data, &want)
+			got := start()
+			gotErr := DecodeStatus(data, &got)
+			if errText(gotErr) != errText(wantErr) {
+				t.Fatalf("DecodeStatus of %q: error %v, encoding/json %v", data, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) || !bytes.Equal(got.Result, want.Result) {
+				t.Fatalf("DecodeStatus of %q:\n got %+v\nwant %+v", data, got, want)
+			}
+		}
+	})
+}
+
+// FuzzValidJSON: validJSON accepts exactly what json.Valid accepts.
+func FuzzValidJSON(f *testing.F) {
+	for _, seed := range append(statusSeeds(f), payloadSeeds(f)...) {
+		f.Add(seed)
+	}
+	for _, seed := range []string{
+		` {"a" : [1, 2.5e-3, -0, true, false, null, "x"] } ` + "\n",
+		"\t[]\r\n",
+		`{"a":1}x`,
+		`{"a":1}{}`,
+		`{"a":1,}`,
+		`[1,]`,
+		`[,1]`,
+		`{"a"}`,
+		`{1:2}`,
+		`01`, `-`, `-01`, `1.`, `.5`, `+1`, `1e`, `1e+`, `1E-7`, `0.0e0`, `-0.5E+10`,
+		`"\u12"`, `"\uZZZZ"`, `"\u00e9\uD800"`, `"\x"`, `"\/\b\f\n\r\t\"\\"`,
+		"\"a\x01\"", "\"\xff\xfe\"", "\"\x7f\"",
+		`tru`, `truex`, `nul`, `false `, `null`,
+		``, ` `, `""`, `"`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := validJSON(data), json.Valid(data); got != want {
+			t.Fatalf("validJSON(%q) = %v, json.Valid %v", data, got, want)
+		}
+	})
+}
+
+// TestValidJSONNestingLimit pins encoding/json's nesting limit: 10,000
+// levels of arrays or objects are valid and 10,001 are not, and a status
+// result counts the status object as one level.
+func TestValidJSONNestingLimit(t *testing.T) {
+	nest := func(levels int) (arrays, objects []byte) {
+		arrays = []byte(strings.Repeat("[", levels) + strings.Repeat("]", levels))
+		objects = []byte(strings.Repeat(`{"a":`, levels) + "1" + strings.Repeat("}", levels))
+		return arrays, objects
+	}
+	for _, levels := range []int{maxNesting, maxNesting + 1} {
+		arrays, objects := nest(levels)
+		for _, data := range [][]byte{arrays, objects} {
+			if got, want := validJSON(data), levels <= 10000; got != want || json.Valid(data) != want {
+				t.Errorf("%d levels: validJSON %v, json.Valid %v, want %v", levels, got, json.Valid(data), want)
+			}
+		}
+		result, _ := nest(levels - 1)
+		body := append(append([]byte(`{"id":"a","result":`), result...), '}')
+		var got, want JobStatus
+		gotErr, wantErr := DecodeStatus(body, &got), json.Unmarshal(body, &want)
+		if errText(gotErr) != errText(wantErr) || (gotErr == nil) != (levels <= 10000) || !bytes.Equal(got.Result, want.Result) {
+			t.Errorf("status nested %d levels: DecodeStatus error %v, encoding/json %v", levels, gotErr, wantErr)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
 	"net/http"
@@ -765,9 +766,10 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeStatus writes the bytes WriteJSON would, but splices the stored
+// writeStatus writes the bytes WriteJSON would without copying the stored
+// payload: it encodes st without Result, then writes that head, the
 // payload (json.Marshal output, which the encoder would only re-validate)
-// in as the last field, Result, after encoding the rest of st.
+// as the last field, and the closing "}\n".
 func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	result := st.Result
 	if len(result) == 0 {
@@ -775,16 +777,17 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 		return
 	}
 	st.Result = nil
-	b, _ := json.Marshal(st) // strings and a bool: cannot fail
-	b = append(b[:len(b)-1], `,"result":`...)
-	b = append(b, result...)
-	b = append(b, "}\n"...)
+	head, _ := json.Marshal(st) // strings and a bool: cannot fail
+	head = append(head[:len(head)-1], `,"result":`...)
+	const tail = "}\n"
 	w.Header().Set("Content-Type", "application/json")
 	// A declared length spares a body past net/http's 2 KiB buffer the
 	// chunked encoding, and lets the reader size its buffer once.
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(result)+len(tail)))
 	w.WriteHeader(code)
-	w.Write(b)
+	w.Write(head)
+	w.Write(result)
+	io.WriteString(w, tail)
 }
 
 // WriteError writes the error envelope ({"error": ..., "code": ...}) that

@@ -186,7 +186,7 @@ func TestFidelityDrivenRun(t *testing.T) {
 	// Mark block boundaries every 10 gates.
 	blocked := circuit.New(n, "blocked")
 	for i, g := range c.Gates() {
-		blocked.Append(g)
+		blocked.Append(&g)
 		if (i+1)%10 == 0 {
 			blocked.EndBlock()
 		}

@@ -87,7 +87,7 @@ func TestQFTInverseCancellation(t *testing.T) {
 	n := 5
 	c := gen.QFT(n)
 	for _, g := range gen.InverseQFT(n).Gates() {
-		c.Append(g)
+		c.Append(&g)
 	}
 	empty := circuit.New(n, "empty")
 	res, err := Equivalent(c, empty)
@@ -114,10 +114,10 @@ func TestCircuitInverseIsAdjoint(t *testing.T) {
 	}
 	both := circuit.New(4, "both")
 	for _, g := range c.Gates() {
-		both.Append(g)
+		both.Append(&g)
 	}
 	for _, g := range inv.Gates() {
-		both.Append(g)
+		both.Append(&g)
 	}
 	res, err := Equivalent(both, circuit.New(4, "empty"))
 	if err != nil {

@@ -119,7 +119,7 @@ func main() {
 	// The multi-worker BatchRun configurations measure parallel scaling,
 	// which depends on ambient machine load no calibration can correct, so
 	// the gate covers the Batch engine through its serial configuration.
-	match := flag.String("match", `Gate|Session|Channel|Lookup|ApproximationPrimitive|QASMParse|CanonicalHash|ResultDecode|BatchRun/workers1$|RouterRoundTrip`, "regexp selecting the gated benchmarks")
+	match := flag.String("match", `Gate|Session|Channel|Lookup|ApproximationPrimitive|QASMParse|CanonicalHash|ResultDecode|StatusDecode|BatchRun/workers1$|RouterRoundTrip`, "regexp selecting the gated benchmarks")
 	minScaling := flag.Float64("min-scaling", 2.5, "required BatchRun workers1/workers4 ns/op speedup, pro rata K/4 at K = min(NumCPU, 4) workers; skipped on 1 CPU (0 disables)")
 	flag.Parse()
 

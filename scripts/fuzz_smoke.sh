@@ -21,6 +21,8 @@ FuzzKrausChannel ./internal/density
 FuzzFromSpec ./internal/gen
 FuzzJobRequest ./internal/serve
 FuzzResultPayloadDecode ./internal/serve
+FuzzDecodeStatus ./internal/serve
+FuzzValidJSON ./internal/serve
 FuzzWeightTable ./internal/cnum'
 
 i=0
