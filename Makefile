@@ -39,9 +39,13 @@ test:
 	$(GO) test ./...
 
 ## race: run the full test suite three times under the race detector (the
-## CI gate), so a flaky test fails instead of passing on a lucky run
+## CI gate), so a flaky test fails instead of passing on a lucky run. The two
+## tests that run all of Table I (the golden check and the true-fidelity
+## check) take 20-30 s each under -race and run once.
+RACE_ONCE := ^(TestGoldensAreFresh|TestTrueFidelityIsTheRowsOwnRun)$$
 race:
-	$(GO) test -race -count=3 ./...
+	$(GO) test -race -count=3 -skip '$(RACE_ONCE)' ./...
+	$(GO) test -race -count=1 -run '$(RACE_ONCE)' ./cmd/experiments ./internal/benchtab
 
 ## bench: one-iteration benchmark smoke pass (checks the harness, not perf)
 bench:

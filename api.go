@@ -36,8 +36,6 @@ type (
 	VEdge = dd.VEdge
 	// MEdge is an operation decision diagram.
 	MEdge = dd.MEdge
-	// Simulator runs circuits on a DD manager.
-	Simulator = sim.Simulator
 	// Options configures a simulation run; the zero value runs exact.
 	Options = sim.Options
 	// Session is a resumable gate-level simulation: Step/StepN/Seek
@@ -267,23 +265,19 @@ func BatchSeed(base int64, index int) int64 { return batch.Seed(base, index) }
 // NewCircuit returns an empty circuit on n qubits.
 func NewCircuit(n int, name string) *Circuit { return circuit.New(n, name) }
 
-// NewSimulator returns a simulator with a fresh DD manager.
-func NewSimulator() *Simulator { return sim.New() }
-
-// Run simulates the circuit on a fresh simulator:
+// Run simulates the circuit on a fresh DD manager, Result.Manager:
 //
 //	res, err := repro.Run(c, repro.Options{
 //		Strategy: repro.NewFidelityDriven(0.8, 0.95), MeasurementSeed: 7})
 //
-// For repeated runs sharing one DD manager, use NewSimulator and
-// Simulator.Run.
+// Every run owns its manager; Manager.Fidelity compares final states of
+// different runs.
 func Run(c *Circuit, opts Options) (*Result, error) {
-	return sim.New().Run(c, opts)
+	return sim.Run(c, opts)
 }
 
-// NewSession starts a resumable gate-level simulation on a fresh simulator:
-// step, observe, and steer it mid-run, then Finish for the Result. Sessions
-// on a shared manager come from Simulator.NewSession.
+// NewSession starts a resumable gate-level simulation on a fresh DD
+// manager: step, observe, and steer it mid-run, then Finish for the Result.
 func NewSession(c *Circuit, opts Options) (*Session, error) {
 	return sim.NewSession(c, opts)
 }
@@ -305,8 +299,8 @@ func NewStrategyByName(name string, params json.RawMessage) (Strategy, error) {
 // StrategyNames lists every registered strategy name, sorted.
 func StrategyNames() []string { return core.StrategyNames() }
 
-// RunAndCompare simulates a circuit exactly and approximately and measures
-// the true fidelity between the final states.
+// RunAndCompare simulates a circuit exactly and approximately, each on its
+// own manager, and measures the true fidelity between the final states.
 func RunAndCompare(c *Circuit, opts Options) (*Comparison, error) {
 	return sim.RunAndCompare(c, opts)
 }

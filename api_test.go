@@ -22,12 +22,11 @@ func TestFacadeBellState(t *testing.T) {
 	c := repro.NewCircuit(2, "bell")
 	c.H(1)
 	c.CX(1, 0)
-	s := repro.NewSimulator()
-	res, err := s.Run(c, repro.Options{})
+	res, err := repro.Run(c, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := s.M.ToVector(res.Final, 2)
+	vec := res.Manager.ToVector(res.Final, 2)
 	want := 1 / math.Sqrt2
 	if math.Abs(real(vec[0])-want) > 1e-12 || math.Abs(real(vec[3])-want) > 1e-12 {
 		t.Errorf("Bell amplitudes %v", vec)
@@ -77,23 +76,22 @@ func TestFacadeQASMRoundTrip(t *testing.T) {
 }
 
 func TestFacadeContributionsAndApprox(t *testing.T) {
-	s := repro.NewSimulator()
-	res, err := s.Run(repro.WStateCircuit(6), repro.Options{})
+	res, err := repro.Run(repro.WStateCircuit(6), repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	contribs := repro.NodeContributions(s.M, res.Final)
+	contribs := repro.NodeContributions(res.Manager, res.Final)
 	if len(contribs) == 0 {
 		t.Fatal("no contributions")
 	}
-	_, rep, err := repro.ApproximateToFidelity(s.M, res.Final, 0.8)
+	_, rep, err := repro.ApproximateToFidelity(res.Manager, res.Final, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Achieved < 0.8-1e-9 {
 		t.Errorf("fidelity guarantee broken: %v", rep.Achieved)
 	}
-	small, rep2, err := repro.ApproximateToSize(s.M, res.Final, 8)
+	small, rep2, err := repro.ApproximateToSize(res.Manager, res.Final, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +124,7 @@ func TestFacadeTable1Formatting(t *testing.T) {
 }
 
 func TestFacadeDOTAndRender(t *testing.T) {
-	s := repro.NewSimulator()
-	res, err := s.Run(repro.GHZCircuit(3), repro.Options{})
+	res, err := repro.Run(repro.GHZCircuit(3), repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +148,7 @@ func TestFacadeGenerators(t *testing.T) {
 		if c.Len() == 0 {
 			t.Errorf("%s: empty circuit", name)
 		}
-		s := repro.NewSimulator()
-		if _, err := s.Run(c, repro.Options{}); err != nil {
+		if _, err := repro.Run(c, repro.Options{}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -164,13 +160,12 @@ func Example_quickstart() {
 	c := repro.NewCircuit(2, "bell")
 	c.H(1)
 	c.CX(1, 0)
-	s := repro.NewSimulator()
-	res, err := s.Run(c, repro.Options{})
+	res, err := repro.Run(c, repro.Options{})
 	if err != nil {
 		panic(err)
 	}
 	for idx := uint64(0); idx < 4; idx++ {
-		fmt.Printf("P(|%02b>) = %.2f\n", idx, s.M.Probability(res.Final, idx, 2))
+		fmt.Printf("P(|%02b>) = %.2f\n", idx, res.Manager.Probability(res.Final, idx, 2))
 	}
 	// Output:
 	// P(|00>) = 0.50

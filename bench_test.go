@@ -36,8 +36,7 @@ func BenchmarkTable1MemoryDriven(b *testing.B) {
 	}
 	b.Run("exact_"+cfg.Name(), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := sim.New()
-			res, err := s.Run(circ, sim.Options{})
+			res, err := sim.Run(circ, sim.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -47,8 +46,7 @@ func BenchmarkTable1MemoryDriven(b *testing.B) {
 	for _, fround := range []float64{0.99, 0.975, 0.95} {
 		b.Run(fmt.Sprintf("approx_%s_fround%g", cfg.Name(), fround), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := sim.New()
-				res, err := s.Run(circ, sim.Options{Strategy: &core.MemoryDriven{
+				res, err := sim.Run(circ, sim.Options{Strategy: &core.MemoryDriven{
 					Threshold: 1 << 10, RoundFidelity: fround, Growth: 1.05,
 				}})
 				if err != nil {
@@ -74,8 +72,7 @@ func BenchmarkTable1FidelityDriven(b *testing.B) {
 		circ := inst.BuildCircuit()
 		b.Run("exact_"+inst.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := sim.New()
-				res, err := s.Run(circ, sim.Options{})
+				res, err := sim.Run(circ, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -84,8 +81,7 @@ func BenchmarkTable1FidelityDriven(b *testing.B) {
 		})
 		b.Run("approx_"+inst.Name()+"_ffinal0.5", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := sim.New()
-				res, err := s.Run(circ, sim.Options{
+				res, err := sim.Run(circ, sim.Options{
 					Strategy: core.NewFidelityDriven(0.5, 0.9),
 				})
 				if err != nil {
@@ -132,8 +128,7 @@ func BenchmarkAblationThresholdSweep(b *testing.B) {
 	for _, threshold := range []int{1 << 8, 1 << 10, 1 << 12} {
 		b.Run(fmt.Sprintf("threshold%d", threshold), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := sim.New()
-				res, err := s.Run(circ, sim.Options{Strategy: &core.MemoryDriven{
+				res, err := sim.Run(circ, sim.Options{Strategy: &core.MemoryDriven{
 					Threshold: threshold, RoundFidelity: 0.975, Growth: 1.05,
 				}})
 				if err != nil {
@@ -159,8 +154,7 @@ func BenchmarkAblationRoundTradeoff(b *testing.B) {
 	for _, fround := range []float64{0.71, 0.9, 0.99} {
 		b.Run(fmt.Sprintf("fround%g", fround), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := sim.New()
-				res, err := s.Run(circ, sim.Options{
+				res, err := sim.Run(circ, sim.Options{
 					Strategy: core.NewFidelityDriven(0.5, fround),
 				})
 				if err != nil {
@@ -187,8 +181,7 @@ func BenchmarkBaselineDenseVsDD(b *testing.B) {
 	for _, w := range workloads {
 		b.Run("dd_"+w.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := sim.New()
-				if _, err := s.Run(w.c, sim.Options{}); err != nil {
+				if _, err := sim.Run(w.c, sim.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -218,8 +211,7 @@ func BenchmarkAblationMatVecVsMatMat(b *testing.B) {
 	circ := gen.QFT(10)
 	b.Run("matvec", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := sim.New()
-			if _, err := s.Run(circ, sim.Options{}); err != nil {
+			if _, err := sim.Run(circ, sim.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -300,38 +292,41 @@ func BenchmarkApproximationPrimitive(b *testing.B) {
 }
 
 func BenchmarkDDGateApplication(b *testing.B) {
-	s := sim.New()
 	circ := gen.RandomCliffordT(12, 200, 3)
-	res, err := s.Run(circ, sim.Options{})
+	res, err := sim.Run(circ, sim.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := s.M.MakeGateDD(12, [4]complex128{
+	h := res.Manager.MakeGateDD(12, [4]complex128{
 		complex(0.7071067811865476, 0), complex(0.7071067811865476, 0),
 		complex(0.7071067811865476, 0), complex(-0.7071067811865476, 0),
 	}, 6)
 	b.ResetTimer()
 	state := res.Final
 	for i := 0; i < b.N; i++ {
-		state = s.M.MulVec(h, state)
+		state = res.Manager.MulVec(h, state)
 	}
 }
 
 func BenchmarkDDInnerProduct(b *testing.B) {
-	s := sim.New()
-	a, err := s.Run(gen.QFT(14), sim.Options{})
+	a, err := sim.Run(gen.QFT(14), sim.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The second run shares the manager: keep a's final state out of the
-	// node pool's reach while it executes.
-	c, err := s.Run(gen.RandomCliffordT(14, 100, 5), sim.Options{KeepAlive: []dd.VEdge{a.Final}})
+	c, err := sim.Run(gen.RandomCliffordT(14, 100, 5), sim.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Import c's state into a's manager, so the loop times the manager's
+	// own cached inner product.
+	m := a.Manager
+	cf, err := m.FromAmplitudes(c.Manager.ToVector(c.Final, 14))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.M.Fidelity(a.Final, c.Final)
+		_ = m.Fidelity(a.Final, cf)
 	}
 }
 

@@ -133,8 +133,7 @@ func run(args []string, w io.Writer) error {
 		opts.Observer = traceObserver{w: w}
 	}
 
-	s := sim.New()
-	res, err := s.Run(circ, opts)
+	res, err := sim.Run(circ, opts)
 	if err != nil {
 		return err
 	}

@@ -291,20 +291,21 @@ func noisyFidelity(w io.Writer, _ env) error {
 		for _, p := range []float64{0.005, 0.02, 0.05} {
 			noise := sim.NoiseModel{Kind: kind, P: p, Seed: 1}
 
-			s := sim.New()
-			ideal, err := s.Run(c, sim.Options{})
+			ideal, err := sim.Run(c, sim.Options{})
 			if err != nil {
 				return err
 			}
-			den, err := s.Run(c, sim.Options{
-				Backend:   sim.BackendDensity,
-				Noise:     &noise,
-				KeepAlive: []dd.VEdge{ideal.Final},
-			})
+			den, err := sim.Run(c, sim.Options{Backend: sim.BackendDensity, Noise: &noise})
 			if err != nil {
 				return err
 			}
-			exact := den.Density.FidelityPure(ideal.Final)
+			// The ideal state moves into the density run's manager through
+			// its amplitudes (2^6 of them).
+			psi, err := den.Manager.FromAmplitudes(ideal.Manager.ToVector(ideal.Final, c.NumQubits))
+			if err != nil {
+				return err
+			}
+			exact := den.Density.FidelityPure(psi)
 
 			est, err := sim.TrajectoryFidelity(c, noise, trajectories)
 			if err != nil {
@@ -335,28 +336,23 @@ func shorHalfFidelity(w io.Writer, _ env) error {
 	return nil
 }
 
-// memorySystemStats runs the E8 supremacy circuit (exact, then memory-driven
-// approximate) on one manager and reports the DD memory system's per-cache
-// hit/miss/eviction counters, node-pool traffic, and weight-table pressure.
+// memorySystemStats runs the E8 supremacy circuit memory-driven and reports
+// the run's own DD memory-system counters: per-cache hits, misses and
+// evictions, node-pool traffic, and weight-table pressure.
 func memorySystemStats(w io.Writer, _ env) error {
 	cfg := supremacy.Config{Rows: 3, Cols: 4, Depth: 16, Seed: 0}
 	c, err := cfg.Generate()
 	if err != nil {
 		return err
 	}
-	s := sim.New()
-	if _, err := s.Run(c, sim.Options{}); err != nil {
-		return err
-	}
-	s.Recycle()
-	res, err := s.Run(c, sim.Options{
+	res, err := sim.Run(c, sim.Options{
 		Strategy: &core.MemoryDriven{Threshold: 1 << 10, RoundFidelity: 0.975, Growth: 1.05},
 	})
 	if err != nil {
 		return err
 	}
 	st := res.DDStats
-	fmt.Fprintf(w, "workload: %s exact + memory-driven on one manager (Recycle between runs)\n\n", cfg.Name())
+	fmt.Fprintf(w, "workload: %s memory-driven\n\n", cfg.Name())
 	fmt.Fprintln(w, "| cache | hits | misses | evictions | hit ratio |")
 	fmt.Fprintln(w, "|-------|-----:|-------:|----------:|----------:|")
 	for _, row := range []struct {

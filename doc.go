@@ -22,9 +22,9 @@
 //	c := repro.NewCircuit(2, "bell")
 //	c.H(1)
 //	c.CX(1, 0)
-//	s := repro.NewSimulator()
-//	res, err := s.Run(c, repro.Options{})
-//	// res.Final is the state DD; sample or inspect amplitudes via s.M.
+//	res, err := repro.Run(c, repro.Options{})
+//	// res.Final is the state DD; sample or inspect amplitudes via
+//	// res.Manager, the run's own DD manager.
 //
 // Batch simulation: the paper's tables and hyper-parameter sweeps are many
 // independent runs, and BatchRun fans them out across a worker pool (one

@@ -21,12 +21,11 @@ func main() {
 		n, n, marked, circ.Len())
 
 	// Exact run.
-	s := repro.NewSimulator()
-	exact, err := s.Run(circ, repro.Options{})
+	exact, err := repro.Run(circ, repro.Options{})
 	if err != nil {
 		panic(err)
 	}
-	pExact := s.M.Probability(exact.Final, marked, n)
+	pExact := exact.Manager.Probability(exact.Final, marked, n)
 	fmt.Printf("\nexact:               P(marked) = %.4f, max DD %d nodes\n",
 		pExact, exact.MaxDDSize)
 

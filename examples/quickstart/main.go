@@ -16,19 +16,19 @@ func main() {
 	bell.H(1)
 	bell.CX(1, 0)
 
-	s := repro.NewSimulator()
-	res, err := s.Run(bell, repro.Options{})
+	res, err := repro.Run(bell, repro.Options{})
 	if err != nil {
 		panic(err)
 	}
+	m := res.Manager // the run's own DD manager
 	fmt.Println("Bell state amplitudes:")
-	for i, a := range s.M.ToVector(res.Final, 2) {
+	for i, a := range m.ToVector(res.Final, 2) {
 		fmt.Printf("  |%02b⟩: %v\n", i, a)
 	}
 
 	// --- 2. The paper's Fig. 1 state and its decision diagram -------------
 	inv := 1 / math.Sqrt(10)
-	fig1, err := s.M.FromAmplitudes([]complex128{
+	fig1, err := m.FromAmplitudes([]complex128{
 		complex(inv, 0), 0, 0, complex(-inv, 0),
 		0, complex(2*inv, 0), 0, complex(2*inv, 0),
 	})
@@ -39,13 +39,13 @@ func main() {
 
 	// --- 3. Node contributions (Definition 2, Example 7) ------------------
 	fmt.Println("node contributions per level:")
-	for node, c := range repro.NodeContributions(s.M, fig1) {
+	for node, c := range repro.NodeContributions(m, fig1) {
 		fmt.Printf("  q%d node #%d: %.3f\n", node.Var, node.ID(), c)
 	}
 
 	// --- 4. Approximation rounds with fidelity budgets (Example 8) --------
 	// A 0.1 budget removes only the cheapest node (contribution 0.1).
-	mild, report, err := repro.ApproximateToFidelity(s.M, fig1, 0.9)
+	mild, report, err := repro.ApproximateToFidelity(m, fig1, 0.9)
 	if err != nil {
 		panic(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 	// child overlaps the cheaper removal, only 0.2 mass is actually lost:
 	// achieved fidelity 0.8 and the paper's Fig. 1d state.
 	var approx repro.VEdge
-	approx, report, err = repro.ApproximateToFidelity(s.M, fig1, 0.7)
+	approx, report, err = repro.ApproximateToFidelity(m, fig1, 0.7)
 	if err != nil {
 		panic(err)
 	}
@@ -64,5 +64,5 @@ func main() {
 		report.SizeBefore, report.SizeAfter, report.Achieved)
 	fmt.Printf("resulting state (the paper's Fig. 1d, (|101⟩+|111⟩)/√2):\n%s",
 		repro.RenderDD(approx))
-	fmt.Printf("true fidelity check: %.3f\n", s.M.Fidelity(fig1, approx))
+	fmt.Printf("true fidelity check: %.3f\n", m.Fidelity(fig1, approx))
 }

@@ -11,8 +11,6 @@ import (
 	"fmt"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/supremacy"
 )
 
@@ -25,16 +23,14 @@ func main() {
 	fmt.Printf("benchmark %s: %d qubits, %d gates, %d cycles\n",
 		cfg.Name(), cfg.Qubits(), circ.Len(), cfg.Depth)
 
-	s := repro.NewSimulator()
-	exact, err := s.Run(circ, repro.Options{CollectSizeHistory: true})
+	exact, err := repro.Run(circ, repro.Options{CollectSizeHistory: true})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("\nexact:  max DD %6d nodes, runtime %v\n", exact.MaxDDSize, exact.Runtime)
 
 	for _, fround := range []float64{0.99, 0.975, 0.95} {
-		s := sim.New()
-		res, err := s.Run(circ, sim.Options{Strategy: &core.MemoryDriven{
+		res, err := repro.Run(circ, repro.Options{Strategy: &repro.MemoryDriven{
 			Threshold:     1 << 10,
 			RoundFidelity: fround,
 			Growth:        1.05,

@@ -9,8 +9,6 @@ import (
 	"fmt"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/supremacy"
 )
 
@@ -31,8 +29,7 @@ func shorRoundTradeoff() {
 	fmt.Println("f_round  rounds  maxDD   runtime      tracked-f")
 	for _, fround := range []float64{0.51, 0.71, 0.8, 0.9, 0.95, 0.99} {
 		strat := repro.NewFidelityDriven(0.5, fround)
-		s := sim.New()
-		res, err := s.Run(circ, sim.Options{Strategy: strat})
+		res, err := repro.Run(circ, repro.Options{Strategy: strat})
 		if err != nil {
 			panic(err)
 		}
@@ -50,8 +47,7 @@ func supremacyThresholdSweep() {
 	}
 	fmt.Printf("— %s: threshold sweep at f_round = 0.975 —\n", cfg.Name())
 
-	s := sim.New()
-	exact, err := s.Run(circ, sim.Options{})
+	exact, err := repro.Run(circ, repro.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -59,8 +55,7 @@ func supremacyThresholdSweep() {
 
 	fmt.Println("threshold  rounds  maxDD   runtime      f_final")
 	for _, threshold := range []int{1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12} {
-		s := sim.New()
-		res, err := s.Run(circ, sim.Options{Strategy: &core.MemoryDriven{
+		res, err := repro.Run(circ, repro.Options{Strategy: &repro.MemoryDriven{
 			Threshold:     threshold,
 			RoundFidelity: 0.975,
 			Growth:        1.05,

@@ -191,7 +191,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Result, error) {
 	return res, cause
 }
 
-// runJob executes one started job on a fresh simulator. Its timeout and
+// runJob executes one started job on a fresh manager. Its timeout and
 // measurement seed are already resolved on the job; the caller passes the
 // outcome through finalize.
 func runJob(ctx context.Context, worker, idx int, job Job) JobResult {
@@ -217,7 +217,7 @@ func runJob(ctx context.Context, worker, idx int, job Job) JobResult {
 		o.Observer = job.Observer
 	}
 	begin := time.Now()
-	jr.Result, jr.Err = sim.New().Run(job.Circuit, o)
+	jr.Result, jr.Err = sim.Run(job.Circuit, o)
 	jr.Elapsed = time.Since(begin)
 	return jr
 }

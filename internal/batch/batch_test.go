@@ -207,8 +207,7 @@ func TestCancellationMidBatch(t *testing.T) {
 func TestContextCancelAbortsInFlightRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: the simulation must abort between gates
-	s := sim.New()
-	_, err := s.Run(gen.QFT(8), sim.Options{Context: ctx})
+	_, err := sim.Run(gen.QFT(8), sim.Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want wrapped context.Canceled", err)
 	}

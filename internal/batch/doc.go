@@ -1,5 +1,5 @@
 // Package batch fans independent simulation jobs out across a pool of
-// worker goroutines. Every job runs on its own fresh sim.Simulator — DD
+// worker goroutines. Every job runs on its own fresh DD manager (sim.Run) —
 // managers are not goroutine-safe, so a manager is never shared.
 //
 // There is one engine, Pool: a fixed set of workers draining a bounded

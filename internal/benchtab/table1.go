@@ -8,7 +8,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/dd"
 	"repro/internal/shor"
 	"repro/internal/sim"
 	"repro/internal/supremacy"
@@ -34,9 +33,9 @@ type Row struct {
 	FidBound     float64 // guaranteed product of round targets
 	ApproxFailed string  // non-empty if the approximate run errored
 
-	// Extra columns beyond the paper (available because both states fit in
-	// one manager at reproduction scale): the measured true fidelity, -1
-	// when the exact reference is unavailable.
+	// Extra column beyond the paper (available because the exact state fits
+	// in memory at reproduction scale): the measured true fidelity of the
+	// row's run, -1 when the exact reference is unavailable.
 	TrueFidelity float64
 }
 
@@ -146,8 +145,10 @@ func (s Suite) runBenchmarks(ctx context.Context, benches []benchmark, opts RunO
 				registry: cfg.registry, params: cfg.params, timeout: s.Timeout}
 		}
 		trueFid[i] = make([]float64, len(approx))
+		// The approximate jobs follow the exact one: job len(cells)+1+j is
+		// row j.
 		cells = append(cells, cell{name: b.name + "/exact", circuit: b.circuit, timeout: s.Timeout,
-			finalize: s.sampleTrue(ctx, b.circuit, approx, trueFid[i])})
+			finalize: s.sampleTrue(ctx, b.circuit, approx, opts.BaseSeed, len(cells)+1, trueFid[i])})
 		cells = append(cells, approx...)
 	}
 	jrs, err := run(ctx, cells, opts)
@@ -168,12 +169,13 @@ func (s Suite) runBenchmarks(ctx context.Context, benches []benchmark, opts RunO
 }
 
 // sampleTrue returns the Finalize hook of an exact reference job when the
-// suite samples true fidelities (nil otherwise). Inside the exact run's
-// manager, it re-runs each approximate configuration in order and stores
-// its fidelity against the exact final state in out (-1 when the exact run
-// or the re-run fails). fillApprox copies a value into its row only when
-// the row's own approximate job succeeded.
-func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, approx []cell, out []float64) func(*batch.JobResult) {
+// suite samples true fidelities (nil otherwise). It re-runs approximate
+// configuration j, in order, on a fresh manager with the measurement seed of
+// its row's job (job firstJob+j), so each re-run is the row's own run, and
+// stores its fidelity against the exact final state in out[j] (-1 when the
+// exact run or the re-run fails). fillApprox copies a value into its row
+// only when the row's own approximate job succeeded.
+func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, approx []cell, baseSeed int64, firstJob int, out []float64) func(*batch.JobResult) {
 	for j := range out {
 		out[j] = -1
 	}
@@ -187,8 +189,6 @@ func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, approx []cell
 		if jr.Err != nil {
 			return
 		}
-		exact := jr.Result
-		simr := &sim.Simulator{M: exact.Manager}
 		for j, a := range approx {
 			// Each re-run gets the suite's per-simulation timeout, like
 			// every other Table I simulation.
@@ -196,16 +196,15 @@ func (s Suite) sampleTrue(ctx context.Context, c *circuit.Circuit, approx []cell
 			if s.Timeout > 0 {
 				runCtx, cancel = context.WithTimeoutCause(ctx, s.Timeout, sim.ErrDeadlineExceeded)
 			}
-			res, err := simr.Run(c, sim.Options{
-				Strategy: a.strategy(),
-				Context:  runCtx,
-				// The exact final state must survive this run's node-pool
-				// sweeps for the fidelity comparison below.
-				KeepAlive: []dd.VEdge{exact.Final},
+			res, err := sim.Run(c, sim.Options{
+				Strategy: a.strategy(), Context: runCtx, MeasurementSeed: batch.Seed(baseSeed, firstJob+j),
 			})
 			cancel()
 			if err == nil {
-				out[j] = simr.M.Fidelity(exact.Final, res.Final)
+				out[j], err = sim.Fidelity(jr.Result, res)
+			}
+			if err != nil {
+				out[j] = -1
 			}
 		}
 	}

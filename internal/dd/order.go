@@ -28,8 +28,7 @@ import "fmt"
 // SetOrder relabels interpretation only — it does not move any existing
 // nodes. DDs built under a different order keep their structure and become
 // semantically stale, so callers set the order before building states (the
-// simulation session does this at start-up, and refuses to combine
-// reordering with cross-run KeepAlive states).
+// simulation session does this at start-up, on its own fresh manager).
 func (m *Manager) SetOrder(perm []int) error {
 	if len(perm) == 0 {
 		m.qubitToLevel, m.levelToQubit = nil, nil
@@ -53,9 +52,6 @@ func (m *Manager) SetOrder(perm []int) error {
 	m.levelToQubit = inv
 	return nil
 }
-
-// ResetOrder restores the identity order (qubit q at level q).
-func (m *Manager) ResetOrder() { m.qubitToLevel, m.levelToQubit = nil, nil }
 
 // OrderIsIdentity reports whether every qubit sits at its identity level.
 func (m *Manager) OrderIsIdentity() bool {

@@ -9,14 +9,13 @@ import (
 
 func TestDeutschJozsaConstant(t *testing.T) {
 	n := 6
-	s := sim.New()
-	res, err := s.Run(DeutschJozsa(n, false, 0), sim.Options{})
+	res, err := sim.Run(DeutschJozsa(n, false, 0), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Data qubits must be |0...0⟩ (oracle qubit in |-⟩ may be 0 or 1).
-	p := s.M.Probability(res.Final, 0, n+1) +
-		s.M.Probability(res.Final, 1<<uint(n), n+1)
+	p := res.Manager.Probability(res.Final, 0, n+1) +
+		res.Manager.Probability(res.Final, 1<<uint(n), n+1)
 	if math.Abs(p-1) > 1e-9 {
 		t.Errorf("constant oracle: P(data=0) = %v", p)
 	}
@@ -25,13 +24,12 @@ func TestDeutschJozsaConstant(t *testing.T) {
 func TestDeutschJozsaBalanced(t *testing.T) {
 	n := 6
 	mask := uint64(0b110101)
-	s := sim.New()
-	res, err := s.Run(DeutschJozsa(n, true, mask), sim.Options{})
+	res, err := sim.Run(DeutschJozsa(n, true, mask), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.M.Probability(res.Final, mask, n+1) +
-		s.M.Probability(res.Final, mask|1<<uint(n), n+1)
+	p := res.Manager.Probability(res.Final, mask, n+1) +
+		res.Manager.Probability(res.Final, mask|1<<uint(n), n+1)
 	if math.Abs(p-1) > 1e-9 {
 		t.Errorf("balanced oracle: P(data=mask) = %v", p)
 	}
@@ -52,13 +50,12 @@ func TestPhaseEstimationExactPhase(t *testing.T) {
 	tBits := 5
 	for _, k := range []uint64{1, 7, 19, 31} {
 		phi := float64(k) / 32
-		s := sim.New()
-		res, err := s.Run(PhaseEstimation(tBits, phi), sim.Options{})
+		res, err := sim.Run(PhaseEstimation(tBits, phi), sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := uint64(1) | k<<1 // eigenstate qubit is |1⟩, counting bits above
-		if p := s.M.Probability(res.Final, want, tBits+1); math.Abs(p-1) > 1e-9 {
+		if p := res.Manager.Probability(res.Final, want, tBits+1); math.Abs(p-1) > 1e-9 {
 			t.Errorf("φ=%v: P(counting=%d) = %v", phi, k, p)
 		}
 	}
@@ -69,16 +66,15 @@ func TestPhaseEstimationInexactPhaseConcentrates(t *testing.T) {
 	// total probability ≥ 8/π² ≈ 0.81.
 	tBits := 6
 	phi := 1 / math.Pi
-	s := sim.New()
-	res, err := s.Run(PhaseEstimation(tBits, phi), sim.Options{})
+	res, err := sim.Run(PhaseEstimation(tBits, phi), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := phi * 64
 	lo := uint64(math.Floor(grid))
 	hi := (lo + 1) % 64
-	p := s.M.Probability(res.Final, 1|lo<<1, tBits+1) +
-		s.M.Probability(res.Final, 1|hi<<1, tBits+1)
+	p := res.Manager.Probability(res.Final, 1|lo<<1, tBits+1) +
+		res.Manager.Probability(res.Final, 1|hi<<1, tBits+1)
 	if p < 0.8 {
 		t.Errorf("neighbour probability %v < 0.8", p)
 	}
@@ -102,8 +98,7 @@ func TestRippleCarryAdder(t *testing.T) {
 	for _, tc := range [][2]uint64{{0, 0}, {1, 1}, {5, 9}, {15, 15}, {7, 12}, {8, 8}} {
 		a, b := tc[0], tc[1]
 		c := RippleCarryAdder(n, a, b)
-		s := sim.New()
-		res, err := s.Run(c, sim.Options{})
+		res, err := sim.Run(c, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +107,7 @@ func TestRippleCarryAdder(t *testing.T) {
 		want := (a + b) % 16
 		found := false
 		for idx := uint64(0); idx < 1<<uint(2*n+1); idx++ {
-			p := s.M.Probability(res.Final, idx, 2*n+1)
+			p := res.Manager.Probability(res.Final, idx, 2*n+1)
 			if p > 0.5 {
 				got := idx >> uint(n+1) & (1<<uint(n) - 1)
 				if got != want {

@@ -12,12 +12,11 @@ func TestQFTMatchesDFT(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		Q := 1 << uint(n)
 		for x := 0; x < Q; x++ {
-			s := sim.New()
-			res, err := s.Run(QFT(n), sim.Options{InitialState: uint64(x)})
+			res, err := sim.Run(QFT(n), sim.Options{InitialState: uint64(x)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := s.M.ToVector(res.Final, n)
+			got := res.Manager.ToVector(res.Final, n)
 			// Global phase of the DD root may differ; fix it via y=0, whose
 			// DFT amplitude is always 1/√Q.
 			want0 := complex(1/math.Sqrt(float64(Q)), 0)
@@ -42,12 +41,11 @@ func TestInverseQFTInvertsQFT(t *testing.T) {
 		c.Append(&g)
 	}
 	for x := uint64(0); x < 1<<uint(n); x += 3 {
-		s := sim.New()
-		res, err := s.Run(c, sim.Options{InitialState: x})
+		res, err := sim.Run(c, sim.Options{InitialState: x})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := s.M.Probability(res.Final, x, n); math.Abs(p-1) > 1e-9 {
+		if p := res.Manager.Probability(res.Final, x, n); math.Abs(p-1) > 1e-9 {
 			t.Fatalf("IQFT∘QFT|%d⟩: P = %v", x, p)
 		}
 	}
@@ -55,14 +53,13 @@ func TestInverseQFTInvertsQFT(t *testing.T) {
 
 func TestGHZState(t *testing.T) {
 	n := 6
-	s := sim.New()
-	res, err := s.Run(GHZ(n), sim.Options{})
+	res, err := sim.Run(GHZ(n), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := uint64(1<<uint(n)) - 1
-	p0 := s.M.Probability(res.Final, 0, n)
-	p1 := s.M.Probability(res.Final, all, n)
+	p0 := res.Manager.Probability(res.Final, 0, n)
+	p1 := res.Manager.Probability(res.Final, all, n)
 	if math.Abs(p0-0.5) > 1e-9 || math.Abs(p1-0.5) > 1e-9 {
 		t.Errorf("GHZ probabilities %v, %v", p0, p1)
 	}
@@ -73,15 +70,14 @@ func TestGHZState(t *testing.T) {
 
 func TestWState(t *testing.T) {
 	n := 5
-	s := sim.New()
-	res, err := s.Run(WState(n), sim.Options{})
+	res, err := sim.Run(WState(n), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 1 / float64(n)
 	var total float64
 	for q := 0; q < n; q++ {
-		p := s.M.Probability(res.Final, 1<<uint(q), n)
+		p := res.Manager.Probability(res.Final, 1<<uint(q), n)
 		total += p
 		if math.Abs(p-want) > 1e-9 {
 			t.Errorf("W state P(|e_%d⟩) = %v, want %v", q, p, want)
@@ -95,15 +91,14 @@ func TestWState(t *testing.T) {
 func TestBernsteinVazirani(t *testing.T) {
 	n := 7
 	secret := uint64(0b1011001)
-	s := sim.New()
-	res, err := s.Run(BernsteinVazirani(n, secret), sim.Options{})
+	res, err := sim.Run(BernsteinVazirani(n, secret), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Data qubits must read the secret with probability 1 (oracle qubit in
 	// |-⟩ is traced out by considering both of its values).
-	p := s.M.Probability(res.Final, secret, n+1) +
-		s.M.Probability(res.Final, secret|1<<uint(n), n+1)
+	p := res.Manager.Probability(res.Final, secret, n+1) +
+		res.Manager.Probability(res.Final, secret|1<<uint(n), n+1)
 	if math.Abs(p-1) > 1e-9 {
 		t.Errorf("BV recovered secret with probability %v", p)
 	}
@@ -112,12 +107,11 @@ func TestBernsteinVazirani(t *testing.T) {
 func TestGroverAmplifiesMarked(t *testing.T) {
 	n := 6
 	marked := uint64(0b101101 & ((1 << uint(n)) - 1))
-	s := sim.New()
-	res, err := s.Run(Grover(n, marked, 0), sim.Options{})
+	res, err := sim.Run(Grover(n, marked, 0), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.M.Probability(res.Final, marked, n)
+	p := res.Manager.Probability(res.Final, marked, n)
 	if p < 0.9 {
 		t.Errorf("Grover P(marked) = %v, want > 0.9", p)
 	}

@@ -175,12 +175,11 @@ func TestCliffordOnlyExactAtAnyThreshold(t *testing.T) {
 	const n = 8
 	c := CliffordT(n, 200, 0, 9)
 
-	exact := sim.New()
-	eres, err := exact.Run(c, sim.Options{})
+	eres, err := sim.Run(c, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := exact.M.ToVector(eres.Final, n)
+	want := eres.Manager.ToVector(eres.Final, n)
 
 	// Stabilizer-state sanity: every nonzero amplitude has equal magnitude
 	// and the support size is a power of two.
@@ -201,8 +200,7 @@ func TestCliffordOnlyExactAtAnyThreshold(t *testing.T) {
 	}
 
 	for _, threshold := range []int{4, 16, 64} {
-		s := sim.New()
-		res, err := s.Run(c, sim.Options{
+		res, err := sim.Run(c, sim.Options{
 			Strategy: &core.MemoryDriven{Threshold: threshold, RoundFidelity: 1.0, Growth: 2},
 		})
 		if err != nil {
@@ -211,7 +209,7 @@ func TestCliffordOnlyExactAtAnyThreshold(t *testing.T) {
 		if res.EstimatedFidelity != 1.0 {
 			t.Errorf("threshold=%d: tracked fidelity %v, want exactly 1.0", threshold, res.EstimatedFidelity)
 		}
-		got := s.M.ToVector(res.Final, n)
+		got := res.Manager.ToVector(res.Final, n)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("threshold=%d: amplitude[%d] = %v differs from exact %v", threshold, i, got[i], want[i])

@@ -28,18 +28,16 @@ func TestExportRoundTrip(t *testing.T) {
 			t.Fatalf("%s: reparse: %v\n%s", orig.Name, err, src)
 		}
 		// Semantically identical: same final state from |0...0⟩.
-		s1 := sim.New()
-		r1, err := s1.Run(orig, sim.Options{})
+		r1, err := sim.Run(orig, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2 := sim.New()
-		r2, err := s2.Run(prog.Circuit, sim.Options{})
+		r2, err := sim.Run(prog.Circuit, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1 := s1.M.ToVector(r1.Final, orig.NumQubits)
-		v2 := s2.M.ToVector(r2.Final, orig.NumQubits)
+		v1 := r1.Manager.ToVector(r1.Final, orig.NumQubits)
+		v2 := r2.Manager.ToVector(r2.Final, orig.NumQubits)
 		for i := range v1 {
 			if cmplxAbs(v1[i]-v2[i]) > 1e-9 {
 				t.Fatalf("%s: round trip diverged at amplitude %d: %v vs %v",

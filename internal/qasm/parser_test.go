@@ -36,13 +36,12 @@ func TestParseBell(t *testing.T) {
 	if len(prog.Measurements) != 2 {
 		t.Fatalf("measurements %d", len(prog.Measurements))
 	}
-	s := sim.New()
-	res, err := s.Run(prog.Circuit, sim.Options{})
+	res, err := sim.Run(prog.Circuit, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p00 := s.M.Probability(res.Final, 0b00, 2)
-	p11 := s.M.Probability(res.Final, 0b11, 2)
+	p00 := res.Manager.Probability(res.Final, 0b00, 2)
+	p11 := res.Manager.Probability(res.Final, 0b11, 2)
 	if math.Abs(p00-0.5) > 1e-9 || math.Abs(p11-0.5) > 1e-9 {
 		t.Errorf("Bell probabilities %v %v", p00, p11)
 	}
@@ -177,8 +176,7 @@ sdg q[0];
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	res, err := s.Run(prog.Circuit, sim.Options{})
+	res, err := sim.Run(prog.Circuit, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +188,13 @@ sdg q[0];
 	hand.CZ(0, 1)
 	hand.T(2)
 	hand.Sdg(0)
-	s2 := sim.New()
-	res2, err := s2.Run(hand, sim.Options{})
+	res2, err := sim.Run(hand, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cross-manager comparison via amplitude vectors.
-	v1 := s.M.ToVector(res.Final, 3)
-	v2 := s2.M.ToVector(res2.Final, 3)
+	v1 := res.Manager.ToVector(res.Final, 3)
+	v2 := res2.Manager.ToVector(res2.Final, 3)
 	for i := range v1 {
 		if cmplxAbs(v1[i]-v2[i]) > 1e-12 {
 			t.Fatalf("parsed circuit diverges from hand-built at amplitude %d: %v vs %v", i, v1[i], v2[i])

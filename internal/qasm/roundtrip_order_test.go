@@ -125,7 +125,7 @@ func TestRoundTripSimulatesIdenticallyUnderReorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.New().Run(c, sim.Options{Strategy: st})
+		res, err := sim.Run(c, sim.Options{Strategy: st})
 		if err != nil {
 			t.Fatal(err)
 		}

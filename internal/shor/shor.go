@@ -97,8 +97,7 @@ func (in *Instance) Run(opts RunOptions) (*Outcome, error) {
 		strat.Locations = in.IQFTBoundaries(c)
 		simOpts.Strategy = strat
 	}
-	s := sim.New()
-	res, err := s.Run(c, simOpts)
+	res, err := sim.Run(c, simOpts)
 	if err != nil {
 		return nil, err
 	}

@@ -103,8 +103,7 @@ func TestCountingDistributionExactN15(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	res, err := s.Run(in.BuildCircuit(), sim.Options{})
+	res, err := sim.Run(in.BuildCircuit(), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

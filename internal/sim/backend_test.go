@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/dd"
 	"repro/internal/density"
 	"repro/internal/gen"
 )
@@ -16,20 +15,20 @@ import (
 // suite uses.
 
 func TestBackendValidation(t *testing.T) {
-	if _, err := New().Run(gen.GHZ(3), Options{Backend: "tensor"}); err == nil {
+	if _, err := Run(gen.GHZ(3), Options{Backend: "tensor"}); err == nil {
 		t.Error("unknown backend accepted")
 	}
-	_, err := New().Run(gen.GHZ(3), Options{
+	_, err := Run(gen.GHZ(3), Options{
 		Backend:  BackendDensity,
 		Strategy: &core.MemoryDriven{Threshold: 16, RoundFidelity: 0.97},
 	})
 	if err == nil {
 		t.Error("density backend accepted an approximation strategy")
 	}
-	if _, err := New().Run(gen.GHZ(3), Options{Noise: &NoiseModel{Kind: "banana", P: 0.1}}); err == nil {
+	if _, err := Run(gen.GHZ(3), Options{Noise: &NoiseModel{Kind: "banana", P: 0.1}}); err == nil {
 		t.Error("unknown noise kind accepted")
 	}
-	if _, err := New().Run(gen.GHZ(3), Options{Noise: &NoiseModel{P: 1.5}}); err == nil {
+	if _, err := Run(gen.GHZ(3), Options{Noise: &NoiseModel{P: 1.5}}); err == nil {
 		t.Error("out-of-range noise strength accepted")
 	}
 }
@@ -45,11 +44,11 @@ func TestNoiselessDensityMatchesStatevector(t *testing.T) {
 		gen.Grover(5, 0b10110, 2),
 	}
 	for _, c := range workloads {
-		sv, err := New().Run(c, Options{})
+		sv, err := Run(c, Options{})
 		if err != nil {
 			t.Fatalf("%s statevector: %v", c.Name, err)
 		}
-		den, err := New().Run(c, Options{Backend: BackendDensity})
+		den, err := Run(c, Options{Backend: BackendDensity})
 		if err != nil {
 			t.Fatalf("%s density: %v", c.Name, err)
 		}
@@ -71,24 +70,24 @@ func TestNoiselessDensityMatchesStatevector(t *testing.T) {
 }
 
 // densityFidelity runs the circuit noiselessly (statevector) and then
-// noisily (density) on one manager and returns ⟨ideal|ρ|ideal⟩ — the exact
-// value the trajectory estimator converges to.
+// noisily (density), each on its own manager, and returns ⟨ideal|ρ|ideal⟩ —
+// the exact value the trajectory estimator converges to. The ideal state is
+// rebuilt in the density run's manager from its amplitudes.
 func densityFidelity(t *testing.T, c *circuit.Circuit, noise NoiseModel) float64 {
 	t.Helper()
-	s := New()
-	ideal, err := s.Run(c, Options{})
+	ideal, err := Run(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	den, err := s.Run(c, Options{
-		Backend:   BackendDensity,
-		Noise:     &noise,
-		KeepAlive: []dd.VEdge{ideal.Final},
-	})
+	den, err := Run(c, Options{Backend: BackendDensity, Noise: &noise})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return den.Density.FidelityPure(ideal.Final)
+	psi, err := den.Manager.FromAmplitudes(ideal.Manager.ToVector(ideal.Final, c.NumQubits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return den.Density.FidelityPure(psi)
 }
 
 // TestTrajectoryConvergesToDensity is the headline differential proof:
@@ -113,8 +112,7 @@ func TestTrajectoryConvergesToDensity(t *testing.T) {
 		for _, noise := range noises {
 			exact := densityFidelity(t, c, noise)
 
-			s := New()
-			ideal, err := s.Run(c, Options{})
+			ideal, err := Run(c, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,11 +120,14 @@ func TestTrajectoryConvergesToDensity(t *testing.T) {
 			for k := 0; k < trajectories; k++ {
 				tn := noise
 				tn.Seed = noise.Seed + int64(k)*7919
-				res, err := s.Run(c, Options{KeepAlive: []dd.VEdge{ideal.Final}, Noise: &tn})
+				res, err := Run(c, Options{Noise: &tn})
 				if err != nil {
 					t.Fatal(err)
 				}
-				f := s.M.Fidelity(ideal.Final, res.Final)
+				f, err := Fidelity(ideal, res)
+				if err != nil {
+					t.Fatal(err)
+				}
 				sum += f
 				sumSq += f * f
 			}
@@ -154,11 +155,11 @@ func TestTrajectoryConvergesToDensity(t *testing.T) {
 func TestDensityCleanupKeepsRoots(t *testing.T) {
 	c := gen.QFT(6)
 	noise := NoiseModel{Kind: density.Depolarizing, P: 0.01}
-	ref, err := New().Run(c, Options{Backend: BackendDensity, Noise: &noise})
+	ref, err := Run(c, Options{Backend: BackendDensity, Noise: &noise})
 	if err != nil {
 		t.Fatal(err)
 	}
-	swept, err := New().Run(c, Options{
+	swept, err := Run(c, Options{
 		Backend:          BackendDensity,
 		Noise:            &noise,
 		cleanupHighWater: 64, // far below any real occupancy: sweep almost every gate
@@ -186,7 +187,7 @@ func TestDensityObserverEvents(t *testing.T) {
 	c := pairsCircuit(4)
 	noise := NoiseModel{Kind: density.Depolarizing, P: 0.05}
 	obs := &countingObserver{}
-	res, err := New().Run(c, Options{Backend: BackendDensity, Noise: &noise, Observer: obs})
+	res, err := Run(c, Options{Backend: BackendDensity, Noise: &noise, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestDensityObserverEvents(t *testing.T) {
 
 	// Trajectory at p=1: every touched qubit jumps (branch ≥ 1).
 	obs2 := &countingObserver{}
-	traj, err := New().Run(c, Options{
+	traj, err := Run(c, Options{
 		Noise:    &NoiseModel{Kind: density.BitFlip, P: 1, Seed: 3},
 		Observer: obs2,
 	})
@@ -226,7 +227,7 @@ func TestDensityMeasurement(t *testing.T) {
 	c.CX(0, 1)
 	c.Measure(0)
 	for seed := int64(0); seed < 6; seed++ {
-		res, err := New().Run(c, Options{Backend: BackendDensity, MeasurementSeed: seed})
+		res, err := Run(c, Options{Backend: BackendDensity, MeasurementSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func TestDensityMeasurement(t *testing.T) {
 func TestDensitySessionStepping(t *testing.T) {
 	c := gen.QFT(5)
 	noise := NoiseModel{Kind: density.Dephasing, P: 0.02}
-	ref, err := New().Run(c, Options{Backend: BackendDensity, Noise: &noise})
+	ref, err := Run(c, Options{Backend: BackendDensity, Noise: &noise})
 	if err != nil {
 		t.Fatal(err)
 	}

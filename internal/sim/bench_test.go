@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/dd"
 	"repro/internal/gen"
 )
 
@@ -14,7 +15,9 @@ import (
 // workload, with allocation counts reported. CI archives both lines in
 // BENCH_dd.json so the time and allocs/op trajectories are tracked PR over
 // PR; Run must stay within noise of the explicit session loop and of the
-// pre-Session numbers.
+// pre-Session numbers. Each iteration sweeps one simulator's manager empty
+// instead of building a fresh one, so the figures time the run, not
+// allocating a manager.
 func BenchmarkSessionOverhead(b *testing.B) {
 	circ := gen.QFT(12)
 	newStrategy := func() core.Strategy {
@@ -22,21 +25,21 @@ func BenchmarkSessionOverhead(b *testing.B) {
 	}
 	b.Run("run", func(b *testing.B) {
 		b.ReportAllocs()
-		s := New()
+		s := &simulator{M: dd.New()}
 		for i := 0; i < b.N; i++ {
-			s.Recycle()
-			if _, err := s.Run(circ, Options{Strategy: newStrategy()}); err != nil {
+			s.M.Cleanup(nil, nil)
+			if _, err := s.run(circ, Options{Strategy: newStrategy()}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("session_steps", func(b *testing.B) {
 		b.ReportAllocs()
-		s := New()
+		s := &simulator{M: dd.New()}
 		for i := 0; i < b.N; i++ {
-			s.Recycle()
-			ses, err := s.NewSession(circ, Options{Strategy: newStrategy()})
-			if err != nil {
+			s.M.Cleanup(nil, nil)
+			ses := &Session{}
+			if err := ses.init(s, circ, Options{Strategy: newStrategy()}); err != nil {
 				b.Fatal(err)
 			}
 			for {
@@ -54,10 +57,10 @@ func BenchmarkSessionOverhead(b *testing.B) {
 	b.Run("run_observed", func(b *testing.B) {
 		// The no-op observer's cost on the hot path.
 		b.ReportAllocs()
-		s := New()
+		s := &simulator{M: dd.New()}
 		for i := 0; i < b.N; i++ {
-			s.Recycle()
-			if _, err := s.Run(circ, Options{Strategy: newStrategy(), Observer: core.NopObserver{}}); err != nil {
+			s.M.Cleanup(nil, nil)
+			if _, err := s.run(circ, Options{Strategy: newStrategy(), Observer: core.NopObserver{}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -82,14 +85,14 @@ func BenchmarkSessionOrdering(b *testing.B) {
 			b.ReportAllocs()
 			params := json.RawMessage(`{"order":"` + mode + `"}`)
 			peak := 0
-			s := New()
+			s := &simulator{M: dd.New()}
 			for i := 0; i < b.N; i++ {
-				s.Recycle()
+				s.M.Cleanup(nil, nil)
 				st, err := core.NewStrategyByName("reorder", params)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := s.Run(circ, Options{Strategy: st})
+				res, err := s.run(circ, Options{Strategy: st})
 				if err != nil {
 					b.Fatal(err)
 				}

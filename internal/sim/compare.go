@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 )
@@ -27,22 +28,23 @@ type Comparison struct {
 }
 
 // RunAndCompare simulates the circuit exactly and with the provided options'
-// strategy, inside one manager, and measures the true final fidelity. Only
-// feasible where the exact simulation itself is feasible.
+// strategy, each on its own manager, and measures the true final fidelity.
+// The exact reference starts from the same initial state and draws the same
+// measurement outcomes (opts.MeasurementSeed). Only feasible where the exact
+// simulation itself is feasible; the density backend is refused.
 func RunAndCompare(c *circuit.Circuit, opts Options) (*Comparison, error) {
-	s := New()
-	exact, err := s.Run(c, Options{InitialState: opts.InitialState})
+	exact, err := Run(c, Options{InitialState: opts.InitialState, MeasurementSeed: opts.MeasurementSeed})
 	if err != nil {
 		return nil, fmt.Errorf("sim: exact reference run: %w", err)
 	}
-	// The approximate run shares the manager: keep the exact final state
-	// out of the node pool's reach while it executes.
-	opts.KeepAlive = append(opts.KeepAlive, exact.Final)
-	approx, err := s.Run(c, opts)
+	approx, err := Run(c, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sim: approximate run: %w", err)
 	}
-	f := s.M.Fidelity(exact.Final, approx.Final)
+	f, err := Fidelity(exact, approx)
+	if err != nil {
+		return nil, err
+	}
 	cmp := &Comparison{
 		Exact:         exact,
 		Approx:        approx,
@@ -56,4 +58,24 @@ func RunAndCompare(c *circuit.Circuit, opts Options) (*Comparison, error) {
 		cmp.Speedup = float64(exact.Runtime) / float64(approx.Runtime)
 	}
 	return cmp, nil
+}
+
+// Fidelity returns |⟨a|b⟩|² between the final states of two statevector
+// results, each on its own manager. It refuses results without a final
+// state vector (the density backend, or a batch result read after its
+// Finalize hook) and results over different qubits or variable orders,
+// whose DD levels do not pair up.
+func Fidelity(a, b *Result) (float64, error) {
+	for _, r := range []*Result{a, b} {
+		if r.Manager == nil || r.Final.N == nil {
+			return 0, fmt.Errorf("sim: fidelity needs two final state vectors, and a %s result has none", r.Backend)
+		}
+	}
+	if a.NumQubits != b.NumQubits {
+		return 0, fmt.Errorf("sim: fidelity between %d- and %d-qubit states", a.NumQubits, b.NumQubits)
+	}
+	if oa, ob := a.Manager.Order(a.NumQubits), b.Manager.Order(b.NumQubits); !slices.Equal(oa, ob) {
+		return 0, fmt.Errorf("sim: fidelity between states under variable orders %v and %v", oa, ob)
+	}
+	return a.Manager.Fidelity(a.Final, b.Final), nil
 }

@@ -10,10 +10,9 @@ import (
 )
 
 func TestDeadlineExceededIsTyped(t *testing.T) {
-	s := New()
 	ctx, cancel := context.WithDeadlineCause(context.Background(), time.Now().Add(-time.Second), ErrDeadlineExceeded)
 	defer cancel()
-	_, err := s.Run(gen.QFT(8), Options{Context: ctx})
+	_, err := Run(gen.QFT(8), Options{Context: ctx})
 	if err == nil {
 		t.Fatal("expired deadline accepted")
 	}
@@ -23,11 +22,10 @@ func TestDeadlineExceededIsTyped(t *testing.T) {
 }
 
 func TestCanceledContextAbortsRun(t *testing.T) {
-	s := New()
 	ctx, cancel := context.WithCancelCause(context.Background())
 	boom := errors.New("boom")
 	cancel(boom)
-	_, err := s.Run(gen.QFT(8), Options{Context: ctx})
+	_, err := Run(gen.QFT(8), Options{Context: ctx})
 	if err == nil {
 		t.Fatal("canceled context accepted")
 	}
@@ -37,23 +35,20 @@ func TestCanceledContextAbortsRun(t *testing.T) {
 }
 
 func TestLiveContextDoesNotInterfere(t *testing.T) {
-	s := New()
-	if _, err := s.Run(gen.QFT(6), Options{Context: context.Background()}); err != nil {
+	if _, err := Run(gen.QFT(6), Options{Context: context.Background()}); err != nil {
 		t.Fatalf("live context rejected run: %v", err)
 	}
 }
 
 func TestNoDeadlineMeansNoLimit(t *testing.T) {
-	s := New()
-	if _, err := s.Run(gen.QFT(6), Options{}); err != nil {
+	if _, err := Run(gen.QFT(6), Options{}); err != nil {
 		t.Fatalf("zero deadline rejected run: %v", err)
 	}
 }
 
 func TestSizeHistoryMatchesGateCount(t *testing.T) {
 	c := gen.GHZ(5)
-	s := New()
-	res, err := s.Run(c, Options{CollectSizeHistory: true})
+	res, err := Run(c, Options{CollectSizeHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}

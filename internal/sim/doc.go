@@ -7,7 +7,7 @@
 // every gate. Callers either run a circuit end to end (Run is a thin,
 // allocation-neutral loop over a Session) or drive it explicitly —
 // Step/StepN/Seek between gates, State to inspect the live DD, Abort to
-// release pooled nodes early, Finish for the Result. Instrumentation records
+// end the run early, Finish for the Result. Instrumentation records
 // the paper's metrics: maximum DD size over the run, approximation rounds,
 // and the fidelity accounting of Lemma 1, plus the DD memory-system
 // counters (Result.DDStats, Result.WeightTable).
@@ -23,15 +23,14 @@
 // the HTTP service abort in-flight work, and a deadline (the paper's
 // timeout column) is a context from context.WithTimeoutCause carrying
 // ErrDeadlineExceeded as its cancellation cause. Mid-circuit measurement
-// and reset are deterministic per Options.MeasurementSeed. A Simulator owns
-// one dd.Manager whose node pools are swept on occupancy pressure during
-// the run (past 1<<17 live nodes, a threshold that adapts upward when a
-// sweep finds the pool mostly live) and recycled wholesale between runs by
-// Recycle; state edges that must survive a later run's sweeps are protected
-// with Options.KeepAlive.
+// and reset are deterministic per Options.MeasurementSeed. Every run (Run or
+// NewSession) owns one fresh dd.Manager, Result.Manager, whose node pools
+// are swept on occupancy pressure during the run (past 1<<17 live nodes, a
+// threshold that adapts upward when a sweep finds the pool mostly live).
 //
-// RunAndCompare executes a circuit exactly and approximately inside one
-// manager and measures the true fidelity between the final states — the
-// paper's empirical validation, and the source of the Table I true-fidelity
-// column.
+// Fidelity compares the final states of two runs across their managers.
+// RunAndCompare executes a circuit exactly and approximately, each on its
+// own manager, and measures the true fidelity between the final states —
+// the paper's empirical validation; the Table I true-fidelity column is
+// measured the same way.
 package sim

@@ -80,7 +80,7 @@ func TestReportedFidelityIsProductOfRounds(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					res, err := New().Run(c, Options{Strategy: strat})
+					res, err := Run(c, Options{Strategy: strat})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -19,8 +19,7 @@ func TestMidCircuitMeasurementGHZ(t *testing.T) {
 			c.CX(q, q-1)
 		}
 		c.Measure(0)
-		s := New()
-		res, err := s.Run(c, Options{MeasurementSeed: seed})
+		res, err := Run(c, Options{MeasurementSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +32,7 @@ func TestMidCircuitMeasurementGHZ(t *testing.T) {
 		if out == 1 {
 			want = 1<<uint(n) - 1
 		}
-		if p := s.M.Probability(res.Final, want, n); math.Abs(p-1) > 1e-9 {
+		if p := res.Manager.Probability(res.Final, want, n); math.Abs(p-1) > 1e-9 {
 			t.Fatalf("seed %d: GHZ collapse broken: P(|%0*b⟩) = %v", seed, n, want, p)
 		}
 	}
@@ -49,8 +48,7 @@ func TestMeasurementDeterministicPerSeed(t *testing.T) {
 	c.Measure(0)
 	c.Measure(1)
 	run := func() []Measurement {
-		s := New()
-		res, err := s.Run(c, Options{MeasurementSeed: 42})
+		res, err := Run(c, Options{MeasurementSeed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,12 +68,11 @@ func TestResetGate(t *testing.T) {
 		c := circuit.New(2, "reset")
 		c.H(0)
 		c.Reset(0)
-		s := New()
-		res, err := s.Run(c, Options{MeasurementSeed: seed})
+		res, err := Run(c, Options{MeasurementSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := s.M.ProbabilityOne(res.Final, 0, 2); p > 1e-9 {
+		if p := res.Manager.ProbabilityOne(res.Final, 0, 2); p > 1e-9 {
 			t.Fatalf("seed %d: qubit not reset: P(1) = %v", seed, p)
 		}
 	}
@@ -105,8 +102,7 @@ func TestTeleportationCircuit(t *testing.T) {
 		c.H(0)
 		c.Measure(0)
 		c.Measure(1)
-		s := New()
-		res, err := s.Run(c, Options{MeasurementSeed: seed})
+		res, err := Run(c, Options{MeasurementSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,14 +110,14 @@ func TestTeleportationCircuit(t *testing.T) {
 		m1 := res.Measurements[1].Outcome
 		state := res.Final
 		if m1 == 1 {
-			x := s.M.MakeGateDD(3, [4]complex128{0, 1, 1, 0}, 2)
-			state = s.M.MulVec(x, state)
+			x := res.Manager.MakeGateDD(3, [4]complex128{0, 1, 1, 0}, 2)
+			state = res.Manager.MulVec(x, state)
 		}
 		if m0 == 1 {
-			z := s.M.MakeGateDD(3, [4]complex128{1, 0, 0, -1}, 2)
-			state = s.M.MulVec(z, state)
+			z := res.Manager.MakeGateDD(3, [4]complex128{1, 0, 0, -1}, 2)
+			state = res.Manager.MulVec(z, state)
 		}
-		sum += s.M.ProbabilityOne(state, 2, 3)
+		sum += res.Manager.ProbabilityOne(state, 2, 3)
 	}
 	got := sum / trials
 	// Every individual teleportation is exact, so the mean is exact too.

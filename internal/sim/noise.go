@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
-	"repro/internal/dd"
 	"repro/internal/density"
 )
 
@@ -98,16 +97,15 @@ func ParseNoise(kind string, params map[string]float64) (NoiseModel, error) {
 }
 
 // TrajectoryFidelity estimates the channel fidelity at the given noise level
-// by averaging |⟨ideal|trajectory⟩|² over `trajectories` runs. The ideal
-// state is simulated exactly once in the same manager. The density backend
-// computes the same quantity — ⟨ideal|ρ|ideal⟩ — exactly in a single run;
-// this Monte-Carlo estimator converges to it at the usual 1/√N rate.
+// by averaging |⟨ideal|trajectory⟩|² over `trajectories` runs, each on its
+// own manager; the ideal state is simulated exactly once. The density
+// backend computes the same quantity — ⟨ideal|ρ|ideal⟩ — exactly in a single
+// run; this Monte-Carlo estimator converges to it at the usual 1/√N rate.
 func TrajectoryFidelity(c *circuit.Circuit, noise NoiseModel, trajectories int) (float64, error) {
 	if trajectories < 1 {
 		return 0, fmt.Errorf("sim: need at least one trajectory")
 	}
-	s := New()
-	ideal, err := s.Run(c, Options{})
+	ideal, err := Run(c, Options{})
 	if err != nil {
 		return 0, err
 	}
@@ -115,13 +113,15 @@ func TrajectoryFidelity(c *circuit.Circuit, noise NoiseModel, trajectories int) 
 	for k := 0; k < trajectories; k++ {
 		tn := noise
 		tn.Seed = noise.Seed + int64(k)*7919
-		// Trajectories share the ideal run's manager: the ideal final state
-		// must survive each trajectory's node-pool sweeps.
-		res, err := s.Run(c, Options{KeepAlive: []dd.VEdge{ideal.Final}, Noise: &tn})
+		res, err := Run(c, Options{Noise: &tn})
 		if err != nil {
 			return 0, err
 		}
-		sum += s.M.Fidelity(ideal.Final, res.Final)
+		f, err := Fidelity(ideal, res)
+		if err != nil {
+			return 0, err
+		}
+		sum += f
 	}
 	return sum / float64(trajectories), nil
 }

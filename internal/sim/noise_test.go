@@ -11,25 +11,23 @@ import (
 )
 
 func TestZeroNoiseIsExact(t *testing.T) {
-	s := New()
-	res, err := s.Run(gen.GHZ(5), Options{Noise: &NoiseModel{}})
+	res, err := Run(gen.GHZ(5), Options{Noise: &NoiseModel{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ChannelApplications != 0 {
 		t.Errorf("%d errors injected at p=0", res.ChannelApplications)
 	}
-	if p := s.M.Probability(res.Final, 0, 5); math.Abs(p-0.5) > 1e-9 {
+	if p := res.Manager.Probability(res.Final, 0, 5); math.Abs(p-0.5) > 1e-9 {
 		t.Errorf("GHZ P(|00000⟩) = %v", p)
 	}
 }
 
 func TestNoiseValidation(t *testing.T) {
-	s := New()
-	if _, err := s.Run(gen.GHZ(3), Options{Noise: &NoiseModel{P: 1.5}}); err == nil {
+	if _, err := Run(gen.GHZ(3), Options{Noise: &NoiseModel{P: 1.5}}); err == nil {
 		t.Error("p > 1 accepted")
 	}
-	if _, err := s.Run(gen.GHZ(3), Options{Noise: &NoiseModel{P: -0.1}}); err == nil {
+	if _, err := Run(gen.GHZ(3), Options{Noise: &NoiseModel{P: -0.1}}); err == nil {
 		t.Error("p < 0 accepted")
 	}
 	if _, err := TrajectoryFidelity(gen.GHZ(3), NoiseModel{P: 0.01}, 0); err == nil {
@@ -66,8 +64,7 @@ func TestParseNoiseIsOrderIndependent(t *testing.T) {
 
 func TestNoiseInjectsErrorsDeterministically(t *testing.T) {
 	c := gen.RandomCliffordT(4, 80, 1)
-	s1 := New()
-	res1, err := s1.Run(c, Options{Noise: &NoiseModel{P: 0.05, Seed: 9}})
+	res1, err := Run(c, Options{Noise: &NoiseModel{P: 0.05, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +72,7 @@ func TestNoiseInjectsErrorsDeterministically(t *testing.T) {
 	if errs1 == 0 {
 		t.Fatal("no errors injected at p=0.05 over ~120 gate-qubit slots")
 	}
-	s2 := New()
-	res2, err := s2.Run(c, Options{Noise: &NoiseModel{P: 0.05, Seed: 9}})
+	res2, err := Run(c, Options{Noise: &NoiseModel{P: 0.05, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +105,7 @@ func TestNoisyTrajectoryWithApproximation(t *testing.T) {
 	// bookkeeping of the approximation strategy regardless of the injected
 	// errors.
 	c := gen.RandomCliffordT(8, 150, 3)
-	s := New()
-	res, err := s.Run(c, Options{
+	res, err := Run(c, Options{
 		Strategy: &core.MemoryDriven{Threshold: 16, RoundFidelity: 0.97},
 		Noise:    &NoiseModel{P: 0.01, Seed: 2},
 	})

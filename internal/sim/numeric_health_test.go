@@ -21,7 +21,7 @@ func TestWeightTableOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New().Run(c, Options{})
+		res, err := Run(c, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec, err)
 		}

@@ -51,7 +51,7 @@ func orderTestCircuits(t *testing.T) map[string]*circuit.Circuit {
 func TestOrderingDifferential(t *testing.T) {
 	for name, c := range orderTestCircuits(t) {
 		t.Run(name, func(t *testing.T) {
-			ref, err := New().Run(c, Options{})
+			ref, err := Run(c, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestOrderingDifferential(t *testing.T) {
 				`{"order":"scored"}`,
 				`{"order":"scored","sift":true,"sift_threshold":8}`,
 			} {
-				res, err := New().Run(c, Options{Strategy: reorderStrategy(t, mode)})
+				res, err := Run(c, Options{Strategy: reorderStrategy(t, mode)})
 				if err != nil {
 					t.Fatalf("%s: %v", mode, err)
 				}
@@ -101,12 +101,12 @@ func TestOrderingMeasurementDifferential(t *testing.T) {
 	c.H(1)
 	c.Measure(0)
 
-	ref, err := New().Run(c, Options{MeasurementSeed: 99})
+	ref, err := Run(c, Options{MeasurementSeed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []string{`{"order":"reversed"}`, `{"order":"scored"}`} {
-		res, err := New().Run(c, Options{MeasurementSeed: 99, Strategy: reorderStrategy(t, mode)})
+		res, err := Run(c, Options{MeasurementSeed: 99, Strategy: reorderStrategy(t, mode)})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -127,7 +127,7 @@ func TestOrderingMeasurementDifferential(t *testing.T) {
 func TestOrderingComposesWithApproximation(t *testing.T) {
 	c := orderTestCircuits(t)["supremacy"]
 	st := reorderStrategy(t, `{"order":"scored","inner":"memory","inner_params":{"threshold":24,"round_fidelity":0.9}}`)
-	res, err := New().Run(c, Options{Strategy: st})
+	res, err := Run(c, Options{Strategy: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestOrderingComposesWithApproximation(t *testing.T) {
 // workload peaks far lower under the scored order than under identity.
 func TestStaticOrderReducesPeak(t *testing.T) {
 	c := orderTestCircuits(t)["pairs"]
-	ident, err := New().Run(c, Options{})
+	ident, err := Run(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scored, err := New().Run(c, Options{Strategy: reorderStrategy(t, `{"order":"scored"}`)})
+	scored, err := Run(c, Options{Strategy: reorderStrategy(t, `{"order":"scored"}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestStaticOrderReducesPeak(t *testing.T) {
 func TestSiftingReducesPeakMidRun(t *testing.T) {
 	c := orderTestCircuits(t)["pairs"]
 	obs := &countingObserver{}
-	res, err := New().Run(c, Options{
+	res, err := Run(c, Options{
 		Strategy: reorderStrategy(t, `{"order":"identity","sift":true,"sift_threshold":8,"sift_max_passes":4}`),
 		Observer: obs,
 	})
@@ -195,56 +195,16 @@ func TestSiftingReducesPeakMidRun(t *testing.T) {
 	}
 }
 
-// TestReorderRejectsKeepAlive: combining reordering with cross-run states
-// must fail loudly instead of silently reinterpreting them.
-func TestReorderRejectsKeepAlive(t *testing.T) {
-	s := New()
-	first, err := s.Run(gen.QFT(4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Run(gen.QFT(4), Options{
-		Strategy:  reorderStrategy(t, `{"order":"reversed"}`),
-		KeepAlive: []dd.VEdge{first.Final},
-	})
-	if err == nil {
-		t.Fatal("reorder + KeepAlive accepted")
-	}
-}
-
 // TestReorderRejectsPermGates: permutation payloads address levels directly.
 func TestReorderRejectsPermGates(t *testing.T) {
 	c := circuit.New(3, "perm")
 	c.H(2)
 	c.Permutation([]int{1, 0, 3, 2}, 2)
-	if _, err := New().Run(c, Options{Strategy: reorderStrategy(t, `{"order":"scored"}`)}); err == nil {
+	if _, err := Run(c, Options{Strategy: reorderStrategy(t, `{"order":"scored"}`)}); err == nil {
 		t.Fatal("reorder accepted a permutation-gate circuit")
 	}
-	if _, err := New().Run(c, Options{}); err != nil {
+	if _, err := Run(c, Options{}); err != nil {
 		t.Fatalf("identity-order run must still work: %v", err)
-	}
-}
-
-// TestManagerOrderResetBetweenRuns: a reused simulator must fall back to the
-// identity order for runs without a reordering strategy.
-func TestManagerOrderResetBetweenRuns(t *testing.T) {
-	s := New()
-	if _, err := s.Run(gen.QFT(5), Options{Strategy: reorderStrategy(t, `{"order":"reversed"}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if !s.M.OrderIsIdentity() {
-		// The reordered run leaves its order on the manager…
-		res, err := s.Run(gen.QFT(5), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// …but a plain run resets to identity before building state.
-		if !s.M.OrderIsIdentity() {
-			t.Fatal("plain run did not restore the identity order")
-		}
-		if res.InitialOrder != nil {
-			t.Fatal("plain run should not record an order")
-		}
 	}
 }
 
@@ -253,7 +213,7 @@ func TestManagerOrderResetBetweenRuns(t *testing.T) {
 func TestOrderStrategyDirectConstruction(t *testing.T) {
 	c := orderTestCircuits(t)["qft"]
 	st := order.NewReorder(core.ReorderPolicy{Static: order.Reversed}, &core.MemoryDriven{Threshold: 1 << 12, RoundFidelity: 0.99})
-	res, err := New().Run(c, Options{Strategy: st})
+	res, err := Run(c, Options{Strategy: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +263,7 @@ func TestRoundSizeAfterMatchesReturnedState(t *testing.T) {
 	} {
 		st := reorderStrategy(t, `{"order":"identity","sift":true,"sift_threshold":8,`+inner+`}`)
 		check := &sizeCheck{Strategy: st.(*order.Strategy), t: t}
-		res, err := New().Run(c, Options{Strategy: check})
+		res, err := Run(c, Options{Strategy: check})
 		if err != nil {
 			t.Fatal(err)
 		}

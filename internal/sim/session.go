@@ -29,14 +29,12 @@ var (
 // simulation in flight — inspect the state between gates, drive custom
 // approximation policy from outside, or abandon a run early.
 //
-// A session is single-goroutine: it borrows its Simulator's DD manager and
-// must not be interleaved with other runs on the same manager (states from
-// earlier runs survive only if listed in Options.KeepAlive). Obtain one with
-// Simulator.NewSession or the package-level NewSession, then either call
-// Finish to run to completion or step explicitly. After a mid-run error the
-// session is dead: every method returns the same sticky error.
+// A session is single-goroutine and owns a fresh DD manager. Obtain one with
+// NewSession, then either call Finish to run to completion or step
+// explicitly. After a mid-run error the session is dead: every method
+// returns the same sticky error.
 type Session struct {
-	sim      *Simulator
+	sim      *simulator
 	c        *circuit.Circuit
 	opts     Options
 	strategy core.Strategy
@@ -73,26 +71,21 @@ type Session struct {
 	finished bool  // Finish completed; res is final
 }
 
-// NewSession starts a resumable simulation of the circuit on this simulator's
-// manager. The circuit is validated and the initial state prepared eagerly,
-// so errors surface here rather than on the first Step.
-func (s *Simulator) NewSession(c *circuit.Circuit, opts Options) (*Session, error) {
+// NewSession starts a resumable simulation of the circuit on a fresh DD
+// manager owned by the session. The circuit is validated and the initial
+// state prepared eagerly, so errors surface here rather than on the first
+// Step.
+func NewSession(c *circuit.Circuit, opts Options) (*Session, error) {
 	ses := &Session{}
-	if err := ses.init(s, c, opts); err != nil {
+	if err := ses.init(&simulator{M: dd.New()}, c, opts); err != nil {
 		return nil, err
 	}
 	return ses, nil
 }
 
-// NewSession starts a resumable simulation on a fresh simulator (one new DD
-// manager owned by the session).
-func NewSession(c *circuit.Circuit, opts Options) (*Session, error) {
-	return New().NewSession(c, opts)
-}
-
 // init prepares the session. It is split from NewSession so Run can hold the
 // Session on the stack and stay allocation-neutral with the pre-Session loop.
-func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
+func (ses *Session) init(s *simulator, c *circuit.Circuit, opts Options) error {
 	strategy := opts.Strategy
 	if strategy == nil {
 		strategy = core.Exact{}
@@ -114,11 +107,7 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 	// Variable ordering. A strategy implementing core.Reorderer chooses the
 	// qubit→level order the whole run executes under; it must be installed
 	// before the initial state is built. Reordering is incompatible with
-	// cross-run KeepAlive states (they were built under the previous order
-	// and would silently change meaning) and with permutation gates (their
-	// payloads address DD levels directly). Runs without a reordering
-	// strategy restore the identity order so results stay reproducible when
-	// one simulator runs several circuits in sequence.
+	// permutation gates (their payloads address DD levels directly).
 	var policy core.ReorderPolicy
 	reorderer, hasReorder := strategy.(core.Reorderer)
 	if hasReorder {
@@ -126,9 +115,6 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 	}
 	var initialOrder []int
 	if hasReorder {
-		if len(opts.KeepAlive) > 0 {
-			return fmt.Errorf("sim: reordering cannot be combined with KeepAlive states from earlier runs")
-		}
 		if (policy.Sift || (policy.Static != "" && policy.Static != order.Identity)) && order.HasPermGate(c) {
 			return fmt.Errorf("sim: circuit %q carries permutation gates, which require the identity order", c.Name)
 		}
@@ -142,8 +128,6 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 			}
 		}
 		initialOrder = m.Order(c.NumQubits)
-	} else if !m.OrderIsIdentity() && len(opts.KeepAlive) == 0 {
-		m.ResetOrder()
 	}
 
 	startTable := weightTableCounters(m.CN)
@@ -164,9 +148,9 @@ func (ses *Session) init(s *Simulator, c *circuit.Circuit, opts Options) error {
 		res.SizeHistory = make([]int, 0, c.Len())
 	}
 
-	// Invalidate the simulator's retained gate cache: stale operation DDs
-	// from an earlier run can never leak in, but the signature slots (and
-	// the slice capacity) survive across runs on one simulator.
+	// Invalidate the gate cache: a simulator swept and reused (as the
+	// session benchmarks do) must not apply swept operation DDs. The
+	// signature slots (and the slice capacity) survive.
 	s.clearGateCache()
 
 	*ses = Session{
@@ -340,22 +324,19 @@ func (ses *Session) Finish() (*Result, error) {
 	return res, nil
 }
 
-// Abort ends the session early and returns its pooled nodes: every node not
-// reachable from Options.KeepAlive goes back to the manager's free stacks
-// (states from this session, including the one State returned, become
-// invalid). Subsequent calls on the session return ErrSessionAborted.
-// Aborting a finished or already-failed session is a no-op.
+// Abort ends the session early: subsequent calls on the session return
+// ErrSessionAborted, and the session's manager becomes garbage once the
+// caller drops the session. Aborting a finished or already-failed session
+// is a no-op.
 func (ses *Session) Abort() {
 	if ses.err != nil || ses.finished {
 		return
 	}
 	ses.err = ErrSessionAborted
-	finalSize := ses.curSize() // before the sweep frees these nodes
-	ses.sim.M.Cleanup(ses.opts.KeepAlive, nil)
 	ses.obs.OnFinish(core.FinishEvent{
 		GatesApplied:      ses.next,
 		MaxDDSize:         ses.res.MaxDDSize,
-		FinalDDSize:       finalSize,
+		FinalDDSize:       ses.curSize(),
 		Rounds:            ses.tracker.Count(),
 		EstimatedFidelity: ses.tracker.Achieved(),
 		Aborted:           true,
@@ -458,16 +439,15 @@ func (ses *Session) step() error {
 
 // cleanup sweeps the node pools after gate i. The mark roots are the live
 // state (a vector root on the statevector backend, the density matrix root
-// on the density backend), Options.KeepAlive, the cached gate DDs and the
-// lifted channel DDs.
+// on the density backend), the cached gate DDs and the lifted channel DDs.
 func (ses *Session) cleanup(i, live int) {
 	m := ses.sim.M
-	roots := ses.opts.KeepAlive
+	var roots []dd.VEdge
 	mRoots := ses.sim.mRoots[:0]
 	if ses.den != nil {
 		mRoots = append(mRoots, ses.den.Root)
 	} else {
-		roots = append([]dd.VEdge{ses.state}, roots...)
+		roots = []dd.VEdge{ses.state}
 	}
 	for _, e := range ses.sim.gateDDs {
 		if e.N != nil {

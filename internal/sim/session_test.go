@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/dd"
 	"repro/internal/gen"
 )
 
@@ -109,7 +108,7 @@ func TestSessionFinishMatchesRun(t *testing.T) {
 			opts := w.opts
 			opts.MeasurementSeed = seed
 			opts.Strategy = freshStrategy(w.opts.Strategy)
-			ref, err := New().Run(w.c, opts)
+			ref, err := Run(w.c, opts)
 			if err != nil {
 				t.Fatalf("%s seed %d: run: %v", w.name, seed, err)
 			}
@@ -133,7 +132,7 @@ func TestSessionStepByStepMatchesRun(t *testing.T) {
 		opts := w.opts
 		opts.MeasurementSeed = 7
 		opts.Strategy = freshStrategy(w.opts.Strategy)
-		ref, err := New().Run(w.c, opts)
+		ref, err := Run(w.c, opts)
 		if err != nil {
 			t.Fatalf("%s: run: %v", w.name, err)
 		}
@@ -179,7 +178,7 @@ func TestSessionStepNAndSeekMatchRun(t *testing.T) {
 		opts := w.opts
 		opts.MeasurementSeed = 42
 		opts.Strategy = freshStrategy(w.opts.Strategy)
-		ref, err := New().Run(w.c, opts)
+		ref, err := Run(w.c, opts)
 		if err != nil {
 			t.Fatalf("%s: run: %v", w.name, err)
 		}
@@ -245,30 +244,20 @@ func TestSessionSeekValidation(t *testing.T) {
 	}
 }
 
-func TestSessionAbortReleasesPooledNodes(t *testing.T) {
+func TestSessionAbortIsSticky(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	c := randomCircuit(10, 150, rng)
-	s := New()
-	ses, err := s.NewSession(c, Options{})
+	obs := &countingObserver{}
+	ses, err := NewSession(c, Options{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ses.StepN(100); err != nil {
 		t.Fatal(err)
 	}
-	midRun := s.M.Pool().Live
-	if midRun == 0 {
-		t.Fatal("no live nodes mid-run; test is vacuous")
-	}
 	ses.Abort()
-	afterAbort := s.M.Pool().Live
-	// The manager keeps a few internal nodes alive through any sweep; the
-	// floor is whatever a full rootless Recycle leaves, and Abort must
-	// reach exactly that floor.
-	s.Recycle()
-	floor := s.M.Pool().Live
-	if afterAbort != floor {
-		t.Errorf("Abort left %d pooled nodes live (mid-run %d, recycle floor %d)", afterAbort, midRun, floor)
+	if obs.finishes != 1 || !obs.finish.Aborted || obs.finish.GatesApplied != 100 {
+		t.Errorf("abort finish event = %+v (%d events)", obs.finish, obs.finishes)
 	}
 	if err := ses.Step(); !errors.Is(err, ErrSessionAborted) {
 		t.Errorf("Step after Abort: %v, want ErrSessionAborted", err)
@@ -276,30 +265,9 @@ func TestSessionAbortReleasesPooledNodes(t *testing.T) {
 	if _, err := ses.Finish(); !errors.Is(err, ErrSessionAborted) {
 		t.Errorf("Finish after Abort: %v, want ErrSessionAborted", err)
 	}
-
-	// The manager is reusable after an abort.
-	if _, err := s.Run(gen.GHZ(5), Options{}); err != nil {
-		t.Fatalf("manager unusable after Abort: %v", err)
-	}
-}
-
-func TestSessionAbortKeepsKeepAliveRoots(t *testing.T) {
-	s := New()
-	ref, err := s.Run(gen.GHZ(8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.M.ToVector(ref.Final, 8)
-	ses, err := s.NewSession(gen.QFT(8), Options{KeepAlive: []dd.VEdge{ref.Final}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ses.StepN(20); err != nil {
-		t.Fatal(err)
-	}
 	ses.Abort()
-	if got := s.M.ToVector(ref.Final, 8); !reflect.DeepEqual(want, got) {
-		t.Error("KeepAlive state clobbered by Abort's sweep")
+	if obs.finishes != 1 {
+		t.Errorf("second Abort reported another finish (%d events)", obs.finishes)
 	}
 }
 
@@ -324,8 +292,7 @@ func TestObserverSeesEveryEvent(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	c := randomCircuit(8, 120, rng)
 	obs := &countingObserver{}
-	s := New()
-	res, err := s.Run(c, Options{
+	res, err := Run(c, Options{
 		Strategy:         &core.MemoryDriven{Threshold: 16, RoundFidelity: 0.98},
 		cleanupHighWater: 2000,
 		Observer:         obs,

@@ -50,12 +50,6 @@ type Options struct {
 	// MeasurementSeed seeds the RNG used by mid-circuit measurement and
 	// reset gates (deterministic per seed).
 	MeasurementSeed int64
-	// KeepAlive lists state edges from earlier runs on the same manager
-	// that must survive this run's Cleanup sweeps (the node pool recycles
-	// anything not reachable from a root). RunAndCompare and the Table I
-	// true-fidelity column use this to keep the exact reference state valid
-	// while the approximate run executes.
-	KeepAlive []dd.VEdge
 	// Observer, when non-nil, receives lifecycle events (per-gate sizes,
 	// approximation rounds, cleanups, completion) as the run executes. It
 	// is invoked on the simulating goroutine between gates; nil selects
@@ -76,8 +70,9 @@ var ErrDeadlineExceeded = errors.New("sim: deadline exceeded")
 
 // Result reports a finished simulation.
 type Result struct {
-	// Manager owns the final state; callers use it to sample, compute
-	// amplitudes, or compare fidelities. For batch and pool jobs, Manager,
+	// Manager is the run's own DD manager, fresh for this run, and owns the
+	// final state; callers use it to sample or compute amplitudes, and
+	// Fidelity compares final states across runs. For batch and pool jobs, Manager,
 	// Final and Density are valid only inside Job.Finalize: the engine
 	// clears all three when Finalize returns, so a retained result does
 	// not pin its manager.
@@ -92,9 +87,8 @@ type Result struct {
 	// noiseless run).
 	Noise *NoiseModel
 	// Density is the final density matrix (density backend only). Like
-	// Final, it is owned by Manager and stays valid only until the next
-	// run on the same manager recycles its nodes (for batch and pool jobs,
-	// only inside Job.Finalize).
+	// Final, it is owned by Manager (for batch and pool jobs, valid only
+	// inside Job.Finalize).
 	Density *density.State
 	// Purity is Tr ρ² of the final density matrix (density backend only;
 	// 1 for a pure state, 2⁻ⁿ for the maximally mixed state).
@@ -149,8 +143,7 @@ type Result struct {
 	Measurements []Measurement
 	// DDStats snapshots the manager's memory-system counters (unique-table
 	// sizes, node pool traffic, per-cache hits/misses/evictions) at the end
-	// of the run. With a shared manager the counters span its lifetime, not
-	// just this run.
+	// of the run.
 	DDStats dd.Stats
 	// WeightTable reports complex-weight-table pressure over this run, so
 	// long sweeps can spot unbounded interning growth.
@@ -195,18 +188,17 @@ func (w WeightTableStats) HitRatio() float64 {
 	return float64(w.Hits) / float64(w.Lookups)
 }
 
-// Simulator runs circuits on a dedicated DD manager. A simulator can run
-// several circuits in sequence; states from different runs share the manager
-// and may be compared with Fidelity.
-type Simulator struct {
+// simulator is one run's DD manager plus its gate-DD cache. Run and
+// NewSession build one on a fresh manager per run, so every run owns its
+// manager and interns nothing another run interned.
+type simulator struct {
 	M *dd.Manager
 
 	// Gate-DD cache. sigSlots maps gate signatures to slots, so each
-	// signature string is allocated once per distinct gate over the
-	// simulator's lifetime. gateDDs holds the per-epoch operation DDs (an
-	// edge with a nil node is unbuilt); invalidation (session start/end,
-	// reorder passes) zeroes the slice without touching the map. Sessions on
-	// one simulator are sequential by contract, so sharing the cache is safe.
+	// signature string is allocated once per distinct gate. gateDDs holds
+	// the per-epoch operation DDs (an edge with a nil node is unbuilt);
+	// invalidation (session start, reorder passes) zeroes the slice without
+	// touching the map.
 	sigSlots map[string]int
 	gateDDs  []dd.MEdge
 	// sigBuf is the reusable gate-signature buffer; slot lookups go through
@@ -216,24 +208,21 @@ type Simulator struct {
 	mRoots []dd.MEdge
 }
 
-// New returns a Simulator with a fresh manager.
-func New() *Simulator { return &Simulator{M: dd.New()} }
-
-// Recycle sweeps the manager's node pools with no roots, returning every
-// node built by previous runs to the free stacks for reuse. Edges from
-// earlier Results (including Result.Final) become invalid.
-func (s *Simulator) Recycle() { s.M.Cleanup(nil, nil) }
-
 // clearGateCache invalidates every cached operation DD while keeping the
 // signature-to-slot map (and its interned key strings) intact.
-func (s *Simulator) clearGateCache() {
+func (s *simulator) clearGateCache() {
 	clear(s.gateDDs) // zero the elements; slots and capacity survive
 }
 
-// Run simulates the circuit under the given options. It is a thin loop over
-// a Session — results are identical to stepping a session to completion —
-// kept allocation-neutral by holding the session on the stack.
-func (s *Simulator) Run(c *circuit.Circuit, opts Options) (*Result, error) {
+// Run simulates the circuit under the given options on a fresh DD manager,
+// exposed as Result.Manager. It is a thin loop over a Session — results are
+// identical to stepping a session to completion.
+func Run(c *circuit.Circuit, opts Options) (*Result, error) {
+	return (&simulator{M: dd.New()}).run(c, opts)
+}
+
+// run simulates c on s's manager, holding the session on the stack.
+func (s *simulator) run(c *circuit.Circuit, opts Options) (*Result, error) {
 	var ses Session
 	if err := ses.init(s, c, opts); err != nil {
 		return nil, err
@@ -242,7 +231,7 @@ func (s *Simulator) Run(c *circuit.Circuit, opts Options) (*Result, error) {
 }
 
 // gateDD builds (or fetches) the operation DD for a gate.
-func (s *Simulator) gateDD(g circuit.Gate, n int) (dd.MEdge, error) {
+func (s *simulator) gateDD(g circuit.Gate, n int) (dd.MEdge, error) {
 	switch g.Kind {
 	case circuit.KindUnitary:
 		s.sigBuf = appendGateSignature(s.sigBuf[:0], g)

@@ -86,15 +86,14 @@ func TestExactSimulationMatchesDense(t *testing.T) {
 		n := 2 + rng.Intn(5)
 		c := randomCircuit(n, 10+rng.Intn(40), rng)
 		initial := uint64(rng.Intn(1 << uint(n)))
-		s := New()
-		res, err := s.Run(c, Options{InitialState: initial})
+		res, err := Run(c, Options{InitialState: initial})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.EstimatedFidelity != 1 || res.FidelityBound != 1 || len(res.Rounds) != 0 {
 			t.Fatal("exact run recorded approximation rounds")
 		}
-		statesAgreeUpToPhase(t, s.M, res.Final, denseRun(c, initial), 1e-7)
+		statesAgreeUpToPhase(t, res.Manager, res.Final, denseRun(c, initial), 1e-7)
 	}
 }
 
@@ -109,20 +108,18 @@ func TestSimulationWithPermGates(t *testing.T) {
 	c.CX(3, 0)
 	perm2 := rng.Perm(4)
 	c.Permutation(perm2, 2, dd.PosControl(3), dd.PosControl(4))
-	s := New()
-	res, err := s.Run(c, Options{})
+	res, err := Run(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	statesAgreeUpToPhase(t, s.M, res.Final, denseRun(c, 0), 1e-9)
+	statesAgreeUpToPhase(t, res.Manager, res.Final, denseRun(c, 0), 1e-9)
 }
 
 func TestMemoryDrivenRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	n := 8
 	c := randomCircuit(n, 120, rng)
-	s := New()
-	res, err := s.Run(c, Options{
+	res, err := Run(c, Options{
 		Strategy:           &core.MemoryDriven{Threshold: 16, RoundFidelity: 0.98},
 		CollectSizeHistory: true,
 	})
@@ -214,11 +211,11 @@ func TestGateCacheReuse(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.H(2)
 	}
-	s := New()
-	if _, err := s.Run(c, Options{}); err != nil {
+	res, err := Run(c, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	created := s.M.Stats().MNodesCreated
+	created := res.DDStats.MNodesCreated
 	if created > 40 {
 		t.Errorf("gate cache ineffective: %d matrix nodes created for 50 repeats of one gate", created)
 	}
@@ -227,8 +224,7 @@ func TestGateCacheReuse(t *testing.T) {
 func TestCleanupTriggers(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	c := randomCircuit(8, 200, rng)
-	s := New()
-	res, err := s.Run(c, Options{cleanupHighWater: 2000})
+	res, err := Run(c, Options{cleanupHighWater: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,17 +232,16 @@ func TestCleanupTriggers(t *testing.T) {
 		t.Error("cleanup never triggered with a tiny high-water mark")
 	}
 	// Result must still match dense.
-	statesAgreeUpToPhase(t, s.M, res.Final, denseRun(c, 0), 1e-7)
+	statesAgreeUpToPhase(t, res.Manager, res.Final, denseRun(c, 0), 1e-7)
 }
 
 func TestEmptyCircuit(t *testing.T) {
 	c := circuit.New(3, "empty")
-	s := New()
-	res, err := s.Run(c, Options{InitialState: 0b101})
+	res, err := Run(c, Options{InitialState: 0b101})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := s.M.Probability(res.Final, 0b101, 3); math.Abs(p-1) > 1e-12 {
+	if p := res.Manager.Probability(res.Final, 0b101, 3); math.Abs(p-1) > 1e-12 {
 		t.Errorf("empty circuit moved the state: %v", p)
 	}
 	if res.MaxDDSize != 3 {
@@ -257,8 +252,7 @@ func TestEmptyCircuit(t *testing.T) {
 func TestInvalidStrategyConfig(t *testing.T) {
 	c := circuit.New(2, "x")
 	c.H(0)
-	s := New()
-	_, err := s.Run(c, Options{Strategy: &core.MemoryDriven{Threshold: -1, RoundFidelity: 0.9}})
+	_, err := Run(c, Options{Strategy: &core.MemoryDriven{Threshold: -1, RoundFidelity: 0.9}})
 	if err == nil {
 		t.Error("invalid strategy accepted")
 	}

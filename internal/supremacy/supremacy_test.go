@@ -172,8 +172,7 @@ func TestSupremacyCircuitIsDDHostile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	res, err := s.Run(c, sim.Options{})
+	res, err := sim.Run(c, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
