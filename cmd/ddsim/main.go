@@ -73,7 +73,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ddsim", flag.ExitOnError)
 	qasmPath := fs.String("qasm", "", "OpenQASM 2.0 file to simulate")
-	genSpec := fs.String("gen", "", "builtin generator: qft:N | iqft:N | ghz:N | w:N | grover:N[:marked] | bv:N[:secret] | random:N:GATES[:seed] | qsup:RxC:DEPTH[:seed] | qaoa:N[:P[:seed]] | vqe:N[:L[:topo[:seed]]] | cliffordt:N[:GATES[:TCOUNT[:seed]]]")
+	genSpec := fs.String("gen", "", "builtin generator: "+gen.Usage())
 	strategy := fs.String("strategy", "exact", "registered strategy name ("+strings.Join(core.StrategyNames(), ", ")+") or auto")
 	params := fs.String("params", "", "the strategy's JSON parameters, e.g. '{\"threshold\":4096,\"round_fidelity\":0.99}' for memory")
 	shots := fs.Int("shots", 0, "samples to draw from the final state")

@@ -8,7 +8,7 @@
 //   - memory-driven (reactive): approximate whenever the state DD exceeds a
 //     node-count threshold, growing the threshold after each round;
 //   - fidelity-driven (proactive): plan ⌊log_fround(f_final)⌋ rounds at
-//     circuit block boundaries, guaranteeing a final-fidelity budget.
+//     circuit block boundaries within a final-fidelity budget.
 //
 // The package re-exports the user-facing API of the internal packages; see
 // README.md for a tour, docs/ARCHITECTURE.md for the architecture,

@@ -39,7 +39,7 @@ func main() {
 		}
 		m := cmp.Approx.Manager
 		p := m.Probability(cmp.Approx.Final, marked, n)
-		fmt.Printf("f_final ≥ %.1f: P(marked) = %.4f, true fidelity %.4f, rounds %d, max DD %d\n",
+		fmt.Printf("f_final %.1f: P(marked) = %.4f, true fidelity %.4f, rounds %d, max DD %d\n",
 			ffinal, p, cmp.TrueFidelity, len(cmp.Approx.Rounds), cmp.Approx.MaxDDSize)
 	}
 

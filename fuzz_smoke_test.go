@@ -48,11 +48,24 @@ func TestFuzzSmokeListsEveryTarget(t *testing.T) {
 
 // fuzzTargets returns, sorted, every native fuzz target of the module
 // rooted at root as "FuzzName ./pkg/dir", the line format of the script's
-// target list. It skips dot-directories, testdata/ and nested modules.
+// target list.
 func fuzzTargets(root string) ([]string, error) {
 	var targets []string
+	err := walkTestFuncs(root, func(p string, fn *ast.FuncDecl) {
+		if strings.HasPrefix(fn.Name.Name, "Fuzz") {
+			targets = append(targets, fn.Name.Name+" ./"+filepath.ToSlash(filepath.Dir(p)))
+		}
+	})
+	slices.Sort(targets)
+	return targets, err
+}
+
+// walkTestFuncs calls visit with each top-level function (no receiver) of
+// every _test.go file in the module rooted at root. It skips
+// dot-directories, testdata/ and nested modules.
+func walkTestFuncs(root string, visit func(path string, fn *ast.FuncDecl)) error {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -76,15 +89,12 @@ func fuzzTargets(root string) ([]string, error) {
 			return err
 		}
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
-				targets = append(targets, fn.Name.Name+" ./"+filepath.ToSlash(filepath.Dir(p)))
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				visit(p, fn)
 			}
 		}
 		return nil
 	})
-	slices.Sort(targets)
-	return targets, err
 }
 
 // fuzzSmokeTargets returns the "FuzzName ./pkg/dir" lines of the script's

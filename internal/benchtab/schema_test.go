@@ -59,7 +59,7 @@ func TestStrategyParamsSchema(t *testing.T) {
 		{"reorder", `{"order":"identity"}`, reorder(core.ReorderPolicy{Static: order.Identity}, core.Exact{})},
 		{"reorder", `{"order":"scored","sift":true}`, reorder(core.ReorderPolicy{Static: order.Scored, Sift: true}, core.Exact{})},
 		// Defaults: an empty reorder runs the identity order around exact.
-		{"reorder", ``, reorder(core.ReorderPolicy{Static: order.Identity}, core.Exact{})},
+		{"reorder", ``, reorder(core.ReorderPolicy{}, core.Exact{})},
 	} {
 		got, err := core.NewStrategyByName(tc.strategy, json.RawMessage(tc.params))
 		if err != nil {

@@ -30,7 +30,7 @@ type Row struct {
 	RoundFid     float64 // f_round
 	ApproxTime   time.Duration
 	FinalFid     float64 // tracked final fidelity (product of rounds)
-	FidBound     float64 // guaranteed product of round targets
+	FidBound     float64 // product of round targets
 	ApproxFailed string  // non-empty if the approximate run errored
 
 	// Extra column beyond the paper (available because the exact state fits

@@ -9,7 +9,7 @@ package core
 type ReorderPolicy struct {
 	// Static names the qubit→level ordering installed at session start:
 	// "identity", "reversed", or "scored" (gate-locality heuristic). Empty
-	// keeps the manager's current order.
+	// means identity.
 	Static string `json:"order,omitempty"`
 	// Sift enables dynamic sifting passes at the between-gate safe point.
 	Sift bool `json:"sift,omitempty"`
@@ -26,8 +26,7 @@ type ReorderPolicy struct {
 
 // Reorderer is implemented by strategies that request variable reordering.
 // The simulation driver queries it once after Strategy.Init; strategies that
-// do not implement it run under the manager's current (normally identity)
-// order.
+// do not implement it run under the identity order.
 type Reorderer interface {
 	ReorderPolicy() ReorderPolicy
 }

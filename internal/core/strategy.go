@@ -116,7 +116,10 @@ func (s *MemoryDriven) AfterGate(m *dd.Manager, gateIdx, size int, state dd.VEdg
 // boundaries when available (for Shor: during the inverse QFT) and evenly
 // spaced otherwise.
 type FidelityDriven struct {
-	// FinalFidelity is the guaranteed lower bound f_final for the end state.
+	// FinalFidelity is f_final: the product of the round targets stays at
+	// or above it. That product bounds the tracked estimate, and the true
+	// fidelity only when no gate separates the rounds (see
+	// sim.Result.FidelityBound).
 	FinalFidelity float64 `json:"final_fidelity"`
 	// RoundFidelity is the per-round target f_round.
 	RoundFidelity float64 `json:"round_fidelity"`
@@ -140,7 +143,7 @@ func NewFidelityDriven(finalFidelity, roundFidelity float64) *FidelityDriven {
 func (s *FidelityDriven) Name() string { return "fidelity-driven" }
 
 // MaxRounds returns ⌊log_{f_round}(f_final)⌋, the largest round count k with
-// f_round^k ≥ f_final, which keeps the guaranteed product fidelity above
+// f_round^k ≥ f_final, which keeps the product of the round targets above
 // f_final (Section IV-C). The quotient of logarithms only seeds an integer
 // search on f_round^k itself, whose comparison forgives a few ulps, so an
 // f_final that is an exact power of f_round (0.81 = 0.9²) gets every round.

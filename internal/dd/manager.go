@@ -59,10 +59,8 @@ type Manager struct {
 }
 
 // New returns a Manager with a fresh complex table at the default tolerance.
-func New() *Manager { return NewWithTable(cnum.NewTable()) }
-
-// NewWithTable returns a Manager using the given complex table.
-func NewWithTable(cn *cnum.Table) *Manager {
+func New() *Manager {
+	cn := cnum.NewTable()
 	m := &Manager{
 		CN:    cn,
 		add:   newComputeCache[addKey, VEdge](addCacheMax),

@@ -2,6 +2,8 @@ package gen
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -9,15 +11,96 @@ import (
 	"repro/internal/supremacy"
 )
 
-// FromSpec builds a circuit from a compact textual spec, used by the CLI
-// tools:
-//
-//	qft:N       iqft:N      ghz:N      w:N
-//	grover:N[:marked]       bv:N[:secret]
-//	dj:N[:mask]             qpe:T[:numerator:denominator]
-//	adder:N[:a:b]           random:N:GATES[:seed]
-//	qsup:RxC:DEPTH[:seed]   qaoa:N[:P[:seed]]
-//	vqe:N[:L[:topo[:seed]]] cliffordt:N[:GATES[:TCOUNT[:seed]]]
+// family is one generator of the spec grammar name[:arg...].
+type family struct {
+	name string
+	args string // argument grammar after the name, for Usage
+	// defaults holds the default of each integer argument in spec order;
+	// required marks one that has none. A missing or empty argument takes
+	// its default, and arguments past the last one are ignored.
+	defaults []int
+	// word is the spec position of the family's one non-integer argument
+	// (0 = none); build receives it verbatim, "" when absent.
+	word  int
+	build func(arg []int, word string) (*circuit.Circuit, error)
+}
+
+const required = math.MinInt
+
+func built(c *circuit.Circuit) (*circuit.Circuit, error) { return c, nil }
+
+var families = []family{
+	{name: "qft", args: "N", defaults: []int{8}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(QFT(a[0]))
+	}},
+	{name: "iqft", args: "N", defaults: []int{8}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(InverseQFT(a[0]))
+	}},
+	{name: "ghz", args: "N", defaults: []int{8}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(GHZ(a[0]))
+	}},
+	{name: "w", args: "N", defaults: []int{8}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(WState(a[0]))
+	}},
+	{name: "grover", args: "N[:marked]", defaults: []int{8, 1}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(Grover(a[0], uint64(a[1]), 0))
+	}},
+	{name: "bv", args: "N[:secret]", defaults: []int{8, 0b1011}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(BernsteinVazirani(a[0], uint64(a[1])))
+	}},
+	{name: "dj", args: "N[:mask]", defaults: []int{8, 0}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(DeutschJozsa(a[0], a[1] != 0, uint64(a[1])))
+	}},
+	{name: "qpe", args: "T[:numerator:denominator]", defaults: []int{5, 1, 8}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		if a[2] == 0 {
+			return nil, fmt.Errorf("zero denominator")
+		}
+		return built(PhaseEstimation(a[0], float64(a[1])/float64(a[2])))
+	}},
+	{name: "adder", args: "N[:a:b]", defaults: []int{4, 3, 5}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(RippleCarryAdder(a[0], uint64(a[1]), uint64(a[2])))
+	}},
+	{name: "random", args: "N:GATES[:seed]", defaults: []int{8, 100, 0}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return built(RandomCliffordT(a[0], a[1], int64(a[2])))
+	}},
+	{name: "qsup", args: "RxC:DEPTH[:seed]", word: 1, defaults: []int{required, 0}, build: func(a []int, grid string) (*circuit.Circuit, error) {
+		r, c, ok := strings.Cut(grid, "x")
+		rows, err1 := strconv.Atoi(r)
+		cols, err2 := strconv.Atoi(c)
+		if !ok || err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("bad grid %q", grid)
+		}
+		if rows < 1 || rows > 16 || cols < 1 || cols > 16 || a[0] < 0 || a[0] > 10000 {
+			return nil, fmt.Errorf("qsup dimensions out of range")
+		}
+		return supremacy.Config{Rows: rows, Cols: cols, Depth: a[0], Seed: int64(a[1])}.Generate()
+	}},
+	{name: "qaoa", args: "N[:P[:seed]]", defaults: []int{8, 2, 0}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return QAOAConfig{Nodes: a[0], Layers: a[1], Seed: int64(a[2])}.Generate()
+	}},
+	{name: "vqe", args: "N[:L[:topo[:seed]]]", word: 3, defaults: []int{8, 3, 0}, build: func(a []int, topo string) (*circuit.Circuit, error) {
+		if topo == "" {
+			topo = VQELinear
+		}
+		return VQEConfig{Qubits: a[0], Layers: a[1], Topology: topo, Seed: int64(a[2])}.Generate()
+	}},
+	{name: "cliffordt", args: "N[:GATES[:TCOUNT[:seed]]]", defaults: []int{8, 100, 20, 0}, build: func(a []int, _ string) (*circuit.Circuit, error) {
+		return CliffordTConfig{Qubits: a[0], Gates: a[1], TCount: a[2], Seed: int64(a[3])}.Generate()
+	}},
+}
+
+// Usage lists every generator family with its argument grammar, for help
+// text: "qft:N | iqft:N | ...".
+func Usage() string {
+	specs := make([]string, len(families))
+	for i, f := range families {
+		specs[i] = f.name + ":" + f.args
+	}
+	return strings.Join(specs, " | ")
+}
+
+// FromSpec builds a circuit from a compact textual spec name[:arg...],
+// used by the CLI tools; Usage lists the families and their arguments.
 //
 // Malformed or out-of-range specs return errors, never panic: integer
 // arguments are capped at ±100000 and generator validation panics are
@@ -29,200 +112,38 @@ func FromSpec(spec string) (c *circuit.Circuit, err error) {
 		}
 	}()
 	parts := strings.Split(spec, ":")
-	name := parts[0]
-	argInt := func(i, def int) (int, error) {
-		if len(parts) <= i || parts[i] == "" {
-			return def, nil
-		}
-		v, err := strconv.Atoi(parts[i])
-		if err != nil {
-			return 0, fmt.Errorf("gen: spec %q: bad integer %q", spec, parts[i])
-		}
-		if v < -100000 || v > 100000 {
-			return 0, fmt.Errorf("gen: spec %q: argument %d out of range", spec, v)
-		}
-		return v, nil
+	i := slices.IndexFunc(families, func(f family) bool { return f.name == parts[0] })
+	if i < 0 {
+		return nil, fmt.Errorf("gen: unknown generator %q (one of %s)", parts[0], Usage())
 	}
-	switch name {
-	case "qft":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
+	f := families[i]
+	arg := make([]int, 0, len(f.defaults))
+	word := ""
+	for pos := 1; len(arg) < len(f.defaults); pos++ {
+		s := ""
+		if pos < len(parts) {
+			s = parts[pos]
 		}
-		return QFT(n), nil
-	case "iqft":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
+		if pos == f.word {
+			word = s
+			continue
 		}
-		return InverseQFT(n), nil
-	case "ghz":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
+		v := f.defaults[len(arg)]
+		if s == "" && v == required {
+			return nil, fmt.Errorf("gen: spec %q: %s needs %s", spec, f.name, f.args)
 		}
-		return GHZ(n), nil
-	case "w":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
+		if s != "" {
+			if v, err = strconv.Atoi(s); err != nil {
+				return nil, fmt.Errorf("gen: spec %q: bad integer %q", spec, s)
+			}
+			if v < -100000 || v > 100000 {
+				return nil, fmt.Errorf("gen: spec %q: argument %d out of range", spec, v)
+			}
 		}
-		return WState(n), nil
-	case "grover":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
-		}
-		marked, err := argInt(2, 1)
-		if err != nil {
-			return nil, err
-		}
-		return Grover(n, uint64(marked), 0), nil
-	case "bv":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
-		}
-		secret, err := argInt(2, 0b1011)
-		if err != nil {
-			return nil, err
-		}
-		return BernsteinVazirani(n, uint64(secret)), nil
-	case "dj":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
-		}
-		mask, err := argInt(2, 0)
-		if err != nil {
-			return nil, err
-		}
-		return DeutschJozsa(n, mask != 0, uint64(mask)), nil
-	case "qpe":
-		t, err := argInt(1, 5)
-		if err != nil {
-			return nil, err
-		}
-		num, err := argInt(2, 1)
-		if err != nil {
-			return nil, err
-		}
-		den, err := argInt(3, 8)
-		if err != nil {
-			return nil, err
-		}
-		if den == 0 {
-			return nil, fmt.Errorf("gen: spec %q: zero denominator", spec)
-		}
-		return PhaseEstimation(t, float64(num)/float64(den)), nil
-	case "adder":
-		n, err := argInt(1, 4)
-		if err != nil {
-			return nil, err
-		}
-		a, err := argInt(2, 3)
-		if err != nil {
-			return nil, err
-		}
-		b, err := argInt(3, 5)
-		if err != nil {
-			return nil, err
-		}
-		return RippleCarryAdder(n, uint64(a), uint64(b)), nil
-	case "random":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
-		}
-		gates, err := argInt(2, 100)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := argInt(3, 0)
-		if err != nil {
-			return nil, err
-		}
-		return RandomCliffordT(n, gates, int64(seed)), nil
-	case "qaoa":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
-		}
-		layers, err := argInt(2, 2)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := argInt(3, 0)
-		if err != nil {
-			return nil, err
-		}
-		return QAOAConfig{Nodes: n, Layers: layers, Seed: int64(seed)}.Generate()
-	case "vqe":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
-		}
-		layers, err := argInt(2, 3)
-		if err != nil {
-			return nil, err
-		}
-		topo := VQELinear
-		if len(parts) > 3 && parts[3] != "" {
-			topo = parts[3]
-		}
-		seed, err := argInt(4, 0)
-		if err != nil {
-			return nil, err
-		}
-		return VQEConfig{Qubits: n, Layers: layers, Topology: topo, Seed: int64(seed)}.Generate()
-	case "cliffordt":
-		n, err := argInt(1, 8)
-		if err != nil {
-			return nil, err
-		}
-		gates, err := argInt(2, 100)
-		if err != nil {
-			return nil, err
-		}
-		tcount, err := argInt(3, 20)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := argInt(4, 0)
-		if err != nil {
-			return nil, err
-		}
-		return CliffordTConfig{Qubits: n, Gates: gates, TCount: tcount, Seed: int64(seed)}.Generate()
-	case "qsup":
-		if len(parts) < 3 {
-			return nil, fmt.Errorf("gen: spec %q: qsup needs RxC:DEPTH", spec)
-		}
-		dims := strings.Split(parts[1], "x")
-		if len(dims) != 2 {
-			return nil, fmt.Errorf("gen: spec %q: bad grid %q", spec, parts[1])
-		}
-		rows, err := strconv.Atoi(dims[0])
-		if err != nil {
-			return nil, fmt.Errorf("gen: spec %q: bad rows", spec)
-		}
-		cols, err := strconv.Atoi(dims[1])
-		if err != nil {
-			return nil, fmt.Errorf("gen: spec %q: bad cols", spec)
-		}
-		depth, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, fmt.Errorf("gen: spec %q: bad depth", spec)
-		}
-		if rows < 1 || rows > 16 || cols < 1 || cols > 16 || depth < 0 || depth > 10000 {
-			return nil, fmt.Errorf("gen: spec %q: qsup dimensions out of range", spec)
-		}
-		seed, err := argInt(3, 0)
-		if err != nil {
-			return nil, err
-		}
-		cfg := supremacy.Config{Rows: rows, Cols: cols, Depth: depth, Seed: int64(seed)}
-		return cfg.Generate()
-	default:
-		return nil, fmt.Errorf("gen: unknown generator %q (try qft, ghz, grover, qsup, ...)", name)
+		arg = append(arg, v)
 	}
+	if c, err = f.build(arg, word); err != nil {
+		return nil, fmt.Errorf("gen: spec %q: %w", spec, err)
+	}
+	return c, nil
 }

@@ -132,9 +132,12 @@ func TestReorderStrategyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := st.(core.Reorderer).ReorderPolicy()
-	if pol.Static != Identity || pol.Sift {
+	// The zero policy runs the identity order without sifting.
+	if pol := st.(core.Reorderer).ReorderPolicy(); pol != (core.ReorderPolicy{}) {
 		t.Fatalf("default policy = %+v", pol)
+	}
+	if got := st.Name(); got != "reorder(identity)+exact" {
+		t.Fatalf("default name = %q", got)
 	}
 	if err := st.Init(1, nil); err != nil {
 		t.Fatal(err)

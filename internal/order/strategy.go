@@ -34,7 +34,7 @@ func NewReorder(policy core.ReorderPolicy, inner core.Strategy) *Strategy {
 func (s *Strategy) Name() string {
 	static := s.policy.Static
 	if static == "" {
-		static = "current"
+		static = Identity
 	}
 	name := "reorder(" + static
 	if s.policy.Sift {
@@ -79,9 +79,6 @@ func init() {
 		var p Params
 		if err := core.DecodeParams(params, &p); err != nil {
 			return nil, err
-		}
-		if p.Static == "" {
-			p.Static = Identity
 		}
 		if p.Inner == "reorder" {
 			return nil, fmt.Errorf("order: reorder cannot wrap itself")

@@ -489,14 +489,6 @@ func TestListAndStatsShapes(t *testing.T) {
 	if perWorkerJobs != 3 {
 		t.Errorf("per-worker jobs sum to %d, want 3", perWorkerJobs)
 	}
-	if len(st.Workers) == 0 {
-		t.Error("stats should carry at least one per-worker DD snapshot")
-	}
-	for id, w := range st.Workers {
-		if w.Stats.VNodesCreated == 0 || w.Pool.Capacity == 0 {
-			t.Errorf("worker %s DD snapshot looks empty: %+v", id, w)
-		}
-	}
 }
 
 func TestShutdownCancelsPendingJobs(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/dd"
 	"repro/internal/sim"
 )
 
@@ -126,13 +125,12 @@ type Server struct {
 	memo *BodyMemo
 	mux  *http.ServeMux
 
-	mu       sync.Mutex
-	closed   bool
-	nextID   int
-	jobs     map[string]*jobState
-	order    []string         // job ids in submission order, for listing
-	workerDD map[int]WorkerDD // last DD-manager snapshot per pool worker
-	reorder  ReorderStats     // lifetime reordering aggregates for /v1/stats
+	mu      sync.Mutex
+	closed  bool
+	nextID  int
+	jobs    map[string]*jobState
+	order   []string     // job ids in submission order, for listing
+	reorder ReorderStats // lifetime reordering aggregates for /v1/stats
 }
 
 // jobState tracks one submission from POST to result retrieval.
@@ -169,10 +167,9 @@ func New(cfg Config) *Server {
 			Workers:    cfg.Workers,
 			QueueDepth: cfg.QueueDepth,
 		}),
-		cache:    newResultCache(cfg.CacheEntries),
-		memo:     NewBodyMemo(cfg.CacheEntries),
-		jobs:     make(map[string]*jobState),
-		workerDD: make(map[int]WorkerDD),
+		cache: newResultCache(cfg.CacheEntries),
+		memo:  NewBodyMemo(cfg.CacheEntries),
+		jobs:  make(map[string]*jobState),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -295,13 +292,6 @@ type DDStats struct {
 	ComplexValues int    `json:"complex_values"`
 }
 
-// WorkerDD is the most recent per-worker DD-manager snapshot, captured on
-// the worker goroutine at job finalization (the only safe point).
-type WorkerDD struct {
-	Stats dd.Stats     `json:"stats"`
-	Pool  dd.PoolStats `json:"pool"`
-}
-
 // ReorderStats aggregates variable-reordering activity across finished jobs
 // for /v1/stats.
 type ReorderStats struct {
@@ -321,11 +311,8 @@ type Stats struct {
 	Cache CacheStats `json:"cache"`
 	// Pool reports worker-pool occupancy and lifetime throughput.
 	Pool batch.PoolState `json:"pool"`
-	// Workers maps pool worker ids to their manager's latest memory-system
-	// snapshot (dd.Stats plus node-pool occupancy).
-	Workers map[string]WorkerDD `json:"workers"`
-	// Reorder aggregates variable-reordering activity (jobs that chose a
-	// non-default order, sifting passes, level swaps).
+	// Reorder aggregates variable-reordering activity (jobs that ran a
+	// reordering strategy, sifting passes, level swaps).
 	Reorder ReorderStats `json:"reorder"`
 }
 
@@ -430,7 +417,7 @@ func (s *Server) answerCached(w http.ResponseWriter, id string, res MemoEntry, p
 // finalizer builds the batch.Job Finalize hook: it runs on the worker while
 // the job's DD manager is still exclusively owned, samples the final state,
 // marshals the result payload, stores it on the job, feeds the cache, and
-// snapshots the worker's manager for /v1/stats.
+// adds the job's reordering activity to /v1/stats.
 func (s *Server) finalizer(js *jobState, comp *compiled) func(*batch.JobResult) {
 	return func(jr *batch.JobResult) {
 		status, errMsg := classify(jr)
@@ -442,17 +429,11 @@ func (s *Server) finalizer(js *jobState, comp *compiled) func(*batch.JobResult) 
 				status, errMsg = StatusFailed, fmt.Sprintf("marshaling result: %v", err)
 			}
 		}
-		if jr.Result != nil {
+		if jr.Result != nil && jr.Result.InitialOrder != nil {
 			s.mu.Lock()
-			s.workerDD[jr.Worker] = WorkerDD{
-				Stats: jr.Result.DDStats,
-				Pool:  jr.Result.Manager.Pool(),
-			}
-			if jr.Result.InitialOrder != nil {
-				s.reorder.Jobs++
-				s.reorder.SiftPasses += int64(jr.Result.SiftPasses)
-				s.reorder.SiftSwaps += int64(jr.Result.SiftSwaps)
-			}
+			s.reorder.Jobs++
+			s.reorder.SiftPasses += int64(jr.Result.SiftPasses)
+			s.reorder.SiftSwaps += int64(jr.Result.SiftSwaps)
 			s.mu.Unlock()
 		}
 		// Feed the cache before publishing the done status: a client that
@@ -657,16 +638,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := Stats{
-		Jobs:    map[string]int{},
-		Cache:   s.cache.stats(),
-		Pool:    s.pool.State(),
-		Workers: map[string]WorkerDD{},
+		Jobs:  map[string]int{},
+		Cache: s.cache.stats(),
+		Pool:  s.pool.State(),
 	}
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)
-	for worker, snap := range s.workerDD {
-		st.Workers[fmt.Sprintf("%d", worker)] = snap
-	}
 	st.Reorder = s.reorder
 	s.mu.Unlock()
 	for _, id := range ids {

@@ -75,6 +75,8 @@ type RunOptions struct {
 }
 
 // Outcome bundles the simulation result and the factoring post-processing.
+// Instance and Sim are nil when Factor splits N classically (an even N, a
+// prime power, or a random base sharing a factor with N): no circuit ran.
 type Outcome struct {
 	Instance *Instance
 	Sim      *sim.Result
@@ -134,12 +136,8 @@ func Factor(n uint64, opts RunOptions) (*Outcome, error) {
 		a := 2 + rng.Uint64()%(n-3)
 		if g := Gcd(a, n); g != 1 {
 			// Lucky classical factor; report it without simulation.
-			in, _ := NewInstance(n, 3) // placeholder instance for context
 			return &Outcome{
-				Instance: in,
-				Factors: FactorResult{
-					Factor1: g, Factor2: n / g, Success: true, Shots: 0,
-				},
+				Factors: FactorResult{Factor1: g, Factor2: n / g, Success: true},
 			}, nil
 		}
 		in, err := NewInstance(n, a)

@@ -200,3 +200,23 @@ func TestFactorTopLevel(t *testing.T) {
 		t.Error("tiny N accepted by Factor")
 	}
 }
+
+// TestFactorClassicalSplitRunsNothing: under seed 1, Factor splits each of
+// these N with a random base that shares a factor with N. That split is
+// classical (no shots drawn), so the outcome carries no instance or
+// simulation: no circuit ran for it.
+func TestFactorClassicalSplitRunsNothing(t *testing.T) {
+	for _, n := range []uint64{21, 33, 35} {
+		out, err := Factor(n, RunOptions{Seed: 1})
+		if err != nil {
+			t.Fatalf("Factor(%d): %v", n, err)
+		}
+		f := out.Factors
+		if !f.Success || f.Factor1*f.Factor2 != n || f.Factor1 == 1 || f.Factor2 == 1 || f.Shots != 0 {
+			t.Errorf("Factor(%d) = %+v, want a non-trivial classical split", n, f)
+		}
+		if out.Instance != nil || out.Sim != nil {
+			t.Errorf("Factor(%d): classical split reports instance %+v and sim %v", n, out.Instance, out.Sim)
+		}
+	}
+}

@@ -200,11 +200,18 @@ func TestReorderRejectsPermGates(t *testing.T) {
 	c := circuit.New(3, "perm")
 	c.H(2)
 	c.Permutation([]int{1, 0, 3, 2}, 2)
-	if _, err := Run(c, Options{Strategy: reorderStrategy(t, `{"order":"scored"}`)}); err == nil {
-		t.Fatal("reorder accepted a permutation-gate circuit")
+	for _, params := range []string{`{"order":"scored"}`, `{"order":"reversed"}`, `{"sift":true}`} {
+		if _, err := Run(c, Options{Strategy: reorderStrategy(t, params)}); err == nil {
+			t.Fatalf("reorder %s accepted a permutation-gate circuit", params)
+		}
 	}
 	if _, err := Run(c, Options{}); err != nil {
 		t.Fatalf("identity-order run must still work: %v", err)
+	}
+	for _, params := range []string{``, `{"order":"identity"}`} {
+		if _, err := Run(c, Options{Strategy: reorderStrategy(t, params)}); err != nil {
+			t.Fatalf("reorder %q keeps the identity order and must run: %v", params, err)
+		}
 	}
 }
 

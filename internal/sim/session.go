@@ -109,16 +109,15 @@ func (ses *Session) init(s *simulator, c *circuit.Circuit, opts Options) error {
 	// before the initial state is built. Reordering is incompatible with
 	// permutation gates (their payloads address DD levels directly).
 	var policy core.ReorderPolicy
-	reorderer, hasReorder := strategy.(core.Reorderer)
-	if hasReorder {
-		policy = reorderer.ReorderPolicy()
-	}
 	var initialOrder []int
-	if hasReorder {
-		if (policy.Sift || (policy.Static != "" && policy.Static != order.Identity)) && order.HasPermGate(c) {
+	if reorderer, ok := strategy.(core.Reorderer); ok {
+		policy = reorderer.ReorderPolicy()
+		if policy.Sift && order.HasPermGate(c) {
 			return fmt.Errorf("sim: circuit %q carries permutation gates, which require the identity order", c.Name)
 		}
-		if policy.Static != "" {
+		// A fresh manager starts in the identity order; order.Compute
+		// rejects any other static order on permutation gates.
+		if policy.Static != "" && policy.Static != order.Identity {
 			perm, err := order.Compute(policy.Static, c)
 			if err != nil {
 				return err
@@ -176,7 +175,7 @@ func (ses *Session) init(s *simulator, c *circuit.Circuit, opts Options) error {
 		ses.state = m.BasisState(c.NumQubits, opts.InitialState)
 	}
 	res.MaxDDSize = ses.curSize()
-	if hasReorder && policy.Sift {
+	if policy.Sift {
 		ses.sift = true
 		ses.siftThreshold = policy.SiftThreshold
 		if ses.siftThreshold <= 0 {

@@ -119,7 +119,11 @@ type Result struct {
 	EstimatedFidelity float64
 	// FidelityBound is the product of the per-round target fidelities — the
 	// quantity the fidelity-driven strategy budgets with ⌊log_fround
-	// f_final⌋ so that it stays above the requested f_final.
+	// f_final⌋ so that it stays above the requested f_final. It bounds
+	// EstimatedFidelity; it bounds the true fidelity only when no gate
+	// separates the rounds. With gates between rounds what holds is
+	// F_true ≥ cos²(min(π/2, Σᵢ arccos √Fᵢ)) over each round's Achieved Fᵢ
+	// (TestFidelityBoundWithGatesBetweenRounds).
 	FidelityBound float64
 	// Runtime is the wall-clock simulation time.
 	Runtime time.Duration
@@ -190,7 +194,11 @@ func (w WeightTableStats) HitRatio() float64 {
 
 // simulator is one run's DD manager plus its gate-DD cache. Run and
 // NewSession build one on a fresh manager per run, so every run owns its
-// manager and interns nothing another run interned.
+// manager and interns nothing another run interned. It stays a type of its
+// own, and clearGateCache keeps the signature slots, so that
+// BenchmarkSessionOverhead and BenchmarkSessionOrdering can reuse one swept
+// manager and time the run rather than a manager's allocation; their
+// allocs/op baselines depend on that reuse.
 type simulator struct {
 	M *dd.Manager
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/dense"
+	"repro/internal/gen"
 )
 
 func randomCircuit(n, gates int, rng *rand.Rand) *circuit.Circuit {
@@ -145,8 +146,9 @@ func TestFidelityTrackingEndToEnd(t *testing.T) {
 	// estimate the true fidelity between exact and approximate final
 	// states. Lemma 1 makes the product exact for back-to-back truncations
 	// (covered in core's tests); with unitaries interleaved the product is
-	// the paper's tracked estimate — here we bound its deviation and check
-	// the designed lower bound holds.
+	// the paper's tracked estimate — here we bound its deviation, check
+	// that the designed bound holds on these circuits, and check the angle
+	// bound, which holds on every circuit.
 	rng := rand.New(rand.NewSource(83))
 	triggered := 0
 	for trial := 0; trial < 5; trial++ {
@@ -170,9 +172,52 @@ func TestFidelityTrackingEndToEnd(t *testing.T) {
 			t.Fatalf("true fidelity %v below designed bound %v",
 				cmp.TrueFidelity, cmp.Approx.FidelityBound)
 		}
+		if bound := angleBound(cmp.Approx.Rounds); cmp.TrueFidelity < bound-1e-9 {
+			t.Fatalf("true fidelity %v below the angle bound %v", cmp.TrueFidelity, bound)
+		}
 	}
 	if triggered == 0 {
 		t.Fatal("no trial triggered approximation")
+	}
+}
+
+// angleBound is the lower bound on the true fidelity that holds with gates
+// between rounds: cos²(min(π/2, Σᵢ arccos √Fᵢ)) over each round's Achieved
+// fidelity Fᵢ. Unitaries preserve the angle between the exact and the
+// approximate state, and that angle obeys the triangle inequality.
+func angleBound(rounds []core.Round) float64 {
+	angle := 0.0
+	for _, r := range rounds {
+		angle += math.Acos(math.Sqrt(min(1, r.Report.Achieved)))
+	}
+	c := math.Cos(min(math.Pi/2, angle))
+	return c * c
+}
+
+// TestFidelityBoundWithGatesBetweenRounds: on Grover, later iterations
+// amplify an early truncation, so the product of the round targets
+// (FidelityBound) bounds only the tracked estimate, not the true fidelity;
+// at f_final 0.3 the true fidelity is near 0.01. The angle bound holds.
+func TestFidelityBoundWithGatesBetweenRounds(t *testing.T) {
+	c := gen.Grover(10, 0b1100110011, 0)
+	for _, f := range []float64{0.9, 0.5, 0.3} {
+		cmp, err := RunAndCompare(c, Options{Strategy: core.NewFidelityDriven(f, 0.95)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := cmp.Approx
+		if len(a.Rounds) == 0 {
+			t.Fatalf("f_final %v: no round ran", f)
+		}
+		angle := angleBound(a.Rounds)
+		if cmp.TrueFidelity < angle-1e-9 {
+			t.Errorf("f_final %v: true fidelity %v below the angle bound %v", f, cmp.TrueFidelity, angle)
+		}
+		if a.EstimatedFidelity < a.FidelityBound || a.FidelityBound < f {
+			t.Errorf("f_final %v: want estimated %v ≥ bound %v ≥ f_final", f, a.EstimatedFidelity, a.FidelityBound)
+		}
+		t.Logf("f_final %v: %d rounds, true %.4f, angle bound %.4f, bound %.4f, estimated %.4f",
+			f, len(a.Rounds), cmp.TrueFidelity, angle, a.FidelityBound, a.EstimatedFidelity)
 	}
 }
 
